@@ -6,6 +6,12 @@ scenario trees, plus one command referencing them by name.  ``run``
 validates everything, dispatches, and emits a deterministic report
 document; diagnostics go to standard error.  Exit codes: 0 success,
 2 validation error, 3 operation error, 4 size-guard error.
+
+Every op is one entry of the ``OPS`` table: the objects its command
+names, with the section and type each must have, and a handler that
+receives them resolved.  Every number read from a document goes through
+the typed readers (``_number``, ``_int``, ``_numbers``, ``_rows``), which
+accept JSON numbers only and name the offending field path.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import hashlib
 import os
 import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Optional
 
 import numpy as np
@@ -51,22 +58,7 @@ from .risk import (
 from .serialize import parse, render
 from .spaces import Kernel, OutcomeSpace, ProbVector, ProductSpace, RandomVariable
 
-COMMANDS = (
-    "eval",
-    "eval-convex",
-    "conditional",
-    "compose",
-    "check-tower",
-    "check-penalty-additivity",
-    "check-fubini",
-    "conjugate",
-    "separate",
-    "oce",
-    "avar-dual",
-    "tree-risk",
-    "tree-sublinear",
-    "demo",
-)
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -78,8 +70,65 @@ class Scenario:
     variables: dict = field(default_factory=dict)
     trees: dict = field(default_factory=dict)
     command: dict = field(default_factory=dict)
+    args: dict = field(default_factory=dict)  # command objects, resolved by name
     warnings: list = field(default_factory=list)
     canonicalization: list = field(default_factory=list)
+
+
+# ---------------------------------------------------------------- typed readers
+
+
+def _number(path: str, v) -> float:
+    """A finite JSON number; bools, strings and containers are refused."""
+    if type(v) not in (int, float) or not abs(v) <= _FLOAT_MAX:
+        raise ValidationError(f"{path}: expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _int(path: str, v) -> int:
+    if type(v) is not int:
+        raise ValidationError(f"{path}: expected an integer, got {v!r}")
+    return v
+
+
+def _list(path: str, v) -> list:
+    if not isinstance(v, list):
+        raise ValidationError(f"{path}: expected a list")
+    return v
+
+
+def _map(path: str, v) -> dict:
+    if not isinstance(v, dict):
+        raise ValidationError(f"{path}: expected a map")
+    return v
+
+
+def _numbers(path: str, v) -> list:
+    return [_number(f"{path}[{i}]", x) for i, x in enumerate(_list(path, v))]
+
+
+def _rows(path: str, v) -> list:
+    return [_numbers(f"{path}[{i}]", row) for i, row in enumerate(_list(path, v))]
+
+
+def _atom_rows(path: str, v) -> list:
+    """``[(weights, cost), ...]`` from a list of ``{"weights", "cost"}`` maps."""
+    atoms = []
+    for i, entry in enumerate(_list(path, v)):
+        entry = _map(f"{path}[{i}]", entry)
+        atoms.append((_numbers(f"{path}[{i}].weights", entry.get("weights")),
+                      _number(f"{path}[{i}].cost", entry.get("cost", 0.0))))
+    return atoms
+
+
+def _wrap(path: str, build):
+    try:
+        return build()
+    except CredalkitError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+# ---------------------------------------------------------------- objects
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -95,51 +144,23 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError(f"unknown scenario sections: {sorted(unknown)}")
     sc = Scenario(raw=raw)
 
-    for name, labels in _section(raw, "spaces").items():
-        if not isinstance(labels, list):
-            raise ValidationError(f"spaces.{name}: expected a list of labels")
-        sc.spaces[name] = OutcomeSpace(labels)
+    for name, labels in _map("spaces", raw.get("spaces", {})).items():
+        sc.spaces[name] = OutcomeSpace(_list(f"spaces.{name}", labels))
 
-    for name, body in _section(raw, "sets").items():
-        sc.sets[name] = _build_set(sc, name, body)
-
-    for name, body in _section(raw, "kernels").items():
-        sc.kernels[name] = _build_kernel(sc, name, body)
-
-    for name, body in _section(raw, "variables").items():
-        space = _resolve_space(sc, body.get("space"), f"variables.{name}.space")
-        values = body.get("values")
-        if not isinstance(values, list):
-            raise ValidationError(f"variables.{name}: expected a list of values")
-        sc.variables[name] = _wrap(
-            f"variables.{name}", lambda: RandomVariable(space, values)
-        )
-
-    for name, body in _section(raw, "trees").items():
-        sc.trees[name] = _build_tree(sc, name, body)
+    for section, build in (("sets", _build_set), ("kernels", _build_kernel),
+                           ("variables", _build_variable), ("trees", _build_tree)):
+        for name, body in _map(section, raw.get(section, {})).items():
+            getattr(sc, section)[name] = build(sc, f"{section}.{name}", body)
 
     command = raw.get("command")
     if not isinstance(command, dict) or "op" not in command:
         raise ValidationError('scenario needs a "command" map with an "op"')
-    if command["op"] not in COMMANDS:
-        raise ValidationError(f"unknown command op {command['op']!r}")
+    op = command["op"]
+    if not isinstance(op, str) or op not in OPS:
+        raise ValidationError(f"unknown command op {op!r}")
     sc.command = command
-    _validate_references(sc)
+    sc.args = _resolve_args(sc, OPS[op][0])
     return sc
-
-
-def _section(raw: dict, key: str) -> dict:
-    body = raw.get(key, {})
-    if not isinstance(body, dict):
-        raise ValidationError(f'section "{key}" must be a map')
-    return body
-
-
-def _wrap(path: str, build):
-    try:
-        return build()
-    except CredalkitError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _resolve_space(sc: Scenario, ref, path: str):
@@ -154,140 +175,157 @@ def _resolve_space(sc: Scenario, ref, path: str):
     raise ValidationError(f"{path}: a space reference is a name or a pair of names")
 
 
-def _build_set(sc: Scenario, name: str, body):
-    if not isinstance(body, dict):
-        raise ValidationError(f"sets.{name}: expected a map")
-    space = _resolve_space(sc, body.get("space"), f"sets.{name}.space")
+def _credal(sc: Scenario, path: str, space, rows: list) -> CredalSet:
+    """A credal set from vertex rows, noting generators canonicalization drops."""
+    built = _wrap(path, lambda: CredalSet.from_rows(space, rows))
+    if built.n_vertices < len(rows):
+        sc.canonicalization.append(
+            f"{path}: {len(rows) - built.n_vertices} redundant generator(s) dropped"
+        )
+    return built
+
+
+def _penalty(sc: Scenario, path: str, space, atoms: list,
+             shift_note: str = "") -> PenaltyAtoms:
+    """A penalty family from atom rows, warning when its costs are shifted."""
+    built = _wrap(path, lambda: PenaltyAtoms.from_rows(space, atoms))
+    if built.normalization_shift > 0.0:
+        sc.warnings.append(
+            f"{path}: costs shifted down by {built.normalization_shift!r}{shift_note}"
+        )
+    return built
+
+
+def _build_set(sc: Scenario, path: str, body):
+    body = _map(path, body)
+    space = _resolve_space(sc, body.get("space"), f"{path}.space")
     if "vertices" in body:
-        rows = body["vertices"]
-        built = _wrap(f"sets.{name}", lambda: CredalSet.from_rows(space, rows))
-        if built.n_vertices < len(rows):
-            sc.canonicalization.append(
-                f"sets.{name}: {len(rows) - built.n_vertices} redundant "
-                f"generator(s) dropped"
-            )
-        return built
+        return _credal(sc, path, space, _rows(f"{path}.vertices", body["vertices"]))
     if "atoms" in body:
-        entries = body["atoms"]
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise ValidationError(f"sets.{name}.atoms: expected a list of maps")
-        atoms = [(entry.get("weights"), entry.get("cost", 0.0)) for entry in entries]
-        built = _wrap(f"sets.{name}", lambda: PenaltyAtoms.from_rows(space, atoms))
-        if built.normalization_shift > 0.0:
-            sc.warnings.append(
-                f"sets.{name}: costs shifted down by "
-                f"{built.normalization_shift!r} so the smallest is zero"
-            )
-        return built
-    raise ValidationError(f'sets.{name}: needs "vertices" (credal) or "atoms" (penalty)')
+        return _penalty(sc, path, space, _atom_rows(f"{path}.atoms", body["atoms"]),
+                        " so the smallest is zero")
+    raise ValidationError(f'{path}: needs "vertices" (credal) or "atoms" (penalty)')
 
 
-def _build_kernel(sc: Scenario, name: str, body):
-    if not isinstance(body, dict):
-        raise ValidationError(f"kernels.{name}: expected a map")
-    u_space = _resolve_space(sc, body.get("u_space"), f"kernels.{name}.u_space")
-    v_space = _resolve_space(sc, body.get("v_space"), f"kernels.{name}.v_space")
+def _build_kernel(sc: Scenario, path: str, body):
+    body = _map(path, body)
+    u_space = _resolve_space(sc, body.get("u_space"), f"{path}.u_space")
+    v_space = _resolve_space(sc, body.get("v_space"), f"{path}.v_space")
     if "credal" in body:
-        per_u = body["credal"]
-        if not isinstance(per_u, list) or len(per_u) != u_space.size:
-            raise ValidationError(
-                f"kernels.{name}.credal: need one vertex list per outcome"
-            )
-        table = []
-        for i, rows in enumerate(per_u):
-            built = _wrap(f"kernels.{name}.credal[{i}]",
-                          lambda rows=rows: CredalSet.from_rows(v_space, rows))
-            if built.n_vertices < len(rows):
-                sc.canonicalization.append(
-                    f"kernels.{name}.credal[{i}]: "
-                    f"{len(rows) - built.n_vertices} redundant generator(s) dropped"
-                )
-            table.append(built)
-        return CredalKernel(u_space, table)
-    if "penalty" in body:
-        per_u = body["penalty"]
-        if not isinstance(per_u, list) or len(per_u) != u_space.size:
-            raise ValidationError(
-                f"kernels.{name}.penalty: need one atom list per outcome"
-            )
-        table = []
-        for i, entries in enumerate(per_u):
-            if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-                raise ValidationError(
-                    f"kernels.{name}.penalty[{i}]: expected a list of maps"
-                )
-            atoms = [(e.get("weights"), e.get("cost", 0.0)) for e in entries]
-            built = _wrap(f"kernels.{name}.penalty[{i}]",
-                          lambda atoms=atoms: PenaltyAtoms.from_rows(v_space, atoms))
-            if built.normalization_shift > 0.0:
-                sc.warnings.append(
-                    f"kernels.{name}.penalty[{i}]: costs shifted down by "
-                    f"{built.normalization_shift!r}"
-                )
-            table.append(built)
-        return PenaltyKernel(u_space, table)
-    raise ValidationError(f'kernels.{name}: needs "credal" or "penalty" tables')
+        kind, cls = "credal", CredalKernel
+    elif "penalty" in body:
+        kind, cls = "penalty", PenaltyKernel
+    else:
+        raise ValidationError(f'{path}: needs "credal" or "penalty" tables')
+    per_u = _list(f"{path}.{kind}", body[kind])
+    if len(per_u) != u_space.size:
+        raise ValidationError(f"{path}.{kind}: need one entry per outcome")
+    table = []
+    for i, entry in enumerate(per_u):
+        where = f"{path}.{kind}[{i}]"
+        if cls is CredalKernel:
+            table.append(_credal(sc, where, v_space, _rows(where, entry)))
+        else:
+            table.append(_penalty(sc, where, v_space, _atom_rows(where, entry)))
+    return cls(u_space, table)
 
 
-def _build_tree(sc: Scenario, name: str, body):
-    if not isinstance(body, dict):
-        raise ValidationError(f"trees.{name}: expected a map")
+def _build_variable(sc: Scenario, path: str, body):
+    body = _map(path, body)
+    space = _resolve_space(sc, body.get("space"), f"{path}.space")
+    values = _numbers(f"{path}.values", body.get("values"))
+    return _wrap(path, lambda: RandomVariable(space, values))
+
+
+def _build_tree(sc: Scenario, path: str, body):
+    body = _map(path, body)
     step_ref = body.get("step_space")
     if not isinstance(step_ref, str):
-        raise ValidationError(f"trees.{name}.step_space: expected a space name")
-    step = _resolve_space(sc, step_ref, f"trees.{name}.step_space")
-    horizon = body.get("horizon")
-    if not isinstance(horizon, int):
-        raise ValidationError(f"trees.{name}.horizon: expected an integer")
-    levels = body.get("ambiguity")
-    if not isinstance(levels, list):
-        raise ValidationError(f"trees.{name}.ambiguity: expected a list of levels")
+        raise ValidationError(f"{path}.step_space: expected a space name")
+    step = _resolve_space(sc, step_ref, f"{path}.step_space")
+    horizon = _int(f"{path}.horizon", body.get("horizon"))
     ambiguity = []
-    for t, level in enumerate(levels):
-        if not isinstance(level, list):
-            raise ValidationError(f"trees.{name}.ambiguity[{t}]: expected a list")
-        ambiguity.append([
-            _wrap(f"trees.{name}.ambiguity[{t}][{j}]",
-                  lambda rows=rows: CredalSet.from_rows(step, rows))
-            for j, rows in enumerate(level)
-        ])
-    return _wrap(f"trees.{name}", lambda: ScenarioTree(step, horizon, ambiguity))
+    for t, level in enumerate(_list(f"{path}.ambiguity", body.get("ambiguity"))):
+        sets = []
+        for j, rows in enumerate(_list(f"{path}.ambiguity[{t}]", level)):
+            where = f"{path}.ambiguity[{t}][{j}]"
+            rows = _rows(where, rows)
+            sets.append(_wrap(where, lambda: CredalSet.from_rows(step, rows)))
+        ambiguity.append(sets)
+    return _wrap(path, lambda: ScenarioTree(step, horizon, ambiguity))
 
 
-_COMMAND_REFS = {
-    "eval": {"set": "sets", "variable": "variables"},
-    "eval-convex": {"set": "sets", "variable": "variables"},
-    "conditional": {"kernel": "kernels", "variable": "variables"},
-    "compose": {"set": "sets", "kernel": "kernels", "variable": "variables"},
-    "check-tower": {"set": "sets", "kernel": "kernels"},
-    "check-penalty-additivity": {"set": "sets", "outer": "sets", "kernel": "kernels"},
-    "check-fubini": {"set_u": "sets", "set_v": "sets"},
-    "conjugate": {"set": "sets"},
-    "separate": {"set": "sets"},
-    "oce": {"set": "sets", "variable": "variables"},
-    "avar-dual": {"set": "sets", "variable": "variables"},
-    "tree-risk": {"tree": "trees", "variable": "variables"},
-    "tree-sublinear": {"tree": "trees", "variable": "variables"},
-    "demo": {},
-}
-
-
-def _validate_references(sc: Scenario) -> None:
-    op = sc.command["op"]
-    for arg, section in _COMMAND_REFS[op].items():
+def _resolve_args(sc: Scenario, refs: dict) -> dict:
+    args = {}
+    for arg, (section, types, kind) in refs.items():
         ref = sc.command.get(arg)
         if not isinstance(ref, str):
             raise ValidationError(f"command.{arg}: required object name missing")
-        if ref not in getattr(sc, section):
+        objects = getattr(sc, section)
+        if ref not in objects:
             raise ValidationError(f"command.{arg}: unknown {section} name {ref!r}")
-    if op == "demo":
-        name = sc.command.get("name")
-        if name not in DEMOS:
-            raise ValidationError(f"command.name: unknown demo {name!r}")
+        if not isinstance(objects[ref], types):
+            raise ValidationError(f"command.{arg}: expected a {kind}")
+        args[arg] = objects[ref]
+    return args
 
 
-def _measure_doc(P: ProbVector) -> list:
-    return P.weights.tolist()
+# ---------------------------------------------------------------- command fields
+
+
+def _loss(command: dict) -> LossSpec:
+    body = _map("command.loss", command.get("loss"))
+    kind = body.get("kind")
+    if kind == "avar":
+        level = _number("command.loss.level", body.get("level", 0.0))
+        return _wrap("command.loss", lambda: LossSpec.avar(level))
+    if kind == "piecewise-linear":
+        breakpoints = _numbers("command.loss.breakpoints", body.get("breakpoints", []))
+        slopes = _numbers("command.loss.slopes", body.get("slopes", []))
+        return _wrap("command.loss", lambda: LossSpec.piecewise(breakpoints, slopes))
+    raise ValidationError(f"command.loss.kind: unknown kind {kind!r}")
+
+
+def _point(a) -> ProbVector:
+    weights = _numbers("command.weights", a.cmd.get("weights"))
+    return _wrap("command.weights", lambda: ProbVector(a.set.space, weights))
+
+
+def _probes(a):
+    """Explicit ``(Q, R)`` probes for the penalty-additivity check, if given."""
+    if "probes" not in a.cmd:
+        return None
+    K = a.kernel
+    probes = []
+    for i, entry in enumerate(_list("command.probes", a.cmd["probes"])):
+        path = f"command.probes[{i}]"
+        entry = _map(path, entry)
+        q = _numbers(f"{path}.q", entry.get("q"))
+        rows = _rows(f"{path}.r", entry.get("r"))
+        if len(rows) != K.u_space.size:
+            raise ValidationError(f"{path}.r: need one weight row per outcome")
+        Q = _wrap(f"{path}.q", lambda: ProbVector(a.outer.space, q))
+        R = _wrap(f"{path}.r", lambda: Kernel(
+            K.u_space, [ProbVector(K.v_space, row) for row in rows]))
+        probes.append((Q, R))
+    return probes
+
+
+def _run_demo(name, args):
+    """Run a named demo: the one place demo names and arguments are checked."""
+    if not isinstance(name, str) or name not in DEMOS:
+        raise ValidationError(f"command.name: unknown demo {name!r}")
+    if not isinstance(args, dict):
+        raise ValidationError("command.args: expected a map")
+    try:
+        return DEMOS[name](**args)
+    except CredalkitError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"command.args: {exc}") from None
+
+
+# ---------------------------------------------------------------- handlers
 
 
 def _set_doc(S) -> Any:
@@ -308,37 +346,160 @@ def _maybe_inf(x: float):
     return x if np.isfinite(x) else ("inf" if x > 0 else "-inf")
 
 
-def _loss_from_command(command: dict) -> LossSpec:
-    body = command.get("loss")
-    if not isinstance(body, dict):
-        raise ValidationError('command.loss: expected a map with "kind"')
-    kind = body.get("kind")
-    if kind == "avar":
-        return LossSpec.avar(float(body.get("level", 0.0)))
-    if kind == "piecewise-linear":
-        return LossSpec.piecewise(body.get("breakpoints", []), body.get("slopes", []))
-    raise ValidationError(f"command.loss.kind: unknown kind {kind!r}")
+def _conditional(a) -> dict:
+    if isinstance(a.kernel, CredalKernel):
+        out = conditional_expectation(a.kernel, a.variable)
+    else:
+        out = conditional_convex(a.kernel, a.variable)
+    return {"values": out.values.tolist(), "space": list(a.kernel.u_space.labels)}
 
 
-def _point_from_command(sc: Scenario, S, command: dict) -> ProbVector:
-    weights = command.get("weights")
-    if not isinstance(weights, list):
-        raise ValidationError('command.weights: expected a list of probabilities')
-    return _wrap("command.weights", lambda: ProbVector(S.space, weights))
+def _check_tower(a) -> dict:
+    report = check_tower(a.set, a.kernel, a.tol)
+    doc = {
+        "rectangular": report.rectangular,
+        "marginal_vertices": report.marginal.matrix.tolist(),
+        "pasting_vertices": report.pasting.matrix.tolist(),
+        "witness": None,
+        "pasting_vertex_outside": None,
+        "set_vertex_outside": None,
+    }
+    if report.witness is not None:
+        w = report.witness
+        doc["witness"] = {
+            "payoff": w.payoff.values.tolist(),
+            "lhs": w.lhs,
+            "rhs": w.rhs,
+            "gap": w.gap,
+        }
+    for key, entry in (
+        ("pasting_vertex_outside", report.pasting_vertex_outside),
+        ("set_vertex_outside", report.set_vertex_outside),
+    ):
+        if entry is not None:
+            vertex, cert = entry
+            doc[key] = {
+                "vertex": vertex.weights.tolist(),
+                "witness": cert.witness.values.tolist(),
+                "margin": cert.margin,
+            }
+    return doc
 
 
-def run(sc: Scenario, tol: float = 1e-9, seed: int = 0, threads: int = 1) -> dict:
+def _check_penalty_additivity(a) -> dict:
+    report = check_penalty_additivity(
+        a.set, a.outer, a.kernel, probes=_probes(a),
+        n_random=_int("command.random_probes", a.cmd.get("random_probes", 20)),
+        seed=a.seed, tol=a.tol,
+    )
+    return {
+        "classification": report.classification,
+        "consistent_with_sampled_values": report.consistent,
+        "value_gap_above": report.value_gap_above,
+        "value_gap_below": report.value_gap_below,
+        "probes": [
+            {
+                "q": p.Q.weights.tolist(),
+                "r": [p.R[i].weights.tolist() for i in range(a.kernel.u_space.size)],
+                "joint_penalty": _maybe_inf(p.joint_penalty),
+                "split_penalty": _maybe_inf(p.split_penalty),
+                "relation": p.relation,
+            }
+            for p in report.probes
+        ],
+    }
+
+
+def _check_fubini(a) -> dict:
+    report = check_fubini(a.set_u, a.set_v, a.tol)
+    doc = {
+        "interchangeable": report.interchangeable,
+        "forward_vertices": report.forward_set.matrix.tolist(),
+        "backward_vertices": report.backward_set.matrix.tolist(),
+        "witness": None,
+    }
+    if report.witness is not None:
+        payoff, lhs, rhs = report.witness
+        doc["witness"] = {"payoff": payoff.values.tolist(), "lhs": lhs, "rhs": rhs}
+    return doc
+
+
+def _conjugate(a) -> dict:
+    return {"value": _maybe_inf(conjugate_indicator(a.set, _point(a), a.tol))}
+
+
+def _separate(a) -> dict:
+    cert = separate(a.set, _point(a), a.tol)
+    return {"witness": cert.witness.values.tolist(), "margin": cert.margin}
+
+
+def _oce(a) -> dict:
+    L = _loss(a.cmd)
+    res = oce(a.set, a.variable, L)
+    doc = {"value": res.value, "minimizer": res.minimizer}
+    if L.boundary:
+        doc["boundary_level"] = True
+    return doc
+
+
+def _avar_dual(a) -> dict:
+    level = _number("command.level", a.cmd.get("level", 0.0))
+    doc = {"value": avar_dual_evaluate(a.set, level, a.variable, a.tol)}
+    if a.cmd.get("vertices", False):
+        doc["dual_vertices"] = avar_dual_set(a.set, level, a.tol).matrix.tolist()
+    return doc
+
+
+def _levels_doc(levels) -> dict:
+    return {"root_value": float(levels[0][0]), "levels": [lvl.tolist() for lvl in levels]}
+
+
+# Section, accepted types and description of each kind of command object.
+CREDAL = ("sets", CredalSet, "credal set")
+PENALTY = ("sets", PenaltyAtoms, "penalty family")
+ANY_SET = ("sets", (CredalSet, PenaltyAtoms), "credal set or penalty family")
+CREDAL_KERNEL = ("kernels", CredalKernel, "credal kernel")
+PENALTY_KERNEL = ("kernels", PenaltyKernel, "penalty kernel")
+ANY_KERNEL = ("kernels", (CredalKernel, PenaltyKernel), "kernel")
+TREE = ("trees", ScenarioTree, "tree")
+VARIABLE = ("variables", RandomVariable, "variable")
+
+# op -> (command objects it names, handler).  A handler gets one namespace
+# holding those objects by argument name, plus ``cmd``, ``tol`` and ``seed``.
+OPS = {
+    "eval": ({"set": CREDAL, "variable": VARIABLE},
+             lambda a: {"value": sublinear_expectation(a.set, a.variable)}),
+    "eval-convex": ({"set": PENALTY, "variable": VARIABLE},
+                    lambda a: {"value": convex_expectation(a.set, a.variable)}),
+    "conditional": ({"kernel": ANY_KERNEL, "variable": VARIABLE}, _conditional),
+    "compose": ({"set": ANY_SET, "kernel": ANY_KERNEL, "variable": VARIABLE},
+                lambda a: {"value": compose(a.set, a.kernel, a.variable)}),
+    "check-tower": ({"set": CREDAL, "kernel": CREDAL_KERNEL}, _check_tower),
+    "check-penalty-additivity": (
+        {"set": PENALTY, "outer": PENALTY, "kernel": PENALTY_KERNEL},
+        _check_penalty_additivity),
+    "check-fubini": ({"set_u": CREDAL, "set_v": CREDAL}, _check_fubini),
+    "conjugate": ({"set": CREDAL}, _conjugate),
+    "separate": ({"set": CREDAL}, _separate),
+    "oce": ({"set": CREDAL, "variable": VARIABLE}, _oce),
+    "avar-dual": ({"set": CREDAL, "variable": VARIABLE}, _avar_dual),
+    "tree-risk": ({"tree": TREE, "variable": VARIABLE},
+                  lambda a: _levels_doc(compose_risk(a.tree, a.variable, _loss(a.cmd)))),
+    "tree-sublinear": ({"tree": TREE, "variable": VARIABLE},
+                       lambda a: _levels_doc(compose_sublinear(a.tree, a.variable))),
+    "demo": ({}, lambda a: _run_demo(a.cmd.get("name"), a.cmd.get("args", {})).to_doc()),
+}
+
+
+# ---------------------------------------------------------------- report
+
+
+def run(sc: Scenario, tol: float = 1e-9, seed: int = 0) -> dict:
     """Dispatch a validated scenario and assemble the report document."""
-    if threads < 1:
-        raise ValidationError("threads must be at least one")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
-    warnings = list(sc.warnings)
-    if threads > 1:
-        warnings.append(
-            "threads > 1 requested; operations are pure and run single-threaded"
-        )
-    outputs = _dispatch(sc, tol, seed)
+    handler = OPS[sc.command["op"]][1]
+    outputs = handler(SimpleNamespace(cmd=sc.command, tol=tol, seed=seed, **sc.args))
     inputs_doc = {
         "digest": _digest(sc.raw),
         "objects": {
@@ -353,7 +514,7 @@ def run(sc: Scenario, tol: float = 1e-9, seed: int = 0, threads: int = 1) -> dic
         "inputs": inputs_doc,
         "outputs": outputs,
         "diagnostics": {
-            "warnings": warnings,
+            "warnings": list(sc.warnings),
             "canonicalization": list(sc.canonicalization),
         },
         "tolerances": {"feasibility": tol},
@@ -364,187 +525,6 @@ def run(sc: Scenario, tol: float = 1e-9, seed: int = 0, threads: int = 1) -> dic
 def _digest(raw: dict) -> str:
     body = {k: raw[k] for k in raw if k != "command"}
     return "sha256:" + hashlib.sha256(render(body).encode()).hexdigest()[:16]
-
-
-def _dispatch(sc: Scenario, tol: float, seed: int) -> dict:
-    command = sc.command
-    op = command["op"]
-
-    if op == "eval":
-        S = _expect(sc.sets[command["set"]], CredalSet, "command.set")
-        X = sc.variables[command["variable"]]
-        return {"value": sublinear_expectation(S, X)}
-
-    if op == "eval-convex":
-        A = _expect(sc.sets[command["set"]], PenaltyAtoms, "command.set")
-        X = sc.variables[command["variable"]]
-        return {"value": convex_expectation(A, X)}
-
-    if op == "conditional":
-        K = sc.kernels[command["kernel"]]
-        X = sc.variables[command["variable"]]
-        if isinstance(K, CredalKernel):
-            out = conditional_expectation(K, X)
-        else:
-            out = conditional_convex(K, X)
-        return {"values": out.values.tolist(), "space": list(K.u_space.labels)}
-
-    if op == "compose":
-        outer = sc.sets[command["set"]]
-        K = sc.kernels[command["kernel"]]
-        X = sc.variables[command["variable"]]
-        return {"value": compose(outer, K, X)}
-
-    if op == "check-tower":
-        S = _expect(sc.sets[command["set"]], CredalSet, "command.set")
-        K = _expect(sc.kernels[command["kernel"]], CredalKernel, "command.kernel")
-        report = check_tower(S, K, tol)
-        doc = {
-            "rectangular": report.rectangular,
-            "marginal_vertices": report.marginal.matrix.tolist(),
-            "pasting_vertices": report.pasting.matrix.tolist(),
-            "witness": None,
-            "pasting_vertex_outside": None,
-            "set_vertex_outside": None,
-        }
-        if report.witness is not None:
-            w = report.witness
-            doc["witness"] = {
-                "payoff": w.payoff.values.tolist(),
-                "lhs": w.lhs,
-                "rhs": w.rhs,
-                "gap": w.gap,
-            }
-        for key, entry in (
-            ("pasting_vertex_outside", report.pasting_vertex_outside),
-            ("set_vertex_outside", report.set_vertex_outside),
-        ):
-            if entry is not None:
-                vertex, cert = entry
-                doc[key] = {
-                    "vertex": _measure_doc(vertex),
-                    "witness": cert.witness.values.tolist(),
-                    "margin": cert.margin,
-                }
-        return doc
-
-    if op == "check-penalty-additivity":
-        A = _expect(sc.sets[command["set"]], PenaltyAtoms, "command.set")
-        AU = _expect(sc.sets[command["outer"]], PenaltyAtoms, "command.outer")
-        K = _expect(sc.kernels[command["kernel"]], PenaltyKernel, "command.kernel")
-        probes = None
-        if "probes" in command:
-            probes = []
-            for i, entry in enumerate(command["probes"]):
-                Q = _wrap(f"command.probes[{i}].q",
-                          lambda e=entry: ProbVector(AU.space, e.get("q")))
-                rows = entry.get("r")
-                if not isinstance(rows, list) or len(rows) != K.u_space.size:
-                    raise ValidationError(
-                        f"command.probes[{i}].r: need one weight row per outcome"
-                    )
-                R = Kernel(K.u_space, [ProbVector(K.v_space, row) for row in rows])
-                probes.append((Q, R))
-        report = check_penalty_additivity(
-            A, AU, K, probes=probes,
-            n_random=int(command.get("random_probes", 20)), seed=seed, tol=tol,
-        )
-        return {
-            "classification": report.classification,
-            "consistent_with_sampled_values": report.consistent,
-            "value_gap_above": report.value_gap_above,
-            "value_gap_below": report.value_gap_below,
-            "probes": [
-                {
-                    "q": _measure_doc(p.Q),
-                    "r": [_measure_doc(p.R[i]) for i in range(K.u_space.size)],
-                    "joint_penalty": _maybe_inf(p.joint_penalty),
-                    "split_penalty": _maybe_inf(p.split_penalty),
-                    "relation": p.relation,
-                }
-                for p in report.probes
-            ],
-        }
-
-    if op == "check-fubini":
-        SU = _expect(sc.sets[command["set_u"]], CredalSet, "command.set_u")
-        SV = _expect(sc.sets[command["set_v"]], CredalSet, "command.set_v")
-        report = check_fubini(SU, SV, tol)
-        doc = {
-            "interchangeable": report.interchangeable,
-            "forward_vertices": report.forward_set.matrix.tolist(),
-            "backward_vertices": report.backward_set.matrix.tolist(),
-            "witness": None,
-        }
-        if report.witness is not None:
-            payoff, lhs, rhs = report.witness
-            doc["witness"] = {"payoff": payoff.values.tolist(), "lhs": lhs, "rhs": rhs}
-        return doc
-
-    if op == "conjugate":
-        S = _expect(sc.sets[command["set"]], CredalSet, "command.set")
-        P = _point_from_command(sc, S, command)
-        return {"value": _maybe_inf(conjugate_indicator(S, P, tol))}
-
-    if op == "separate":
-        S = _expect(sc.sets[command["set"]], CredalSet, "command.set")
-        P = _point_from_command(sc, S, command)
-        cert = separate(S, P, tol)
-        return {"witness": cert.witness.values.tolist(), "margin": cert.margin}
-
-    if op == "oce":
-        S = _expect(sc.sets[command["set"]], CredalSet, "command.set")
-        X = sc.variables[command["variable"]]
-        L = _loss_from_command(command)
-        res = oce(S, X, L, tol)
-        doc = {"value": res.value, "minimizer": res.minimizer}
-        if L.boundary:
-            doc["boundary_level"] = True
-        return doc
-
-    if op == "avar-dual":
-        S = _expect(sc.sets[command["set"]], CredalSet, "command.set")
-        X = sc.variables[command["variable"]]
-        level = float(command.get("level", 0.0))
-        doc = {"value": avar_dual_evaluate(S, level, X, tol)}
-        if command.get("vertices", False):
-            dual = avar_dual_set(S, level, tol)
-            doc["dual_vertices"] = dual.matrix.tolist()
-        return doc
-
-    if op in ("tree-risk", "tree-sublinear"):
-        tree = sc.trees[command["tree"]]
-        X = sc.variables[command["variable"]]
-        if op == "tree-risk":
-            levels = compose_risk(tree, X, _loss_from_command(command), tol)
-        else:
-            levels = compose_sublinear(tree, X)
-        return {
-            "root_value": float(levels[0][0]),
-            "levels": [lvl.tolist() for lvl in levels],
-        }
-
-    if op == "demo":
-        fn = DEMOS[command["name"]]
-        args = command.get("args", {})
-        if not isinstance(args, dict):
-            raise ValidationError("command.args: expected a map")
-        try:
-            report = fn(**args)
-        except TypeError as exc:
-            raise ValidationError(f"command.args: {exc}") from None
-        return report.to_doc()
-
-    raise AssertionError(f"unhandled op {op!r}")  # pragma: no cover
-
-
-def _expect(obj, cls, path: str):
-    if not isinstance(obj, cls):
-        kind = "credal set" if cls is CredalSet else (
-            "penalty family" if cls is PenaltyAtoms else cls.__name__
-        )
-        raise ValidationError(f"{path}: expected a {kind}")
-    return obj
 
 
 def _echo(message: str, *, error: bool = False) -> None:
@@ -577,7 +557,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run.add_argument("--out", default=None, help="write the report here")
     p_run.add_argument("--tol", type=float, default=1e-9)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--threads", type=int, default=1)
 
     p_demo = sub.add_parser("demo", help="run a named demonstration")
     p_demo.add_argument("name")
@@ -596,8 +575,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 print(f"{name}  -  {DEMO_SUMMARIES[name]}")
             return 0
         if args.subcommand == "demo":
-            if args.name not in DEMOS:
-                raise ValidationError(f"unknown demo {args.name!r}")
             params = {}
             for pair in args.param:
                 if "=" not in pair:
@@ -607,14 +584,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                     params[key] = parse(value)
                 except ValidationError:
                     params[key] = value
-            try:
-                report_doc = DEMOS[args.name](**params).to_doc()
-            except TypeError as exc:
-                raise ValidationError(f"bad demo parameters: {exc}") from None
+            report_doc = _run_demo(args.name, params).to_doc()
             doc = {
                 "format": 1,
                 "tool": {"name": "credalkit", "version": __version__},
-                "command": {"op": "demo", "name": args.name, "args": params},
+                "command": {"op": args.subcommand, "name": args.name, "args": params},
                 "outputs": report_doc,
                 "diagnostics": {"warnings": []},
             }
@@ -624,17 +598,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         with open(args.scenario) as fh:
             text = fh.read()
         sc = parse_scenario(text)
-        report = run(sc, tol=args.tol, seed=args.seed, threads=args.threads)
+        report = run(sc, tol=args.tol, seed=args.seed)
         _emit(report, args.out)
         _echo(f"ok: {sc.command['op']}")
         return 0
     except SizeGuardError as exc:
         _echo(f"size guard: {exc}", error=True)
         return 4
-    except ValidationError as exc:
-        _echo(f"validation error: {exc}", error=True)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         _echo(f"validation error: {exc}", error=True)
         return 2
     except CredalkitError as exc:

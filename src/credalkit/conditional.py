@@ -21,9 +21,8 @@ import numpy as np
 from .credal import (
     CredalSet,
     SeparationCertificate,
+    first_outside,
     marginal_set,
-    membership,
-    separate,
     sublinear_expectation,
 )
 from .errors import SizeGuardError, ValidationError
@@ -31,6 +30,7 @@ from .lp import DEFAULT_TOL
 from .penalty import PenaltyAtoms, convex_expectation, minimal_penalty
 from .spaces import (
     Kernel,
+    OutcomeTable,
     ProbVector,
     ProductSpace,
     RandomVariable,
@@ -46,66 +46,22 @@ from .spaces import (
 MAX_GENERATORS = 10**6
 
 
-class CredalKernel:
+class CredalKernel(OutcomeTable):
     """A total map from outcomes of ``u_space`` to credal sets on a second space."""
 
-    __slots__ = ("u_space", "table")
-
-    def __init__(self, u_space: Space, table: Sequence[CredalSet]):
-        table = tuple(table)
-        if len(table) != u_space.size:
-            raise ValidationError(
-                f"kernel needs one credal set per outcome "
-                f"({u_space.size} expected, {len(table)} given)"
-            )
-        v_space = table[0].space
-        for entry in table[1:]:
-            _check_same_space(entry.space, v_space, "credal kernel table")
-        object.__setattr__(self, "u_space", u_space)
-        object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CredalKernel is immutable")
-
-    @property
-    def v_space(self) -> Space:
-        return self.table[0].space
-
-    def __getitem__(self, iu: int) -> CredalSet:
-        return self.table[iu]
+    __slots__ = ()
+    _entry = "credal set"
 
     @classmethod
     def constant(cls, u_space: Space, S: CredalSet) -> "CredalKernel":
         return cls(u_space, [S] * u_space.size)
 
 
-class PenaltyKernel:
+class PenaltyKernel(OutcomeTable):
     """A total map from outcomes of ``u_space`` to penalty families."""
 
-    __slots__ = ("u_space", "table")
-
-    def __init__(self, u_space: Space, table: Sequence[PenaltyAtoms]):
-        table = tuple(table)
-        if len(table) != u_space.size:
-            raise ValidationError(
-                f"kernel needs one penalty family per outcome "
-                f"({u_space.size} expected, {len(table)} given)"
-            )
-        v_space = table[0].space
-        for entry in table[1:]:
-            _check_same_space(entry.space, v_space, "penalty kernel table")
-        object.__setattr__(self, "u_space", u_space)
-        object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PenaltyKernel is immutable")
-
-    @property
-    def v_space(self) -> Space:
-        return self.table[0].space
-
-    def __getitem__(self, iu: int) -> PenaltyAtoms:
-        return self.table[iu]
+    __slots__ = ()
+    _entry = "penalty family"
 
 
 @dataclass(frozen=True)
@@ -245,32 +201,17 @@ def check_tower(S: CredalSet, K: CredalKernel, tol: float = DEFAULT_TOL) -> Towe
     marginal = marginal_set(S)
     pasted = pasting(marginal, K)
 
-    pasting_outside = None
-    for v in pasted.vertices:
-        if not membership(S, v, tol)[0]:
-            pasting_outside = (v, separate(S, v, tol))
-            break
-    set_outside = None
-    for v in S.vertices:
-        if not membership(pasted, v, tol)[0]:
-            set_outside = (v, separate(pasted, v, tol))
-            break
-
-    rectangular = pasting_outside is None and set_outside is None
+    pasting_outside = first_outside(pasted, S, tol)
+    set_outside = first_outside(S, pasted, tol)
+    outside = pasting_outside or set_outside
     witness = None
-    if pasting_outside is not None:
-        X = pasting_outside[1].witness
-        witness = _evaluate_tower_witness(S, marginal, K, X)
-    elif set_outside is not None:
-        X = set_outside[1].witness
-        witness = _evaluate_tower_witness(S, marginal, K, X)
-    return TowerReport(rectangular, marginal, pasted, witness, pasting_outside, set_outside)
-
-
-def _evaluate_tower_witness(S, marginal, K, X) -> TowerWitness:
-    lhs = sublinear_expectation(S, X)
-    rhs = compose(marginal, K, X)
-    return TowerWitness(X, lhs, rhs, rhs - lhs)
+    if outside is not None:
+        X = outside[1].witness
+        lhs = sublinear_expectation(S, X)
+        rhs = compose(marginal, K, X)
+        witness = TowerWitness(X, lhs, rhs, rhs - lhs)
+    return TowerReport(outside is None, marginal, pasted, witness,
+                       pasting_outside, set_outside)
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,11 @@ def sublinear_expectation(S: CredalSet, X: RandomVariable) -> float:
     return float(np.max(S.matrix @ X.values))
 
 
+def _membership_lp(S: CredalSet, P: ProbVector, tol: float):
+    A, b = _membership_rows(S.matrix, P.weights)
+    return solve_lp(np.zeros(S.n_vertices), A, b, tol)
+
+
 def membership(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL):
     """Hull membership with a barycentric certificate.
 
@@ -129,8 +134,7 @@ def membership(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL):
     vertices when ``P`` belongs to the set, else ``(False, None)``.
     """
     _check_same_space(S.space, P.space, "membership")
-    A, b = _membership_rows(S.matrix, P.weights)
-    res = solve_lp(np.zeros(S.n_vertices), A, b, tol)
+    res = _membership_lp(S, P, tol)
     if res.status == OPTIMAL:
         lam = np.maximum(res.x, 0.0)
         return True, lam / lam.sum()
@@ -148,8 +152,11 @@ def separate(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL) -> Separatio
     value is zero there, so no separating direction exists).
     """
     _check_same_space(S.space, P.space, "separate")
-    A, b = _membership_rows(S.matrix, P.weights)
-    res = solve_lp(np.zeros(S.n_vertices), A, b, tol)
+    return _certificate(S, P, _membership_lp(S, P, tol), tol)
+
+
+def _certificate(S: CredalSet, P: ProbVector, res, tol: float) -> SeparationCertificate:
+    """The separation certificate carried by a solved membership program."""
     if res.status != INFEASIBLE:
         raise NotSeparableError("point is a member of the set")
     direction = res.dual[:-1]
@@ -162,6 +169,21 @@ def separate(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL) -> Separatio
     if margin <= tol:
         raise NotSeparableError("point is within tolerance of the set")
     return SeparationCertificate(witness, margin)
+
+
+def first_outside(A: CredalSet, B: CredalSet, tol: float = DEFAULT_TOL):
+    """The first vertex of ``A`` outside ``B`` with its separation certificate.
+
+    Returns ``(vertex, certificate)``, or ``None`` when ``A`` is contained
+    in ``B``.  Each vertex costs one membership program; the certificate is
+    read from the same program that decided non-membership.
+    """
+    _check_same_space(A.space, B.space, "set inclusion")
+    for v in A.vertices:
+        res = _membership_lp(B, v, tol)
+        if res.status != OPTIMAL:
+            return v, _certificate(B, v, res, tol)
+    return None
 
 
 def conjugate_indicator(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .conditional import CredalKernel, pasting
-from .credal import CredalSet, equal_sets, membership, separate, sublinear_expectation
+from .credal import CredalSet, first_outside, sublinear_expectation
 from .lp import DEFAULT_TOL
 from .spaces import (
     ProductSpace,
@@ -65,19 +65,9 @@ def check_fubini(SU: CredalSet, SV: CredalSet, tol: float = DEFAULT_TOL) -> Fubi
     backward = CredalSet(
         space, [swap_measure(v) for v in backward_raw.vertices], tol, canonical=True
     )
-    interchangeable = equal_sets(forward, backward, tol)
+    outside = first_outside(forward, backward, tol) or first_outside(backward, forward, tol)
     witness = None
-    if not interchangeable:
-        payoff = None
-        for v in forward.vertices:
-            if not membership(backward, v, tol)[0]:
-                payoff = separate(backward, v, tol).witness
-                break
-        if payoff is None:
-            for v in backward.vertices:
-                if not membership(forward, v, tol)[0]:
-                    payoff = separate(forward, v, tol).witness
-                    break
-        lhs, rhs = interchange_gap(SU, SV, payoff)
-        witness = (payoff, lhs, rhs)
-    return FubiniReport(interchangeable, forward, backward, witness)
+    if outside is not None:
+        payoff = outside[1].witness
+        witness = (payoff, *interchange_gap(SU, SV, payoff))
+    return FubiniReport(outside is None, forward, backward, witness)

@@ -129,8 +129,7 @@ class OceResult:
     minimizer: float  # the smallest minimizing kink location
 
 
-def oce(S: CredalSet, X: RandomVariable, L: LossSpec,
-        tol: float = DEFAULT_TOL) -> OceResult:
+def oce(S: CredalSet, X: RandomVariable, L: LossSpec) -> OceResult:
     """One-step robust optimized certainty equivalent, minimized exactly.
 
     The objective ``f(s) = s + max over vertices of E[loss(X - s)]`` is
@@ -141,7 +140,6 @@ def oce(S: CredalSet, X: RandomVariable, L: LossSpec,
     the two bracketing intervals.  A scan over shifted breakpoints alone
     can overshoot on multi-vertex sets.
     """
-    del tol
     _check_same_space(S.space, X.space, "oce")
     x = X.values
     V = S.matrix
@@ -398,14 +396,13 @@ def _backward(tree: ScenarioTree, X: RandomVariable,
     return levels
 
 
-def compose_risk(tree: ScenarioTree, X: RandomVariable, L: LossSpec,
-                 tol: float = DEFAULT_TOL):
+def compose_risk(tree: ScenarioTree, X: RandomVariable, L: LossSpec):
     """Backward induction of the one-step certainty equivalent.
 
     Returns one value array per level, terminal payoffs included; the root
     value is ``result[0][0]``.
     """
-    return _backward(tree, X, lambda S, child: oce(S, child, L, tol).value)
+    return _backward(tree, X, lambda S, child: oce(S, child, L).value)
 
 
 def compose_sublinear(tree: ScenarioTree, X: RandomVariable):

@@ -34,7 +34,7 @@ def format_number(x: float) -> str:
     return s
 
 
-def render(doc: Any, indent: int = 0) -> str:
+def render(doc: Any) -> str:
     """Serialize a document to canonical JSON text (trailing newline)."""
     return _render(doc, 0) + "\n"
 

@@ -185,33 +185,45 @@ class ProbVector:
         return f"ProbVector({self.space!r}, {self.weights.tolist()!r})"
 
 
-class Kernel:
-    """A total map from outcomes of ``u_space`` to probabilities on ``v_space``."""
+class OutcomeTable:
+    """An immutable total map from outcomes of ``u_space`` to one entry each.
+
+    Every entry lives on the same second space, ``v_space``.  Subclasses
+    name their entry kind in ``_entry`` for error messages.
+    """
 
     __slots__ = ("u_space", "table")
+    _entry = "entry"
 
-    def __init__(self, u_space: Space, table: Sequence[ProbVector]):
+    def __init__(self, u_space: Space, table: Sequence):
         table = tuple(table)
         if len(table) != u_space.size:
             raise ValidationError(
-                f"kernel needs one probability vector per outcome "
+                f"kernel needs one {self._entry} per outcome "
                 f"({u_space.size} expected, {len(table)} given)"
             )
         v_space = table[0].space
-        for entry in table[1:]:
-            _check_same_space(entry.space, v_space, "kernel table")
+        for item in table[1:]:
+            _check_same_space(item.space, v_space, f"{type(self).__name__} table")
         object.__setattr__(self, "u_space", u_space)
         object.__setattr__(self, "table", table)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Kernel is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def v_space(self) -> Space:
         return self.table[0].space
 
-    def __getitem__(self, iu: int) -> ProbVector:
+    def __getitem__(self, iu: int):
         return self.table[iu]
+
+
+class Kernel(OutcomeTable):
+    """A total map from outcomes of ``u_space`` to probabilities on ``v_space``."""
+
+    __slots__ = ()
+    _entry = "probability vector"
 
 
 def expectation(P: ProbVector, X: RandomVariable) -> float:

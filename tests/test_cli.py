@@ -36,6 +36,44 @@ TOWER = {
     "command": {"op": "check-tower", "set": "S", "kernel": "K"},
 }
 
+PENALTY = {
+    "format": 1,
+    "spaces": {"U": ["a", "b"]},
+    "sets": {
+        "A": {
+            "space": "U",
+            "atoms": [
+                {"weights": [1.0, 0.0], "cost": 0.5},
+                {"weights": [0.0, 1.0], "cost": 2.0},
+            ],
+        }
+    },
+    "variables": {"X": {"space": "U", "values": [1.0, 0.0]}},
+    "command": {"op": "eval-convex", "set": "A", "variable": "X"},
+}
+
+TREE = {
+    "format": 1,
+    "spaces": {"S1": ["u", "d"], "P": ["uu", "ud", "du", "dd"]},
+    "trees": {
+        "tr": {
+            "step_space": "S1",
+            "horizon": 2,
+            "ambiguity": [
+                [[[0.5, 0.5]]],
+                [[[0.5, 0.5]], [[0.5, 0.5]]],
+            ],
+        }
+    },
+    "variables": {"X": {"space": "P", "values": [1.0, 0.0, 0.0, 0.0]}},
+    "command": {
+        "op": "tree-risk",
+        "tree": "tr",
+        "variable": "X",
+        "loss": {"kind": "avar", "level": 0.5},
+    },
+}
+
 
 def scenario_text(doc) -> str:
     return render(doc)
@@ -156,22 +194,7 @@ class TestRun:
         assert any("redundant" in note for note in notes)
 
     def test_penalty_shift_warning_surfaces(self):
-        doc = {
-            "format": 1,
-            "spaces": {"U": ["a", "b"]},
-            "sets": {
-                "A": {
-                    "space": "U",
-                    "atoms": [
-                        {"weights": [1.0, 0.0], "cost": 0.5},
-                        {"weights": [0.0, 1.0], "cost": 2.0},
-                    ],
-                }
-            },
-            "variables": {"X": {"space": "U", "values": [1.0, 0.0]}},
-            "command": {"op": "eval-convex", "set": "A", "variable": "X"},
-        }
-        report = run(parse_scenario(scenario_text(doc)))
+        report = run(parse_scenario(scenario_text(PENALTY)))
         assert any("shifted" in w for w in report["diagnostics"]["warnings"])
 
     def test_separate_on_member_is_operation_error(self):
@@ -197,28 +220,7 @@ class TestRun:
         assert len(report["outputs"]["dual_vertices"]) == 2
 
     def test_tree_ops(self):
-        doc = {
-            "format": 1,
-            "spaces": {"S1": ["u", "d"], "P": ["uu", "ud", "du", "dd"]},
-            "trees": {
-                "tr": {
-                    "step_space": "S1",
-                    "horizon": 2,
-                    "ambiguity": [
-                        [[[0.5, 0.5]]],
-                        [[[0.5, 0.5]], [[0.5, 0.5]]],
-                    ],
-                }
-            },
-            "variables": {"X": {"space": "P", "values": [1.0, 0.0, 0.0, 0.0]}},
-            "command": {
-                "op": "tree-risk",
-                "tree": "tr",
-                "variable": "X",
-                "loss": {"kind": "avar", "level": 0.5},
-            },
-        }
-        report = run(parse_scenario(scenario_text(doc)))
+        report = run(parse_scenario(scenario_text(TREE)))
         assert report["outputs"]["root_value"] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -474,3 +476,157 @@ class TestSubprocess:
             text=True,
         )
         assert proc.returncode == 2
+
+
+DELETE = object()
+
+
+def edited(doc, path, value):
+    """A deep copy of ``doc`` with the field at ``path`` set to ``value``.
+
+    ``DELETE`` removes the field instead.
+    """
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+AVAR_DUAL = edited(MINIMAL, ("command",),
+                   {"op": "avar-dual", "set": "S", "variable": "X", "level": 0.5})
+OCE = edited(MINIMAL, ("command",), {"op": "oce", "set": "S", "variable": "X",
+                                     "loss": {"kind": "avar", "level": 0.5}})
+PIECEWISE = edited(OCE, ("command", "loss"), {"kind": "piecewise-linear",
+                                              "breakpoints": [0.0], "slopes": [0.0, 2.0]})
+CONJUGATE = edited(MINIMAL, ("command",), {"op": "conjugate", "set": "S", "weights": [0.5, 0.5]})
+
+
+class TestTypedFields:
+    """Wrongly typed numbers exit 2 and name their field path."""
+
+    @pytest.mark.parametrize("case, field", [
+        pytest.param(edited(AVAR_DUAL, ("command", "level"), "abc"), "command.level",
+                     id="avar-dual-level-string"),
+        pytest.param(edited(OCE, ("command", "loss", "level"), [1]), "command.loss.level",
+                     id="loss-level-list"),
+        pytest.param(edited(MINIMAL, ("variables", "X", "values", 1), "abc"),
+                     "variables.X.values[1]", id="variable-value-string"),
+        pytest.param(edited(MINIMAL, ("variables", "X"), ["U", [2.0, 4.0]]), "variables.X",
+                     id="variable-body-list"),
+        pytest.param(edited(MINIMAL, ("sets", "S", "vertices"), 5), "sets.S.vertices",
+                     id="vertices-number"),
+        pytest.param(edited(MINIMAL, ("sets", "S", "vertices", 0, 1), "abc"),
+                     "sets.S.vertices[0][1]", id="vertex-entry-string"),
+        pytest.param(edited(CONJUGATE, ("command", "weights", 1), "abc"), "command.weights[1]",
+                     id="weights-entry-string"),
+        pytest.param(edited(PENALTY, ("sets", "A", "atoms", 0, "cost"), "z"),
+                     "sets.A.atoms[0].cost", id="atom-cost-string"),
+        pytest.param(edited(PIECEWISE, ("command", "loss", "breakpoints"), "ab"),
+                     "command.loss.breakpoints", id="breakpoints-string"),
+        pytest.param(["continuity-failure", "--param", "n=abc"], "command.args",
+                     id="demo-n-string"),
+        pytest.param(["gwalk", "--param", "horizon=abc"], "command.args",
+                     id="demo-horizon-string"),
+        # JSON numbers only: no bools, no numeric strings
+        pytest.param(edited(AVAR_DUAL, ("command", "level"), True), "command.level",
+                     id="avar-dual-level-bool"),
+        pytest.param(edited(AVAR_DUAL, ("command", "level"), "0.5"), "command.level",
+                     id="avar-dual-level-numeric-string"),
+    ])
+    def test_wrongly_typed_field_exits_2(self, case, field, tmp_path, capsys):
+        if isinstance(case, dict):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(case))
+            argv = ["run", str(path)]
+        else:
+            argv = ["demo", *case, "--out", str(tmp_path / "demo.json")]
+        assert main(argv) == 2
+        assert f"validation error: {field}:" in capsys.readouterr().err
+
+
+def only_referenced(doc):
+    """Drop the objects the command does not name (spaces stay)."""
+    names = {v for v in doc["command"].values() if isinstance(v, str)}
+    doc = json.loads(json.dumps(doc))
+    for section in ("sets", "kernels", "variables", "trees"):
+        if section in doc:
+            doc[section] = {k: v for k, v in doc[section].items() if k in names}
+    return doc
+
+
+def valid_scenarios() -> dict:
+    """One valid scenario per op, from the documents above."""
+    base = TestDispatchCoverage.BASE
+    docs = {
+        "eval": MINIMAL,
+        "eval-convex": PENALTY,
+        "conditional": edited(base, ("command",),
+                              {"op": "conditional", "kernel": "KP", "variable": "X"}),
+        "compose": edited(base, ("command",),
+                          {"op": "compose", "set": "SU", "kernel": "K", "variable": "X"}),
+        "check-tower": TOWER,
+        "check-penalty-additivity": edited(base, ("command",), {
+            "op": "check-penalty-additivity", "set": "A", "outer": "AU", "kernel": "KP",
+            "probes": [{"q": [0.5, 0.5], "r": [[1.0, 0.0], [0.0, 1.0]]}],
+            "random_probes": 2,
+        }),
+        "check-fubini": edited(base, ("command",),
+                               {"op": "check-fubini", "set_u": "SU", "set_v": "SV"}),
+        "conjugate": CONJUGATE,
+        "separate": edited(CONJUGATE, ("command",),
+                           {"op": "separate", "set": "S", "weights": [1.0, 0.0]}),
+        "oce": PIECEWISE,
+        "avar-dual": edited(AVAR_DUAL, ("command", "vertices"), True),
+        "tree-risk": TREE,
+        "tree-sublinear": edited(TREE, ("command",),
+                                 {"op": "tree-sublinear", "tree": "tr", "variable": "X"}),
+        "demo": {"format": 1, "command": {"op": "demo", "name": "gwalk",
+                                          "args": {"horizon": 2, "payoff": "abs"}}},
+    }
+    return {op: only_referenced(doc) for op, doc in docs.items()}
+
+
+def field_paths(doc, path=()):
+    """Every map field of a document, and the first element of every list."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = list(enumerate(doc))[:1]
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
+RETYPES = (DELETE, "abc", [1], {"k": 1}, True, None)
+
+
+class TestMutationFuzz:
+    def test_every_op_has_a_valid_scenario(self, tmp_path):
+        from credalkit.cli import OPS
+
+        docs = valid_scenarios()
+        assert set(docs) == set(OPS)
+        path = tmp_path / "doc.json"
+        for doc in docs.values():
+            path.write_text(json.dumps(doc))
+            assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("op", sorted(valid_scenarios()))
+    def test_mutated_fields_exit_with_a_documented_code(self, op, tmp_path, capsys):
+        doc = valid_scenarios()[op]
+        path = tmp_path / "doc.json"
+        out = tmp_path / "report.json"
+        for field in field_paths(doc):
+            for value in RETYPES:
+                path.write_text(json.dumps(edited(doc, field, value)))
+                code = main(["run", str(path), "--out", str(out)])
+                assert code in (0, 2, 3, 4), (field, value)
+        capsys.readouterr()
