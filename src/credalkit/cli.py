@@ -595,7 +595,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             _emit(doc, args.out)
             _echo(f"demo {args.name}: {'pass' if report_doc['passed'] else 'FAIL'}")
             return 0
-        with open(args.scenario) as fh:
+        with open(args.scenario, encoding="utf-8") as fh:
             text = fh.read()
         sc = parse_scenario(text)
         report = run(sc, tol=args.tol, seed=args.seed)
@@ -605,7 +605,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SizeGuardError as exc:
         _echo(f"size guard: {exc}", error=True)
         return 4
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
         _echo(f"validation error: {exc}", error=True)
         return 2
     except CredalkitError as exc:

@@ -13,8 +13,9 @@ property, with explicit witnesses when it fails.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -92,20 +93,20 @@ def conditional_expectation(K: CredalKernel, X: RandomVariable) -> RandomVariabl
     Acts as the identity on payoffs that depend only on the conditioning
     coordinate.
     """
-    _check_kernel_spaces(K, X)
-    values = [
-        sublinear_expectation(K[iu], slice_u(X, lab))
-        for iu, lab in enumerate(K.u_space.labels)
-    ]
-    return RandomVariable(K.u_space, values)
+    return _per_outcome(K, X, sublinear_expectation)
 
 
 def conditional_convex(K: PenaltyKernel, X: RandomVariable) -> RandomVariable:
     """Per-outcome convex expectation of the sections of ``X``."""
+    return _per_outcome(K, X, convex_expectation)
+
+
+def _per_outcome(K: OutcomeTable, X: RandomVariable,
+                 evaluate: Callable[..., float]) -> RandomVariable:
+    """``u -> evaluate(K[u], X(u, .))`` over the sections of ``X``."""
     _check_kernel_spaces(K, X)
     values = [
-        convex_expectation(K[iu], slice_u(X, lab))
-        for iu, lab in enumerate(K.u_space.labels)
+        evaluate(K[iu], slice_u(X, lab)) for iu, lab in enumerate(K.u_space.labels)
     ]
     return RandomVariable(K.u_space, values)
 
@@ -127,14 +128,16 @@ def _check_kernel_spaces(K, X) -> None:
     _check_same_space(space.v_space, K.v_space, "conditional expectation")
 
 
-def _guard_selections(counts: Sequence[int], outer: int) -> None:
-    total = outer
-    for c in counts:
-        total *= c
-        if total > MAX_GENERATORS:
-            raise SizeGuardError(
-                f"generator enumeration exceeds {MAX_GENERATORS} elements"
-            )
+def _selections(n_outer: int, counts: Sequence[int]) -> list[tuple[int, tuple]]:
+    """Every ``(outer index, per-outcome choice)`` pair, outer index slowest.
+
+    ``choice[iu]`` ranges over ``range(counts[iu])``; the last outcome's
+    choice varies fastest.  Refuses more than ``MAX_GENERATORS`` pairs.
+    """
+    if n_outer * math.prod(counts) > MAX_GENERATORS:
+        raise SizeGuardError(f"generator enumeration exceeds {MAX_GENERATORS} elements")
+    pools = [range(n_outer), *map(range, counts)]
+    return [(s[0], s[1:]) for s in itertools.product(*pools)]
 
 
 def pasting(SU: CredalSet, K: CredalKernel) -> CredalSet:
@@ -147,14 +150,11 @@ def pasting(SU: CredalSet, K: CredalKernel) -> CredalSet:
     identifies it with the full rectangular product.
     """
     _check_same_space(SU.space, K.u_space, "pasting")
-    counts = [K[iu].n_vertices for iu in range(K.u_space.size)]
-    _guard_selections(counts, SU.n_vertices)
-    nv = K.v_space.size
     generators = []
-    for q in SU.matrix:
-        for choice in itertools.product(*[range(c) for c in counts]):
-            rows = [q[iu] * K[iu].matrix[choice[iu]] for iu in range(K.u_space.size)]
-            generators.append(np.concatenate(rows))
+    for qi, choice in _selections(SU.n_vertices, [S.n_vertices for S in K.table]):
+        q = SU.matrix[qi]
+        rows = [q[iu] * K[iu].matrix[c] for iu, c in enumerate(choice)]
+        generators.append(np.concatenate(rows))
     space = ProductSpace(SU.space, K.v_space)
     return CredalSet(space, [ProbVector(space, g) for g in generators])
 
@@ -168,19 +168,15 @@ def composed_atoms(AU: PenaltyAtoms, K: PenaltyKernel) -> PenaltyAtoms:
     payoff.
     """
     _check_same_space(AU.space, K.u_space, "composed atoms")
-    counts = [K[iu].n_atoms for iu in range(K.u_space.size)]
-    _guard_selections(counts, AU.n_atoms)
     space = ProductSpace(AU.space, K.v_space)
     atoms = []
-    nu = K.u_space.size
-    for qi in range(AU.n_atoms):
+    for qi, choice in _selections(AU.n_atoms, [A.n_atoms for A in K.table]):
         q = AU.points[qi]
-        for choice in itertools.product(*[range(c) for c in counts]):
-            rows = [q[iu] * K[iu].points[choice[iu]] for iu in range(nu)]
-            cost = float(AU.costs[qi]) + float(
-                sum(q[iu] * K[iu].costs[choice[iu]] for iu in range(nu))
-            )
-            atoms.append((ProbVector(space, np.concatenate(rows)), cost))
+        rows = [q[iu] * K[iu].points[c] for iu, c in enumerate(choice)]
+        cost = float(AU.costs[qi]) + float(
+            sum(q[iu] * K[iu].costs[c] for iu, c in enumerate(choice))
+        )
+        atoms.append((ProbVector(space, np.concatenate(rows)), cost))
     return PenaltyAtoms(space, atoms)
 
 
@@ -314,17 +310,11 @@ def _consistent_with_values(classification, above, below, tol) -> bool:
 
 
 def _default_probes(AU: PenaltyAtoms, K: PenaltyKernel, n_random: int, seed: int):
-    counts = [K[iu].n_atoms for iu in range(K.u_space.size)]
-    _guard_selections(counts, AU.n_atoms)
+    outer = [ProbVector(AU.space, q) for q in AU.points]
     probes = []
-    for qi in range(AU.n_atoms):
-        Q = ProbVector(AU.space, AU.points[qi])
-        for choice in itertools.product(*[range(c) for c in counts]):
-            table = [
-                ProbVector(K.v_space, K[iu].points[choice[iu]])
-                for iu in range(K.u_space.size)
-            ]
-            probes.append((Q, Kernel(K.u_space, table)))
+    for qi, choice in _selections(AU.n_atoms, [A.n_atoms for A in K.table]):
+        table = [ProbVector(K.v_space, K[iu].points[c]) for iu, c in enumerate(choice)]
+        probes.append((outer[qi], Kernel(K.u_space, table)))
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
         mix = rng.dirichlet(np.ones(AU.n_atoms))

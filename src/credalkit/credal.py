@@ -15,7 +15,14 @@ import numpy as np
 
 from .errors import NotSeparableError, SpaceMismatchError, ValidationError
 from .lp import DEFAULT_TOL, INFEASIBLE, OPTIMAL, solve_lp
-from .spaces import ProbVector, ProductSpace, RandomVariable, Space, _check_same_space
+from .spaces import (
+    Frozen,
+    ProbVector,
+    ProductSpace,
+    RandomVariable,
+    Space,
+    _check_same_space,
+)
 
 # Points closer than this (sup-norm) are treated as duplicates before the
 # canonicalization LPs run.
@@ -30,7 +37,7 @@ class SeparationCertificate:
     margin: float
 
 
-class CredalSet:
+class CredalSet(Frozen):
     """A nonempty convex compact set of probabilities, stored by vertices.
 
     Construction canonicalizes the generator list: exact duplicates are
@@ -50,14 +57,9 @@ class CredalSet:
             _check_same_space(v.space, space, "credal set vertex")
         if not canonical:
             vertices = _canonicalize(space, vertices, tol)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "vertices", vertices)
         matrix = np.stack([v.weights for v in vertices])
         matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CredalSet is immutable")
+        self._freeze(space=space, vertices=vertices, matrix=matrix)
 
     @classmethod
     def from_rows(cls, space: Space, rows: Sequence[Sequence[float]],
@@ -90,22 +92,26 @@ def _membership_rows(points: np.ndarray, p: np.ndarray):
     return A, b
 
 
-def _canonicalize(space: Space, vertices: tuple[ProbVector, ...], tol: float):
-    points = [v.weights for v in vertices]
+def _distinct(rows: np.ndarray) -> list[int]:
+    """Indices of the rows farther than ``DEDUP_TOL`` (sup norm) from every
+    earlier kept row; the first listing of each duplicate group survives."""
     keep: list[int] = []
-    seen: list[np.ndarray] = []
-    for i, pt in enumerate(points):
-        if any(np.max(np.abs(pt - s)) <= DEDUP_TOL for s in seen):
-            continue
-        keep.append(i)
-        seen.append(pt)
+    for i, row in enumerate(rows):
+        if np.all(np.max(np.abs(rows[keep] - row), axis=1) > DEDUP_TOL):
+            keep.append(i)
+    return keep
+
+
+def _canonicalize(space: Space, vertices: tuple[ProbVector, ...], tol: float):
+    points = np.stack([v.weights for v in vertices])
+    keep = _distinct(points)
     if len(keep) > 1:
         # scan from the back so that, among redundant generators, the ones
         # listed first survive
         for pos in range(len(keep) - 1, -1, -1):
             if len(keep) == 1:
                 break
-            others = np.stack([points[j] for j in keep if j != keep[pos]])
+            others = points[[j for j in keep if j != keep[pos]]]
             A, b = _membership_rows(others, points[keep[pos]])
             if solve_lp(np.zeros(others.shape[0]), A, b, tol).status == OPTIMAL:
                 del keep[pos]

@@ -12,16 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .conditional import CredalKernel, pasting
-from .credal import CredalSet, first_outside, sublinear_expectation
+from .conditional import CredalKernel, compose, pasting
+from .credal import CredalSet, first_outside
 from .lp import DEFAULT_TOL
-from .spaces import (
-    ProductSpace,
-    RandomVariable,
-    slice_u,
-    swap_measure,
-    swap_variable,
-)
+from .spaces import ProductSpace, RandomVariable, swap_measure, swap_variable
 
 
 @dataclass(frozen=True)
@@ -38,18 +32,10 @@ def interchange_gap(SU: CredalSet, SV: CredalSet, X: RandomVariable):
     ``lhs`` integrates the inner V-supremum against the outer U-supremum;
     ``rhs`` swaps the roles.
     """
-    space = X.space
-    if not isinstance(space, ProductSpace):
+    if not isinstance(X.space, ProductSpace):
         raise ValueError("interchange_gap needs a payoff on a product space")
-    inner_v = [
-        sublinear_expectation(SV, slice_u(X, lab)) for lab in space.u_space.labels
-    ]
-    lhs = sublinear_expectation(SU, RandomVariable(space.u_space, inner_v))
-    Xt = swap_variable(X)
-    inner_u = [
-        sublinear_expectation(SU, slice_u(Xt, lab)) for lab in space.v_space.labels
-    ]
-    rhs = sublinear_expectation(SV, RandomVariable(space.v_space, inner_u))
+    lhs = compose(SU, CredalKernel.constant(SU.space, SV), X)
+    rhs = compose(SV, CredalKernel.constant(SV.space, SU), swap_variable(X))
     return lhs, rhs
 
 

@@ -16,14 +16,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .lp import DEFAULT_TOL, OPTIMAL, solve_lp
-from .spaces import ProbVector, RandomVariable, Space, _check_same_space
-from .credal import _membership_rows, DEDUP_TOL
+from .spaces import Frozen, ProbVector, RandomVariable, Space, _check_same_space
+from .credal import _distinct, _membership_rows
 
 # Costs may exceed the envelope by at most this before an atom is dropped.
 DOMINANCE_TOL = 1e-9
 
 
-class PenaltyAtoms:
+class PenaltyAtoms(Frozen):
     """A finite family of (probability, cost) atoms with min cost zero.
 
     If the smallest input cost is positive, construction shifts every cost
@@ -52,13 +52,7 @@ class PenaltyAtoms:
         points = np.stack([P.weights for P, _ in atoms])
         points.setflags(write=False)
         costs.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "normalization_shift", shift)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PenaltyAtoms is immutable")
+        self._freeze(space=space, points=points, costs=costs, normalization_shift=shift)
 
     @classmethod
     def from_rows(cls, space: Space, rows: Sequence[tuple[Sequence[float], float]]):
@@ -104,16 +98,7 @@ def envelope_atoms(A: PenaltyAtoms, tol: float = DOMINANCE_TOL) -> PenaltyAtoms:
     order, so the surviving family still generates the same convex
     expectation.
     """
-    keep: list[int] = []
-    for i in range(A.n_atoms):
-        dup = any(
-            np.max(np.abs(A.points[i] - A.points[j])) <= DEDUP_TOL
-            and abs(A.costs[i] - A.costs[j]) <= DEDUP_TOL
-            for j in keep
-        )
-        if not dup:
-            keep.append(i)
-
+    keep = _distinct(np.column_stack([A.points, A.costs]))
     pos = 0
     while pos < len(keep) and len(keep) > 1:
         i = keep[pos]

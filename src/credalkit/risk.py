@@ -24,7 +24,7 @@ import numpy as np
 from .credal import CredalSet, DEDUP_TOL, sublinear_expectation
 from .errors import SizeGuardError, ValidationError
 from .lp import DEFAULT_TOL, OPTIMAL, solve_lp
-from .spaces import OutcomeSpace, ProbVector, RandomVariable, _check_same_space
+from .spaces import Frozen, OutcomeSpace, ProbVector, RandomVariable, _check_same_space
 
 # Explicit dual-set construction enumerates vertex candidates; past this
 # many outcomes the construction is refused (evaluation has no such limit).
@@ -39,7 +39,7 @@ MAX_TREE_NODES = 200_000
 _TIE_TOL = 1e-12
 
 
-class LossSpec:
+class LossSpec(Frozen):
     """A convex nondecreasing piecewise-linear loss with ``l(0) = 0``.
 
     ``slopes`` has one entry per segment (one more than ``breakpoints``)
@@ -77,26 +77,15 @@ class LossSpec:
             raise ValidationError("last slope must exceed one")
 
         # loss values at the breakpoints, anchored so that l(0) = 0
-        rel = np.zeros(bp.size)
-        for j in range(1, bp.size):
-            rel[j] = rel[j - 1] + sl[j] * (bp[j] - bp[j - 1])
+        rel = np.concatenate([[0.0], np.cumsum(sl[1:-1] * np.diff(bp))])
         seg0 = int(np.searchsorted(bp, 0.0, side="right"))
-        if seg0 == 0:
-            at_zero = rel[0] + sl[0] * (0.0 - bp[0])
-        else:
-            at_zero = rel[seg0 - 1] + sl[seg0] * (0.0 - bp[seg0 - 1])
-        anchors = rel - at_zero
+        j0 = max(seg0 - 1, 0)
+        anchors = rel - (rel[j0] + sl[seg0] * (0.0 - bp[j0]))
 
         for arr in (bp, sl, anchors):
             arr.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "slopes", sl)
-        object.__setattr__(self, "_anchors", anchors)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "boundary", boundary)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LossSpec is immutable")
+        self._freeze(breakpoints=bp, slopes=sl, _anchors=anchors, level=level,
+                     boundary=boundary)
 
     @classmethod
     def avar(cls, level: float) -> "LossSpec":
@@ -114,13 +103,7 @@ class LossSpec:
         x = np.asarray(x, dtype=float)
         seg = np.searchsorted(self.breakpoints, x, side="right")
         j = np.maximum(seg - 1, 0)
-        ref = np.where(seg == 0, self.breakpoints[0], self.breakpoints[j])
-        base = np.where(seg == 0, self._anchors[0], self._anchors[j])
-        return base + self.slopes[seg] * (x - ref)
-
-    def slope_at(self, x: float) -> float:
-        seg = int(np.searchsorted(self.breakpoints, x, side="right"))
-        return float(self.slopes[seg])
+        return self._anchors[j] + self.slopes[seg] * (x - self.breakpoints[j])
 
 
 @dataclass(frozen=True)
@@ -171,7 +154,7 @@ def _vertex_crossings(V, x, L, a, b):
     extra kink candidates the breakpoint grid misses.
     """
     mid = 0.5 * (a + b)
-    seg_slopes = np.array([L.slope_at(xi - mid) for xi in x])
+    seg_slopes = L.slopes[np.searchsorted(L.breakpoints, x - mid, side="right")]
     alphas = 1.0 - V @ seg_slopes
     at_a = a + V @ L(x - a)
     betas = at_a - alphas * a
@@ -317,6 +300,8 @@ def _projected_lifted_vertices(V: np.ndarray, level: float, tol: float) -> np.nd
 
 
 def _dedup_rows(pts: np.ndarray) -> np.ndarray:
+    # Sort, then compare neighbours: O(n log n) over the many enumerated
+    # candidates, where credal._distinct's first-listing scan is quadratic.
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
     keep = [0]
@@ -326,7 +311,7 @@ def _dedup_rows(pts: np.ndarray) -> np.ndarray:
     return pts[keep]
 
 
-class ScenarioTree:
+class ScenarioTree(Frozen):
     """A finite-horizon product tree with one ambiguity set per node.
 
     Level ``t`` has one node per length-``t`` path over the step space;
@@ -358,12 +343,7 @@ class ScenarioTree:
                 )
             for S in level:
                 _check_same_space(S.space, step_space, "tree ambiguity")
-        object.__setattr__(self, "step_space", step_space)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "ambiguity", ambiguity)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScenarioTree is immutable")
+        self._freeze(step_space=step_space, horizon=horizon, ambiguity=ambiguity)
 
     @property
     def n_terminal(self) -> int:
@@ -387,11 +367,10 @@ def _backward(tree: ScenarioTree, X: RandomVariable,
     levels: list[np.ndarray] = [np.empty(0)] * (tree.horizon + 1)
     levels[tree.horizon] = np.asarray(X.values, dtype=float)
     for t in range(tree.horizon - 1, -1, -1):
-        prev = levels[t + 1]
         vals = np.empty(b**t)
-        for node in range(b**t):
-            child = RandomVariable(tree.step_space, prev[node * b : (node + 1) * b])
-            vals[node] = step_value(tree.ambiguity[t][node], child)
+        children = levels[t + 1].reshape(-1, b)
+        for node, (S, child) in enumerate(zip(tree.ambiguity[t], children)):
+            vals[node] = step_value(S, RandomVariable(tree.step_space, child))
         levels[t] = vals
     return levels
 

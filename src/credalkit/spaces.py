@@ -25,7 +25,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class OutcomeSpace:
+class Frozen:
+    """Base of the immutable value types: fields are set once, by ``_freeze``."""
+
+    __slots__ = ()
+
+    def _freeze(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class OutcomeSpace(Frozen):
     """An ordered finite set of distinct text labels."""
 
     __slots__ = ("labels", "_index")
@@ -36,11 +49,7 @@ class OutcomeSpace:
             raise ValidationError("an outcome space needs at least one label")
         if len(set(labels)) != len(labels):
             raise ValidationError("outcome labels must be pairwise distinct")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OutcomeSpace is immutable")
+        self._freeze(labels=labels, _index={lab: i for i, lab in enumerate(labels)})
 
     @property
     def size(self) -> int:
@@ -62,7 +71,7 @@ class OutcomeSpace:
         return f"OutcomeSpace({list(self.labels)!r})"
 
 
-class ProductSpace:
+class ProductSpace(Frozen):
     """The product of two spaces with row-major joint indexing.
 
     The joint index of the pair ``(u, v)`` is ``u * |V| + v``.
@@ -71,11 +80,7 @@ class ProductSpace:
     __slots__ = ("u_space", "v_space")
 
     def __init__(self, u_space: "Space", v_space: "Space"):
-        object.__setattr__(self, "u_space", u_space)
-        object.__setattr__(self, "v_space", v_space)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProductSpace is immutable")
+        self._freeze(u_space=u_space, v_space=v_space)
 
     @property
     def size(self) -> int:
@@ -117,7 +122,7 @@ def _check_same_space(a: Space, b: Space, what: str) -> None:
         raise SpaceMismatchError(f"{what}: spaces differ ({a!r} vs {b!r})")
 
 
-class RandomVariable:
+class RandomVariable(Frozen):
     """A real payoff, one finite value per outcome."""
 
     __slots__ = ("space", "values")
@@ -130,17 +135,13 @@ class RandomVariable:
             )
         if not np.all(np.isfinite(values)):
             raise ValidationError("random variable values must be finite")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", _frozen(values.copy()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RandomVariable is immutable")
+        self._freeze(space=space, values=_frozen(values.copy()))
 
     def __repr__(self) -> str:
         return f"RandomVariable({self.space!r}, {self.values.tolist()!r})"
 
 
-class ProbVector:
+class ProbVector(Frozen):
     """A probability mass function on a finite space.
 
     Construction clamps weights in ``[-1e-12, 0)`` to zero, rejects anything
@@ -165,11 +166,7 @@ class ProbVector:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(f"weights sum {total!r} exceeds tolerance around 1")
         w /= total
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "weights", _frozen(w))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProbVector is immutable")
+        self._freeze(space=space, weights=_frozen(w))
 
     @classmethod
     def dirac(cls, space: Space, label) -> "ProbVector":
@@ -185,7 +182,7 @@ class ProbVector:
         return f"ProbVector({self.space!r}, {self.weights.tolist()!r})"
 
 
-class OutcomeTable:
+class OutcomeTable(Frozen):
     """An immutable total map from outcomes of ``u_space`` to one entry each.
 
     Every entry lives on the same second space, ``v_space``.  Subclasses
@@ -205,11 +202,7 @@ class OutcomeTable:
         v_space = table[0].space
         for item in table[1:]:
             _check_same_space(item.space, v_space, f"{type(self).__name__} table")
-        object.__setattr__(self, "u_space", u_space)
-        object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        self._freeze(u_space=u_space, table=table)
 
     @property
     def v_space(self) -> Space:

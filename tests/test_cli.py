@@ -371,6 +371,24 @@ class TestExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert self.run_cli(["run", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("case", ["scenario-is-dir", "not-utf8", "run-out-is-dir",
+                                      "demo-out-is-dir"])
+    def test_file_errors_are_2(self, tmp_path, capsys, case):
+        ok = tmp_path / "ok.json"
+        ok.write_text(scenario_text(MINIMAL))
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b"\xff" + scenario_text(MINIMAL).encode())
+        args = {
+            "scenario-is-dir": ["run", str(tmp_path)],
+            "not-utf8": ["run", str(latin)],
+            "run-out-is-dir": ["run", str(ok), "--out", str(tmp_path)],
+            "demo-out-is-dir": ["demo", "gwalk", "--out", str(tmp_path)],
+        }[case]
+        assert self.run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("validation error: ")
+        assert captured.out == ""
+
     def test_operation_error_is_3(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["command"] = {"op": "separate", "set": "S", "weights": [0.5, 0.5]}

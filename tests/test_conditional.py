@@ -243,11 +243,21 @@ class TestPasting:
             )
 
     def test_overflow_guard(self):
+        # two choices per outcome over 21 outcomes: 2**21 selections
         big_u = OutcomeSpace([f"u{i}" for i in range(21)])
         K = CredalKernel.constant(big_u, CredalSet.simplex(V))
         SU = CredalSet.singleton(ProbVector.uniform(big_u))
         with pytest.raises(SizeGuardError):
             pasting(SU, K)
+        # the same guard covers composed atoms and the default additivity probes
+        two = PenaltyAtoms.from_rows(V, [([1, 0], 0.0), ([0, 1], 0.0)])
+        KP = PenaltyKernel(big_u, [two] * 21)
+        AU = PenaltyAtoms.from_rows(big_u, [([1.0 / 21] * 21, 0.0)])
+        A = PenaltyAtoms.from_rows(ProductSpace(big_u, V), [([1.0 / 42] * 42, 0.0)])
+        with pytest.raises(SizeGuardError, match="generator enumeration exceeds"):
+            composed_atoms(AU, KP)
+        with pytest.raises(SizeGuardError, match="generator enumeration exceeds"):
+            check_penalty_additivity(A, AU, KP, probes=None)
 
 
 class TestComposedAtoms:

@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from credalkit.conditional import CredalKernel, PenaltyKernel
+from credalkit.credal import CredalSet
 from credalkit.errors import SpaceMismatchError, ValidationError
+from credalkit.penalty import PenaltyAtoms
+from credalkit.risk import LossSpec, ScenarioTree
 from credalkit.spaces import (
     Kernel,
     OutcomeSpace,
@@ -48,6 +52,36 @@ class TestSpaces:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             AB.labels = ("x",)
+
+
+def _value_objects():
+    P = ProbVector.uniform(AB)
+    S = CredalSet.singleton(P)
+    A = PenaltyAtoms(AB, [(P, 0.0)])
+    return [
+        (AB, "labels"),
+        (UV, "u_space"),
+        (RandomVariable(AB, [1.0, 2.0]), "values"),
+        (P, "weights"),
+        (Kernel(AB, [P, P]), "table"),
+        (CredalKernel.constant(AB, S), "table"),
+        (PenaltyKernel(AB, [A, A]), "table"),
+        (S, "vertices"),
+        (A, "costs"),
+        (LossSpec.avar(0.5), "slopes"),
+        (ScenarioTree.uniform(AB, 1, S), "horizon"),
+    ]
+
+
+@pytest.mark.parametrize("obj, field", _value_objects(),
+                         ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_value_types_are_immutable(obj, field):
+    before = getattr(obj, field)
+    for name in (field, "new_attribute"):
+        with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
+            setattr(obj, name, None)
+    assert getattr(obj, field) is before
+    assert not hasattr(obj, "__dict__")
 
 
 class TestProbVector:

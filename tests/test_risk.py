@@ -77,6 +77,25 @@ class TestLossSpec:
             L = LossSpec.piecewise(bps, slopes)
             assert abs(float(L(0.0))) <= 1e-12
 
+    def test_breakpoint_values_match_segment_loop(self):
+        # reference: accumulate slope * width one segment at a time, then
+        # subtract the value at zero read off the segment holding zero
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            bps = np.unique(rng.uniform(-2, 2, int(rng.integers(1, 6))))
+            slopes = np.sort(rng.uniform(0, 3, bps.size + 1))
+            slopes[0], slopes[-1] = min(slopes[0], 1.0), max(slopes[-1], 1.5)
+            rel = [0.0]
+            for j in range(1, bps.size):
+                rel.append(rel[-1] + slopes[j] * (bps[j] - bps[j - 1]))
+            seg0 = int(np.searchsorted(bps, 0.0, side="right"))
+            if seg0 == 0:
+                at_zero = rel[0] + slopes[0] * (0.0 - bps[0])
+            else:
+                at_zero = rel[seg0 - 1] + slopes[seg0] * (0.0 - bps[seg0 - 1])
+            L = LossSpec.piecewise(bps, slopes)
+            assert np.array_equal(L(bps), np.array(rel) - at_zero)
+
 
 class TestOce:
     def test_constant_payoff(self):
