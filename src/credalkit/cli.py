@@ -64,6 +64,7 @@ _FLOAT_MAX = sys.float_info.max
 @dataclass
 class Scenario:
     raw: dict
+    tol: float  # feasibility tolerance of every LP, canonicalization included
     spaces: dict = field(default_factory=dict)
     sets: dict = field(default_factory=dict)
     kernels: dict = field(default_factory=dict)
@@ -131,8 +132,10 @@ def _wrap(path: str, build):
 # ---------------------------------------------------------------- objects
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and fully validate a scenario document."""
+def parse_scenario(text: str, tol: float = 1e-9) -> Scenario:
+    """Parse and fully validate a scenario document, building at ``tol``."""
+    if not 0.0 < tol <= _FLOAT_MAX:
+        raise ValidationError(f"--tol must be a positive finite number, got {tol!r}")
     raw = parse(text)
     if not isinstance(raw, dict):
         raise ValidationError("scenario must be a map")
@@ -142,7 +145,7 @@ def parse_scenario(text: str) -> Scenario:
     unknown = set(raw) - known
     if unknown:
         raise ValidationError(f"unknown scenario sections: {sorted(unknown)}")
-    sc = Scenario(raw=raw)
+    sc = Scenario(raw=raw, tol=tol)
 
     for name, labels in _map("spaces", raw.get("spaces", {})).items():
         sc.spaces[name] = OutcomeSpace(_list(f"spaces.{name}", labels))
@@ -177,7 +180,7 @@ def _resolve_space(sc: Scenario, ref, path: str):
 
 def _credal(sc: Scenario, path: str, space, rows: list) -> CredalSet:
     """A credal set from vertex rows, noting generators canonicalization drops."""
-    built = _wrap(path, lambda: CredalSet.from_rows(space, rows))
+    built = _wrap(path, lambda: CredalSet.from_rows(space, rows, sc.tol))
     if built.n_vertices < len(rows):
         sc.canonicalization.append(
             f"{path}: {len(rows) - built.n_vertices} redundant generator(s) dropped"
@@ -250,7 +253,7 @@ def _build_tree(sc: Scenario, path: str, body):
         for j, rows in enumerate(_list(f"{path}.ambiguity[{t}]", level)):
             where = f"{path}.ambiguity[{t}][{j}]"
             rows = _rows(where, rows)
-            sets.append(_wrap(where, lambda: CredalSet.from_rows(step, rows)))
+            sets.append(_wrap(where, lambda: CredalSet.from_rows(step, rows, sc.tol)))
         ambiguity.append(sets)
     return _wrap(path, lambda: ScenarioTree(step, horizon, ambiguity))
 
@@ -494,12 +497,12 @@ OPS = {
 # ---------------------------------------------------------------- report
 
 
-def run(sc: Scenario, tol: float = 1e-9, seed: int = 0) -> dict:
+def run(sc: Scenario, seed: int = 0) -> dict:
     """Dispatch a validated scenario and assemble the report document."""
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
     handler = OPS[sc.command["op"]][1]
-    outputs = handler(SimpleNamespace(cmd=sc.command, tol=tol, seed=seed, **sc.args))
+    outputs = handler(SimpleNamespace(cmd=sc.command, tol=sc.tol, seed=seed, **sc.args))
     inputs_doc = {
         "digest": _digest(sc.raw),
         "objects": {
@@ -517,7 +520,7 @@ def run(sc: Scenario, tol: float = 1e-9, seed: int = 0) -> dict:
             "warnings": list(sc.warnings),
             "canonicalization": list(sc.canonicalization),
         },
-        "tolerances": {"feasibility": tol},
+        "tolerances": {"feasibility": sc.tol},
         "seed": seed,
     }
 
@@ -597,8 +600,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0
         with open(args.scenario, encoding="utf-8") as fh:
             text = fh.read()
-        sc = parse_scenario(text)
-        report = run(sc, tol=args.tol, seed=args.seed)
+        sc = parse_scenario(text, args.tol)
+        report = run(sc, seed=args.seed)
         _emit(report, args.out)
         _echo(f"ok: {sc.command['op']}")
         return 0

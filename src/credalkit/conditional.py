@@ -22,6 +22,7 @@ import numpy as np
 from .credal import (
     CredalSet,
     SeparationCertificate,
+    _distinct,
     first_outside,
     marginal_set,
     sublinear_expectation,
@@ -144,19 +145,21 @@ def pasting(SU: CredalSet, K: CredalKernel) -> CredalSet:
     """The rectangular product: all ``Q x R`` with ``Q`` in the outer set
     and ``R(u)`` in the kernel set at ``u``.
 
-    Built as the canonical hull of the finite generator family
-    ``{Q_i x R_s}`` over outer vertices and per-outcome vertex selections;
-    the hull has the composed functional as its support function, which
-    identifies it with the full rectangular product.
+    Its vertices are the distinct products of the factors' vertices, so no
+    LP runs: if ``Q x R = l P1 + (1-l) P2`` in the pasting, the U-marginals
+    give ``Q1 = Q2 = Q`` as ``Q`` is extreme, then the conditionals give
+    ``R1(u) = R2(u) = R(u)`` wherever ``Q(u) > 0``, so ``P1 = P2``; outcomes
+    with ``Q(u) = 0`` only repeat products, which the duplicate scan drops.
     """
     _check_same_space(SU.space, K.u_space, "pasting")
+    space = ProductSpace(SU.space, K.v_space)
     generators = []
     for qi, choice in _selections(SU.n_vertices, [S.n_vertices for S in K.table]):
         q = SU.matrix[qi]
         rows = [q[iu] * K[iu].matrix[c] for iu, c in enumerate(choice)]
-        generators.append(np.concatenate(rows))
-    space = ProductSpace(SU.space, K.v_space)
-    return CredalSet(space, [ProbVector(space, g) for g in generators])
+        generators.append(ProbVector(space, np.concatenate(rows)))
+    kept = _distinct(np.stack([g.weights for g in generators]))
+    return CredalSet(space, [generators[i] for i in kept], canonical=True)
 
 
 def composed_atoms(AU: PenaltyAtoms, K: PenaltyKernel) -> PenaltyAtoms:
@@ -194,7 +197,7 @@ def check_tower(S: CredalSet, K: CredalKernel, tol: float = DEFAULT_TOL) -> Towe
     space = S.space
     if not isinstance(space, ProductSpace):
         raise ValidationError("check_tower needs a credal set on a product space")
-    marginal = marginal_set(S)
+    marginal = marginal_set(S, tol)
     pasted = pasting(marginal, K)
 
     pasting_outside = first_outside(pasted, S, tol)

@@ -177,19 +177,24 @@ def _certificate(S: CredalSet, P: ProbVector, res, tol: float) -> SeparationCert
     return SeparationCertificate(witness, margin)
 
 
-def first_outside(A: CredalSet, B: CredalSet, tol: float = DEFAULT_TOL):
-    """The first vertex of ``A`` outside ``B`` with its separation certificate.
-
-    Returns ``(vertex, certificate)``, or ``None`` when ``A`` is contained
-    in ``B``.  Each vertex costs one membership program; the certificate is
-    read from the same program that decided non-membership.
-    """
+def _first_nonmember(A: CredalSet, B: CredalSet, tol: float):
+    """The first vertex of ``A`` with a non-optimal membership LP in ``B``, and that result."""
     _check_same_space(A.space, B.space, "set inclusion")
     for v in A.vertices:
         res = _membership_lp(B, v, tol)
         if res.status != OPTIMAL:
-            return v, _certificate(B, v, res, tol)
+            return v, res
     return None
+
+
+def first_outside(A: CredalSet, B: CredalSet, tol: float = DEFAULT_TOL):
+    """The first vertex of ``A`` outside ``B`` with its separation certificate.
+
+    Returns ``(vertex, certificate)``, or ``None`` when ``A`` is contained
+    in ``B``; the certificate is read from the program that decided it.
+    """
+    found = _first_nonmember(A, B, tol)
+    return None if found is None else (found[0], _certificate(B, *found, tol))
 
 
 def conjugate_indicator(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL) -> float:
@@ -200,17 +205,10 @@ def conjugate_indicator(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL) -
 
 def equal_sets(S1: CredalSet, S2: CredalSet, tol: float = DEFAULT_TOL) -> bool:
     """Set equality via cross membership of the canonical vertices."""
-    _check_same_space(S1.space, S2.space, "set equality")
-    for v in S1.vertices:
-        if not membership(S2, v, tol)[0]:
-            return False
-    for v in S2.vertices:
-        if not membership(S1, v, tol)[0]:
-            return False
-    return True
+    return _first_nonmember(S1, S2, tol) is None and _first_nonmember(S2, S1, tol) is None
 
 
-def marginal_set(S: CredalSet) -> CredalSet:
+def marginal_set(S: CredalSet, tol: float = DEFAULT_TOL) -> CredalSet:
     """The first-coordinate restriction of a credal set on a product space.
 
     The marginal map is linear, so the hull of the vertex marginals equals
@@ -221,4 +219,4 @@ def marginal_set(S: CredalSet) -> CredalSet:
         raise SpaceMismatchError("marginal_set needs a credal set on a product space")
     nu, nv = space.u_space.size, space.v_space.size
     rows = S.matrix.reshape(S.n_vertices, nu, nv).sum(axis=2)
-    return CredalSet(space.u_space, [ProbVector(space.u_space, row) for row in rows])
+    return CredalSet(space.u_space, [ProbVector(space.u_space, row) for row in rows], tol)

@@ -48,9 +48,8 @@ def check_fubini(SU: CredalSet, SV: CredalSet, tol: float = DEFAULT_TOL) -> Fubi
     forward = pasting(SU, CredalKernel.constant(SU.space, SV))
     backward_raw = pasting(SV, CredalKernel.constant(SV.space, SU))
     space = ProductSpace(SU.space, SV.space)
-    backward = CredalSet(
-        space, [swap_measure(v) for v in backward_raw.vertices], tol, canonical=True
-    )
+    backward = CredalSet(space, [swap_measure(v) for v in backward_raw.vertices],
+                         canonical=True)
     outside = first_outside(forward, backward, tol) or first_outside(backward, forward, tol)
     witness = None
     if outside is not None:

@@ -396,6 +396,43 @@ class TestExitCodes:
         path.write_text(scenario_text(doc))
         assert self.run_cli(["run", str(path)]) == 3
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_invalid_tol_is_2(self, tmp_path, capsys, tol):
+        # a separable point (margin 0.4): a bad tolerance must not reach the LPs
+        doc = {
+            "format": 1,
+            "spaces": {"W": ["a", "b", "c"]},
+            "sets": {"S": {"space": "W", "vertices": [
+                [0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]}},
+            "command": {"op": "separate", "set": "S", "weights": [1.0, 0.0, 0.0]},
+        }
+        path = tmp_path / "sep.json"
+        path.write_text(scenario_text(doc))
+        assert self.run_cli(["run", str(path), f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("validation error: --tol")
+        assert captured.out == ""
+        assert self.run_cli(["run", str(path), "--tol=1e-9"]) == 0
+
+    def test_tol_reaches_canonicalization(self, tmp_path):
+        # the fourth vertex is within 1e-7 of the hull of the first three
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["spaces"] = {"W": ["a", "b", "c"]}
+        doc["sets"] = {"S": {"space": "W", "vertices": [
+            [0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6],
+            [0.40000005, 0.40000005, 0.1999999]]}}
+        doc["variables"] = {"X": {"space": "W", "values": [1.0, 0.0, 0.0]}}
+        path = tmp_path / "near.json"
+        path.write_text(scenario_text(doc))
+        for tol, kept, notes in ((1e-5, 3, ["sets.S: 1 redundant generator(s) dropped"]),
+                                 (1e-9, 4, [])):
+            out = tmp_path / "report.json"
+            assert self.run_cli(["run", str(path), "--tol", str(tol), "--out", str(out)]) == 0
+            report = parse(out.read_text())
+            assert report["inputs"]["objects"]["sets"]["S"]["n_vertices"] == kept
+            assert report["diagnostics"]["canonicalization"] == notes
+            assert report["tolerances"]["feasibility"] == tol
+
     def test_size_guard_is_4(self, tmp_path):
         labels = [f"u{i}" for i in range(21)]
         doc = {

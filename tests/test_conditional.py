@@ -1,3 +1,6 @@
+import itertools
+import sys
+
 import numpy as np
 import pytest
 
@@ -241,6 +244,75 @@ class TestPasting:
             assert sublinear_expectation(S, rv(space, x)) == pytest.approx(
                 pasting_generator_support(SU.matrix, lists, x), abs=1e-9
             )
+
+    @staticmethod
+    def generators(SU, K):
+        """Every product of an outer vertex and a per-outcome kernel vertex
+        selection, outer vertex slowest and the last outcome fastest."""
+        space = ProductSpace(SU.space, K.v_space)
+        pools = [range(S.n_vertices) for S in K.table]
+        return space, [
+            ProbVector(space, np.concatenate([q[iu] * K[iu].matrix[c]
+                                              for iu, c in enumerate(choice)]))
+            for q in SU.matrix for choice in itertools.product(*pools)
+        ]
+
+    @staticmethod
+    def random_factor(rng, space):
+        """A random set, its vertices with exact zeros, the simplex, or a Dirac."""
+        kind = int(rng.integers(0, 5))
+        rows = rng.dirichlet(np.ones(space.size), size=int(rng.integers(2, 5)))
+        if kind <= 1:
+            return CredalSet.from_rows(space, rows)
+        if kind == 2:
+            rows[rng.random(rows.shape) < 0.4] = 0.0
+            rows[np.arange(len(rows)), rng.integers(0, space.size, len(rows))] += 0.5
+            return CredalSet.from_rows(space, rows / rows.sum(axis=1, keepdims=True))
+        if kind == 3:
+            return CredalSet.simplex(space)
+        return CredalSet.singleton(ProbVector.dirac(space, space.labels[-1]))
+
+    def test_equals_lp_canonical_hull_of_its_generators(self):
+        rng = np.random.default_rng(37)
+        for _ in range(60):
+            nu, nv = int(rng.integers(1, 5)), int(rng.integers(2, 4))
+            us = OutcomeSpace([f"u{i}" for i in range(nu)])
+            vs = OutcomeSpace([f"v{i}" for i in range(nv)])
+            SU = self.random_factor(rng, us)
+            K = CredalKernel(us, [self.random_factor(rng, vs) for _ in range(nu)])
+            space, generators = self.generators(SU, K)
+            want = CredalSet(space, generators).matrix
+            assert np.array_equal(pasting(SU, K).matrix, want)
+
+    def test_runs_no_lp(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        us = OutcomeSpace(["u0", "u1", "u2", "u3"])
+        SU = CredalSet.from_rows(us, rng.dirichlet(np.ones(4), size=3))
+        K = random_kernel(rng, us, nv=3)
+        calls = []
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("credalkit") and hasattr(mod, "solve_lp"):
+                real = mod.solve_lp
+                monkeypatch.setattr(mod, "solve_lp",
+                                    lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+        S = pasting(SU, K)
+        assert calls == []
+        assert S.n_vertices == 3 * np.prod([R.n_vertices for R in K.table])
+
+    def test_near_zero_outer_mass_keeps_every_vertex(self):
+        # an outer vertex with mass 1e-11 on u0: the products that differ only
+        # there are distinct extreme points, 7e-12 apart in sup norm
+        us = OutcomeSpace(["u0", "u1", "u2"])
+        vs = OutcomeSpace(["v0", "v1", "v2"])
+        SU = CredalSet.from_rows(
+            us, [[1e-11, 0.5, 0.5 - 1e-11], [0.3, 0.3, 0.4], [0.5, 0.25, 0.25]])
+        R = CredalSet.from_rows(vs, [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+        K = CredalKernel.constant(us, R)
+        S = pasting(SU, K)
+        assert (SU.n_vertices, R.n_vertices, S.n_vertices) == (3, 3, 81)
+        _, generators = self.generators(SU, K)
+        assert np.array_equal(S.matrix, np.stack([g.weights for g in generators]))
+        assert check_tower(S, K).rectangular
 
     def test_overflow_guard(self):
         # two choices per outcome over 21 outcomes: 2**21 selections

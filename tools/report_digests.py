@@ -1,0 +1,93 @@
+"""Print a digest of every benchmark output of one checkout.
+
+    python3 tools/report_digests.py --root <checkout> --seeds 0,1,2
+
+The ``rectangularity`` and ``desk_cli`` scenario documents are generated
+through ``<root>/perfbench/workloads.py`` and run in-process with
+``cli.main(["run", doc, "--out", report])`` from ``<root>/src``; each
+prints one ``workload seed key exit sha256`` line (``-`` for the digest
+when the exit code is not 0).  For ``tree_eval`` every level array that
+``compose_risk`` / ``compose_sublinear`` returns prints one line, keyed
+``tree/measure/payoff/level``.  Two checkouts give byte-identical reports
+and level arrays exactly when their outputs ``diff`` clean.
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS thread before numpy loads, as in perfbench/run.py, so that
+# floating-point reductions do not depend on a thread count.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from contextlib import redirect_stderr  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+
+def cli_lines(wl, seed: int, work: Path):
+    cli = wl.setup(None)
+    report = work / "report.json"
+    for cycle in wl.inputs(seed, work):
+        for op in cycle:
+            report.unlink(missing_ok=True)
+            try:
+                code = cli.main(["run", op.meta["path"], "--out", str(report)])
+            except Exception:  # an escaping exception is exit 1, as in the benchmark
+                code = 1
+            digest = hashlib.sha256(report.read_bytes()).hexdigest() if code == 0 else "-"
+            c, i = op.meta["key"]
+            yield f"{wl.name} {seed} {c}-{i} {code} {digest}"
+
+
+def tree_lines(wl, seed: int, work: Path):
+    import numpy as np
+
+    state = wl.setup(wl.setup_inputs(seed))
+    seen = set()
+    for cycle in wl.inputs(seed, work):
+        for op in cycle:
+            key = "/".join(map(str, op.meta["key"]))
+            if key in seen:
+                continue
+            seen.add(key)
+            code, levels = wl.run(state, op, None)
+            for t, level in enumerate(levels or []):
+                data = np.ascontiguousarray(level, dtype=float).tobytes()
+                yield f"{wl.name} {seed} {key}/{t} {code} {hashlib.sha256(data).hexdigest()}"
+            if code != 0:
+                yield f"{wl.name} {seed} {key} {code} -"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--root", required=True, type=Path, help="checkout to digest")
+    p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
+    args = p.parse_args(argv)
+    bench = args.root.resolve() / "perfbench"
+    if not (bench / "workloads.py").is_file():
+        print(f"no perfbench/workloads.py under {args.root}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(bench))
+    from workloads import WORKLOADS  # imports credalkit from <root>/src on set-up
+
+    seeds = [int(s) for s in args.seeds.split(",")]
+    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as sink:
+        for seed in seeds:
+            for name, lines in (("rectangularity", cli_lines), ("desk_cli", cli_lines),
+                                ("tree_eval", tree_lines)):
+                work = Path(tmp) / f"{name}-{seed}"
+                work.mkdir()
+                with redirect_stderr(sink):
+                    for line in lines(WORKLOADS[name], seed, work):
+                        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
