@@ -8,6 +8,7 @@ values zero (member) and infinity (separated).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,10 +95,27 @@ def _membership_rows(points: np.ndarray, p: np.ndarray):
 
 def _distinct(rows: np.ndarray) -> list[int]:
     """Indices of the rows farther than ``DEDUP_TOL`` (sup norm) from every
-    earlier kept row; the first listing of each duplicate group survives."""
+    earlier kept row; the first listing of each duplicate group survives.
+
+    Rows within ``DEDUP_TOL`` of each other have keys ``rows @ w`` within
+    ``DEDUP_TOL * sum(w)``, so each row is compared only with the kept rows
+    in that key window, widened by a generous rounding margin (a wider
+    window only adds comparisons).
+    """
+    n = rows.shape[1]
+    w = np.linspace(1.0, 2.0, n)
+    scale = 1.0 + float(np.max(np.abs(rows), initial=0.0))
+    reach = float(w.sum()) * (DEDUP_TOL + 8 * n * np.finfo(float).eps * scale)
     keep: list[int] = []
-    for i, row in enumerate(rows):
-        if np.all(np.max(np.abs(rows[keep] - row), axis=1) > DEDUP_TOL):
+    kept_keys: list[float] = []  # sorted, with the row of each in kept_rows
+    kept_rows: list[int] = []
+    for i, key in enumerate((rows @ w).tolist()):
+        lo, hi = bisect_left(kept_keys, key - reach), bisect_right(kept_keys, key + reach)
+        near = kept_rows[lo:hi]
+        if not near or np.all(np.max(np.abs(rows[near] - rows[i]), axis=1) > DEDUP_TOL):
+            pos = bisect_left(kept_keys, key)
+            kept_keys.insert(pos, key)
+            kept_rows.insert(pos, i)
             keep.append(i)
     return keep
 

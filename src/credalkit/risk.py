@@ -9,7 +9,7 @@ density against *some* member of the ambiguity set is capped at
 ``1 / level`` -- note the cap measure ranges over the whole set, not just
 its vertices: the capped-expectation value is concave in the reference
 measure, so restricting to vertices can undershoot.  Multi-period values
-follow by backward induction node by node.
+follow by backward induction level by level.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .credal import CredalSet, DEDUP_TOL, sublinear_expectation
+from .credal import CredalSet, DEDUP_TOL
 from .errors import SizeGuardError, ValidationError
 from .lp import DEFAULT_TOL, OPTIMAL, solve_lp
 from .spaces import Frozen, OutcomeSpace, ProbVector, RandomVariable, _check_same_space
@@ -33,6 +33,9 @@ DUAL_SET_MAX_OUTCOMES = 10
 DUAL_SET_MAX_COMBINATIONS = 100_000
 # Tree evaluation refuses more than this many nodes.
 MAX_TREE_NODES = 200_000
+# Tree levels are evaluated this many nodes at a time, which bounds the
+# size of the candidate arrays.
+_NODE_BLOCK = 256
 
 # Ties between one-step minimizers are resolved to the smallest location;
 # two objective values this close count as tied.
@@ -124,51 +127,68 @@ def oce(S: CredalSet, X: RandomVariable, L: LossSpec) -> OceResult:
     can overshoot on multi-vertex sets.
     """
     _check_same_space(S.space, X.space, "oce")
-    x = X.values
-    V = S.matrix
-    cand = np.unique((x[:, None] - L.breakpoints[None, :]).reshape(-1))
+    value, minimizer = _oce_batch(S.matrix[None], X.values[None], L)
+    return OceResult(float(value[0]), float(minimizer[0]))
 
-    def f(s: float) -> float:
-        return s + float(np.max(V @ L(x - s)))
 
-    evaluated = [(float(s), f(float(s))) for s in cand]
-    j = int(np.argmin([v for _, v in evaluated]))
-    brackets = []
-    if j > 0:
-        brackets.append((float(cand[j - 1]), float(cand[j])))
-    if j + 1 < cand.size:
-        brackets.append((float(cand[j]), float(cand[j + 1])))
-    for a, b in brackets:
-        evaluated.extend((s, f(s)) for s in _vertex_crossings(V, x, L, a, b))
+def _expect(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``E[Y[r, c]]`` under every vertex of ``V[r]``, shape ``(r, c, k)``.
 
-    value = min(v for _, v in evaluated)
-    minimizer = min(s for s, v in evaluated if v <= value + _TIE_TOL)
-    return OceResult(value, minimizer)
+    Each product is the matrix-vector call ``V[r] @ Y[r, c]`` makes, so a
+    batch agrees bit for bit with per-node evaluation.
+    """
+    return np.matmul(V[:, None], Y[..., None])[..., 0]
+
+
+def _objective(V: np.ndarray, x: np.ndarray, L: LossSpec, s: np.ndarray) -> np.ndarray:
+    """``s + max over vertices of E[loss(x - s)]`` at every point ``s[r, c]``."""
+    return s + np.max(_expect(V, L(x[:, None, :] - s[..., None])), axis=-1)
+
+
+def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
+    """Values and smallest-tie minimizers of the one-step OCE, row by row.
+
+    Row ``r`` has vertex matrix ``V[r]`` and payoff ``x[r]``.  Candidates
+    stay sorted with their duplicates: equal points have equal objectives,
+    so ``argmin`` picks the first copy and its neighbours bracket it.
+    """
+    rows = np.arange(x.shape[0])
+    cand = np.sort((x[:, :, None] - L.breakpoints).reshape(x.shape[0], -1), axis=1)
+    f = _objective(V, x, L, cand)
+    j = np.argmin(f, axis=1)
+    at = cand[rows, j]
+    # first larger candidate, or the first one (an empty bracket) when none is
+    nxt = np.argmax(cand > at[:, None], axis=1)
+    a = np.stack([cand[rows, np.maximum(j - 1, 0)], at], axis=1)
+    b = np.stack([at, cand[rows, nxt]], axis=1)
+    cross = _vertex_crossings(V, x, L, a, b)
+    points = np.concatenate([cand, cross], axis=1)
+    vals = np.concatenate([f, _objective(V, x, L, cross)], axis=1)
+    value = np.nanmin(vals, axis=1)
+    tied = vals <= value[:, None] + _TIE_TOL
+    return value, np.min(np.where(tied, points, np.inf), axis=1)
 
 
 def _vertex_crossings(V, x, L, a, b):
-    """Interior points of ``(a, b)`` where two vertex objectives intersect.
+    """Interior points of each ``(a[r, c], b[r, c])`` where two vertex objectives meet.
 
-    On the open interval every ``loss(x_i - s)`` is linear in ``s``, so
+    On an open interval every ``loss(x_i - s)`` is linear in ``s``, so
     each vertex objective is a line; pairwise intersections are the only
-    extra kink candidates the breakpoint grid misses.
+    extra kink candidates the breakpoint grid misses.  One column per
+    bracket and vertex pair, NaN where the pair does not cross inside.
     """
     mid = 0.5 * (a + b)
-    seg_slopes = L.slopes[np.searchsorted(L.breakpoints, x - mid, side="right")]
-    alphas = 1.0 - V @ seg_slopes
-    at_a = a + V @ L(x - a)
-    betas = at_a - alphas * a
-    out = []
-    k = V.shape[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            da = alphas[i] - alphas[j]
-            if abs(da) < 1e-15:
-                continue
-            s = (betas[j] - betas[i]) / da
-            if a + 1e-15 < s < b - 1e-15:
-                out.append(float(s))
-    return out
+    seg_slopes = L.slopes[np.searchsorted(L.breakpoints, x[:, None, :] - mid[..., None],
+                                          side="right")]
+    alphas = 1.0 - _expect(V, seg_slopes)
+    at_a = a[..., None] + _expect(V, L(x[:, None, :] - a[..., None]))
+    betas = at_a - alphas * a[..., None]
+    i, j = np.triu_indices(V.shape[1], 1)
+    da = alphas[..., i] - alphas[..., j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (betas[..., j] - betas[..., i]) / da
+    inside = (np.abs(da) >= 1e-15) & (a[..., None] + 1e-15 < s) & (s < b[..., None] - 1e-15)
+    return np.where(inside, s, np.nan).reshape(a.shape[0], a.shape[1] * i.size)
 
 
 def avar_dual_evaluate(S: CredalSet, level: float, X: RandomVariable,
@@ -300,8 +320,8 @@ def _projected_lifted_vertices(V: np.ndarray, level: float, tol: float) -> np.nd
 
 
 def _dedup_rows(pts: np.ndarray) -> np.ndarray:
-    # Sort, then compare neighbours: O(n log n) over the many enumerated
-    # candidates, where credal._distinct's first-listing scan is quadratic.
+    # Sort, then compare neighbours; the sorted order is the dual set's
+    # vertex order.
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
     keep = [0]
@@ -328,9 +348,7 @@ class ScenarioTree(Frozen):
         if horizon < 1:
             raise ValidationError("horizon must be at least one")
         b = step_space.size
-        total = sum(b**t for t in range(horizon + 1))
-        if total > MAX_TREE_NODES:
-            raise SizeGuardError(f"tree exceeds {MAX_TREE_NODES} nodes")
+        _check_tree_size(b, horizon)
         ambiguity = tuple(tuple(level) for level in ambiguity)
         if len(ambiguity) != horizon:
             raise ValidationError(
@@ -354,11 +372,44 @@ class ScenarioTree(Frozen):
                 S: CredalSet) -> "ScenarioTree":
         """The tree using the same ambiguity set at every node."""
         b = step_space.size
+        _check_tree_size(b, int(horizon))
         return cls(step_space, horizon, [[S] * (b**t) for t in range(horizon)])
 
 
+def _check_tree_size(b: int, horizon: int) -> None:
+    """Refuse a tree of more than ``MAX_TREE_NODES`` nodes, counting no further."""
+    total, width = 0, 1
+    for _ in range(horizon + 1):
+        total += width
+        if total > MAX_TREE_NODES:
+            raise SizeGuardError(f"tree exceeds {MAX_TREE_NODES} nodes")
+        width *= b
+
+
+def _level_groups(sets: Sequence[CredalSet]):
+    """``(nodes, stacked vertex matrices)`` per vertex count of one tree level.
+
+    A level that shares one set is a single broadcast view.  Sets are never
+    padded to a common vertex count: padding changes the products' rounding.
+    """
+    first = sets[0]
+    if all(S is first for S in sets):
+        shape = (len(sets),) + first.matrix.shape
+        return [(np.arange(len(sets)), np.broadcast_to(first.matrix, shape))]
+    by_count: dict[int, list[int]] = {}
+    for node, S in enumerate(sets):
+        by_count.setdefault(S.n_vertices, []).append(node)
+    return [(np.array(nodes), np.stack([sets[i].matrix for i in nodes]))
+            for nodes in by_count.values()]
+
+
 def _backward(tree: ScenarioTree, X: RandomVariable,
-              step_value: Callable[[CredalSet, RandomVariable], float]):
+              step_values: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    """Every level's values, computed level by level in blocks of nodes.
+
+    ``step_values(V, children)`` maps stacked vertex matrices ``(r, k, b)``
+    and child values ``(r, b)`` to the ``r`` node values.
+    """
     if X.space.size != tree.n_terminal:
         raise ValidationError(
             f"terminal payoff needs {tree.n_terminal} values, got {X.space.size}"
@@ -369,8 +420,10 @@ def _backward(tree: ScenarioTree, X: RandomVariable,
     for t in range(tree.horizon - 1, -1, -1):
         vals = np.empty(b**t)
         children = levels[t + 1].reshape(-1, b)
-        for node, (S, child) in enumerate(zip(tree.ambiguity[t], children)):
-            vals[node] = step_value(S, RandomVariable(tree.step_space, child))
+        for nodes, V in _level_groups(tree.ambiguity[t]):
+            for lo in range(0, nodes.size, _NODE_BLOCK):
+                block = nodes[lo : lo + _NODE_BLOCK]
+                vals[block] = step_values(V[lo : lo + _NODE_BLOCK], children[block])
         levels[t] = vals
     return levels
 
@@ -381,9 +434,9 @@ def compose_risk(tree: ScenarioTree, X: RandomVariable, L: LossSpec):
     Returns one value array per level, terminal payoffs included; the root
     value is ``result[0][0]``.
     """
-    return _backward(tree, X, lambda S, child: oce(S, child, L).value)
+    return _backward(tree, X, lambda V, children: _oce_batch(V, children, L)[0])
 
 
 def compose_sublinear(tree: ScenarioTree, X: RandomVariable):
     """Backward induction of the plain worst-case expectation."""
-    return _backward(tree, X, sublinear_expectation)
+    return _backward(tree, X, lambda V, children: _expect(V, children[:, None]).max(axis=(1, 2)))

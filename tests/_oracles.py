@@ -5,6 +5,11 @@ membership and penalty programs go through scipy's HiGHS backend,
 suprema are brute-force enumerations, and the one-step risk minimization
 is a refined grid scan.  The package must agree with these, never the
 other way around.
+
+The last section keeps the plain loop forms of computations the package
+now vectorises (the per-node scalar OCE scan, node-by-node backward
+induction, the first-listing duplicate scan); the vectorised versions
+must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -129,3 +134,77 @@ def tree_risk_grid(ambiguity_vertices, x_terminal: np.ndarray, branching: int,
             new_values[node] = oce_grid(ambiguity_vertices[t][node], child, loss)
         values = new_values
     return float(values[0])
+
+
+# ------------------------------------------------ loop references, bitwise
+
+
+def oce_scalar(V: np.ndarray, x: np.ndarray, L, tie_tol: float = 1e-12):
+    """``(value, minimizer)`` of the one-step OCE by the per-candidate scan.
+
+    Evaluates ``s + max_k E_k[loss(x - s)]`` at every distinct shifted
+    breakpoint, brackets the discrete minimum, adds the pairwise vertex
+    crossings inside the two brackets, and returns the smallest location
+    within ``tie_tol`` of the minimum.
+    """
+    cand = np.unique((x[:, None] - L.breakpoints[None, :]).reshape(-1))
+
+    def f(s: float) -> float:
+        return s + float(np.max(V @ L(x - s)))
+
+    evaluated = [(float(s), f(float(s))) for s in cand]
+    j = int(np.argmin([v for _, v in evaluated]))
+    brackets = []
+    if j > 0:
+        brackets.append((float(cand[j - 1]), float(cand[j])))
+    if j + 1 < cand.size:
+        brackets.append((float(cand[j]), float(cand[j + 1])))
+    for a, b in brackets:
+        evaluated.extend((s, f(s)) for s in vertex_crossings_scalar(V, x, L, a, b))
+    value = min(v for _, v in evaluated)
+    minimizer = min(s for s, v in evaluated if v <= value + tie_tol)
+    return value, minimizer
+
+
+def vertex_crossings_scalar(V, x, L, a, b):
+    """Pairwise intersections of the vertex objective lines inside ``(a, b)``."""
+    mid = 0.5 * (a + b)
+    seg_slopes = L.slopes[np.searchsorted(L.breakpoints, x - mid, side="right")]
+    alphas = 1.0 - V @ seg_slopes
+    at_a = a + V @ L(x - a)
+    betas = at_a - alphas * a
+    out = []
+    k = V.shape[0]
+    for i in range(k):
+        for j in range(i + 1, k):
+            da = alphas[i] - alphas[j]
+            if abs(da) < 1e-15:
+                continue
+            s = (betas[j] - betas[i]) / da
+            if a + 1e-15 < s < b - 1e-15:
+                out.append(float(s))
+    return out
+
+
+def backward_scalar(ambiguity_vertices, x_terminal: np.ndarray, branching: int,
+                    step_value) -> list:
+    """Every level of node-by-node backward induction.
+
+    ``step_value(vertices, child_values)`` returns one node's value; the
+    result lists one array per level, terminal payoffs last.
+    """
+    levels = [np.asarray(x_terminal, dtype=float)]
+    for t in range(len(ambiguity_vertices) - 1, -1, -1):
+        children = levels[0].reshape(-1, branching)
+        levels.insert(0, np.array([step_value(V, child) for V, child
+                                   in zip(ambiguity_vertices[t], children)]))
+    return levels
+
+
+def distinct_scan(rows: np.ndarray, tol: float = 1e-12) -> list:
+    """Rows farther than ``tol`` (sup norm) from every earlier kept row."""
+    keep: list = []
+    for i, row in enumerate(rows):
+        if np.all(np.max(np.abs(rows[keep] - row), axis=1) > tol):
+            keep.append(i)
+    return keep

@@ -455,6 +455,18 @@ class TestExitCodes:
         path.write_text(scenario_text(doc))
         assert self.run_cli(["run", str(path)]) == 4
 
+    def test_huge_tree_horizon_is_4(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(TREE))
+        doc["trees"]["tr"]["horizon"] = 1_000_000_000
+        path = tmp_path / "deep.json"
+        path.write_text(scenario_text(doc))
+        assert self.run_cli(["run", str(path)]) == 4
+        assert "tree exceeds" in capsys.readouterr().err
+
+    def test_deep_gwalk_is_4(self, capsys):
+        assert self.run_cli(["demo", "gwalk", "--param", "horizon=20"]) == 4
+        assert "tree exceeds" in capsys.readouterr().err
+
     def test_out_file_written(self, tmp_path):
         path = tmp_path / "ok.json"
         path.write_text(scenario_text(MINIMAL))

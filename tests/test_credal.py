@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import hull_membership, support_value
+from _oracles import distinct_scan, hull_membership, support_value
 from credalkit.credal import (
     CredalSet,
     conjugate_indicator,
@@ -12,6 +12,7 @@ from credalkit.credal import (
     membership,
     separate,
     sublinear_expectation,
+    _distinct,
 )
 from credalkit.errors import NotSeparableError, SpaceMismatchError
 from credalkit.spaces import OutcomeSpace, ProbVector, ProductSpace, RandomVariable
@@ -265,3 +266,31 @@ def test_translation_property(rows, x, c):
     lhs = sublinear_expectation(S, RandomVariable(space, x + c))
     rhs = sublinear_expectation(S, RandomVariable(space, x)) + c
     assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
+
+
+class TestDistinct:
+    """The windowed duplicate scan keeps exactly the first-listing scan's rows."""
+
+    @pytest.mark.parametrize("offset", [0.0, 4e-13, 9e-13, 3e-12])
+    def test_near_duplicate_families(self, offset):
+        rng = np.random.default_rng(90)
+        for _ in range(50):
+            n = int(rng.integers(1, 8))
+            base = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 12)))
+            rows = base[rng.integers(len(base), size=int(rng.integers(1, 60)))]
+            # chains: two copies 2 * offset apart can both sit near a third
+            rows = rows + offset * rng.choice([-1.0, 0.0, 1.0], size=rows.shape)
+            assert _distinct(rows) == distinct_scan(rows)
+            assert _distinct(rows * 1e6) == distinct_scan(rows * 1e6)
+
+    def test_pasting_rows_sharing_columns(self):
+        # products of outer and kernel vertices repeat whole blocks of columns
+        rng = np.random.default_rng(91)
+        outer = rng.dirichlet(np.ones(3), size=3)
+        kernel = rng.dirichlet(np.ones(2), size=3)
+        rows = np.array([np.concatenate([q[u] * kernel[c[u]] for u in range(3)])
+                         for q in outer for c in np.ndindex(3, 3, 3)])
+        rows = np.vstack([rows, rows[::7] + 5e-13, rows[::5]])
+        keep = _distinct(rows)
+        assert keep == distinct_scan(rows)
+        assert keep == list(range(81))

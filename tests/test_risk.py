@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from _oracles import avar_loss, greedy_tail, oce_grid, robust_tail_lp, tree_risk_grid
+from _oracles import (
+    avar_loss,
+    backward_scalar,
+    greedy_tail,
+    oce_grid,
+    oce_scalar,
+    robust_tail_lp,
+    tree_risk_grid,
+)
+from credalkit import risk, spaces
 from credalkit.conditional import CredalKernel, pasting
 from credalkit.credal import CredalSet, equal_sets, sublinear_expectation
 from credalkit.errors import SizeGuardError, ValidationError
@@ -393,3 +402,103 @@ class TestTrees:
         tree = ScenarioTree.uniform(STEP, 2, S)
         with pytest.raises(ValidationError):
             compose_sublinear(tree, rv(OutcomeSpace(["x", "y"]), [1.0, 2.0]))
+
+
+def mixed_tree(rng, step, horizon, counts=(1, 2, 3)):
+    """A tree whose node sets have vertex counts drawn from ``counts``."""
+    b = step.size
+    return ScenarioTree(step, horizon, [
+        [CredalSet.from_rows(step, rng.dirichlet(np.ones(b), size=int(rng.choice(counts))))
+         for _ in range(b**t)]
+        for t in range(horizon)
+    ])
+
+
+LOSSES = [LossSpec.avar(0.3), LossSpec.avar(0.5), LossSpec.avar(1.0),
+          LossSpec.piecewise([-0.5, 0.0, 1.0], [0.0, 0.25, 0.75, 2.5])]
+
+
+class TestBatchedScan:
+    """The batched scan reproduces the per-node loop forms bit for bit."""
+
+    def test_oce_matches_scalar_scan(self):
+        rng = np.random.default_rng(80)
+        for trial in range(400):
+            n = int(rng.integers(2, 7))
+            k = int(rng.integers(1, 6))
+            rows = rng.dirichlet(np.ones(n), size=k)
+            if trial % 3 == 0:
+                rows[0] = np.eye(n)[rng.integers(n)]  # a Dirac vertex
+            S = CredalSet.from_rows(OutcomeSpace([f"o{i}" for i in range(n)]), rows)
+            x = rng.uniform(-3, 3, n)
+            if trial % 2 == 0:
+                x = np.round(x, 1)  # repeated payoffs and shared candidates
+            L = LOSSES[trial % len(LOSSES)]
+            got = oce(S, rv(S.space, x), L)
+            value, minimizer = oce_scalar(S.matrix, x, L)
+            assert np.array_equal(got.value, value)
+            assert np.array_equal(got.minimizer, minimizer)
+
+    @pytest.mark.parametrize("b,horizon", [(2, 10), (3, 4)])
+    def test_trees_match_node_by_node(self, b, horizon):
+        # mixed 1-, 2- and 3-vertex sets; the 512-node level spans two blocks
+        rng = np.random.default_rng(81 + b)
+        step = OutcomeSpace([f"s{i}" for i in range(b)])
+        paths = OutcomeSpace([f"p{i}" for i in range(b**horizon)])
+        shared = CredalSet.from_rows(step, rng.dirichlet(np.ones(b), size=3))
+        for tree in (mixed_tree(rng, step, horizon), ScenarioTree.uniform(step, horizon, shared)):
+            verts = [[S.matrix for S in level] for level in tree.ambiguity]
+            x = np.round(rng.uniform(-3, 3, b**horizon), 2)
+            want = backward_scalar(verts, x, b, lambda V, c: float(np.max(V @ c)))
+            got = compose_sublinear(tree, rv(paths, x))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+            for L in LOSSES:
+                want = backward_scalar(verts, x, b, lambda V, c: oce_scalar(V, c, L)[0])
+                got = compose_risk(tree, rv(paths, x), L)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+    def test_no_per_node_work(self, monkeypatch):
+        rng = np.random.default_rng(82)
+        tree = mixed_tree(rng, STEP, 4)
+        x = rv(OutcomeSpace([f"p{i}" for i in range(16)]), rng.uniform(-3, 3, 16))
+        calls = {"oce": 0, "RandomVariable": 0}
+        scalar_oce = risk.oce
+        rv_init = spaces.RandomVariable.__init__
+
+        def counting_oce(*args, **kwargs):
+            calls["oce"] += 1
+            return scalar_oce(*args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            calls["RandomVariable"] += 1
+            rv_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(risk, "oce", counting_oce)
+        monkeypatch.setattr(spaces.RandomVariable, "__init__", counting_init)
+        compose_risk(tree, x, LossSpec.avar(0.4))
+        compose_sublinear(tree, x)
+        assert calls == {"oce": 0, "RandomVariable": 0}
+        rv(STEP, [1.0, 2.0])  # the counters do see constructions
+        assert calls["RandomVariable"] == 1
+
+
+class TestTreeSizeGuard:
+    def test_uniform_refuses_before_building_levels(self):
+        S = CredalSet.from_rows(STEP, [[0.5, 0.5]])
+        with pytest.raises(SizeGuardError, match="tree exceeds"):
+            ScenarioTree.uniform(OutcomeSpace(["a", "b", "c"]), 40, S)
+
+    def test_huge_horizon_refused_at_once(self):
+        S = CredalSet.from_rows(STEP, [[0.5, 0.5]])
+        with pytest.raises(SizeGuardError, match="tree exceeds"):
+            ScenarioTree(STEP, 10**9, [[S]])
+        with pytest.raises(SizeGuardError, match="tree exceeds"):
+            ScenarioTree(OutcomeSpace(["one"]), 10**9, [[CredalSet.simplex(OutcomeSpace(["one"]))]])
+
+    def test_budget_is_inclusive(self):
+        # a single-outcome step space has horizon + 1 nodes
+        one = OutcomeSpace(["one"])
+        S = CredalSet.simplex(one)
+        ScenarioTree.uniform(one, risk.MAX_TREE_NODES - 1, S)
+        with pytest.raises(SizeGuardError):
+            ScenarioTree.uniform(one, risk.MAX_TREE_NODES, S)
