@@ -8,7 +8,6 @@ values zero (member) and infinity (separated).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -100,24 +99,23 @@ def _distinct(rows: np.ndarray) -> list[int]:
     Rows within ``DEDUP_TOL`` of each other have keys ``rows @ w`` within
     ``DEDUP_TOL * sum(w)``, so each row is compared only with the kept rows
     in that key window, widened by a generous rounding margin (a wider
-    window only adds comparisons).
+    window only adds comparisons).  A row alone in its window has no
+    duplicate and is kept outright.
     """
     n = rows.shape[1]
-    w = np.linspace(1.0, 2.0, n)
-    scale = 1.0 + float(np.max(np.abs(rows), initial=0.0))
-    reach = float(w.sum()) * (DEDUP_TOL + 8 * n * np.finfo(float).eps * scale)
-    keep: list[int] = []
-    kept_keys: list[float] = []  # sorted, with the row of each in kept_rows
-    kept_rows: list[int] = []
-    for i, key in enumerate((rows @ w).tolist()):
-        lo, hi = bisect_left(kept_keys, key - reach), bisect_right(kept_keys, key + reach)
-        near = kept_rows[lo:hi]
-        if not near or np.all(np.max(np.abs(rows[near] - rows[i]), axis=1) > DEDUP_TOL):
-            pos = bisect_left(kept_keys, key)
-            kept_keys.insert(pos, key)
-            kept_rows.insert(pos, i)
-            keep.append(i)
-    return keep
+    w = 1.0 + np.arange(n) / n
+    scale = 1.0 + np.max(np.abs(rows), initial=0.0)
+    reach = w.sum() * (DEDUP_TOL + 8 * n * np.finfo(float).eps * scale)
+    keys = rows @ w
+    order = np.argsort(keys)
+    lo = np.searchsorted(keys[order], keys - reach, side="left")
+    hi = np.searchsorted(keys[order], keys + reach, side="right")
+    kept = hi - lo == 1
+    for i in np.flatnonzero(~kept):
+        near = order[lo[i] : hi[i]]
+        near = near[kept[near]]
+        kept[i] = np.all(np.max(np.abs(rows[near] - rows[i]), axis=1) > DEDUP_TOL)
+    return np.flatnonzero(kept).tolist()
 
 
 def _canonicalize(space: Space, vertices: tuple[ProbVector, ...], tol: float):

@@ -33,9 +33,12 @@ DUAL_SET_MAX_OUTCOMES = 10
 DUAL_SET_MAX_COMBINATIONS = 100_000
 # Tree evaluation refuses more than this many nodes.
 MAX_TREE_NODES = 200_000
-# Tree levels are evaluated this many nodes at a time, which bounds the
-# size of the candidate arrays.
+# Tree levels are evaluated this many nodes at a time.
 _NODE_BLOCK = 256
+# Objective values are computed in chunks of candidate points whose loss and
+# expectation arrays hold at most this many cells, so a one-step scan over
+# many outcomes or vertices needs no quadratic temporaries.
+_CELL_BUDGET = 1 << 16
 
 # Ties between one-step minimizers are resolved to the smallest location;
 # two objective values this close count as tied.
@@ -142,7 +145,12 @@ def _expect(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _objective(V: np.ndarray, x: np.ndarray, L: LossSpec, s: np.ndarray) -> np.ndarray:
     """``s + max over vertices of E[loss(x - s)]`` at every point ``s[r, c]``."""
-    return s + np.max(_expect(V, L(x[:, None, :] - s[..., None])), axis=-1)
+    out = np.empty(s.shape)
+    step = max(1, _CELL_BUDGET // (s.shape[0] * max(V.shape[1:])))
+    for lo in range(0, s.shape[1], step):
+        c = s[:, lo : lo + step]
+        out[:, lo : lo + step] = c + np.max(_expect(V, L(x[:, None, :] - c[..., None])), axis=-1)
+    return out
 
 
 def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
@@ -389,8 +397,9 @@ def _check_tree_size(b: int, horizon: int) -> None:
 def _level_groups(sets: Sequence[CredalSet]):
     """``(nodes, stacked vertex matrices)`` per vertex count of one tree level.
 
-    A level that shares one set is a single broadcast view.  Sets are never
-    padded to a common vertex count: padding changes the products' rounding.
+    A level that shares one set is a single broadcast view, which saves
+    gathering every node's matrix.  Sets are never padded to a common
+    vertex count: padding changes the products' rounding.
     """
     first = sets[0]
     if all(S is first for S in sets):

@@ -283,6 +283,16 @@ class TestDistinct:
             assert _distinct(rows) == distinct_scan(rows)
             assert _distinct(rows * 1e6) == distinct_scan(rows * 1e6)
 
+    def test_shift_just_under_the_tolerance(self):
+        # every coordinate moves by nearly DEDUP_TOL, so the key difference
+        # sits at the window's edge and only the rounding margin keeps it in
+        rng = np.random.default_rng(92)
+        for _ in range(2000):
+            base = rng.uniform(0, 1, (1, int(rng.integers(2, 9))))
+            shift = 1e-12 * (1 - rng.uniform(0, 1e-3)) * rng.choice([-1.0, 1.0])
+            rows = np.vstack([base, base + shift])
+            assert _distinct(rows) == distinct_scan(rows)
+
     def test_pasting_rows_sharing_columns(self):
         # products of outer and kernel vertices repeat whole blocks of columns
         rng = np.random.default_rng(91)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -438,6 +440,25 @@ class TestBatchedScan:
             value, minimizer = oce_scalar(S.matrix, x, L)
             assert np.array_equal(got.value, value)
             assert np.array_equal(got.minimizer, minimizer)
+
+    def test_many_outcomes_need_no_quadratic_memory(self):
+        # candidates times outcomes would be 9e6 cells; the scan works in chunks
+        rng = np.random.default_rng(83)
+        n = 3000
+        space = OutcomeSpace([f"o{i}" for i in range(n)])
+        S = CredalSet(space, [ProbVector(space, p) for p in rng.dirichlet(np.ones(n), size=3)],
+                      canonical=True)
+        x = rng.uniform(-3, 3, n)
+        tracemalloc.start()
+        try:
+            got = oce(S, rv(S.space, x), LossSpec.avar(0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        value, minimizer = oce_scalar(S.matrix, x, LossSpec.avar(0.3))
+        assert np.array_equal(got.value, value)
+        assert np.array_equal(got.minimizer, minimizer)
 
     @pytest.mark.parametrize("b,horizon", [(2, 10), (3, 4)])
     def test_trees_match_node_by_node(self, b, horizon):
