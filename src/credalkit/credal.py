@@ -3,7 +3,8 @@
 A credal set induces the sublinear upper expectation
 ``X -> max over vertices of E_P[X]``; hull membership and its dual
 separation certificate realize the conjugate side, which takes only the
-values zero (member) and infinity (separated).
+values zero (member) and infinity (separated).  A point that matches a
+vertex is settled as a member before any LP runs.
 """
 
 from __future__ import annotations
@@ -92,30 +93,54 @@ def _membership_rows(points: np.ndarray, p: np.ndarray):
     return A, b
 
 
+def _key_windows(rows: np.ndarray, queries: np.ndarray, radius: float):
+    """``order[lo[i]:hi[i]]`` holds every row within ``radius`` (sup norm, so
+    also L1) of ``queries[i]``: their keys ``x @ w`` differ by at most
+    ``radius * sum(w)``, plus a rounding margin (a wider window only adds comparisons)."""
+    n = rows.shape[1]
+    w = 1.0 + np.arange(n) / n
+    scale = 1.0 + max(np.max(np.abs(x), initial=0.0) for x in (rows, queries))
+    reach = w.sum() * (radius + 8 * n * np.finfo(float).eps * scale)
+    keys = rows @ w
+    order = np.argsort(keys)
+    qkeys = keys if queries is rows else queries @ w
+    lo = np.searchsorted(keys[order], qkeys - reach, side="left")
+    hi = np.searchsorted(keys[order], qkeys + reach, side="right")
+    return order, lo, hi
+
+
 def _distinct(rows: np.ndarray) -> list[int]:
     """Indices of the rows farther than ``DEDUP_TOL`` (sup norm) from every
     earlier kept row; the first listing of each duplicate group survives.
 
-    Rows within ``DEDUP_TOL`` of each other have keys ``rows @ w`` within
-    ``DEDUP_TOL * sum(w)``, so each row is compared only with the kept rows
-    in that key window, widened by a generous rounding margin (a wider
-    window only adds comparisons).  A row alone in its window has no
-    duplicate and is kept outright.
+    Each row is compared only with the kept rows in its key window; a row
+    alone in its window has no duplicate and is kept outright.
     """
-    n = rows.shape[1]
-    w = 1.0 + np.arange(n) / n
-    scale = 1.0 + np.max(np.abs(rows), initial=0.0)
-    reach = w.sum() * (DEDUP_TOL + 8 * n * np.finfo(float).eps * scale)
-    keys = rows @ w
-    order = np.argsort(keys)
-    lo = np.searchsorted(keys[order], keys - reach, side="left")
-    hi = np.searchsorted(keys[order], keys + reach, side="right")
+    order, lo, hi = _key_windows(rows, rows, DEDUP_TOL)
     kept = hi - lo == 1
     for i in np.flatnonzero(~kept):
         near = order[lo[i] : hi[i]]
         near = near[kept[near]]
         kept[i] = np.all(np.max(np.abs(rows[near] - rows[i]), axis=1) > DEDUP_TOL)
     return np.flatnonzero(kept).tolist()
+
+
+def _vertex_matches(rows: np.ndarray, queries: np.ndarray, tol: float) -> np.ndarray:
+    """For each query ``p``, the lowest-index row ``v`` with ``p >= (1 - tol/2) v``, else -1.
+
+    That is the membership program's phase-one objective at the best multiple
+    of ``lam = e_v`` being at most ``tol``, and it puts ``p`` within L1 ``tol`` of ``v``.
+    """
+    order, lo, hi = _key_windows(rows, queries, tol)
+    scaled = (1.0 - 0.5 * tol) * rows
+    only = order[np.minimum(lo, len(rows) - 1)]  # the candidate of one-row windows
+    match = np.where((hi - lo == 1) & np.all(queries >= scaled[only], axis=1), only, -1)
+    for i in np.flatnonzero(hi - lo > 1):
+        near = np.sort(order[lo[i] : hi[i]])
+        ok = np.all(queries[i] >= scaled[near], axis=1)
+        if ok.any():
+            match[i] = near[np.argmax(ok)]
+    return match
 
 
 def _canonicalize(space: Space, vertices: tuple[ProbVector, ...], tol: float):
@@ -153,9 +178,13 @@ def membership(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL):
     """Hull membership with a barycentric certificate.
 
     Returns ``(True, lam)`` with ``lam`` the convex coefficients over the
-    vertices when ``P`` belongs to the set, else ``(False, None)``.
+    vertices when ``P`` belongs to the set, else ``(False, None)``.  A
+    point matching vertex ``j`` gets ``lam = e_j`` with no LP.
     """
     _check_same_space(S.space, P.space, "membership")
+    j = _vertex_matches(S.matrix, P.weights[None], tol)[0]
+    if j >= 0:
+        return True, np.eye(S.n_vertices)[j]
     res = _membership_lp(S, P, tol)
     if res.status == OPTIMAL:
         lam = np.maximum(res.x, 0.0)
@@ -194,11 +223,12 @@ def _certificate(S: CredalSet, P: ProbVector, res, tol: float) -> SeparationCert
 
 
 def _first_nonmember(A: CredalSet, B: CredalSet, tol: float):
-    """The first vertex of ``A`` with a non-optimal membership LP in ``B``, and that result."""
+    """The first vertex of ``A`` with a non-optimal membership LP in ``B``, and that result.
+
+    Vertices matching a vertex of ``B`` are members and run no LP."""
     _check_same_space(A.space, B.space, "set inclusion")
-    for v in A.vertices:
-        res = _membership_lp(B, v, tol)
-        if res.status != OPTIMAL:
+    for v, j in zip(A.vertices, _vertex_matches(B.matrix, A.matrix, tol)):
+        if j < 0 and (res := _membership_lp(B, v, tol)).status != OPTIMAL:
             return v, res
     return None
 

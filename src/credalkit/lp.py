@@ -121,7 +121,7 @@ def _run_simplex(T, basis, cost, n_enter, tol):
         basis[leave] = j
     raise SimplexStalledError(
         f"simplex did not terminate within {budget} pivots"
-    )  # pragma: no cover - yet reached on degenerate pasted membership LPs (ROADMAP D1)
+    )  # pragma: no cover - check_tower on pasted sets no longer gets here (ROADMAP D1)
 
 
 def _pivot(T, r, row, col):

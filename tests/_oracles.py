@@ -7,9 +7,9 @@ is a refined grid scan.  The package must agree with these, never the
 other way around.
 
 The last section keeps the plain loop forms of computations the package
-now vectorises (the per-node scalar OCE scan, node-by-node backward
-induction, the first-listing duplicate scan); the vectorised versions
-must reproduce them bit for bit.
+now vectorises or shortcuts (the per-node scalar OCE scan, node-by-node
+backward induction, the first-listing duplicate scan, the LP-only
+inclusion scan); the package's versions must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -208,3 +208,16 @@ def distinct_scan(rows: np.ndarray, tol: float = 1e-12) -> list:
         if np.all(np.max(np.abs(rows[keep] - row), axis=1) > tol):
             keep.append(i)
     return keep
+
+
+def first_nonmember_lp(A, B, tol: float):
+    """The first vertex of ``A`` whose membership LP in ``B`` is not optimal,
+    with that LP's result: one program per vertex, no vertex matching."""
+    from credalkit.credal import _membership_lp
+    from credalkit.lp import OPTIMAL
+
+    for v in A.vertices:
+        res = _membership_lp(B, v, tol)
+        if res.status != OPTIMAL:
+            return v, res
+    return None

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import pasting_generator_support
+from credalkit import conditional, credal
 from credalkit.conditional import (
     CredalKernel,
     PenaltyKernel,
@@ -16,7 +17,7 @@ from credalkit.conditional import (
     conditional_expectation,
     pasting,
 )
-from credalkit.credal import CredalSet, equal_sets, sublinear_expectation
+from credalkit.credal import CredalSet, equal_sets, marginal_set, membership, sublinear_expectation
 from credalkit.errors import SizeGuardError, ValidationError
 from credalkit.penalty import PenaltyAtoms, convex_expectation, envelope_atoms
 from credalkit.spaces import (
@@ -434,6 +435,52 @@ class TestCheckTower:
             assert rhs == pytest.approx(w.rhs, abs=1e-9)
             assert abs(w.gap) > 1e-9
         assert found > 10
+
+
+def stalled_family(nu, seed):
+    """The pasted sets whose tower check stalled the simplex (ROADMAP D1):
+    3 outer vertices on ``nu`` outcomes, 3 kernel vertices on 4 per outcome."""
+    rng = np.random.default_rng(seed)
+    us = OutcomeSpace([f"u{i}" for i in range(nu)])
+    vs = OutcomeSpace([f"v{i}" for i in range(4)])
+    SU = CredalSet.from_rows(us, rng.dirichlet(np.ones(nu), size=3))
+    K = CredalKernel(us, [CredalSet.from_rows(vs, rng.dirichlet(np.ones(4), size=3))
+                          for _ in range(nu)])
+    return pasting(SU, K), K
+
+
+class TestPastedInclusions:
+    @pytest.mark.parametrize("nu, seed", [(4, 0), (5, 0), (5, 3), (5, 5), (5, 7), (7, 0)])
+    def test_run_no_lp(self, monkeypatch, nu, seed):
+        # every vertex of either side matches a vertex of the other, so
+        # neither inclusion scan reaches the simplex that used to stall
+        S, K = stalled_family(nu, seed)
+        lps, scans = [], []
+        real_lp, real_scan = credal.solve_lp, conditional.first_outside
+
+        def scan(A, B, tol):
+            before = len(lps)
+            found = real_scan(A, B, tol)
+            scans.append(len(lps) - before)
+            return found
+
+        monkeypatch.setattr(credal, "solve_lp", lambda *a, **k: lps.append(1) or real_lp(*a, **k))
+        monkeypatch.setattr(conditional, "first_outside", scan)
+        assert check_tower(S, K).rectangular
+        assert scans == [0, 0]
+
+    def test_member_certificate_reproduces_the_point(self):
+        # ROADMAP D4: a pasting vertex 8e-17 from a vertex of S, checked
+        # against S listed in this order, once got a lam 6.7e-6 off the point
+        S, K = stalled_family(4, 0)
+        P = pasting(marginal_set(S), K).vertices[201]
+        rng = np.random.default_rng(0)
+        rng.permutation(S.n_vertices)
+        order = rng.permutation(S.n_vertices)
+        S = CredalSet(S.space, [S.vertices[i] for i in order], canonical=True)
+        member, lam = membership(S, P)
+        assert member
+        assert np.abs(lam @ S.matrix - P.weights).sum() <= 1e-9
 
 
 class TestPenaltyAdditivity:

@@ -3,16 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import distinct_scan, hull_membership, support_value
+from _oracles import distinct_scan, first_nonmember_lp, hull_membership, support_value
+from credalkit import credal
 from credalkit.credal import (
     CredalSet,
     conjugate_indicator,
     equal_sets,
+    first_outside,
     marginal_set,
     membership,
     separate,
     sublinear_expectation,
+    _certificate,
     _distinct,
+    _first_nonmember,
 )
 from credalkit.errors import NotSeparableError, SpaceMismatchError
 from credalkit.spaces import OutcomeSpace, ProbVector, ProductSpace, RandomVariable
@@ -304,3 +308,126 @@ class TestDistinct:
         keep = _distinct(rows)
         assert keep == distinct_scan(rows)
         assert keep == list(range(81))
+
+
+def count_lps(monkeypatch):
+    """Count the membership programs the credal module solves from now on."""
+    calls = []
+    real = credal.solve_lp
+    monkeypatch.setattr(credal, "solve_lp", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def shifted(rng, S, j, distance):
+    """A point at L1 ``distance`` off vertex ``j``: towards a Dirac or away
+    from the vertex mean, or ``None`` when that leaves the simplex."""
+    v = S.matrix[j]
+    d = np.eye(len(v))[rng.integers(len(v))] - v
+    if rng.random() < 0.5 and S.n_vertices > 1:
+        d = v - S.matrix.mean(axis=0)
+    p = v + distance * d / np.abs(d).sum()
+    return ProbVector(S.space, p) if p.min() >= 0 and np.abs(d).sum() else None
+
+
+class TestVertexMatch:
+    """Inclusion scans settle vertices that match a vertex without a program,
+    and otherwise pick the same vertex and certificate as the LP-only scan."""
+
+    @staticmethod
+    def assert_same_as_lp_scan(A, B, tol):
+        for X, Y in ((A, B), (B, A)):
+            want = first_nonmember_lp(X, Y, tol)
+            got = _first_nonmember(X, Y, tol)
+            if want is None:
+                assert got is None and first_outside(X, Y, tol) is None
+                continue
+            assert got[0] is want[0]
+            assert got[1].value == want[1].value and np.array_equal(got[1].dual, want[1].dual)
+            try:
+                cert = _certificate(Y, *want, tol)
+            except NotSeparableError:
+                with pytest.raises(NotSeparableError):
+                    first_outside(X, Y, tol)
+                continue
+            vertex, ours = first_outside(X, Y, tol)
+            assert vertex is want[0]
+            assert np.array_equal(ours.witness.values, cert.witness.values)
+            assert ours.margin == cert.margin
+        assert equal_sets(A, B, tol) == (
+            first_nonmember_lp(A, B, tol) is None and first_nonmember_lp(B, A, tol) is None)
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-9, 1e-6])
+    def test_permuted_presentation_needs_no_lp(self, monkeypatch, tol):
+        rng = np.random.default_rng(93)
+        for _ in range(40):
+            B = random_credal(rng)
+            A = CredalSet(B.space, [B.vertices[i] for i in rng.permutation(B.n_vertices)],
+                          canonical=True)
+            self.assert_same_as_lp_scan(A, B, tol)
+            lps = count_lps(monkeypatch)
+            assert equal_sets(A, B, tol) and first_outside(A, B, tol) is None
+            assert lps == []
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_points_off_a_vertex(self, tol, factor):
+        rng = np.random.default_rng(94)
+        for _ in range(60):
+            B = random_credal(rng, n=int(rng.integers(2, 7)), k=int(rng.integers(1, 6)))
+            points = [shifted(rng, B, j, factor * tol) for j in range(B.n_vertices)]
+            points = [p for p in points if p is not None] + list(B.vertices)
+            A = CredalSet(B.space, [points[i] for i in rng.permutation(len(points))],
+                          canonical=True)
+            self.assert_same_as_lp_scan(A, B, tol)
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-9, 1e-6])
+    def test_dirac_vertices(self, tol):
+        rng = np.random.default_rng(95)
+        for n in range(1, 7):
+            space = OutcomeSpace([f"o{i}" for i in range(n)])
+            diracs = [ProbVector.dirac(space, label) for label in space.labels]
+            simplex = CredalSet.simplex(space)
+            self.assert_same_as_lp_scan(
+                CredalSet(space, [diracs[i] for i in rng.permutation(n)], canonical=True),
+                simplex, tol)
+            rows = rng.dirichlet(np.ones(n), size=3)
+            mixed = CredalSet(space, [diracs[0], *(ProbVector(space, r) for r in rows)])
+            self.assert_same_as_lp_scan(mixed, simplex, tol)
+            self.assert_same_as_lp_scan(mixed, CredalSet.singleton(diracs[-1]), tol)
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-9, 1e-6])
+    def test_not_included(self, tol):
+        rng = np.random.default_rng(96)
+        for _ in range(40):
+            B = random_credal(rng)
+            extra = rng.dirichlet(0.5 * np.ones(B.space.size), size=int(rng.integers(1, 4)))
+            points = list(B.vertices) + [ProbVector(B.space, r) for r in extra]
+            A = CredalSet(B.space, [points[i] for i in rng.permutation(len(points))],
+                          canonical=True)
+            self.assert_same_as_lp_scan(A, B, tol)
+
+    def test_exact_vertex_matches_at_zero_tolerance(self, monkeypatch):
+        # a lone point's key can round differently from its vertex's row key
+        # (a different BLAS kernel), so only the rounding margin keeps the
+        # vertex in the point's window
+        rng = np.random.default_rng(97)
+        sets = [random_credal(rng, n=n, k=30) for n in (3, 8, 20, 50)]
+        lps = count_lps(monkeypatch)
+        for S in sets:
+            for j, v in enumerate(S.vertices):
+                member, lam = membership(S, v, tol=0.0)
+                assert member and np.array_equal(lam, np.eye(S.n_vertices)[j])
+        assert lps == []
+
+    def test_match_is_within_tolerance_of_the_point(self):
+        rng = np.random.default_rng(98)
+        for _ in range(100):
+            S = random_credal(rng)
+            for tol in (1e-9, 1e-6):
+                P = shifted(rng, S, int(rng.integers(S.n_vertices)), 0.5 * tol)
+                if P is None:
+                    continue
+                member, lam = membership(S, P, tol)
+                if member:
+                    assert np.abs(lam @ S.matrix - P.weights).sum() <= tol
