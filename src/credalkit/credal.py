@@ -94,12 +94,12 @@ def _membership_rows(points: np.ndarray, p: np.ndarray):
 
 
 def _key_windows(rows: np.ndarray, queries: np.ndarray, radius: float):
-    """``order[lo[i]:hi[i]]`` holds every row within ``radius`` (sup norm, so
-    also L1) of ``queries[i]``: their keys ``x @ w`` differ by at most
-    ``radius * sum(w)``, plus a rounding margin (a wider window only adds comparisons)."""
+    """``order[lo[i]:hi[i]]`` holds every row within ``radius`` (sup norm) of ``queries[i]``:
+    their keys ``x @ w`` differ by at most ``radius * sum(w)``, plus a rounding margin sized
+    by the rows, which such a query exceeds by at most ``radius`` (wider only adds work)."""
     n = rows.shape[1]
     w = 1.0 + np.arange(n) / n
-    scale = 1.0 + max(np.max(np.abs(x), initial=0.0) for x in (rows, queries))
+    scale = 1.0 + radius + np.max(np.abs(rows), initial=0.0)
     reach = w.sum() * (radius + 8 * n * np.finfo(float).eps * scale)
     keys = rows @ w
     order = np.argsort(keys)
@@ -126,20 +126,20 @@ def _distinct(rows: np.ndarray) -> list[int]:
 
 
 def _vertex_matches(rows: np.ndarray, queries: np.ndarray, tol: float) -> np.ndarray:
-    """For each query ``p``, the lowest-index row ``v`` with ``p >= (1 - tol/2) v``, else -1.
+    """For each query ``p``, the lowest-index row ``v`` with ``p >= s v``, else -1.
 
-    That is the membership program's phase-one objective at the best multiple
-    of ``lam = e_v`` being at most ``tol``, and it puts ``p`` within L1 ``tol`` of ``v``.
-    """
+    The membership program's phase-one objective at ``lam = s e_v`` is ``2 (1 - s)``;
+    ``s`` is ``1 - tol/2`` plus a rounding margin, so a match passes even the rounded
+    LP's test and lies within L1 ``tol`` of ``v``.  ``s <= 1``: a point dominating a
+    vertex is that vertex up to rounding."""
     order, lo, hi = _key_windows(rows, queries, tol)
-    scaled = (1.0 - 0.5 * tol) * rows
-    only = order[np.minimum(lo, len(rows) - 1)]  # the candidate of one-row windows
-    match = np.where((hi - lo == 1) & np.all(queries >= scaled[only], axis=1), only, -1)
-    for i in np.flatnonzero(hi - lo > 1):
-        near = np.sort(order[lo[i] : hi[i]])
-        ok = np.all(queries[i] >= scaled[near], axis=1)
-        if ok.any():
-            match[i] = near[np.argmax(ok)]
+    scaled = min(1.0, 1.0 - 0.5 * tol + 8 * rows.shape[1] * np.finfo(float).eps) * rows
+    match = np.full(len(queries), -1)
+    for i in np.flatnonzero(hi > lo):
+        near = order[lo[i] : hi[i]]
+        ok = near[np.all(queries[i] >= scaled[near], axis=1)]
+        if ok.size:
+            match[i] = ok.min()
     return match
 
 

@@ -369,7 +369,7 @@ class TestVertexMatch:
             assert lps == []
             monkeypatch.undo()
 
-    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("tol", [1e-15, 1e-9, 1e-6])
     @pytest.mark.parametrize("factor", [0.5, 2.0])
     def test_points_off_a_vertex(self, tol, factor):
         rng = np.random.default_rng(94)
@@ -418,6 +418,17 @@ class TestVertexMatch:
             for j, v in enumerate(S.vertices):
                 member, lam = membership(S, v, tol=0.0)
                 assert member and np.array_equal(lam, np.eye(S.n_vertices)[j])
+        assert lps == []
+
+    def test_lowest_matching_vertex_wins(self, monkeypatch):
+        # two presented vertices 2e-7 apart both match a point between them
+        space = OutcomeSpace(["a", "b"])
+        near = [ProbVector(space, [0.5, 0.5]), ProbVector(space, [0.5 + 1e-7, 0.5 - 1e-7])]
+        P = ProbVector(space, [0.5 + 5e-8, 0.5 - 5e-8])
+        lps = count_lps(monkeypatch)
+        for vertices in (near, near[::-1]):
+            member, lam = membership(CredalSet(space, vertices, canonical=True), P, 1e-6)
+            assert member and np.array_equal(lam, [1.0, 0.0])
         assert lps == []
 
     def test_match_is_within_tolerance_of_the_point(self):

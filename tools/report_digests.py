@@ -1,7 +1,6 @@
 """Print a digest of every benchmark output of one checkout.
 
     python3 tools/report_digests.py --root <checkout> --seeds 0,1,2
-    python3 tools/report_digests.py --root <checkout> --workloads rectangularity,desk_cli
 
 The ``rectangularity`` and ``desk_cli`` scenario documents are generated
 through ``<root>/perfbench/workloads.py`` and run in-process with
@@ -10,9 +9,7 @@ prints one ``workload seed key exit sha256`` line (``-`` for the digest
 when the exit code is not 0).  For ``tree_eval`` every level array that
 ``compose_risk`` / ``compose_sublinear`` returns prints one line, keyed
 ``tree/measure/payoff/level``.  Two checkouts give byte-identical reports
-and level arrays exactly when their outputs ``diff`` clean.  ``--workloads``
-picks a comma-separated subset (default: all three), so a byte-identity
-check of the CLI reports alone can skip the tree arrays.
+and level arrays exactly when their outputs ``diff`` clean.
 """
 
 from __future__ import annotations
@@ -67,19 +64,11 @@ def tree_lines(wl, seed: int, work: Path):
                 yield f"{wl.name} {seed} {key} {code} -"
 
 
-LINES = {"rectangularity": cli_lines, "desk_cli": cli_lines, "tree_eval": tree_lines}
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", required=True, type=Path, help="checkout to digest")
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
-    p.add_argument("--workloads", default=",".join(LINES),
-                   help="comma-separated subset of " + ", ".join(LINES))
     args = p.parse_args(argv)
-    names = args.workloads.split(",")
-    if not set(names) <= set(LINES):
-        p.error(f"unknown workloads: {', '.join(sorted(set(names) - set(LINES)))}")
     bench = args.root.resolve() / "perfbench"
     if not (bench / "workloads.py").is_file():
         print(f"no perfbench/workloads.py under {args.root}", file=sys.stderr)
@@ -90,11 +79,12 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as sink:
         for seed in seeds:
-            for name in names:
+            for name, lines in (("rectangularity", cli_lines), ("desk_cli", cli_lines),
+                                ("tree_eval", tree_lines)):
                 work = Path(tmp) / f"{name}-{seed}"
                 work.mkdir()
                 with redirect_stderr(sink):
-                    for line in LINES[name](WORKLOADS[name], seed, work):
+                    for line in lines(WORKLOADS[name], seed, work):
                         print(line, flush=True)
     return 0
 
