@@ -265,4 +265,4 @@ def marginal_set(S: CredalSet, tol: float = DEFAULT_TOL) -> CredalSet:
         raise SpaceMismatchError("marginal_set needs a credal set on a product space")
     nu, nv = space.u_space.size, space.v_space.size
     rows = S.matrix.reshape(S.n_vertices, nu, nv).sum(axis=2)
-    return CredalSet(space.u_space, [ProbVector(space.u_space, row) for row in rows], tol)
+    return CredalSet.from_rows(space.u_space, rows[_distinct(rows)], tol)

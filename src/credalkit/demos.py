@@ -3,15 +3,16 @@
 Each demo builds a small instance, runs the relevant checkers, and
 compares the computed numbers against declared targets.  Targets carry a
 provenance tag: ``analytic`` values are forced by hand arithmetic,
-``enumeration`` values come from an in-demo brute-force count, and
-``definition`` values are direct formula evaluations.  Reports are
-deterministic: all randomness is seeded.
+``enumeration`` values come from an exhaustive in-demo evaluation (a
+brute-force count, or a singleton-set tree evaluation that weighs every
+path), and ``definition`` values are direct formula evaluations.
+Reports are deterministic: all randomness is seeded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,14 +37,7 @@ class DemoReport:
     passed: bool
 
     def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": self.inputs,
-            "computed": self.computed,
-            "targets": self.targets,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _target(value, provenance: str) -> dict:
@@ -277,8 +271,10 @@ def gwalk(
     a symmetric law whose variance ranges over ``[sig_lo^2 dt,
     sig_hi^2 dt]`` (a two-vertex credal segment).  Convex terminal payoffs
     price at the maximum-variance product measure, concave payoffs at the
-    minimum, and linear payoffs at zero; the demo checks the worst-case
-    tree value against both single-measure enumerations.
+    minimum, and linear payoffs at zero.  All three numbers come from
+    ``compose_sublinear``: the worst-case value on the tree with the
+    segment at every node, and each single-measure value on the same tree
+    with that vertex as a singleton set, which weighs every path.
     """
     horizon = int(horizon)
     if horizon < 1:
@@ -308,34 +304,14 @@ def gwalk(
     S = CredalSet.from_rows(
         step, [[p_lo, 1.0 - 2.0 * p_lo, p_lo], [p_hi, 0.0, p_hi]]
     )
-    tree = ScenarioTree.uniform(step, horizon, S)
+    trees = [ScenarioTree.uniform(step, horizon, T)
+             for T in (S, *map(CredalSet.singleton, S.vertices))]
 
-    n_paths = 3**horizon
-    sums = np.zeros(n_paths)
-    for path in range(n_paths):
-        rest, total = path, 0.0
-        for _ in range(horizon):
-            rest, digit = divmod(rest, 3)
-            total += step_values[digit]
-        sums[path] = total
-    terminal_space = OutcomeSpace([f"path{i}" for i in range(n_paths)])
+    # summed from the last step back: the order fixes each sum's rounding
+    sums = sum(np.ix_(*[step_values] * horizon)[::-1]).ravel()
+    terminal_space = OutcomeSpace([f"path{i}" for i in range(sums.size)])
     x = RandomVariable(terminal_space, [fn(s) for s in sums])
-
-    value = float(compose_sublinear(tree, x)[0][0])
-
-    def single_measure_value(p: float) -> float:
-        weights = np.array([p, 1.0 - 2.0 * p, p])
-        total = 0.0
-        for path in range(n_paths):
-            rest, prob = path, 1.0
-            for _ in range(horizon):
-                rest, digit = divmod(rest, 3)
-                prob *= weights[digit]
-            total += prob * fn(sums[path])
-        return float(total)
-
-    max_var = single_measure_value(p_hi)
-    min_var = single_measure_value(p_lo)
+    value, min_var, max_var = (float(compose_sublinear(t, x)[0][0]) for t in trees)
     if kind == "convex":
         envelope = _target(max_var, "enumeration")
     elif kind == "concave":

@@ -21,10 +21,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .credal import CredalSet, DEDUP_TOL
+from .credal import CredalSet
 from .errors import SizeGuardError, ValidationError
 from .lp import DEFAULT_TOL, OPTIMAL, solve_lp
-from .spaces import Frozen, OutcomeSpace, ProbVector, RandomVariable, _check_same_space
+from .spaces import Frozen, OutcomeSpace, RandomVariable, _check_same_space
 
 # Explicit dual-set construction enumerates vertex candidates; past this
 # many outcomes the construction is refused (evaluation has no such limit).
@@ -253,8 +253,9 @@ def avar_dual_set(S: CredalSet, level: float, tol: float = DEFAULT_TOL) -> Creda
         pts = _capped_box_vertices(S.matrix[0] / level, tol)
     else:
         pts = _projected_lifted_vertices(S.matrix, level, tol)
-    pts = _dedup_rows(pts)
-    return CredalSet(S.space, [ProbVector(S.space, p) for p in pts], tol)
+    # the sorted order is the dual set's vertex order; construction drops
+    # duplicates, keeping the first listing
+    return CredalSet.from_rows(S.space, pts[np.lexsort(pts.T[::-1])], tol)
 
 
 def _capped_box_vertices(caps: np.ndarray, tol: float) -> np.ndarray:
@@ -325,18 +326,6 @@ def _projected_lifted_vertices(V: np.ndarray, level: float, tol: float) -> np.nd
     if not out:  # pragma: no cover - the lifted polytope is never empty
         raise RuntimeError("dual-set enumeration found no feasible vertex")
     return np.vstack(out)
-
-
-def _dedup_rows(pts: np.ndarray) -> np.ndarray:
-    # Sort, then compare neighbours; the sorted order is the dual set's
-    # vertex order.
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    keep = [0]
-    for i in range(1, pts.shape[0]):
-        if np.max(np.abs(pts[i] - pts[keep[-1]])) > DEDUP_TOL:
-            keep.append(i)
-    return pts[keep]
 
 
 class ScenarioTree(Frozen):

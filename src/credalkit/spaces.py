@@ -94,7 +94,7 @@ class ProductSpace(Frozen):
         return iu * self.v_space.size + iv
 
     def unravel(self, i: int) -> tuple[int, int]:
-        return divmod(i, self.v_space.size)
+        return i // self.v_space.size, i % self.v_space.size
 
     def index(self, label) -> int:
         u, v = label

@@ -9,7 +9,10 @@ other way around.
 The last section keeps the plain loop forms of computations the package
 now vectorises or shortcuts (the per-node scalar OCE scan, node-by-node
 backward induction, the first-listing duplicate scan, the LP-only
-inclusion scan); the package's versions must reproduce them bit for bit.
+inclusion scan, the sorted-neighbour duplicate scan); the package's
+versions must reproduce them bit for bit.  The path-by-path walk
+expectation is the one exception: the package computes it by backward
+induction, which rounds differently, so it must agree to 1e-12.
 """
 
 from __future__ import annotations
@@ -221,3 +224,32 @@ def first_nonmember_lp(A, B, tol: float):
         if res.status != OPTIMAL:
             return v, res
     return None
+
+
+def dedup_rows(pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """The rows in lexicographic order, each dropped when within ``tol`` (sup
+    norm) of the last kept row."""
+    pts = pts[np.lexsort(pts.T[::-1])]
+    keep = [0]
+    for i in range(1, pts.shape[0]):
+        if np.max(np.abs(pts[i] - pts[keep[-1]])) > tol:
+            keep.append(i)
+    return pts[keep]
+
+
+def walk_expectations(step_values, laws, horizon: int, payoffs) -> np.ndarray:
+    """``out[i, j]``: the expectation of ``payoffs[i]`` of the terminal sum of
+    an i.i.d. walk whose steps follow ``laws[j]``, one path at a time."""
+    b = len(step_values)
+    out = [[0.0] * len(laws) for _ in payoffs]
+    for path in range(b**horizon):
+        rest, total, probs = path, 0.0, [1.0] * len(laws)
+        for _ in range(horizon):
+            rest, digit = divmod(rest, b)
+            total += step_values[digit]
+            probs = [p * w[digit] for p, w in zip(probs, laws)]
+        for row, f in zip(out, payoffs):
+            value = f(total)
+            for j, p in enumerate(probs):
+                row[j] += p * value
+    return np.array(out)

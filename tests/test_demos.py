@@ -1,7 +1,11 @@
+import math
+
 import pytest
 
+from _oracles import walk_expectations
 from credalkit.demos import (
     DEMOS,
+    PAYOFFS,
     continuity_failure_witness,
     diagonal_demo,
     fubini_counterexample,
@@ -95,6 +99,25 @@ class TestGwalk:
             gwalk(payoff="call")
         report = gwalk(horizon=2, payoff="call", strike=0.5)
         assert report.passed
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5, 6, 7, 8, 10])
+    def test_single_measure_values_match_path_enumeration(self, horizon):
+        payoffs = {name: fn for name, (fn, _) in PAYOFFS.items()}
+        payoffs["call"] = lambda x: max(x - 0.5, 0.0)
+        payoffs["put"] = lambda x: max(0.5 - x, 0.0)
+        for sig_lo, sig_hi in ((0.0, 1.0), (0.5, 1.5), (0.3, 0.9)):
+            p_lo = sig_lo * sig_lo / (2.0 * sig_hi * sig_hi)
+            laws = ([p_lo, 1.0 - 2.0 * p_lo, p_lo], [0.5, 0.0, 0.5])
+            for dt in (1.0, 0.25):
+                h = sig_hi * math.sqrt(dt)
+                expected = walk_expectations([-h, 0.0, h], laws, horizon,
+                                             list(payoffs.values()))
+                for name, (min_var, max_var) in zip(payoffs, expected):
+                    strike = 0.5 if name in ("call", "put") else None
+                    computed = gwalk(horizon, sig_lo, sig_hi, dt, name, strike).computed
+                    case = (name, sig_lo, sig_hi, dt)
+                    assert abs(computed["min_variance_value"] - min_var) <= 1e-12, case
+                    assert abs(computed["max_variance_value"] - max_var) <= 1e-12, case
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):

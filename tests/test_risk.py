@@ -6,6 +6,7 @@ import pytest
 from _oracles import (
     avar_loss,
     backward_scalar,
+    dedup_rows,
     greedy_tail,
     oce_grid,
     oce_scalar,
@@ -16,6 +17,7 @@ from credalkit import risk, spaces
 from credalkit.conditional import CredalKernel, pasting
 from credalkit.credal import CredalSet, equal_sets, sublinear_expectation
 from credalkit.errors import SizeGuardError, ValidationError
+from credalkit.lp import SimplexStalledError
 from credalkit.risk import (
     LossSpec,
     ScenarioTree,
@@ -296,6 +298,49 @@ class TestDualSet:
         D = avar_dual_set(S, 0.5)
         x = rv(space, [0.0, 4.0, 10.0])
         assert sublinear_expectation(D, x) == pytest.approx(7.0, abs=1e-9)
+
+    def test_sorted_rows_match_neighbour_dedup(self):
+        # construction's first-listing scan on the sorted rows keeps what the
+        # sorted-neighbour scan keeps, in the same order
+        def neighbour_pipeline(S, level):
+            if S.n_vertices == 1:
+                pts = risk._capped_box_vertices(S.matrix[0] / level, 1e-9)
+            else:
+                pts = risk._projected_lifted_vertices(S.matrix, level, 1e-9)
+            return CredalSet.from_rows(S.space, dedup_rows(pts)).matrix
+
+        def outcome(compute):
+            try:
+                return compute()
+            except SimplexStalledError:
+                return "stalled"
+
+        rng = np.random.default_rng(73)
+        for _ in range(100):
+            n, k = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            rows = rng.dirichlet(np.ones(n), size=k)
+            if rng.random() < 0.3:
+                rows[int(rng.integers(k))] = np.eye(n)[int(rng.integers(n))]
+            S = CredalSet.from_rows(OutcomeSpace([f"o{i}" for i in range(n)]), rows)
+            level = float(rng.choice([0.1, 0.25, 1 / 3, 0.5, 0.9]))
+            new = outcome(lambda: avar_dual_set(S, level).matrix)
+            old = outcome(lambda: neighbour_pipeline(S, level))
+            assert np.array_equal(new, old)  # "stalled" equals only itself
+
+    @pytest.mark.xfail(strict=True, raises=SimplexStalledError,
+                       reason="D1: canonicalization stalls on a degenerate program")
+    def test_six_outcome_dual_set_canonicalizes(self):
+        space = OutcomeSpace([f"o{i}" for i in range(6)])
+        S = CredalSet.from_rows(space, [
+            [0.3846640671802725, 0.3731734998596908, 0.009381851183252481,
+             0.017969202492134795, 0.2084771438451464, 0.006334235439502805],
+            [0.005638933638565885, 0.0003369032194379831, 0.0011956724425198158,
+             0.6147931417005311, 0.31275447619267244, 0.0652808728062728],
+        ])
+        D = avar_dual_set(S, 1 / 3)
+        x = rv(space, np.arange(6.0))
+        assert sublinear_expectation(D, x) == pytest.approx(
+            avar_dual_evaluate(S, 1 / 3, x), abs=1e-9)
 
     def test_outcome_guard(self):
         space = OutcomeSpace([f"o{i}" for i in range(11)])
