@@ -252,8 +252,7 @@ def _build_tree(sc: Scenario, path: str, body):
         sets = []
         for j, rows in enumerate(_list(f"{path}.ambiguity[{t}]", level)):
             where = f"{path}.ambiguity[{t}][{j}]"
-            rows = _rows(where, rows)
-            sets.append(_wrap(where, lambda: CredalSet.from_rows(step, rows, sc.tol)))
+            sets.append(_credal(sc, where, step, _rows(where, rows)))
         ambiguity.append(sets)
     return _wrap(path, lambda: ScenarioTree(step, horizon, ambiguity))
 

@@ -38,6 +38,7 @@ from .spaces import (
     RandomVariable,
     Space,
     _check_same_space,
+    _product_space,
     expectation,
     product,
     slice_u,
@@ -122,9 +123,7 @@ def compose(outer, K, X: RandomVariable) -> float:
 
 
 def _check_kernel_spaces(K, X) -> None:
-    space = X.space
-    if not isinstance(space, ProductSpace):
-        raise ValidationError("conditional expectation needs a payoff on a product space")
+    space = _product_space(X.space, "conditional expectation needs a payoff on a product space")
     _check_same_space(space.u_space, K.u_space, "conditional expectation")
     _check_same_space(space.v_space, K.v_space, "conditional expectation")
 
@@ -194,9 +193,7 @@ def check_tower(S: CredalSet, K: CredalKernel, tol: float = DEFAULT_TOL) -> Towe
     pasting yields a membership certificate and a payoff with joint value
     above the composed one.
     """
-    space = S.space
-    if not isinstance(space, ProductSpace):
-        raise ValidationError("check_tower needs a credal set on a product space")
+    _product_space(S.space, "check_tower needs a credal set on a product space")
     marginal = marginal_set(S, tol)
     pasted = pasting(marginal, K)
 
@@ -220,6 +217,17 @@ class AdditivityProbe:
     joint_penalty: float  # minimal penalty of the joint family at Q x R
     split_penalty: float  # outer penalty plus Q-average of kernel penalties
     relation: str  # "equal" | "joint_above" | "joint_below"
+
+
+# The first classification whose admitted probe relations hold every probe's
+# relation, with the sampled value gaps it bounds by ``tol``: a joint penalty
+# above the split means joint values below composed ones, so no gap above.
+_ADDITIVITY = (
+    ("additive", {"equal"}, ("above", "below")),
+    ("superadditive", {"equal", "joint_above"}, ("above",)),
+    ("subadditive", {"equal", "joint_below"}, ("below",)),
+    ("incomparable", {"equal", "joint_above", "joint_below"}, ()),
+)
 
 
 @dataclass(frozen=True)
@@ -251,9 +259,7 @@ def check_penalty_additivity(
     probe set is finite, so this check is sound but not complete; a direct
     value comparison on sampled payoffs complements it.
     """
-    space = A.space
-    if not isinstance(space, ProductSpace):
-        raise ValidationError("check_penalty_additivity needs a joint penalty family")
+    space = _product_space(A.space, "check_penalty_additivity needs a joint penalty family")
     _check_same_space(AU.space, space.u_space, "penalty additivity")
     _check_same_space(K.u_space, space.u_space, "penalty additivity")
     _check_same_space(K.v_space, space.v_space, "penalty additivity")
@@ -280,14 +286,7 @@ def check_penalty_additivity(
         results.append(AdditivityProbe(Q, R, joint, split, relation))
 
     relations = {p.relation for p in results}
-    if relations <= {"equal"}:
-        classification = "additive"
-    elif relations <= {"equal", "joint_above"}:
-        classification = "superadditive"
-    elif relations <= {"equal", "joint_below"}:
-        classification = "subadditive"
-    else:
-        classification = "incomparable"
+    classification, _, bounded = next(row for row in _ADDITIVITY if relations <= row[1])
 
     rng = np.random.default_rng(seed)
     above = below = 0.0
@@ -297,19 +296,9 @@ def check_penalty_additivity(
         composed_val = compose(AU, K, x)
         above = max(above, joint_val - composed_val)
         below = max(below, composed_val - joint_val)
-    consistent = _consistent_with_values(classification, above, below, tol)
+    gaps = {"above": above, "below": below}
+    consistent = all(gaps[side] <= tol for side in bounded)
     return AdditivityReport(tuple(results), classification, above, below, consistent)
-
-
-def _consistent_with_values(classification, above, below, tol) -> bool:
-    # joint penalty above the split everywhere means joint values below composed
-    if classification == "additive":
-        return above <= tol and below <= tol
-    if classification == "superadditive":
-        return above <= tol
-    if classification == "subadditive":
-        return below <= tol
-    return True
 
 
 def _default_probes(AU: PenaltyAtoms, K: PenaltyKernel, n_random: int, seed: int):

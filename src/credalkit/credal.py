@@ -14,15 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotSeparableError, SpaceMismatchError, ValidationError
+from .errors import NotSeparableError, ValidationError
 from .lp import DEFAULT_TOL, INFEASIBLE, OPTIMAL, solve_lp
 from .spaces import (
     Frozen,
     ProbVector,
-    ProductSpace,
     RandomVariable,
     Space,
     _check_same_space,
+    _product_space,
 )
 
 # Points closer than this (sup-norm) are treated as duplicates before the
@@ -85,12 +85,14 @@ class CredalSet(Frozen):
         return f"CredalSet({self.space!r}, {self.n_vertices} vertices)"
 
 
-def _membership_rows(points: np.ndarray, p: np.ndarray):
-    """Equality system for barycentric coordinates: points.T @ lam = p, sum lam = 1."""
+def _hull_lp(points: np.ndarray, p: np.ndarray, tol: float, costs=None):
+    """Minimize ``costs @ lam`` (zero by default) over ``points.T @ lam = p``, ``sum lam = 1``,
+    ``lam >= 0``: optimal exactly when ``p`` is in the hull of the rows, else infeasible
+    with a separating direction in its dual."""
     k = points.shape[0]
     A = np.vstack([points.T, np.ones((1, k))])
     b = np.concatenate([p, [1.0]])
-    return A, b
+    return solve_lp(np.zeros(k) if costs is None else costs, A, b, tol)
 
 
 def _key_windows(rows: np.ndarray, queries: np.ndarray, radius: float):
@@ -153,8 +155,7 @@ def _canonicalize(space: Space, vertices: tuple[ProbVector, ...], tol: float):
             if len(keep) == 1:
                 break
             others = points[[j for j in keep if j != keep[pos]]]
-            A, b = _membership_rows(others, points[keep[pos]])
-            if solve_lp(np.zeros(others.shape[0]), A, b, tol).status == OPTIMAL:
+            if _hull_lp(others, points[keep[pos]], tol).status == OPTIMAL:
                 del keep[pos]
     return tuple(vertices[i] for i in keep)
 
@@ -169,9 +170,13 @@ def sublinear_expectation(S: CredalSet, X: RandomVariable) -> float:
     return float(np.max(S.matrix @ X.values))
 
 
-def _membership_lp(S: CredalSet, P: ProbVector, tol: float):
-    A, b = _membership_rows(S.matrix, P.weights)
-    return solve_lp(np.zeros(S.n_vertices), A, b, tol)
+def _decide(S: CredalSet, points: np.ndarray, tol: float):
+    """``(member, j, res)`` for each row of ``points``, lazily and in order: a row
+    matching vertex ``j`` of ``S`` is a member with no LP (``res`` None); any other
+    has ``j == -1`` and is decided by its hull program ``res``."""
+    for p, j in zip(points, _vertex_matches(S.matrix, points, tol)):
+        res = None if j >= 0 else _hull_lp(S.matrix, p, tol)
+        yield res is None or res.status == OPTIMAL, j, res
 
 
 def membership(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL):
@@ -182,14 +187,13 @@ def membership(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL):
     point matching vertex ``j`` gets ``lam = e_j`` with no LP.
     """
     _check_same_space(S.space, P.space, "membership")
-    j = _vertex_matches(S.matrix, P.weights[None], tol)[0]
-    if j >= 0:
+    [(member, j, res)] = _decide(S, P.weights[None], tol)
+    if not member:
+        return False, None
+    if res is None:
         return True, np.eye(S.n_vertices)[j]
-    res = _membership_lp(S, P, tol)
-    if res.status == OPTIMAL:
-        lam = np.maximum(res.x, 0.0)
-        return True, lam / lam.sum()
-    return False, None
+    lam = np.maximum(res.x, 0.0)
+    return True, lam / lam.sum()
 
 
 def separate(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL) -> SeparationCertificate:
@@ -200,15 +204,17 @@ def separate(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL) -> Separatio
     direction, so the witness is centered (max +1, min -1) before the
     sup-norm normalization; that makes the reported direction canonical.
     Raises :class:`NotSeparableError` when ``P`` is a member (the conjugate
-    value is zero there, so no separating direction exists).
+    value is zero there, so no separating direction exists); a point
+    matching a vertex is one, with no LP.
     """
     _check_same_space(S.space, P.space, "separate")
-    return _certificate(S, P, _membership_lp(S, P, tol), tol)
+    [(_, _, res)] = _decide(S, P.weights[None], tol)
+    return _certificate(S, P, res, tol)
 
 
 def _certificate(S: CredalSet, P: ProbVector, res, tol: float) -> SeparationCertificate:
-    """The separation certificate carried by a solved membership program."""
-    if res.status != INFEASIBLE:
+    """The separation certificate carried by a hull program; None is a matched vertex."""
+    if res is None or res.status != INFEASIBLE:
         raise NotSeparableError("point is a member of the set")
     direction = res.dual[:-1]
     direction = direction - 0.5 * (direction.max() + direction.min())
@@ -223,12 +229,10 @@ def _certificate(S: CredalSet, P: ProbVector, res, tol: float) -> SeparationCert
 
 
 def _first_nonmember(A: CredalSet, B: CredalSet, tol: float):
-    """The first vertex of ``A`` with a non-optimal membership LP in ``B``, and that result.
-
-    Vertices matching a vertex of ``B`` are members and run no LP."""
+    """The first vertex of ``A`` that is not a member of ``B``, with its hull program."""
     _check_same_space(A.space, B.space, "set inclusion")
-    for v, j in zip(A.vertices, _vertex_matches(B.matrix, A.matrix, tol)):
-        if j < 0 and (res := _membership_lp(B, v, tol)).status != OPTIMAL:
+    for v, (member, _, res) in zip(A.vertices, _decide(B, A.matrix, tol)):
+        if not member:
             return v, res
     return None
 
@@ -260,9 +264,7 @@ def marginal_set(S: CredalSet, tol: float = DEFAULT_TOL) -> CredalSet:
     The marginal map is linear, so the hull of the vertex marginals equals
     the set of marginals of all members.
     """
-    space = S.space
-    if not isinstance(space, ProductSpace):
-        raise SpaceMismatchError("marginal_set needs a credal set on a product space")
+    space = _product_space(S.space, "marginal_set needs a credal set on a product space")
     nu, nv = space.u_space.size, space.v_space.size
     rows = S.matrix.reshape(S.n_vertices, nu, nv).sum(axis=2)
     return CredalSet.from_rows(space.u_space, rows[_distinct(rows)], tol)

@@ -9,8 +9,9 @@ class ValidationError(CredalkitError, ValueError):
     """An input object violates a construction invariant."""
 
 
-class SpaceMismatchError(CredalkitError, ValueError):
-    """Two values that must share an outcome space do not."""
+class SpaceMismatchError(ValidationError):
+    """Two values that must share an outcome space do not, or a value that
+    must live on a product space does not."""
 
 
 class SizeGuardError(CredalkitError, RuntimeError):

@@ -15,7 +15,7 @@ from typing import Optional
 from .conditional import CredalKernel, compose, pasting
 from .credal import CredalSet, first_outside
 from .lp import DEFAULT_TOL
-from .spaces import ProductSpace, RandomVariable, swap_measure, swap_variable
+from .spaces import ProductSpace, RandomVariable, _product_space, swap_measure, swap_variable
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,7 @@ def interchange_gap(SU: CredalSet, SV: CredalSet, X: RandomVariable):
     ``lhs`` integrates the inner V-supremum against the outer U-supremum;
     ``rhs`` swaps the roles.
     """
-    if not isinstance(X.space, ProductSpace):
-        raise ValueError("interchange_gap needs a payoff on a product space")
+    _product_space(X.space, "interchange_gap needs a payoff on a product space")
     lhs = compose(SU, CredalKernel.constant(SU.space, SV), X)
     rhs = compose(SV, CredalKernel.constant(SV.space, SU), swap_variable(X))
     return lhs, rhs

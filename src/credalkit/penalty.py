@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lp import DEFAULT_TOL, OPTIMAL, solve_lp
+from .lp import DEFAULT_TOL, OPTIMAL
 from .spaces import Frozen, ProbVector, RandomVariable, Space, _check_same_space
-from .credal import _distinct, _membership_rows
+from .credal import _distinct, _hull_lp
 
 # Costs may exceed the envelope by at most this before an atom is dropped.
 DOMINANCE_TOL = 1e-9
@@ -82,8 +82,7 @@ def minimal_penalty(A: PenaltyAtoms, P: ProbVector, tol: float = DEFAULT_TOL) ->
     ``convex_expectation(A, .)``, evaluated by the cheapest-mixture LP.
     """
     _check_same_space(A.space, P.space, "minimal penalty")
-    rows, rhs = _membership_rows(A.points, P.weights)
-    res = solve_lp(A.costs, rows, rhs, tol)
+    res = _hull_lp(A.points, P.weights, tol, A.costs)
     if res.status != OPTIMAL:
         return float("inf")
     return max(res.value, 0.0)
@@ -103,8 +102,7 @@ def envelope_atoms(A: PenaltyAtoms, tol: float = DOMINANCE_TOL) -> PenaltyAtoms:
     while pos < len(keep) and len(keep) > 1:
         i = keep[pos]
         others = [j for j in keep if j != i]
-        rows, rhs = _membership_rows(A.points[others], A.points[i])
-        res = solve_lp(A.costs[others], rows, rhs)
+        res = _hull_lp(A.points[others], A.points[i], DEFAULT_TOL, A.costs[others])
         if res.status == OPTIMAL and A.costs[i] > res.value + tol:
             keep.pop(pos)
         else:

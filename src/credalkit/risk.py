@@ -33,11 +33,10 @@ DUAL_SET_MAX_OUTCOMES = 10
 DUAL_SET_MAX_COMBINATIONS = 100_000
 # Tree evaluation refuses more than this many nodes.
 MAX_TREE_NODES = 200_000
-# Tree levels are evaluated this many nodes at a time.
-_NODE_BLOCK = 256
 # Objective values are computed in chunks of candidate points whose loss and
-# expectation arrays hold at most this many cells, so a one-step scan over
-# many outcomes or vertices needs no quadratic temporaries.
+# expectation arrays hold at most this many cells (or rows * max(k, n), one
+# candidate per row, when that is more), so a one-step scan over many
+# outcomes or vertices needs no quadratic temporaries.
 _CELL_BUDGET = 1 << 16
 
 # Ties between one-step minimizers are resolved to the smallest location;
@@ -248,7 +247,7 @@ def avar_dual_set(S: CredalSet, level: float, tol: float = DEFAULT_TOL) -> Creda
             f"dual-set enumeration limited to {DUAL_SET_MAX_OUTCOMES} outcomes"
         )
     if level == 1.0:
-        return CredalSet(S.space, S.vertices, tol, canonical=True)
+        return S
     if S.n_vertices == 1:
         pts = _capped_box_vertices(S.matrix[0] / level, tol)
     else:
@@ -403,7 +402,7 @@ def _level_groups(sets: Sequence[CredalSet]):
 
 def _backward(tree: ScenarioTree, X: RandomVariable,
               step_values: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-    """Every level's values, computed level by level in blocks of nodes.
+    """Every level's values, one ``step_values`` call per vertex count of a level.
 
     ``step_values(V, children)`` maps stacked vertex matrices ``(r, k, b)``
     and child values ``(r, b)`` to the ``r`` node values.
@@ -419,9 +418,7 @@ def _backward(tree: ScenarioTree, X: RandomVariable,
         vals = np.empty(b**t)
         children = levels[t + 1].reshape(-1, b)
         for nodes, V in _level_groups(tree.ambiguity[t]):
-            for lo in range(0, nodes.size, _NODE_BLOCK):
-                block = nodes[lo : lo + _NODE_BLOCK]
-                vals[block] = step_values(V[lo : lo + _NODE_BLOCK], children[block])
+            vals[nodes] = step_values(V, children[nodes])
         levels[t] = vals
     return levels
 

@@ -122,6 +122,13 @@ def _check_same_space(a: Space, b: Space, what: str) -> None:
         raise SpaceMismatchError(f"{what}: spaces differ ({a!r} vs {b!r})")
 
 
+def _product_space(space: Space, message: str) -> ProductSpace:
+    """``space`` itself when it is a product space, else a mismatch error."""
+    if not isinstance(space, ProductSpace):
+        raise SpaceMismatchError(message)
+    return space
+
+
 class RandomVariable(Frozen):
     """A real payoff, one finite value per outcome."""
 
@@ -239,9 +246,7 @@ def disintegrate(P: ProbVector) -> tuple[ProbVector, Kernel]:
     Rows with zero marginal mass get the uniform kernel value; this keeps
     the output deterministic and symmetric on the unconstrained rows.
     """
-    space = P.space
-    if not isinstance(space, ProductSpace):
-        raise SpaceMismatchError("disintegrate needs a probability on a product space")
+    space = _product_space(P.space, "disintegrate needs a probability on a product space")
     nu, nv = space.u_space.size, space.v_space.size
     W = P.weights.reshape(nu, nv)
     q = W.sum(axis=1)
@@ -256,29 +261,26 @@ def disintegrate(P: ProbVector) -> tuple[ProbVector, Kernel]:
 
 def slice_u(X: RandomVariable, u_label) -> RandomVariable:
     """The section ``v -> X(u, v)`` of a payoff on a product space."""
-    space = X.space
-    if not isinstance(space, ProductSpace):
-        raise SpaceMismatchError("slice needs a variable on a product space")
+    space = _product_space(X.space, "slice needs a variable on a product space")
     iu = space.u_space.index(u_label)
     nv = space.v_space.size
     return RandomVariable(space.v_space, X.values[iu * nv : (iu + 1) * nv])
 
 
+def _transpose(space: Space, values: np.ndarray, message: str):
+    """``(V x U, values reindexed by (v, u))`` for ``values`` on ``space = U x V``."""
+    space = _product_space(space, message)
+    flipped = values.reshape(space.u_space.size, space.v_space.size).T.reshape(-1)
+    return ProductSpace(space.v_space, space.u_space), flipped
+
+
 def swap_variable(X: RandomVariable) -> RandomVariable:
     """Transpose a payoff on U x V into the same payoff on V x U."""
-    space = X.space
-    if not isinstance(space, ProductSpace):
-        raise SpaceMismatchError("swap needs a variable on a product space")
-    nu, nv = space.u_space.size, space.v_space.size
-    flipped = X.values.reshape(nu, nv).T.reshape(-1)
-    return RandomVariable(ProductSpace(space.v_space, space.u_space), flipped)
+    return RandomVariable(*_transpose(X.space, X.values,
+                                      "swap needs a variable on a product space"))
 
 
 def swap_measure(P: ProbVector) -> ProbVector:
     """Push a joint probability on U x V forward through (u, v) -> (v, u)."""
-    space = P.space
-    if not isinstance(space, ProductSpace):
-        raise SpaceMismatchError("swap needs a probability on a product space")
-    nu, nv = space.u_space.size, space.v_space.size
-    flipped = P.weights.reshape(nu, nv).T.reshape(-1)
-    return ProbVector(ProductSpace(space.v_space, space.u_space), flipped)
+    return ProbVector(*_transpose(P.space, P.weights,
+                                  "swap needs a probability on a product space"))

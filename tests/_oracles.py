@@ -216,11 +216,11 @@ def distinct_scan(rows: np.ndarray, tol: float = 1e-12) -> list:
 def first_nonmember_lp(A, B, tol: float):
     """The first vertex of ``A`` whose membership LP in ``B`` is not optimal,
     with that LP's result: one program per vertex, no vertex matching."""
-    from credalkit.credal import _membership_lp
+    from credalkit.credal import _hull_lp
     from credalkit.lp import OPTIMAL
 
     for v in A.vertices:
-        res = _membership_lp(B, v, tol)
+        res = _hull_lp(B.matrix, v.weights, tol)
         if res.status != OPTIMAL:
             return v, res
     return None

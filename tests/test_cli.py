@@ -79,6 +79,26 @@ def scenario_text(doc) -> str:
     return render(doc)
 
 
+DELETE = object()
+
+
+def edited(doc, path, value):
+    """A deep copy of ``doc`` with the field at ``path`` set to ``value``.
+
+    ``DELETE`` removes the field instead.
+    """
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
 def grid_weights(rng, n, grid=64):
     cuts = np.sort(rng.integers(0, grid + 1, n - 1))
     parts = np.diff(np.concatenate([[0], cuts, [grid]]))
@@ -192,6 +212,10 @@ class TestRun:
         report = run(parse_scenario(scenario_text(doc)))
         notes = report["diagnostics"]["canonicalization"]
         assert any("redundant" in note for note in notes)
+        tree = edited(TREE, ("trees", "tr", "ambiguity", 1, 0),
+                      [[0.2, 0.8], [0.6, 0.4], [0.4, 0.6]])
+        notes = run(parse_scenario(scenario_text(tree)))["diagnostics"]["canonicalization"]
+        assert notes == ["trees.tr.ambiguity[1][0]: 1 redundant generator(s) dropped"]
 
     def test_penalty_shift_warning_surfaces(self):
         report = run(parse_scenario(scenario_text(PENALTY)))
@@ -345,6 +369,14 @@ class TestDispatchCoverage:
         assert report["outputs"]["levels"][0] == [2.0]
 
 
+# TOWER with its kernel conditioning on a space W that is not the set's U,
+# and the same kernel composed with a payoff on U x V
+TOWER_W = edited(edited(TOWER, ("spaces", "W"), ["x", "y"]), ("kernels", "K", "u_space"), "W")
+COMPOSE_W = edited(edited(TOWER_W, ("command",), {"op": "compose", "set": "S", "kernel": "K",
+                                                  "variable": "X"}),
+                   ("variables",), {"X": {"space": ["U", "V"], "values": [1.0, 2.0, 3.0, 4.0]}})
+
+
 class TestExitCodes:
     def run_cli(self, args):
         return main(args)
@@ -388,6 +420,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("validation error: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param(edited(edited(MINIMAL, ("spaces", "W"), ["x", "y"]),
+                            ("variables", "X", "space"), "W"), id="eval-variable"),
+        pytest.param(TOWER_W, id="check-tower-kernel"),
+        pytest.param(COMPOSE_W, id="compose-kernel"),
+    ])
+    def test_space_mismatch_is_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "mismatch.json"
+        path.write_text(scenario_text(doc))
+        assert self.run_cli(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("validation error: ")
 
     def test_operation_error_is_3(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
@@ -543,26 +587,6 @@ class TestSubprocess:
             text=True,
         )
         assert proc.returncode == 2
-
-
-DELETE = object()
-
-
-def edited(doc, path, value):
-    """A deep copy of ``doc`` with the field at ``path`` set to ``value``.
-
-    ``DELETE`` removes the field instead.
-    """
-    doc = json.loads(json.dumps(doc))
-    *head, last = path
-    target = doc
-    for key in head:
-        target = target[key]
-    if value is DELETE:
-        del target[last]
-    else:
-        target[last] = value
-    return doc
 
 
 AVAR_DUAL = edited(MINIMAL, ("command",),

@@ -3,9 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credalkit.conditional import CredalKernel, PenaltyKernel
-from credalkit.credal import CredalSet
+from credalkit.conditional import (
+    CredalKernel,
+    PenaltyKernel,
+    check_penalty_additivity,
+    check_tower,
+    conditional_expectation,
+)
+from credalkit.credal import CredalSet, marginal_set
 from credalkit.errors import SpaceMismatchError, ValidationError
+from credalkit.fubini import interchange_gap
 from credalkit.penalty import PenaltyAtoms
 from credalkit.risk import LossSpec, ScenarioTree
 from credalkit.spaces import (
@@ -228,3 +235,40 @@ class TestSliceSwap:
         p = pv(UV, [0.1, 0.2, 0.3, 0.4])
         back = swap_measure(swap_measure(p))
         assert np.allclose(back.weights, p.weights, atol=1e-15)
+
+
+S_AB = CredalSet.simplex(AB)
+A_AB = PenaltyAtoms.from_rows(AB, [([0.5, 0.5], 0.0)])
+X_AB, P_AB = rv(AB, [1, 2]), pv(AB, [0.5, 0.5])
+K_AB = CredalKernel.constant(AB, S_AB)
+
+# Each product-space guard, called with objects on the plain space AB.
+GUARDS = {
+    "disintegrate": (lambda: disintegrate(P_AB),
+                     "disintegrate needs a probability on a product space"),
+    "slice_u": (lambda: slice_u(X_AB, "a"), "slice needs a variable on a product space"),
+    "swap_variable": (lambda: swap_variable(X_AB), "swap needs a variable on a product space"),
+    "swap_measure": (lambda: swap_measure(P_AB), "swap needs a probability on a product space"),
+    "marginal_set": (lambda: marginal_set(S_AB),
+                     "marginal_set needs a credal set on a product space"),
+    "conditional": (lambda: conditional_expectation(K_AB, X_AB),
+                    "conditional expectation needs a payoff on a product space"),
+    "check_tower": (lambda: check_tower(S_AB, K_AB),
+                    "check_tower needs a credal set on a product space"),
+    "check_penalty_additivity": (
+        lambda: check_penalty_additivity(A_AB, A_AB, PenaltyKernel(AB, [A_AB, A_AB])),
+        "check_penalty_additivity needs a joint penalty family"),
+    "interchange_gap": (lambda: interchange_gap(S_AB, S_AB, X_AB),
+                        "interchange_gap needs a payoff on a product space"),
+}
+
+
+class TestProductSpaceGuards:
+    @pytest.mark.parametrize("name", sorted(GUARDS))
+    def test_mismatch_is_a_validation_error(self, name):
+        call, message = GUARDS[name]
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert type(info.value) is SpaceMismatchError
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == message

@@ -418,6 +418,8 @@ class TestVertexMatch:
             for j, v in enumerate(S.vertices):
                 member, lam = membership(S, v, tol=0.0)
                 assert member and np.array_equal(lam, np.eye(S.n_vertices)[j])
+                with pytest.raises(NotSeparableError, match="^point is a member of the set$"):
+                    separate(S, v, tol=0.0)
         assert lps == []
 
     def test_lowest_matching_vertex_wins(self, monkeypatch):

@@ -276,7 +276,7 @@ class TestDualSet:
         rng = np.random.default_rng(71)
         S = random_set(rng, n=3, k=3)
         D = avar_dual_set(S, 1.0)
-        assert equal_sets(D, S)
+        assert D is S and equal_sets(D, S)
 
     def test_support_matches_dual_evaluate(self):
         rng = np.random.default_rng(72)
@@ -507,7 +507,7 @@ class TestBatchedScan:
 
     @pytest.mark.parametrize("b,horizon", [(2, 10), (3, 4)])
     def test_trees_match_node_by_node(self, b, horizon):
-        # mixed 1-, 2- and 3-vertex sets; the 512-node level spans two blocks
+        # mixed 1-, 2- and 3-vertex sets; the 512-node level is one batch per vertex count
         rng = np.random.default_rng(81 + b)
         step = OutcomeSpace([f"s{i}" for i in range(b)])
         paths = OutcomeSpace([f"p{i}" for i in range(b**horizon)])
