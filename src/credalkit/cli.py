@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import os
 import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Optional
-
-import numpy as np
 
 from . import __version__
 from .conditional import (
@@ -139,7 +138,7 @@ def parse_scenario(text: str, tol: float = 1e-9) -> Scenario:
     raw = parse(text)
     if not isinstance(raw, dict):
         raise ValidationError("scenario must be a map")
-    if raw.get("format") != 1:
+    if type(raw.get("format")) is not int or raw["format"] != 1:
         raise ValidationError('scenario needs "format": 1')
     known = {"format", "spaces", "sets", "kernels", "variables", "trees", "command"}
     unknown = set(raw) - known
@@ -210,26 +209,27 @@ def _build_set(sc: Scenario, path: str, body):
     raise ValidationError(f'{path}: needs "vertices" (credal) or "atoms" (penalty)')
 
 
+_KERNEL_FAMILIES = {
+    "credal": (CredalKernel, _rows, _credal),
+    "penalty": (PenaltyKernel, _atom_rows, _penalty),
+}
+
+
 def _build_kernel(sc: Scenario, path: str, body):
     body = _map(path, body)
     u_space = _resolve_space(sc, body.get("u_space"), f"{path}.u_space")
     v_space = _resolve_space(sc, body.get("v_space"), f"{path}.v_space")
-    if "credal" in body:
-        kind, cls = "credal", CredalKernel
-    elif "penalty" in body:
-        kind, cls = "penalty", PenaltyKernel
-    else:
+    kind = next((k for k in _KERNEL_FAMILIES if k in body), None)
+    if kind is None:
         raise ValidationError(f'{path}: needs "credal" or "penalty" tables')
+    cls, read, build = _KERNEL_FAMILIES[kind]
     per_u = _list(f"{path}.{kind}", body[kind])
     if len(per_u) != u_space.size:
         raise ValidationError(f"{path}.{kind}: need one entry per outcome")
     table = []
     for i, entry in enumerate(per_u):
         where = f"{path}.{kind}[{i}]"
-        if cls is CredalKernel:
-            table.append(_credal(sc, where, v_space, _rows(where, entry)))
-        else:
-            table.append(_penalty(sc, where, v_space, _atom_rows(where, entry)))
+        table.append(build(sc, where, v_space, read(where, entry)))
     return cls(u_space, table)
 
 
@@ -317,10 +317,16 @@ def _run_demo(name, args):
     """Run a named demo: the one place demo names and arguments are checked."""
     if not isinstance(name, str) or name not in DEMOS:
         raise ValidationError(f"command.name: unknown demo {name!r}")
-    if not isinstance(args, dict):
-        raise ValidationError("command.args: expected a map")
+    args = _map("command.args", args)
+    # each argument is read by its parameter's default type; strings pass as given
+    readers = {int: _int, float: _number, type(None): _number}
+    params = inspect.signature(DEMOS[name]).parameters
+    typed = {}
+    for key, value in args.items():
+        read = readers.get(type(params[key].default)) if key in params else None
+        typed[key] = value if read is None else read(f"command.args.{key}", value)
     try:
-        return DEMOS[name](**args)
+        return DEMOS[name](**typed)
     except CredalkitError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
@@ -344,8 +350,8 @@ def _set_doc(S) -> Any:
     }
 
 
-def _maybe_inf(x: float):
-    return x if np.isfinite(x) else ("inf" if x > 0 else "-inf")
+def _cert_doc(cert) -> dict:
+    return {"witness": cert.witness.values.tolist(), "margin": cert.margin}
 
 
 def _conditional(a) -> dict:
@@ -380,11 +386,7 @@ def _check_tower(a) -> dict:
     ):
         if entry is not None:
             vertex, cert = entry
-            doc[key] = {
-                "vertex": vertex.weights.tolist(),
-                "witness": cert.witness.values.tolist(),
-                "margin": cert.margin,
-            }
+            doc[key] = {"vertex": vertex.weights.tolist(), **_cert_doc(cert)}
     return doc
 
 
@@ -403,8 +405,8 @@ def _check_penalty_additivity(a) -> dict:
             {
                 "q": p.Q.weights.tolist(),
                 "r": [p.R[i].weights.tolist() for i in range(a.kernel.u_space.size)],
-                "joint_penalty": _maybe_inf(p.joint_penalty),
-                "split_penalty": _maybe_inf(p.split_penalty),
+                "joint_penalty": p.joint_penalty,
+                "split_penalty": p.split_penalty,
                 "relation": p.relation,
             }
             for p in report.probes
@@ -427,12 +429,11 @@ def _check_fubini(a) -> dict:
 
 
 def _conjugate(a) -> dict:
-    return {"value": _maybe_inf(conjugate_indicator(a.set, _point(a), a.tol))}
+    return {"value": conjugate_indicator(a.set, _point(a), a.tol)}
 
 
 def _separate(a) -> dict:
-    cert = separate(a.set, _point(a), a.tol)
-    return {"witness": cert.witness.values.tolist(), "margin": cert.margin}
+    return _cert_doc(separate(a.set, _point(a), a.tol))
 
 
 def _oce(a) -> dict:
@@ -446,8 +447,11 @@ def _oce(a) -> dict:
 
 def _avar_dual(a) -> dict:
     level = _number("command.level", a.cmd.get("level", 0.0))
+    vertices = a.cmd.get("vertices", False)
+    if type(vertices) is not bool:
+        raise ValidationError(f"command.vertices: expected a boolean, got {vertices!r}")
     doc = {"value": avar_dual_evaluate(a.set, level, a.variable, a.tol)}
-    if a.cmd.get("vertices", False):
+    if vertices:
         doc["dual_vertices"] = avar_dual_set(a.set, level, a.tol).matrix.tolist()
     return doc
 

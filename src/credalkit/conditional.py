@@ -39,13 +39,12 @@ from .spaces import (
     Space,
     _check_same_space,
     _product_space,
-    expectation,
     product,
     slice_u,
 )
 
-# Generator enumerations (pasting, composed atoms, probe grids) refuse to
-# build more than this many elements.
+# Generator enumerations (pasting, composed atoms, probe grids, random
+# probes, demo grids) refuse to build more than this many elements.
 MAX_GENERATORS = 10**6
 
 
@@ -264,6 +263,10 @@ def check_penalty_additivity(
     _check_same_space(K.u_space, space.u_space, "penalty additivity")
     _check_same_space(K.v_space, space.v_space, "penalty additivity")
 
+    if n_random < 0:
+        raise ValidationError(f"random probe count must be nonnegative, got {n_random}")
+    if n_random > MAX_GENERATORS:
+        raise SizeGuardError(f"random probes exceed {MAX_GENERATORS}")
     if probes is None:
         probes = _default_probes(AU, K, n_random, seed)
 

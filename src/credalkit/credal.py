@@ -56,9 +56,10 @@ class CredalSet(Frozen):
             raise ValidationError("a credal set needs at least one vertex")
         for v in vertices:
             _check_same_space(v.space, space, "credal set vertex")
-        if not canonical:
-            vertices = _canonicalize(space, vertices, tol)
         matrix = np.stack([v.weights for v in vertices])
+        if not canonical:
+            keep = _canonicalize(matrix, tol)
+            vertices, matrix = tuple(vertices[i] for i in keep), matrix[keep]
         matrix.setflags(write=False)
         self._freeze(space=space, vertices=vertices, matrix=matrix)
 
@@ -145,19 +146,17 @@ def _vertex_matches(rows: np.ndarray, queries: np.ndarray, tol: float) -> np.nda
     return match
 
 
-def _canonicalize(space: Space, vertices: tuple[ProbVector, ...], tol: float):
-    points = np.stack([v.weights for v in vertices])
+def _canonicalize(points: np.ndarray, tol: float) -> list[int]:
     keep = _distinct(points)
-    if len(keep) > 1:
-        # scan from the back so that, among redundant generators, the ones
-        # listed first survive
-        for pos in range(len(keep) - 1, -1, -1):
-            if len(keep) == 1:
-                break
-            others = points[[j for j in keep if j != keep[pos]]]
-            if _hull_lp(others, points[keep[pos]], tol).status == OPTIMAL:
-                del keep[pos]
-    return tuple(vertices[i] for i in keep)
+    # scan from the back so that, among redundant generators, the ones
+    # listed first survive
+    for pos in range(len(keep) - 1, -1, -1):
+        if len(keep) == 1:
+            break
+        others = points[[j for j in keep if j != keep[pos]]]
+        if _hull_lp(others, points[keep[pos]], tol).status == OPTIMAL:
+            del keep[pos]
+    return keep
 
 
 def sublinear_expectation(S: CredalSet, X: RandomVariable) -> float:

@@ -17,9 +17,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .conditional import CredalKernel, check_tower, compose
+from .conditional import MAX_GENERATORS, CredalKernel, check_tower, compose
 from .credal import CredalSet, sublinear_expectation
-from .errors import ValidationError
+from .errors import SizeGuardError, ValidationError
 from .fubini import check_fubini, interchange_gap
 from .risk import ScenarioTree, compose_sublinear
 from .spaces import OutcomeSpace, ProbVector, ProductSpace, RandomVariable
@@ -101,8 +101,10 @@ def diagonal_demo(n_payoffs: int = 100, seed: int = 0) -> DemoReport:
     marginal, and pasting that marginal with the kernel sending each
     outcome to its own Dirac reproduces the set exactly, so the checker
     reports the tower identity as holding; sampled payoffs confirm a zero
-    gap.
+    gap.  The ``4 * n_payoffs`` payoff cells count against ``MAX_GENERATORS``.
     """
+    if 4 * n_payoffs > MAX_GENERATORS:
+        raise SizeGuardError(f"diagonal demo payoff cells exceed {MAX_GENERATORS}")
     u = OutcomeSpace(["0", "1"])
     v = OutcomeSpace(["0", "1"])
     uv = ProductSpace(u, v)
@@ -202,11 +204,13 @@ def continuity_failure_witness(n: int = 8) -> DemoReport:
     supremum over grid Diracs always finds the point ``1/n`` whose image
     is ``n``, so the composed value stays at one for every ``n`` even
     though each fixed cell's payoff eventually drops to zero as the grid
-    refines.
+    refines.  The ``(n + 1)^2`` grid cells count against ``MAX_GENERATORS``.
     """
     n = int(n)
     if n < 2:
         raise ValidationError("need n >= 2")
+    if (n + 1) ** 2 > MAX_GENERATORS:
+        raise SizeGuardError(f"continuity grid exceeds {MAX_GENERATORS} cells")
     u_space = OutcomeSpace([f"{i}/{n}" for i in range(n + 1)])
     v_space = OutcomeSpace([str(k) for k in range(n + 1)])
     uv = ProductSpace(u_space, v_space)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,10 +57,10 @@ class LossSpec(Frozen):
     worst-case expectation) and is flagged by ``boundary``.
     """
 
-    __slots__ = ("breakpoints", "slopes", "_anchors", "level", "boundary")
+    __slots__ = ("breakpoints", "slopes", "_anchors", "boundary")
 
     def __init__(self, breakpoints: Sequence[float], slopes: Sequence[float],
-                 level: Optional[float] = None, _allow_boundary: bool = False):
+                 *, boundary: bool = False):
         bp = np.asarray(breakpoints, dtype=float).reshape(-1)
         sl = np.asarray(slopes, dtype=float).reshape(-1)
         if bp.size == 0:
@@ -77,7 +77,6 @@ class LossSpec(Frozen):
             raise ValidationError("loss must be nondecreasing")
         if sl[0] > 1:
             raise ValidationError("first slope above one leaves the objective unbounded")
-        boundary = bool(_allow_boundary and sl[-1] <= 1.0 + 1e-15)
         if not boundary and sl[-1] <= 1.0:
             raise ValidationError("last slope must exceed one")
 
@@ -89,15 +88,13 @@ class LossSpec(Frozen):
 
         for arr in (bp, sl, anchors):
             arr.setflags(write=False)
-        self._freeze(breakpoints=bp, slopes=sl, _anchors=anchors, level=level,
-                     boundary=boundary)
+        self._freeze(breakpoints=bp, slopes=sl, _anchors=anchors, boundary=boundary)
 
     @classmethod
     def avar(cls, level: float) -> "LossSpec":
         if not (0.0 < level <= 1.0):
             raise ValidationError("level must lie in (0, 1]")
-        return cls([0.0], [0.0, 1.0 / level], level=level,
-                   _allow_boundary=(level == 1.0))
+        return cls([0.0], [0.0, 1.0 / level], boundary=level == 1.0)
 
     @classmethod
     def piecewise(cls, breakpoints, slopes) -> "LossSpec":
@@ -268,18 +265,15 @@ def _capped_box_vertices(caps: np.ndarray, tol: float) -> np.ndarray:
         if s > 1.0 + tol:
             continue
         rest = 1.0 - s
+        base = np.zeros(n)
+        base[sat] = caps[sat]
         if rest <= tol:
-            q = np.zeros(n)
-            q[sat] = caps[sat]
-            out.append(q)
+            out.append(base)
             continue
         for j in range(n):
             if (mask >> j) & 1 or caps[j] < rest - tol:
                 continue
-            q = np.zeros(n)
-            q[sat] = caps[sat]
-            q[j] = rest
-            out.append(q)
+            out.append(np.where(idx == j, rest, base))
     return np.vstack(out)
 
 
@@ -294,33 +288,28 @@ def _projected_lifted_vertices(V: np.ndarray, level: float, tol: float) -> np.nd
             f"dual-set enumeration needs {combos} active-set combinations, "
             f"budget is {DUAL_SET_MAX_COMBINATIONS}"
         )
-    # inequality rows G z <= h over z = (q, mix)
+    # inequality rows G z <= 0 over z = (q, mix)
     G = np.zeros((n_ineq, d))
     G[:n, :n] = np.eye(n)
     G[:n, n:] = -V.T / level
     G[n : 2 * n, :n] = -np.eye(n)
     G[2 * n :, n:] = -np.eye(k)
-    h = np.zeros(n_ineq)
-    E = np.zeros((2, d))
-    E[0, :n] = 1.0
-    E[1, n:] = 1.0
-    e = np.array([1.0, 1.0])
 
     out = []
-    system = np.empty((d, d))
-    rhs = np.empty(d)
-    system[:2] = E
-    rhs[:2] = e
+    system = np.zeros((d, d))
+    system[0, :n] = 1.0
+    system[1, n:] = 1.0
+    rhs = np.zeros(d)
+    rhs[:2] = 1.0
     for active in itertools.combinations(range(n_ineq), d - 2):
         system[2:] = G[list(active)]
-        rhs[2:] = h[list(active)]
         try:
             z = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError:
             continue
         if not np.all(np.isfinite(z)):
             continue
-        if np.all(G @ z <= h + tol):
+        if np.all(G @ z <= tol):
             out.append(z[:n])
     if not out:  # pragma: no cover - the lifted polytope is never empty
         raise RuntimeError("dual-set enumeration found no feasible vertex")

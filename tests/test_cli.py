@@ -150,10 +150,10 @@ class TestParseScenario:
             parse_scenario(scenario_text(doc))
 
     def test_bad_format_header(self):
-        doc = json.loads(json.dumps(MINIMAL))
-        doc["format"] = 2
-        with pytest.raises(ValidationError):
-            parse_scenario(scenario_text(doc))
+        # the header is the JSON integer 1: no bool, float or string passes
+        for header in (2, True, 1.0, "1"):
+            with pytest.raises(ValidationError, match='"format": 1'):
+                parse_scenario(scenario_text(edited(MINIMAL, ("format",), header)))
 
     def test_weight_sum_message_names_invariant(self):
         doc = json.loads(json.dumps(MINIMAL))
@@ -216,6 +216,12 @@ class TestRun:
                       [[0.2, 0.8], [0.6, 0.4], [0.4, 0.6]])
         notes = run(parse_scenario(scenario_text(tree)))["diagnostics"]["canonicalization"]
         assert notes == ["trees.tr.ambiguity[1][0]: 1 redundant generator(s) dropped"]
+        # rows 1e-11 apart are no duplicates, but the hull scan keeps only the first
+        near = edited(MINIMAL, ("sets", "S", "vertices"), [[0.2, 0.8], [0.2 + 1e-11, 0.8 - 1e-11]])
+        report = run(parse_scenario(scenario_text(near)))
+        assert report["diagnostics"]["canonicalization"] == [
+            "sets.S: 1 redundant generator(s) dropped"]
+        assert report["inputs"]["objects"]["sets"]["S"]["vertices"] == [[0.2, 0.8]]
 
     def test_penalty_shift_warning_surfaces(self):
         report = run(parse_scenario(scenario_text(PENALTY)))
@@ -334,6 +340,10 @@ class TestDispatchCoverage:
             {"op": "conjugate", "set": "SV", "weights": [0.25, 0.75]}
         )
         assert report["outputs"]["value"] == 0.0
+        # outside: the report holds the float, which renders as the string "inf"
+        report = self.run_with({"op": "conjugate", "set": "SU", "weights": [1.0, 0.0]})
+        assert report["outputs"]["value"] == float("inf")
+        assert '"value": "inf"' in render(report)
 
     def test_oce_piecewise(self):
         doc = json.loads(json.dumps(self.BASE))
@@ -348,6 +358,12 @@ class TestDispatchCoverage:
         report = run(parse_scenario(scenario_text(doc)))
         assert report["outputs"]["value"] == pytest.approx(2.0)
         assert report["outputs"]["minimizer"] == pytest.approx(0.0)
+        assert "boundary_level" not in report["outputs"]
+        # AVaR at level one is the flagged degenerate boundary: the worst-case mean
+        doc["command"]["loss"] = {"kind": "avar", "level": 1.0}
+        report = run(parse_scenario(scenario_text(doc)))
+        assert report["outputs"]["value"] == pytest.approx(1.0)
+        assert report["outputs"]["boundary_level"] is True
 
     def test_tree_sublinear(self):
         doc = json.loads(json.dumps(self.BASE))
@@ -388,12 +404,31 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert '"value": 3.0' in out
 
-    def test_validation_error_is_2(self, tmp_path):
+    def test_validation_error_is_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(MINIMAL))
         doc["sets"]["S"]["vertices"] = [[-0.1, 1.1]]
         path = tmp_path / "bad.json"
         path.write_text(scenario_text(doc))
         assert self.run_cli(["run", str(path)]) == 2
+        capsys.readouterr()
+        ok = tmp_path / "ok.json"
+        ok.write_text(scenario_text(MINIMAL))
+        for bad, message in (
+            ([1, 2], "scenario must be a map"),
+            (edited(MINIMAL, ("extras",), {}), "unknown scenario sections: ['extras']"),
+            (edited(MINIMAL, ("command", "op"), "eval-convex"),
+             "command.set: expected a penalty family"),
+        ):
+            path.write_text(json.dumps(bad))
+            assert self.run_cli(["run", str(path)]) == 2
+            assert capsys.readouterr().err == f"validation error: {message}\n"
+        for args, message in (
+            (["run", str(ok), "--seed", "-1"], "seed must be nonnegative"),
+            (["demo", "gwalk", "--param", "horizon"],
+             "--param needs KEY=VALUE, got 'horizon'"),
+        ):
+            assert self.run_cli(args) == 2
+            assert capsys.readouterr().err == f"validation error: {message}\n"
 
     def test_parse_error_is_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -498,6 +533,19 @@ class TestExitCodes:
         path = tmp_path / "huge.json"
         path.write_text(scenario_text(doc))
         assert self.run_cli(["run", str(path)]) == 4
+        # a two-vertex dual set on ten outcomes needs 646,646 active-set combinations
+        ten = {"format": 1, "spaces": {"W": [f"w{i}" for i in range(10)]},
+               "sets": {"S": {"space": "W", "vertices": [[0.1] * 10, [0.5] + [0.5 / 9] * 9]}},
+               "variables": {"X": {"space": "W", "values": [1.0] * 10}},
+               "command": {"op": "avar-dual", "set": "S", "variable": "X", "level": 0.5,
+                           "vertices": True}}
+        path.write_text(scenario_text(ten))
+        assert self.run_cli(["run", str(path)]) == 4
+        # random probes count against the generator budget like the selection grid
+        probes = valid_scenarios()["check-penalty-additivity"]
+        for count, code in ((-1, 2), (10**6 + 1, 4)):
+            path.write_text(json.dumps(edited(probes, ("command", "random_probes"), count)))
+            assert self.run_cli(["run", str(path)]) == code
 
     def test_huge_tree_horizon_is_4(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TREE))
@@ -510,6 +558,11 @@ class TestExitCodes:
     def test_deep_gwalk_is_4(self, capsys):
         assert self.run_cli(["demo", "gwalk", "--param", "horizon=20"]) == 4
         assert "tree exceeds" in capsys.readouterr().err
+        # demo loops count their cells against the generator budget, before any work
+        for demo, param in (("continuity-failure", "n=1000"), ("diagonal", "n_payoffs=250001"),
+                            ("diagonal", "n_payoffs=100000000")):
+            assert self.run_cli(["demo", demo, "--param", param]) == 4
+            assert "exceed" in capsys.readouterr().err
 
     def test_out_file_written(self, tmp_path):
         path = tmp_path / "ok.json"
@@ -620,10 +673,27 @@ class TestTypedFields:
                      "sets.A.atoms[0].cost", id="atom-cost-string"),
         pytest.param(edited(PIECEWISE, ("command", "loss", "breakpoints"), "ab"),
                      "command.loss.breakpoints", id="breakpoints-string"),
-        pytest.param(["continuity-failure", "--param", "n=abc"], "command.args",
+        pytest.param(["continuity-failure", "--param", "n=abc"], "command.args.n",
                      id="demo-n-string"),
-        pytest.param(["gwalk", "--param", "horizon=abc"], "command.args",
+        pytest.param(["gwalk", "--param", "horizon=abc"], "command.args.horizon",
                      id="demo-horizon-string"),
+        # demo arguments go through the same readers as every other number
+        pytest.param(["continuity-failure", "--param", "n=4.7"], "command.args.n",
+                     id="demo-n-fraction"),
+        pytest.param(["gwalk", "--param", "horizon=true"], "command.args.horizon",
+                     id="demo-horizon-bool"),
+        pytest.param(["gwalk", "--param", 'horizon="3"'], "command.args.horizon",
+                     id="demo-horizon-numeric-string"),
+        pytest.param(["gwalk", "--param", "payoff=call", "--param", "strike=[1]"],
+                     "command.args.strike", id="demo-strike-list"),
+        pytest.param({"format": 1, "command": {"op": "demo", "name": "gwalk",
+                                               "args": {"sig_hi": "2"}}},
+                     "command.args.sig_hi", id="demo-sig-hi-string"),
+        # flags are JSON booleans
+        pytest.param(edited(AVAR_DUAL, ("command", "vertices"), "no"), "command.vertices",
+                     id="avar-dual-vertices-string"),
+        pytest.param(edited(AVAR_DUAL, ("command", "vertices"), 1), "command.vertices",
+                     id="avar-dual-vertices-number"),
         # JSON numbers only: no bools, no numeric strings
         pytest.param(edited(AVAR_DUAL, ("command", "level"), True), "command.level",
                      id="avar-dual-level-bool"),
@@ -699,6 +769,16 @@ def field_paths(doc, path=()):
 RETYPES = (DELETE, "abc", [1], {"k": 1}, True, None)
 
 
+def typed_fields(doc):
+    """The fields of ``doc`` holding a JSON number or boolean, with their value."""
+    for field in field_paths(doc):
+        value = doc
+        for key in field:
+            value = value[key]
+        if type(value) in (int, float, bool):
+            yield field, value
+
+
 class TestMutationFuzz:
     def test_every_op_has_a_valid_scenario(self, tmp_path):
         from credalkit.cli import OPS
@@ -720,4 +800,18 @@ class TestMutationFuzz:
                 path.write_text(json.dumps(edited(doc, field, value)))
                 code = main(["run", str(path), "--out", str(out)])
                 assert code in (0, 2, 3, 4), (field, value)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("op", sorted(valid_scenarios()))
+    def test_retyped_numbers_and_flags_exit_2(self, op, tmp_path, capsys):
+        doc = valid_scenarios()[op]
+        path = tmp_path / "doc.json"
+        fields = list(typed_fields(doc))
+        assert fields  # every document has at least its "format"
+        for field, valid in fields:
+            other = 1 if type(valid) is bool else True
+            for value in (other, "abc", [1], {"k": 1}):
+                path.write_text(json.dumps(edited(doc, field, value)))
+                assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 2, \
+                    (field, value)
         capsys.readouterr()

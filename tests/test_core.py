@@ -95,6 +95,11 @@ class TestProbVector:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
             pv(AB, [-0.1, 1.1])
+        for bad in ([np.nan, 1.0], [np.inf, 0.0]):
+            with pytest.raises(ValidationError, match="finite"):
+                pv(AB, bad)
+            with pytest.raises(ValidationError, match="finite"):
+                RandomVariable(AB, bad)
 
     def test_tiny_negative_clamped(self):
         p = pv(AB, [-1e-13, 1.0])
@@ -162,6 +167,10 @@ class TestProductDisintegrate:
         r = Kernel(UV.u_space, [ProbVector.uniform(UV.v_space)] * 2)
         joint = product(q, r)
         assert np.allclose(joint.weights, [0.15, 0.15, 0.35, 0.35], atol=1e-12)
+        # one table entry per conditioning outcome, no more and no fewer
+        for count in (1, 3):
+            with pytest.raises(ValidationError, match=r"\(2 expected, %d given\)" % count):
+                Kernel(UV.u_space, [ProbVector.uniform(UV.v_space)] * count)
 
     def test_product_weights_sum_to_one(self):
         rng = np.random.default_rng(7)

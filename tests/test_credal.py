@@ -194,6 +194,11 @@ class TestCanonicalization:
     def test_duplicates_dropped(self):
         S = CredalSet.from_rows(AB, [[0.2, 0.8], [0.2, 0.8]])
         assert S.n_vertices == 1
+        # 1e-11 apart is past the duplicate scan; the hull scan keeps the first listing
+        first = ProbVector(AB, [0.2, 0.8])
+        S = CredalSet(AB, [first, ProbVector(AB, [0.2 + 1e-11, 0.8 - 1e-11])])
+        assert S.vertices == (first,)
+        assert np.array_equal(S.matrix, first.weights[None])
 
     def test_no_vertex_in_hull_of_others(self):
         rng = np.random.default_rng(12)

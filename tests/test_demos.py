@@ -12,7 +12,7 @@ from credalkit.demos import (
     gwalk,
     nonrectangular_demo,
 )
-from credalkit.errors import ValidationError
+from credalkit.errors import SizeGuardError, ValidationError
 
 
 class TestNonrectangular:
@@ -43,6 +43,12 @@ class TestDiagonal:
     def test_deterministic(self):
         assert diagonal_demo() == diagonal_demo()
 
+    def test_payoff_guard(self):
+        # 4 cells per payoff: past 250,000 payoffs the run is refused before any work
+        for n_payoffs in (250_001, 100_000_000):
+            with pytest.raises(SizeGuardError):
+                diagonal_demo(n_payoffs)
+
 
 class TestFubiniDemo:
     def test_targets(self):
@@ -69,6 +75,12 @@ class TestContinuityFailure:
     def test_small_n_rejected(self):
         with pytest.raises(ValidationError):
             continuity_failure_witness(1)
+
+    def test_grid_guard(self):
+        # (n + 1)^2 grid cells: n = 999 fills the 10^6 budget exactly
+        assert continuity_failure_witness(999).passed
+        with pytest.raises(SizeGuardError):
+            continuity_failure_witness(1000)
 
 
 class TestGwalk:
@@ -97,6 +109,8 @@ class TestGwalk:
     def test_call_needs_strike(self):
         with pytest.raises(ValidationError):
             gwalk(payoff="call")
+        with pytest.raises(ValidationError, match="put payoff needs a strike"):
+            gwalk(payoff="put")
         report = gwalk(horizon=2, payoff="call", strike=0.5)
         assert report.passed
 
@@ -124,6 +138,8 @@ class TestGwalk:
             gwalk(sig_lo=1.0, sig_hi=0.5)
         with pytest.raises(ValidationError):
             gwalk(dt=0.0)
+        with pytest.raises(ValidationError, match="horizon must be at least one"):
+            gwalk(horizon=0)
 
 
 class TestRegistry:

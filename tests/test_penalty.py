@@ -42,6 +42,9 @@ class TestConstruction:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValidationError):
             PenaltyAtoms.from_rows(AB, [([1, 0], -0.1)])
+        for cost in (np.inf, np.nan):
+            with pytest.raises(ValidationError, match="finite"):
+                PenaltyAtoms.from_rows(AB, [([1, 0], 0.0), ([0, 1], cost)])
 
     def test_no_shift_recorded_when_normalized(self):
         assert TWO_ATOMS.normalization_shift == 0.0

@@ -68,6 +68,12 @@ class TestLossSpec:
             LossSpec.piecewise([0.0], [1.5, 2.0])  # first slope above one
         with pytest.raises(ValidationError):
             LossSpec.piecewise([1.0, 1.0], [0.0, 0.5, 2.0])  # repeated breakpoint
+        with pytest.raises(ValidationError, match="finite"):
+            LossSpec.piecewise([np.inf], [0.0, 2.0])
+        with pytest.raises(ValidationError, match="finite"):
+            LossSpec.piecewise([0.0], [0.0, np.nan])
+        with pytest.raises(ValidationError, match="nondecreasing"):
+            LossSpec.piecewise([0.0], [-0.5, 2.0])  # negative first slope
 
     def test_piecewise_anchored_at_zero(self):
         L = LossSpec.piecewise([-1.0, 2.0], [0.0, 0.5, 3.0])
@@ -347,6 +353,14 @@ class TestDualSet:
         S = CredalSet.singleton(ProbVector.uniform(space))
         with pytest.raises(SizeGuardError):
             avar_dual_set(S, 0.5)
+        for level in (0.0, 1.5):
+            with pytest.raises(ValidationError, match="level"):
+                avar_dual_set(S, level)
+        # ten outcomes pass the outcome guard; two vertices need comb(22, 10) active sets
+        ten = OutcomeSpace([f"o{i}" for i in range(10)])
+        S = CredalSet.from_rows(ten, [[0.1] * 10, [0.5] + [0.5 / 9] * 9])
+        with pytest.raises(SizeGuardError, match="646646 active-set combinations"):
+            avar_dual_set(S, 0.5)
 
 
 class TestTrees:
@@ -449,6 +463,8 @@ class TestTrees:
         tree = ScenarioTree.uniform(STEP, 2, S)
         with pytest.raises(ValidationError):
             compose_sublinear(tree, rv(OutcomeSpace(["x", "y"]), [1.0, 2.0]))
+        with pytest.raises(ValidationError, match="horizon must be at least one"):
+            ScenarioTree(STEP, 0, [])
 
 
 def mixed_tree(rng, step, horizon, counts=(1, 2, 3)):
