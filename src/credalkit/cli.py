@@ -44,6 +44,7 @@ from .credal import (
 from .demos import DEMO_SUMMARIES, DEMOS
 from .errors import CredalkitError, SizeGuardError, ValidationError
 from .fubini import check_fubini
+from .lp import DEFAULT_TOL
 from .penalty import PenaltyAtoms, convex_expectation
 from .risk import (
     LossSpec,
@@ -131,7 +132,7 @@ def _wrap(path: str, build):
 # ---------------------------------------------------------------- objects
 
 
-def parse_scenario(text: str, tol: float = 1e-9) -> Scenario:
+def parse_scenario(text: str, tol: float = DEFAULT_TOL) -> Scenario:
     """Parse and fully validate a scenario document, building at ``tol``."""
     if not 0.0 < tol <= _FLOAT_MAX:
         raise ValidationError(f"--tol must be a positive finite number, got {tol!r}")
@@ -561,7 +562,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("scenario", help="path to the scenario document")
     p_run.add_argument("--out", default=None, help="write the report here")
-    p_run.add_argument("--tol", type=float, default=1e-9)
+    p_run.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_run.add_argument("--seed", type=int, default=0)
 
     p_demo = sub.add_parser("demo", help="run a named demonstration")

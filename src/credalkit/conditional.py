@@ -12,7 +12,6 @@ property, with explicit witnesses when it fails.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -22,7 +21,6 @@ import numpy as np
 from .credal import (
     CredalSet,
     SeparationCertificate,
-    _distinct,
     first_outside,
     marginal_set,
     sublinear_expectation,
@@ -127,16 +125,23 @@ def _check_kernel_spaces(K, X) -> None:
     _check_same_space(space.v_space, K.v_space, "conditional expectation")
 
 
-def _selections(n_outer: int, counts: Sequence[int]) -> list[tuple[int, tuple]]:
-    """Every ``(outer index, per-outcome choice)`` pair, outer index slowest.
+def _selections(n_outer: int, counts: Sequence[int]) -> np.ndarray:
+    """Every selection as one row: the outer index, then one choice per outcome.
 
-    ``choice[iu]`` ranges over ``range(counts[iu])``; the last outcome's
-    choice varies fastest.  Refuses more than ``MAX_GENERATORS`` pairs.
+    ``row[1 + iu]`` ranges over ``range(counts[iu])``; the outer index varies
+    slowest, the last choice fastest.  Refuses more than ``MAX_GENERATORS`` rows.
     """
-    if n_outer * math.prod(counts) > MAX_GENERATORS:
+    shape = (n_outer, *counts)
+    if math.prod(shape) > MAX_GENERATORS:
         raise SizeGuardError(f"generator enumeration exceeds {MAX_GENERATORS} elements")
-    pools = [range(n_outer), *map(range, counts)]
-    return [(s[0], s[1:]) for s in itertools.product(*pools)]
+    return np.indices(shape).reshape(len(shape), -1).T
+
+
+def _products(outer: np.ndarray, tables: Sequence[np.ndarray], sel: np.ndarray) -> np.ndarray:
+    """Row ``r`` joins, over the outcomes ``u``, ``outer[sel[r, 0], u]`` times
+    row ``sel[r, 1 + u]`` of ``tables[u]``: the product of the selected rows."""
+    q = outer[sel[:, 0]]
+    return np.hstack([q[:, [iu]] * T[sel[:, 1 + iu]] for iu, T in enumerate(tables)])
 
 
 def pasting(SU: CredalSet, K: CredalKernel) -> CredalSet:
@@ -147,17 +152,12 @@ def pasting(SU: CredalSet, K: CredalKernel) -> CredalSet:
     LP runs: if ``Q x R = l P1 + (1-l) P2`` in the pasting, the U-marginals
     give ``Q1 = Q2 = Q`` as ``Q`` is extreme, then the conditionals give
     ``R1(u) = R2(u) = R(u)`` wherever ``Q(u) > 0``, so ``P1 = P2``; outcomes
-    with ``Q(u) = 0`` only repeat products, which the duplicate scan drops.
+    with ``Q(u) = 0`` only repeat products, which the constructor drops.
     """
     _check_same_space(SU.space, K.u_space, "pasting")
-    space = ProductSpace(SU.space, K.v_space)
-    generators = []
-    for qi, choice in _selections(SU.n_vertices, [S.n_vertices for S in K.table]):
-        q = SU.matrix[qi]
-        rows = [q[iu] * K[iu].matrix[c] for iu, c in enumerate(choice)]
-        generators.append(ProbVector(space, np.concatenate(rows)))
-    kept = _distinct(np.stack([g.weights for g in generators]))
-    return CredalSet(space, [generators[i] for i in kept], canonical=True)
+    sel = _selections(SU.n_vertices, [S.n_vertices for S in K.table])
+    rows = _products(SU.matrix, [S.matrix for S in K.table], sel)
+    return CredalSet.from_rows(ProductSpace(SU.space, K.v_space), rows, canonical=True)
 
 
 def composed_atoms(AU: PenaltyAtoms, K: PenaltyKernel) -> PenaltyAtoms:
@@ -169,16 +169,14 @@ def composed_atoms(AU: PenaltyAtoms, K: PenaltyKernel) -> PenaltyAtoms:
     payoff.
     """
     _check_same_space(AU.space, K.u_space, "composed atoms")
+    sel = _selections(AU.n_atoms, [A.n_atoms for A in K.table])
+    q = AU.points[sel[:, 0]]
+    kernel_cost = 0.0
+    for iu, A in enumerate(K.table):
+        kernel_cost = kernel_cost + q[:, iu] * A.costs[sel[:, 1 + iu]]
+    rows = _products(AU.points, [A.points for A in K.table], sel)
     space = ProductSpace(AU.space, K.v_space)
-    atoms = []
-    for qi, choice in _selections(AU.n_atoms, [A.n_atoms for A in K.table]):
-        q = AU.points[qi]
-        rows = [q[iu] * K[iu].points[c] for iu, c in enumerate(choice)]
-        cost = float(AU.costs[qi]) + float(
-            sum(q[iu] * K[iu].costs[c] for iu, c in enumerate(choice))
-        )
-        atoms.append((ProbVector(space, np.concatenate(rows)), cost))
-    return PenaltyAtoms(space, atoms)
+    return PenaltyAtoms.from_rows(space, zip(rows, AU.costs[sel[:, 0]] + kernel_cost))
 
 
 def check_tower(S: CredalSet, K: CredalKernel, tol: float = DEFAULT_TOL) -> TowerReport:
@@ -265,8 +263,11 @@ def check_penalty_additivity(
 
     if n_random < 0:
         raise ValidationError(f"random probe count must be nonnegative, got {n_random}")
-    if n_random > MAX_GENERATORS:
-        raise SizeGuardError(f"random probes exceed {MAX_GENERATORS}")
+    # a random probe costs the (rows + 1) x atoms cells of its penalty programs
+    cells = ((space.size + 1) * A.n_atoms + (space.u_space.size + 1) * AU.n_atoms
+             + sum((space.v_space.size + 1) * P.n_atoms for P in K.table))
+    if n_random * cells > MAX_GENERATORS:
+        raise SizeGuardError(f"random probes exceed {MAX_GENERATORS} program cells")
     if probes is None:
         probes = _default_probes(AU, K, n_random, seed)
 
@@ -306,9 +307,10 @@ def check_penalty_additivity(
 
 def _default_probes(AU: PenaltyAtoms, K: PenaltyKernel, n_random: int, seed: int):
     outer = [ProbVector(AU.space, q) for q in AU.points]
+    atoms = [[ProbVector(K.v_space, p) for p in A.points] for A in K.table]
     probes = []
-    for qi, choice in _selections(AU.n_atoms, [A.n_atoms for A in K.table]):
-        table = [ProbVector(K.v_space, K[iu].points[c]) for iu, c in enumerate(choice)]
+    for qi, *choice in _selections(AU.n_atoms, [A.n_atoms for A in K.table]):
+        table = [atoms[iu][c] for iu, c in enumerate(choice)]
         probes.append((outer[qi], Kernel(K.u_space, table)))
     rng = np.random.default_rng(seed)
     for _ in range(n_random):

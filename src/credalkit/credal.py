@@ -25,8 +25,8 @@ from .spaces import (
     _product_space,
 )
 
-# Points closer than this (sup-norm) are treated as duplicates before the
-# canonicalization LPs run.
+# Points closer than this (sup-norm) are treated as duplicates: dropped from
+# every set, canonical or not, before any canonicalization LP runs.
 DEDUP_TOL = 1e-12
 
 
@@ -42,9 +42,9 @@ class CredalSet(Frozen):
     """A nonempty convex compact set of probabilities, stored by vertices.
 
     Construction canonicalizes the generator list: exact duplicates are
-    dropped first, then every generator lying in the hull of the others is
-    removed (one membership LP each, scanning from the back so earlier
-    generators survive ties).  Surviving vertices keep their original order.
+    dropped first, then, unless ``canonical``, every generator lying in the hull
+    of the others is removed (one membership LP each, scanning from the back so
+    earlier generators survive ties).  Surviving vertices keep their order.
     """
 
     __slots__ = ("space", "vertices", "matrix")
@@ -57,22 +57,20 @@ class CredalSet(Frozen):
         for v in vertices:
             _check_same_space(v.space, space, "credal set vertex")
         matrix = np.stack([v.weights for v in vertices])
-        if not canonical:
-            keep = _canonicalize(matrix, tol)
-            vertices, matrix = tuple(vertices[i] for i in keep), matrix[keep]
+        keep = _distinct(matrix) if canonical else _canonicalize(matrix, tol)
+        vertices, matrix = tuple(vertices[i] for i in keep), matrix[keep]
         matrix.setflags(write=False)
         self._freeze(space=space, vertices=vertices, matrix=matrix)
 
     @classmethod
     def from_rows(cls, space: Space, rows: Sequence[Sequence[float]],
-                  tol: float = DEFAULT_TOL) -> "CredalSet":
-        return cls(space, [ProbVector(space, row) for row in rows], tol)
+                  tol: float = DEFAULT_TOL, *, canonical: bool = False) -> "CredalSet":
+        return cls(space, [ProbVector(space, row) for row in rows], tol, canonical=canonical)
 
     @classmethod
     def simplex(cls, space: Space) -> "CredalSet":
         """The set of all probabilities on the space (hull of the Diracs)."""
-        return cls(space, [ProbVector(space, row) for row in np.eye(space.size)],
-                   canonical=True)
+        return cls.from_rows(space, np.eye(space.size), canonical=True)
 
     @classmethod
     def singleton(cls, P: ProbVector) -> "CredalSet":

@@ -15,7 +15,7 @@ from typing import Optional
 from .conditional import CredalKernel, compose, pasting
 from .credal import CredalSet, first_outside
 from .lp import DEFAULT_TOL
-from .spaces import ProductSpace, RandomVariable, _product_space, swap_measure, swap_variable
+from .spaces import RandomVariable, _product_space, _transpose, swap_variable
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,9 @@ def check_fubini(SU: CredalSet, SV: CredalSet, tol: float = DEFAULT_TOL) -> Fubi
     the resulting payoff witnesses a gap between the iterated values.
     """
     forward = pasting(SU, CredalKernel.constant(SU.space, SV))
-    backward_raw = pasting(SV, CredalKernel.constant(SV.space, SU))
-    space = ProductSpace(SU.space, SV.space)
-    backward = CredalSet(space, [swap_measure(v) for v in backward_raw.vertices],
-                         canonical=True)
+    reverse = pasting(SV, CredalKernel.constant(SV.space, SU))
+    space, rows = _transpose(reverse.space, reverse.matrix, "check_fubini: no product space")
+    backward = CredalSet.from_rows(space, rows, canonical=True)
     outside = first_outside(forward, backward, tol) or first_outside(backward, forward, tol)
     witness = None
     if outside is not None:

@@ -41,7 +41,7 @@ class PenaltyAtoms(Frozen):
         if not np.all(np.isfinite(costs)):
             raise ValidationError("atom costs must be finite")
         if np.any(costs < 0.0):
-            raise ValidationError(f"negative atom cost {costs.min()!r}")
+            raise ValidationError(f"negative atom cost {float(costs.min())!r}")
         for P, _ in atoms:
             _check_same_space(P.space, space, "penalty atom")
         shift = float(costs.min())
@@ -107,7 +107,4 @@ def envelope_atoms(A: PenaltyAtoms, tol: float = DOMINANCE_TOL) -> PenaltyAtoms:
             keep.pop(pos)
         else:
             pos += 1
-    return PenaltyAtoms(
-        A.space,
-        [(ProbVector(A.space, A.points[i]), float(A.costs[i])) for i in keep],
-    )
+    return PenaltyAtoms.from_rows(A.space, zip(A.points[keep], A.costs[keep]))

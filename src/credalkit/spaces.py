@@ -166,7 +166,7 @@ class ProbVector(Frozen):
             raise ValidationError("probability weights must be finite")
         if np.any(w < -WEIGHT_CLAMP):
             raise ValidationError(
-                f"negative probability weight {w.min()!r} below tolerance"
+                f"negative probability weight {float(w.min())!r} below tolerance"
             )
         w[w < 0.0] = 0.0
         total = float(np.sum(w))
@@ -268,9 +268,10 @@ def slice_u(X: RandomVariable, u_label) -> RandomVariable:
 
 
 def _transpose(space: Space, values: np.ndarray, message: str):
-    """``(V x U, values reindexed by (v, u))`` for ``values`` on ``space = U x V``."""
+    """``(V x U, values reindexed by (v, u))`` for a row or row stack on ``space = U x V``."""
     space = _product_space(space, message)
-    flipped = values.reshape(space.u_space.size, space.v_space.size).T.reshape(-1)
+    nu, nv = space.u_space.size, space.v_space.size
+    flipped = values.reshape(-1, nu, nv).swapaxes(1, 2).reshape(values.shape)
     return ProductSpace(space.v_space, space.u_space), flipped
 
 

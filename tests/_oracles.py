@@ -9,8 +9,9 @@ other way around.
 The last section keeps the plain loop forms of computations the package
 now vectorises or shortcuts (the per-node scalar OCE scan, node-by-node
 backward induction, the first-listing duplicate scan, the LP-only
-inclusion scan, the sorted-neighbour duplicate scan); the package's
-versions must reproduce them bit for bit.  The path-by-path walk
+inclusion scan, the sorted-neighbour duplicate scan, the per-selection
+pasting and composed-atom loops, the per-vertex Fubini transpose); the
+package's versions must reproduce them bit for bit.  The path-by-path walk
 expectation is the one exception: the package computes it by backward
 induction, which rounds differently, so it must agree to 1e-12.
 """
@@ -253,3 +254,49 @@ def walk_expectations(step_values, laws, horizon: int, payoffs) -> np.ndarray:
             for j, p in enumerate(probs):
                 row[j] += p * value
     return np.array(out)
+
+
+def pasting_loop(SU, K) -> list:
+    """The distinct products of ``SU``'s vertices with kernel vertex
+    selections, one validated ``ProbVector`` per selection (outer vertex
+    slowest, last outcome fastest), first listing kept."""
+    from credalkit.spaces import ProbVector, ProductSpace
+
+    space = ProductSpace(SU.space, K.v_space)
+    generators = []
+    for q in SU.matrix:
+        for choice in itertools.product(*[range(S.n_vertices) for S in K.table]):
+            rows = [q[iu] * K[iu].matrix[c] for iu, c in enumerate(choice)]
+            generators.append(ProbVector(space, np.concatenate(rows)))
+    keep = distinct_scan(np.stack([g.weights for g in generators]))
+    return [generators[i] for i in keep]
+
+
+def fubini_loop(SU, SV) -> tuple:
+    """``(forward, backward)`` vertex matrices of ``check_fubini``: the two
+    pastings, the backward one moved to U x V one vertex at a time."""
+    from credalkit.conditional import CredalKernel
+    from credalkit.spaces import swap_measure
+
+    forward = pasting_loop(SU, CredalKernel.constant(SU.space, SV))
+    reverse = pasting_loop(SV, CredalKernel.constant(SV.space, SU))
+    return (np.stack([g.weights for g in forward]),
+            np.stack([swap_measure(g).weights for g in reverse]))
+
+
+def composed_atoms_loop(AU, K):
+    """The composed penalty family built one selection at a time: the product
+    row, and the outer cost plus the outer-weighted kernel costs summed in
+    outcome order."""
+    from credalkit.penalty import PenaltyAtoms
+    from credalkit.spaces import ProbVector, ProductSpace
+
+    space = ProductSpace(AU.space, K.v_space)
+    atoms = []
+    for qi, q in enumerate(AU.points):
+        for choice in itertools.product(*[range(A.n_atoms) for A in K.table]):
+            rows = [q[iu] * K[iu].points[c] for iu, c in enumerate(choice)]
+            cost = float(AU.costs[qi]) + float(
+                sum(q[iu] * K[iu].costs[c] for iu, c in enumerate(choice)))
+            atoms.append((ProbVector(space, np.concatenate(rows)), cost))
+    return PenaltyAtoms(space, atoms)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -430,6 +431,23 @@ class TestExitCodes:
             assert self.run_cli(args) == 2
             assert capsys.readouterr().err == f"validation error: {message}\n"
 
+    def test_refusals_print_plain_numbers(self, tmp_path, capsys):
+        # the shape of the benchmark's negative-weight refusal: one vertex
+        # whose second weight is -0.2, made up on the first
+        negative = {"format": 1, "spaces": {"W": ["w0", "w1", "w2", "w3"]},
+                    "sets": {"S": {"space": "W", "vertices": [[0.6, -0.2, 0.3, 0.3]]}},
+                    "variables": {"X": {"space": "W", "values": [1.0, 2.0, 3.0, 4.0]}},
+                    "command": {"op": "eval", "set": "S", "variable": "X"}}
+        path = tmp_path / "bad.json"
+        for doc, message in (
+            (negative, "sets.S: negative probability weight -0.2 below tolerance"),
+            (edited(PENALTY, ("sets", "A", "atoms", 1, "cost"), -0.5),
+             "sets.A: negative atom cost -0.5"),
+        ):
+            path.write_text(json.dumps(doc))
+            assert self.run_cli(["run", str(path)]) == 2
+            assert capsys.readouterr().err == f"validation error: {message}\n"
+
     def test_parse_error_is_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -541,11 +559,15 @@ class TestExitCodes:
                            "vertices": True}}
         path.write_text(scenario_text(ten))
         assert self.run_cli(["run", str(path)]) == 4
-        # random probes count against the generator budget like the selection grid
+        # random probes are charged the cells of their penalty programs, 22 a
+        # probe here, against the generator budget: past 45,454 probes the run
+        # is refused before any probe runs
         probes = valid_scenarios()["check-penalty-additivity"]
-        for count, code in ((-1, 2), (10**6 + 1, 4)):
+        for count, code in ((-1, 2), (10**6 + 1, 4), (45_455, 4)):
             path.write_text(json.dumps(edited(probes, ("command", "random_probes"), count)))
+            start = time.perf_counter()
             assert self.run_cli(["run", str(path)]) == code
+            assert time.perf_counter() - start < 1.0
 
     def test_huge_tree_horizon_is_4(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TREE))

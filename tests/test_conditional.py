@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import pasting_generator_support
+from _oracles import composed_atoms_loop, pasting_generator_support, pasting_loop
 from credalkit import conditional, credal
 from credalkit.conditional import (
     CredalKernel,
@@ -69,6 +69,18 @@ def random_penalty_kernel(rng, u_space, nv=None, max_atoms=3):
         costs[int(rng.integers(0, k))] = 0.0
         table.append(PenaltyAtoms.from_rows(v_space, list(zip(rows.tolist(), costs.tolist()))))
     return PenaltyKernel(u_space, table)
+
+
+def mixed_rows(rng, n, k):
+    """``k`` rows on ``n`` outcomes, each a Dirichlet draw, a draw with exact
+    zeros, or a Dirac."""
+    rows = rng.dirichlet(np.ones(n), size=k)
+    zero = rng.random(rows.shape) < 0.4
+    zero[np.arange(k), rng.integers(0, n, k)] = False
+    sparse = np.where(zero, 0.0, rows)
+    sparse /= sparse.sum(axis=1, keepdims=True)
+    dirac = np.eye(n)[rng.integers(0, n, k)]
+    return np.choose(rng.integers(0, 3, k)[:, None], [rows, sparse, dirac])
 
 
 def random_penalty(rng, space, max_atoms=3):
@@ -332,8 +344,44 @@ class TestPasting:
         with pytest.raises(SizeGuardError, match="generator enumeration exceeds"):
             check_penalty_additivity(A, AU, KP, probes=None)
 
+    def test_bitwise_equal_to_selection_loop(self):
+        rng = np.random.default_rng(42)
+        zero_mass = 0
+        for _ in range(80):
+            nu, nv = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            us = OutcomeSpace([f"u{i}" for i in range(nu)])
+            vs = OutcomeSpace([f"v{i}" for i in range(nv)])
+            SU = CredalSet.from_rows(us, mixed_rows(rng, nu, int(rng.integers(1, 4))))
+            table = [mixed_rows(rng, nv, int(rng.integers(1, 4))) for _ in range(nu)]
+            K = CredalKernel(us, [CredalSet.from_rows(vs, rows) for rows in table])
+            want = pasting_loop(SU, K)
+            assert np.array_equal(pasting(SU, K).matrix, np.stack([g.weights for g in want]))
+            zero_mass += bool(np.any(SU.matrix == 0.0))
+        assert zero_mass >= 20
+
 
 class TestComposedAtoms:
+    def test_bitwise_equal_to_selection_loop(self):
+        rng = np.random.default_rng(43)
+        zero_mass = 0
+        for _ in range(80):
+            nu, nv = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            us = OutcomeSpace([f"u{i}" for i in range(nu)])
+            vs = OutcomeSpace([f"v{i}" for i in range(nv)])
+
+            def family(space):
+                k = int(rng.integers(1, 4))
+                costs = rng.uniform(0, 1.5, size=k)
+                return PenaltyAtoms.from_rows(space, zip(mixed_rows(rng, space.size, k), costs))
+
+            AU = family(us)
+            KP = PenaltyKernel(us, [family(vs) for _ in range(nu)])
+            got, want = composed_atoms(AU, KP), composed_atoms_loop(AU, KP)
+            assert np.array_equal(got.points, want.points)
+            assert np.array_equal(got.costs, want.costs)
+            zero_mass += bool(np.any(AU.points == 0.0))
+        assert zero_mass >= 20
+
     def test_single_selection(self):
         AU = PenaltyAtoms.from_rows(U, [([0.5, 0.5], 0.0)])
         KP = PenaltyKernel(U, [PenaltyAtoms.from_rows(V, [([1, 0], 0.0)]),
@@ -539,6 +587,19 @@ class TestPenaltyAdditivity:
         assert report.probes[0].joint_penalty == float("inf")
         assert report.probes[0].split_penalty == float("inf")
         assert report.probes[0].relation == "equal"
+
+    def test_random_probes_are_charged_their_program_cells(self, monkeypatch):
+        # (4 + 1) * 2 joint + (2 + 1) * 1 outer + (2 + 1) * (2 + 1) kernel cells
+        A = PenaltyAtoms.from_rows(UV, [(P1, 0.0), (P2, 1.0)])
+        AU = PenaltyAtoms.from_rows(U, [([0.5, 0.5], 0.0)])
+        KP = PenaltyKernel(U, [PenaltyAtoms.from_rows(V, [([1, 0], 0.0), ([0, 1], 1.0)]),
+                               PenaltyAtoms.from_rows(V, [([0, 1], 0.0)])])
+        monkeypatch.setattr(conditional, "MAX_GENERATORS", 2 * 22)
+        assert len(check_penalty_additivity(A, AU, KP, n_random=2).probes) == 2 + 2
+        with pytest.raises(SizeGuardError, match="random probes exceed 44 program cells"):
+            check_penalty_additivity(A, AU, KP, n_random=3)
+        with pytest.raises(ValidationError):
+            check_penalty_additivity(A, AU, KP, n_random=-1)
 
     def test_atom_probe_equality_on_envelope_minimal_inputs(self):
         rng = np.random.default_rng(41)

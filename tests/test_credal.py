@@ -200,6 +200,18 @@ class TestCanonicalization:
         assert S.vertices == (first,)
         assert np.array_equal(S.matrix, first.weights[None])
 
+    def test_canonical_input_drops_duplicates_without_lp(self, monkeypatch):
+        calls = count_lps(monkeypatch)
+        first, second = ProbVector(AB, [0.2, 0.8]), ProbVector(AB, [0.6, 0.4])
+        copies = [ProbVector(AB, [0.2, 0.8]), ProbVector(AB, [0.6 + 1e-13, 0.4 - 1e-13])]
+        S = CredalSet(AB, [first, copies[0], second, copies[1]], canonical=True)
+        assert len(S.vertices) == 2
+        assert S.vertices[0] is first and S.vertices[1] is second
+        assert np.array_equal(S.matrix, np.stack([first.weights, second.weights]))
+        rows = CredalSet.from_rows(AB, [[0.2, 0.8], [0.2, 0.8]], canonical=True)
+        assert rows.matrix.tolist() == [[0.2, 0.8]]
+        assert calls == []
+
     def test_no_vertex_in_hull_of_others(self):
         rng = np.random.default_rng(12)
         for _ in range(50):

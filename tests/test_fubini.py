@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import fubini_loop
 from credalkit.credal import CredalSet
 from credalkit.fubini import check_fubini, interchange_gap
 from credalkit.spaces import OutcomeSpace, ProbVector, ProductSpace, RandomVariable
@@ -19,6 +20,19 @@ def rv(space, values):
 def random_set(rng, space, k=None):
     k = k or int(rng.integers(1, 4))
     return CredalSet.from_rows(space, rng.dirichlet(np.ones(space.size), size=k))
+
+
+def random_factor(rng, space):
+    """Dirichlet vertices, vertices with exact zeros, or a Dirac."""
+    rows = rng.dirichlet(np.ones(space.size), size=int(rng.integers(1, 4)))
+    kind = int(rng.integers(0, 3))
+    if kind == 1:
+        rows[rng.random(rows.shape) < 0.4] = 0.0
+        rows[np.arange(len(rows)), rng.integers(0, space.size, len(rows))] += 0.5
+        rows /= rows.sum(axis=1, keepdims=True)
+    elif kind == 2:
+        return CredalSet.singleton(ProbVector.dirac(space, space.labels[0]))
+    return CredalSet.from_rows(space, rows)
 
 
 class TestInterchangeGap:
@@ -69,6 +83,18 @@ class TestInterchangeGap:
 
 
 class TestCheckFubini:
+    def test_matrices_bitwise_equal_to_per_vertex_transpose(self):
+        rng = np.random.default_rng(57)
+        for _ in range(80):
+            us = OutcomeSpace([f"u{i}" for i in range(int(rng.integers(1, 5)))])
+            vs = OutcomeSpace([f"v{i}" for i in range(int(rng.integers(1, 4)))])
+            SU, SV = random_factor(rng, us), random_factor(rng, vs)
+            report = check_fubini(SU, SV)
+            forward, backward = fubini_loop(SU, SV)
+            assert np.array_equal(report.forward_set.matrix, forward)
+            assert np.array_equal(report.backward_set.matrix, backward)
+            assert report.backward_set.space == ProductSpace(us, vs)
+
     def test_full_simplices_interchangeable(self):
         report = check_fubini(CredalSet.simplex(U), CredalSet.simplex(V))
         assert report.interchangeable

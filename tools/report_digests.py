@@ -8,8 +8,11 @@ through ``<root>/perfbench/workloads.py`` and run in-process with
 prints one ``workload seed key exit sha256`` line (``-`` for the digest
 when the exit code is not 0).  For ``tree_eval`` every level array that
 ``compose_risk`` / ``compose_sublinear`` returns prints one line, keyed
-``tree/measure/payoff/level``.  Two checkouts give byte-identical reports
-and level arrays exactly when their outputs ``diff`` clean.
+``tree/measure/payoff/level``.  Last, every demo runs once at its default
+parameters through ``cli.main(["demo", name, "--out", report])`` and prints
+one ``demo name exit sha256`` line.  Two checkouts give byte-identical
+reports, level arrays and demo reports exactly when their outputs ``diff``
+clean.
 """
 
 from __future__ import annotations
@@ -30,17 +33,22 @@ from contextlib import redirect_stderr  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 
+def cli_digest(cli, argv, report: Path):
+    """``(exit code, report sha256 or "-")`` of ``cli.main([*argv, "--out", report])``."""
+    report.unlink(missing_ok=True)
+    try:
+        code = cli.main([*argv, "--out", str(report)])
+    except Exception:  # an escaping exception is exit 1, as in the benchmark
+        code = 1
+    return code, hashlib.sha256(report.read_bytes()).hexdigest() if code == 0 else "-"
+
+
 def cli_lines(wl, seed: int, work: Path):
     cli = wl.setup(None)
     report = work / "report.json"
     for cycle in wl.inputs(seed, work):
         for op in cycle:
-            report.unlink(missing_ok=True)
-            try:
-                code = cli.main(["run", op.meta["path"], "--out", str(report)])
-            except Exception:  # an escaping exception is exit 1, as in the benchmark
-                code = 1
-            digest = hashlib.sha256(report.read_bytes()).hexdigest() if code == 0 else "-"
+            code, digest = cli_digest(cli, ["run", op.meta["path"]], report)
             c, i = op.meta["key"]
             yield f"{wl.name} {seed} {c}-{i} {code} {digest}"
 
@@ -62,6 +70,13 @@ def tree_lines(wl, seed: int, work: Path):
                 yield f"{wl.name} {seed} {key}/{t} {code} {hashlib.sha256(data).hexdigest()}"
             if code != 0:
                 yield f"{wl.name} {seed} {key} {code} -"
+
+
+def demo_lines(wl, work: Path):
+    cli = wl.setup(None)
+    for name in cli.DEMOS:
+        code, digest = cli_digest(cli, ["demo", name], work / "demo.json")
+        yield f"demo {name} {code} {digest}"
 
 
 def main(argv=None) -> int:
@@ -86,6 +101,9 @@ def main(argv=None) -> int:
                 with redirect_stderr(sink):
                     for line in lines(WORKLOADS[name], seed, work):
                         print(line, flush=True)
+        with redirect_stderr(sink):
+            for line in demo_lines(WORKLOADS["desk_cli"], Path(tmp)):
+                print(line, flush=True)
     return 0
 
 
