@@ -117,6 +117,8 @@ def _distinct(rows: np.ndarray) -> list[int]:
     Each row is compared only with the kept rows in its key window; a row
     alone in its window has no duplicate and is kept outright.
     """
+    if len(rows) == 1:
+        return [0]
     order, lo, hi = _key_windows(rows, rows, DEDUP_TOL)
     kept = hi - lo == 1
     for i in np.flatnonzero(~kept):

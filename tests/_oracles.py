@@ -10,18 +10,24 @@ The last section keeps the plain loop forms of computations the package
 now vectorises or shortcuts (the per-node scalar OCE scan, node-by-node
 backward induction, the first-listing duplicate scan, the LP-only
 inclusion scan, the sorted-neighbour duplicate scan, the per-selection
-pasting and composed-atom loops, the per-vertex Fubini transpose); the
-package's versions must reproduce them bit for bit.  The path-by-path walk
-expectation is the one exception: the package computes it by backward
-induction, which rounds differently, so it must agree to 1e-12.
+pasting and composed-atom loops, the per-vertex Fubini transpose, the
+branch-per-type report writer); the package's versions must reproduce
+them bit for bit.  The path-by-path walk expectation is the one
+exception: the package computes it by backward induction, which rounds
+differently, so it must agree to 1e-12.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import math
+from typing import Any
 
 import numpy as np
 from scipy.optimize import linprog
+
+from credalkit.errors import ValidationError
 
 
 def hull_membership(points: np.ndarray, p: np.ndarray, tol: float = 1e-9):
@@ -300,3 +306,62 @@ def composed_atoms_loop(AU, K):
                 sum(q[iu] * K[iu].costs[c] for iu, c in enumerate(choice)))
             atoms.append((ProbVector(space, np.concatenate(rows)), cost))
     return PenaltyAtoms(space, atoms)
+
+
+def format_number(x: float) -> str:
+    """The report writer's float format as it was written branch by branch."""
+    if isinstance(x, bool):  # pragma: no cover - callers dispatch on type first
+        raise TypeError("booleans are not numbers here")
+    if math.isnan(x):
+        raise ValidationError("reports never contain NaN")
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    s = format(float(x), ".12g")
+    if s == "-0":
+        s = "0.0"
+    if not any(ch in s for ch in ".eE"):
+        s += ".0"
+    return s
+
+
+def render(doc: Any) -> str:
+    """The report writer with one branch per type and per container."""
+    return _render(doc, 0) + "\n"
+
+
+def _render(doc: Any, depth: int) -> str:
+    pad = "  " * depth
+    inner = "  " * (depth + 1)
+    if isinstance(doc, np.bool_):
+        doc = bool(doc)
+    elif isinstance(doc, np.integer):
+        doc = int(doc)
+    elif isinstance(doc, np.floating):
+        doc = float(doc)
+    if doc is None:
+        return "null"
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    if isinstance(doc, int):
+        return str(doc)
+    if isinstance(doc, float):
+        return format_number(doc)
+    if isinstance(doc, str):
+        return json.dumps(doc, ensure_ascii=True)
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        parts = [_render(item, depth + 1) for item in doc]
+        return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        keys = sorted(doc.keys())
+        if any(not isinstance(k, str) for k in keys):
+            raise ValidationError("document keys must be strings")
+        parts = [
+            inner + json.dumps(k, ensure_ascii=True) + ": " + _render(doc[k], depth + 1)
+            for k in keys
+        ]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    raise ValidationError(f"cannot serialize value of type {type(doc).__name__}")

@@ -663,6 +663,31 @@ class TestSubprocess:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("case", ["5000-digit-label", "2000-deep-document",
+                                      "600-deep-label", "800-deep-command-field",
+                                      "5000-digit-param"])
+    def test_malformed_documents_exit_2(self, tmp_path, case):
+        # past CPython's 4,300-digit integer limit, or nested deeper than the
+        # decoder or the renderer can recurse
+        big = "9" * 5000
+        text = scenario_text(edited(MINIMAL, ("spaces", "U", 1), "PLACEHOLDER"))
+        extra = scenario_text(edited(MINIMAL, ("command", "extra"), "PLACEHOLDER"))
+        path = tmp_path / "doc.json"
+        path.write_text({
+            "5000-digit-label": text.replace('"PLACEHOLDER"', big),
+            "2000-deep-document": "[" * 2000 + "]" * 2000,
+            "600-deep-label": text.replace('"PLACEHOLDER"', "[" * 600 + "]" * 600),
+            "800-deep-command-field": extra.replace('"PLACEHOLDER"', "[" * 800 + "]" * 800),
+        }.get(case, text))
+        args = ["run", str(path)]
+        if case == "5000-digit-param":
+            args = ["demo", "gwalk", "--param", f"horizon={big}"]
+        proc = subprocess.run([sys.executable, "-m", "credalkit", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("validation error: ")
+        assert "Traceback" not in proc.stderr
+
 
 AVAR_DUAL = edited(MINIMAL, ("command",),
                    {"op": "avar-dual", "set": "S", "variable": "X", "level": 0.5})
@@ -788,7 +813,16 @@ def field_paths(doc, path=()):
         yield from field_paths(value, path + (key,))
 
 
-RETYPES = (DELETE, "abc", [1], {"k": 1}, True, None)
+def nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# the last one is nested deeper than the renderer can recurse; a field that
+# accepts it (a space label, say) must still end in a documented exit code
+RETYPES = (DELETE, "abc", [1], {"k": 1}, True, None, nested(600))
 
 
 def typed_fields(doc):

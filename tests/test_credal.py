@@ -314,6 +314,17 @@ class TestDistinct:
             rows = np.vstack([base, base + shift])
             assert _distinct(rows) == distinct_scan(rows)
 
+    def test_one_row_needs_no_key_windows(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a single row has no duplicate to look for")
+
+        monkeypatch.setattr(credal, "_key_windows", refuse)
+        P = ProbVector(AB, [0.2, 0.8])
+        S = CredalSet.singleton(P)
+        assert S.vertices == (P,)
+        assert np.array_equal(S.matrix, P.weights[None])
+        assert _distinct(np.array([[0.5, 0.5]])) == [0]
+
     def test_pasting_rows_sharing_columns(self):
         # products of outer and kernel vertices repeat whole blocks of columns
         rng = np.random.default_rng(91)
