@@ -7,11 +7,11 @@ validates everything, dispatches, and emits a deterministic report
 document; diagnostics go to standard error.  Exit codes: 0 success,
 2 validation error, 3 operation error, 4 size-guard error.
 
-Every op is one entry of the ``OPS`` table: the objects its command
-names, with the section and type each must have, and a handler that
-receives them resolved.  Every number read from a document goes through
-the typed readers (``_number``, ``_int``, ``_numbers``, ``_rows``), which
-accept JSON numbers only and name the offending field path.
+Every op is one entry of the ``OPS`` table: the objects its command names
+with the section and type of each, the only other fields it may carry, and
+a handler receiving them resolved.  Every number read from a document goes
+through the typed readers (``_number``, ``_int``, ``_numbers``, ``_rows``),
+which accept JSON numbers only and name the offending field path.
 """
 
 from __future__ import annotations
@@ -79,16 +79,21 @@ class Scenario:
 # ---------------------------------------------------------------- typed readers
 
 
+def _shown(v) -> str:
+    text = repr(v)
+    return text if len(text) <= 40 else text[:40] + "…"
+
+
 def _number(path: str, v) -> float:
     """A finite JSON number; bools, strings and containers are refused."""
     if type(v) not in (int, float) or not abs(v) <= _FLOAT_MAX:
-        raise ValidationError(f"{path}: expected a finite number, got {v!r}")
+        raise ValidationError(f"{path}: expected a finite number, got {_shown(v)}")
     return float(v)
 
 
 def _int(path: str, v) -> int:
     if type(v) is not int:
-        raise ValidationError(f"{path}: expected an integer, got {v!r}")
+        raise ValidationError(f"{path}: expected an integer, got {_shown(v)}")
     return v
 
 
@@ -161,6 +166,9 @@ def parse_scenario(text: str, tol: float = DEFAULT_TOL) -> Scenario:
     op = command["op"]
     if not isinstance(op, str) or op not in OPS:
         raise ValidationError(f"unknown command op {op!r}")
+    unknown = set(command) - {"op", *OPS[op][0], *OPS[op][1]}
+    if unknown:
+        raise ValidationError(f"unknown command fields: {_shown(sorted(unknown))}")
     sc.command = command
     sc.args = _resolve_args(sc, OPS[op][0])
     return sc
@@ -450,7 +458,7 @@ def _avar_dual(a) -> dict:
     level = _number("command.level", a.cmd.get("level", 0.0))
     vertices = a.cmd.get("vertices", False)
     if type(vertices) is not bool:
-        raise ValidationError(f"command.vertices: expected a boolean, got {vertices!r}")
+        raise ValidationError(f"command.vertices: expected a boolean, got {_shown(vertices)}")
     doc = {"value": avar_dual_evaluate(a.set, level, a.variable, a.tol)}
     if vertices:
         doc["dual_vertices"] = avar_dual_set(a.set, level, a.tol).matrix.tolist()
@@ -471,30 +479,31 @@ ANY_KERNEL = ("kernels", (CredalKernel, PenaltyKernel), "kernel")
 TREE = ("trees", ScenarioTree, "tree")
 VARIABLE = ("variables", RandomVariable, "variable")
 
-# op -> (command objects it names, handler).  A handler gets one namespace
-# holding those objects by argument name, plus ``cmd``, ``tol`` and ``seed``.
+# op -> (command objects it names, its other command fields, handler).  A handler gets
+# one namespace holding those objects by argument name, plus ``cmd``, ``tol``, ``seed``.
 OPS = {
-    "eval": ({"set": CREDAL, "variable": VARIABLE},
+    "eval": ({"set": CREDAL, "variable": VARIABLE}, (),
              lambda a: {"value": sublinear_expectation(a.set, a.variable)}),
-    "eval-convex": ({"set": PENALTY, "variable": VARIABLE},
+    "eval-convex": ({"set": PENALTY, "variable": VARIABLE}, (),
                     lambda a: {"value": convex_expectation(a.set, a.variable)}),
-    "conditional": ({"kernel": ANY_KERNEL, "variable": VARIABLE}, _conditional),
-    "compose": ({"set": ANY_SET, "kernel": ANY_KERNEL, "variable": VARIABLE},
+    "conditional": ({"kernel": ANY_KERNEL, "variable": VARIABLE}, (), _conditional),
+    "compose": ({"set": ANY_SET, "kernel": ANY_KERNEL, "variable": VARIABLE}, (),
                 lambda a: {"value": compose(a.set, a.kernel, a.variable)}),
-    "check-tower": ({"set": CREDAL, "kernel": CREDAL_KERNEL}, _check_tower),
+    "check-tower": ({"set": CREDAL, "kernel": CREDAL_KERNEL}, (), _check_tower),
     "check-penalty-additivity": (
         {"set": PENALTY, "outer": PENALTY, "kernel": PENALTY_KERNEL},
-        _check_penalty_additivity),
-    "check-fubini": ({"set_u": CREDAL, "set_v": CREDAL}, _check_fubini),
-    "conjugate": ({"set": CREDAL}, _conjugate),
-    "separate": ({"set": CREDAL}, _separate),
-    "oce": ({"set": CREDAL, "variable": VARIABLE}, _oce),
-    "avar-dual": ({"set": CREDAL, "variable": VARIABLE}, _avar_dual),
-    "tree-risk": ({"tree": TREE, "variable": VARIABLE},
+        ("probes", "random_probes"), _check_penalty_additivity),
+    "check-fubini": ({"set_u": CREDAL, "set_v": CREDAL}, (), _check_fubini),
+    "conjugate": ({"set": CREDAL}, ("weights",), _conjugate),
+    "separate": ({"set": CREDAL}, ("weights",), _separate),
+    "oce": ({"set": CREDAL, "variable": VARIABLE}, ("loss",), _oce),
+    "avar-dual": ({"set": CREDAL, "variable": VARIABLE}, ("level", "vertices"), _avar_dual),
+    "tree-risk": ({"tree": TREE, "variable": VARIABLE}, ("loss",),
                   lambda a: _levels_doc(compose_risk(a.tree, a.variable, _loss(a.cmd)))),
-    "tree-sublinear": ({"tree": TREE, "variable": VARIABLE},
+    "tree-sublinear": ({"tree": TREE, "variable": VARIABLE}, (),
                        lambda a: _levels_doc(compose_sublinear(a.tree, a.variable))),
-    "demo": ({}, lambda a: _run_demo(a.cmd.get("name"), a.cmd.get("args", {})).to_doc()),
+    "demo": ({}, ("name", "args"),
+             lambda a: _run_demo(a.cmd.get("name"), a.cmd.get("args", {})).to_doc()),
 }
 
 
@@ -505,7 +514,7 @@ def run(sc: Scenario, seed: int = 0) -> dict:
     """Dispatch a validated scenario and assemble the report document."""
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
-    handler = OPS[sc.command["op"]][1]
+    handler = OPS[sc.command["op"]][2]
     outputs = handler(SimpleNamespace(cmd=sc.command, tol=sc.tol, seed=seed, **sc.args))
     inputs_doc = {
         "digest": _digest(sc.raw),
@@ -585,7 +594,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             params = {}
             for pair in args.param:
                 if "=" not in pair:
-                    raise ValidationError(f"--param needs KEY=VALUE, got {pair!r}")
+                    raise ValidationError(f"--param needs KEY=VALUE, got {_shown(pair)}")
                 key, _, value = pair.partition("=")
                 try:
                     params[key] = parse(value)

@@ -263,11 +263,12 @@ def check_penalty_additivity(
 
     if n_random < 0:
         raise ValidationError(f"random probe count must be nonnegative, got {n_random}")
-    # a random probe costs the (rows + 1) x atoms cells of its penalty programs
+    # a probe (given, atom grid or random) costs the (rows + 1) x atoms cells of its programs
     cells = ((space.size + 1) * A.n_atoms + (space.u_space.size + 1) * AU.n_atoms
              + sum((space.v_space.size + 1) * P.n_atoms for P in K.table))
-    if n_random * cells > MAX_GENERATORS:
-        raise SizeGuardError(f"random probes exceed {MAX_GENERATORS} program cells")
+    grid = len(probes) if probes is not None else AU.n_atoms * math.prod(P.n_atoms for P in K.table)
+    if (grid + n_random) * cells > MAX_GENERATORS:
+        raise SizeGuardError(f"additivity probes exceed {MAX_GENERATORS} program cells")
     if probes is None:
         probes = _default_probes(AU, K, n_random, seed)
 

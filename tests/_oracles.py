@@ -9,12 +9,12 @@ other way around.
 The last section keeps the plain loop forms of computations the package
 now vectorises or shortcuts (the per-node scalar OCE scan, node-by-node
 backward induction, the first-listing duplicate scan, the LP-only
-inclusion scan, the sorted-neighbour duplicate scan, the per-selection
-pasting and composed-atom loops, the per-vertex Fubini transpose, the
-branch-per-type report writer); the package's versions must reproduce
-them bit for bit.  The path-by-path walk expectation is the one
-exception: the package computes it by backward induction, which rounds
-differently, so it must agree to 1e-12.
+inclusion scan, the LP-only canonicalization, the sorted-neighbour
+duplicate scan, the per-selection pasting and composed-atom loops, the
+per-vertex Fubini transpose, the branch-per-type report writer); the
+package's versions must reproduce them bit for bit.  The path-by-path
+walk expectation is the one exception: the package computes it by
+backward induction, which rounds differently, so it must agree to 1e-12.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from fractions import Fraction
 from typing import Any
 
 import numpy as np
@@ -231,6 +232,74 @@ def first_nonmember_lp(A, B, tol: float):
         if res.status != OPTIMAL:
             return v, res
     return None
+
+
+def canonicalize_lp(points: np.ndarray, tol: float) -> list:
+    """The surviving row indices with one hull program per distinct generator,
+    as canonicalization ran before its certificate screen."""
+    from credalkit.credal import _distinct, _hull_lp
+    from credalkit.lp import OPTIMAL
+
+    keep = _distinct(points)
+    # scan from the back so that, among redundant generators, the ones
+    # listed first survive
+    for pos in range(len(keep) - 1, -1, -1):
+        if len(keep) == 1:
+            break
+        others = points[[j for j in keep if j != keep[pos]]]
+        if _hull_lp(others, points[keep[pos]], tol).status == OPTIMAL:
+            del keep[pos]
+    return keep
+
+
+def hull_deficiency(points: np.ndarray, p: np.ndarray) -> float:
+    """The least phase-one deficiency ``|p - lam @ points|_1 + |1 - sum lam|`` over
+    ``lam >= 0``, with the residual split into nonnegative parts ``u - v``.
+
+    HiGHS solves it in floating point, to an absolute accuracy near its
+    feasibility tolerance; a value within ``1e-5`` of zero is solved again in
+    exact rational arithmetic (``exact_hull_deficiency``)."""
+    k, n = points.shape
+    eye = np.eye(n + 1)
+    A_eq = np.hstack([np.vstack([points.T, np.ones((1, k))]), eye, -eye])
+    c = np.concatenate([np.zeros(k), np.ones(2 * (n + 1))])
+    res = linprog(c, A_eq=A_eq, b_eq=np.concatenate([p, [1.0]]), bounds=(0, None),
+                  method="highs")
+    assert res.status == 0
+    return float(res.fun) if res.fun > 1e-5 else float(exact_hull_deficiency(points, p))
+
+
+def exact_hull_deficiency(points: np.ndarray, p: np.ndarray) -> Fraction:
+    """``hull_deficiency`` of the rows' exact binary values, by a rational simplex
+    with Bland's rule: columns ``lam``, ``u``, ``v``, starting from the basis of
+    ``u`` (``v`` on a row with negative right-hand side)."""
+    k, n = points.shape
+    m = n + 1
+    rows, basis = [], []
+    for r in range(m):
+        lam = [Fraction(x) for x in points[:, r]] if r < n else [Fraction(1)] * k
+        unit = [Fraction(int(i == r)) for i in range(m)]
+        rhs = Fraction(p[r]) if r < n else Fraction(1)
+        sign = -1 if rhs < 0 else 1
+        rows.append([sign * x for x in lam + unit + [-x for x in unit] + [rhs]])
+        basis.append(k + r + (m if sign < 0 else 0))
+    cost = [Fraction(0)] * k + [Fraction(1)] * (2 * m)
+    while True:
+        reduced = [cost[j] - sum(cost[b] * row[j] for b, row in zip(basis, rows))
+                   for j in range(k + 2 * m)]
+        enter = next((j for j, rj in enumerate(reduced) if rj < 0), None)
+        if enter is None:
+            return sum(cost[b] * row[-1] for b, row in zip(basis, rows))
+        ratios = [(row[-1] / row[enter], basis[r], r)
+                  for r, row in enumerate(rows) if row[enter] > 0]
+        _, _, leave = min(ratios)
+        pivot = rows[leave][enter]
+        rows[leave] = [x / pivot for x in rows[leave]]
+        for r in range(m):
+            if r != leave and rows[r][enter] != 0:
+                f = rows[r][enter]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[leave])]
+        basis[leave] = enter
 
 
 def dedup_rows(pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -417,6 +417,10 @@ class TestExitCodes:
         for bad, message in (
             ([1, 2], "scenario must be a map"),
             (edited(MINIMAL, ("extras",), {}), "unknown scenario sections: ['extras']"),
+            (edited(MINIMAL, ("command", "extra"), 1), "unknown command fields: ['extra']"),
+            # a field of another op is unknown to this one
+            (edited(MINIMAL, ("command", "loss"), {"kind": "avar", "level": 0.5}),
+             "unknown command fields: ['loss']"),
             (edited(MINIMAL, ("command", "op"), "eval-convex"),
              "command.set: expected a penalty family"),
         ):
@@ -559,15 +563,40 @@ class TestExitCodes:
                            "vertices": True}}
         path.write_text(scenario_text(ten))
         assert self.run_cli(["run", str(path)]) == 4
-        # random probes are charged the cells of their penalty programs, 22 a
-        # probe here, against the generator budget: past 45,454 probes the run
-        # is refused before any probe runs
+        # probes are charged the cells of their penalty programs, 22 a probe
+        # here, against the generator budget: with the one given probe, past
+        # 45,453 random probes the run is refused before any probe runs
         probes = valid_scenarios()["check-penalty-additivity"]
-        for count, code in ((-1, 2), (10**6 + 1, 4), (45_455, 4)):
+        for count, code in ((-1, 2), (10**6 + 1, 4), (45_455, 4), (45_454, 4)):
             path.write_text(json.dumps(edited(probes, ("command", "random_probes"), count)))
             start = time.perf_counter()
             assert self.run_cli(["run", str(path)]) == code
             assert time.perf_counter() - start < 1.0
+
+    def test_additivity_atom_grid_is_charged(self, tmp_path, capsys):
+        # 3 outer atoms times 3 atoms on each of 12 outcomes: 1,594,323 grid
+        # probes, refused before the grid is enumerated
+        dirac = [[1.0 if i == j else 0.0 for i in range(3)] for j in range(3)]
+        doc = {
+            "format": 1,
+            "spaces": {"U": [f"u{i}" for i in range(12)], "V": ["a", "b", "c"]},
+            "sets": {
+                "A": {"space": ["U", "V"], "atoms": [{"weights": [1.0 / 36] * 36}]},
+                "AU": {"space": "U", "atoms": [
+                    {"weights": [1.0 if i == j else 0.0 for i in range(12)]}
+                    for j in range(3)]},
+            },
+            "kernels": {"K": {"u_space": "U", "v_space": "V",
+                              "penalty": [[{"weights": w} for w in dirac]] * 12}},
+            "command": {"op": "check-penalty-additivity", "set": "A", "outer": "AU",
+                        "kernel": "K", "random_probes": 0},
+        }
+        path = tmp_path / "grid.json"
+        path.write_text(scenario_text(doc))
+        start = time.perf_counter()
+        assert self.run_cli(["run", str(path)]) == 4
+        assert time.perf_counter() - start < 1.0
+        assert "additivity probes exceed" in capsys.readouterr().err
 
     def test_huge_tree_horizon_is_4(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TREE))
@@ -687,6 +716,12 @@ class TestSubprocess:
         assert proc.returncode == 2
         assert proc.stderr.startswith("validation error: ")
         assert "Traceback" not in proc.stderr
+        # a long value is cut, so the refusal stays one short line
+        assert len(proc.stderr) < 200 and proc.stderr.count("\n") == 1
+        if case == "800-deep-command-field":
+            assert "unknown command fields: ['extra']" in proc.stderr
+        if case == "5000-digit-param":
+            assert proc.stderr.endswith("got '" + "9" * 39 + "…\n")
 
 
 AVAR_DUAL = edited(MINIMAL, ("command",),

@@ -334,14 +334,15 @@ class TestPasting:
         SU = CredalSet.singleton(ProbVector.uniform(big_u))
         with pytest.raises(SizeGuardError):
             pasting(SU, K)
-        # the same guard covers composed atoms and the default additivity probes
+        # the same guard covers composed atoms; the default additivity probes
+        # are charged their program cells before any is enumerated
         two = PenaltyAtoms.from_rows(V, [([1, 0], 0.0), ([0, 1], 0.0)])
         KP = PenaltyKernel(big_u, [two] * 21)
         AU = PenaltyAtoms.from_rows(big_u, [([1.0 / 21] * 21, 0.0)])
         A = PenaltyAtoms.from_rows(ProductSpace(big_u, V), [([1.0 / 42] * 42, 0.0)])
         with pytest.raises(SizeGuardError, match="generator enumeration exceeds"):
             composed_atoms(AU, KP)
-        with pytest.raises(SizeGuardError, match="generator enumeration exceeds"):
+        with pytest.raises(SizeGuardError, match="additivity probes exceed"):
             check_penalty_additivity(A, AU, KP, probes=None)
 
     def test_bitwise_equal_to_selection_loop(self):
@@ -594,10 +595,17 @@ class TestPenaltyAdditivity:
         AU = PenaltyAtoms.from_rows(U, [([0.5, 0.5], 0.0)])
         KP = PenaltyKernel(U, [PenaltyAtoms.from_rows(V, [([1, 0], 0.0), ([0, 1], 1.0)]),
                                PenaltyAtoms.from_rows(V, [([0, 1], 0.0)])])
-        monkeypatch.setattr(conditional, "MAX_GENERATORS", 2 * 22)
+        # the 1 x 2 x 1 atom grid is charged with the random draws
+        monkeypatch.setattr(conditional, "MAX_GENERATORS", 4 * 22)
         assert len(check_penalty_additivity(A, AU, KP, n_random=2).probes) == 2 + 2
-        with pytest.raises(SizeGuardError, match="random probes exceed 44 program cells"):
+        with pytest.raises(SizeGuardError, match="additivity probes exceed 88 program cells"):
             check_penalty_additivity(A, AU, KP, n_random=3)
+        # given probes are charged instead of the grid
+        first = check_penalty_additivity(A, AU, KP, n_random=0).probes[0]
+        Q, R = first.Q, first.R
+        assert len(check_penalty_additivity(A, AU, KP, [(Q, R)] * 4, n_random=0).probes) == 4
+        with pytest.raises(SizeGuardError, match="additivity probes exceed 88 program cells"):
+            check_penalty_additivity(A, AU, KP, [(Q, R)] * 3, n_random=2)
         with pytest.raises(ValidationError):
             check_penalty_additivity(A, AU, KP, n_random=-1)
 

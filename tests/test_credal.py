@@ -1,9 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import distinct_scan, first_nonmember_lp, hull_membership, support_value
+from _oracles import (
+    canonicalize_lp,
+    distinct_scan,
+    first_nonmember_lp,
+    hull_deficiency,
+    hull_membership,
+    support_value,
+)
 from credalkit import credal
 from credalkit.credal import (
     CredalSet,
@@ -14,11 +23,15 @@ from credalkit.credal import (
     membership,
     separate,
     sublinear_expectation,
+    _canonicalize,
     _certificate,
+    _certified_extreme,
     _distinct,
     _first_nonmember,
 )
 from credalkit.errors import NotSeparableError, SpaceMismatchError
+from credalkit.lp import SimplexStalledError
+from credalkit.risk import _capped_box_vertices, _projected_lifted_vertices
 from credalkit.spaces import OutcomeSpace, ProbVector, ProductSpace, RandomVariable
 
 AB = OutcomeSpace(["a", "b"])
@@ -472,3 +485,120 @@ class TestVertexMatch:
                 member, lam = membership(S, P, tol)
                 if member:
                     assert np.abs(lam @ S.matrix - P.weights).sum() <= tol
+
+
+TOLS = [10.0**e for e in range(-15, -5)]
+
+
+def pasted_rows(rng, nu, nv=4, k=3):
+    """The ``k * k**nu`` products of ``k`` outer and ``k`` kernel vertices per outcome."""
+    outer = rng.dirichlet(np.ones(nu), size=k)
+    kernel = rng.dirichlet(np.ones(nv), size=(nu, k))
+    return np.array([np.concatenate([q[u] * kernel[u, c[u]] for u in range(nu)])
+                     for q in outer for c in np.ndindex(*[k] * nu)])
+
+
+def dual_set_rows(rng, level):
+    """The lexsorted candidate points ``avar_dual_set`` canonicalizes on 6 outcomes."""
+    V = rng.dirichlet(np.ones(6), size=int(rng.integers(1, 4)))
+    pts = (_capped_box_vertices(V[0] / level, 1e-9) if len(V) == 1
+           else _projected_lifted_vertices(V, level, 1e-9))
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+def off_hull_rows(rng, tol):
+    """A random set with points ``0.5 tol`` and ``2 tol`` (L1) inside and outside
+    it, off a vertex or an edge midpoint along the line to the centroid."""
+    V = rng.dirichlet(np.ones(int(rng.integers(2, 7))), size=int(rng.integers(2, 6)))
+    c = V.mean(axis=0)
+    rows = [V]
+    for base in (V[0], 0.5 * (V[0] + V[1])):
+        d = base - c
+        if np.abs(d).sum() == 0:
+            continue
+        for f in (-2.0, -0.5, 0.5, 2.0):
+            rows.append((base + f * tol * d / np.abs(d).sum())[None])
+    rows = np.vstack(rows)
+    return rows[rng.permutation(len(rows))]
+
+
+def collinear_rows(rng, tol):
+    """A triple whose middle point sits ``h`` (L1) off the segment of the other two."""
+    n = int(rng.integers(3, 7))
+    a, b = rng.dirichlet(np.ones(n), size=2)
+    e = rng.normal(size=n)
+    e -= e.mean()
+    h = rng.choice([0.0, 0.5 * tol, 2 * tol, 1e-3])
+    mid = 0.5 * (a + b) + h * e / np.abs(e).sum()
+    return np.stack([a, mid, b])[rng.permutation(3)]
+
+
+def special_rows(rng):
+    """Dirac vertices, exact duplicates and exact-zero rows among random points."""
+    n = int(rng.integers(1, 6))
+    rows = np.vstack([np.eye(n)[rng.permutation(n)[: int(rng.integers(1, n + 1))]],
+                      rng.dirichlet(np.ones(n), size=int(rng.integers(0, 4))),
+                      np.zeros((int(rng.integers(0, 2)), n))])
+    rows = rows[rng.integers(len(rows), size=len(rows) + int(rng.integers(0, 3)))]
+    return rows[rng.permutation(len(rows))]
+
+
+@functools.lru_cache(maxsize=None)
+def screen_families(tol):
+    """Seeded generator sets shaped like the corpus, and adversarial ones."""
+    rng = np.random.default_rng(int(-np.log10(tol)))
+    families = [rng.dirichlet(np.ones(3), size=3) for _ in range(40)]
+    families += [pasted_rows(rng, 3), pasted_rows(rng, 4)]
+    families += [dual_set_rows(rng, rng.choice([0.1, 0.25, 1 / 3, 0.5])) for _ in range(2)]
+    families += [collinear_rows(rng, tol) for _ in range(30)]
+    families += [off_hull_rows(rng, tol) for _ in range(30)]
+    families += [special_rows(rng) for _ in range(30)]
+    return families
+
+
+class TestCertificateScreen:
+    """Canonicalization certifies extreme generators with no LP and keeps exactly
+    the rows the LP-only scan keeps."""
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_same_rows_as_lp_only_scan(self, tol):
+        compared = 0
+        for rows in screen_families(tol):
+            try:
+                want = canonicalize_lp(rows, tol)
+            except (SimplexStalledError, RuntimeError):
+                continue  # the LP-only scan stalls (ROADMAP D1) or fails: no reference
+            distinct = _distinct(rows)
+            certified = np.array(distinct)[_certified_extreme(rows[distinct], tol)]
+            misjudged = [i for i in certified if i not in want]
+            # below rounding accuracy the simplex can call a far point a member
+            # (ROADMAP D4); the screen keeps it, so the later scan may differ
+            for i in misjudged:
+                others = rows[[j for j in distinct if j != i]]
+                assert hull_deficiency(others, rows[i]) > tol
+            if not misjudged:
+                assert _canonicalize(rows, tol) == want
+                compared += 1
+        assert compared >= 100
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_certified_rows_are_beyond_tolerance(self, tol):
+        rng = np.random.default_rng(99)
+        for rows in screen_families(tol):
+            distinct = rows[_distinct(rows)]
+            if len(distinct) == 1:
+                continue
+            certified = np.flatnonzero(_certified_extreme(distinct, tol))
+            # a seeded sample of the large sets' rows keeps the referee's time down
+            for i in rng.permutation(certified)[:12]:
+                others = np.delete(distinct, i, axis=0)
+                assert hull_deficiency(others, distinct[i]) > tol
+
+    def test_generic_triangle_runs_no_hull_program(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certified generator needs no hull program")
+
+        monkeypatch.setattr(credal, "_hull_lp", refuse)
+        space = OutcomeSpace(["a", "b", "c"])
+        S = CredalSet.from_rows(space, [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+        assert S.n_vertices == 3
