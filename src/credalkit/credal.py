@@ -147,19 +147,19 @@ def _vertex_matches(rows: np.ndarray, queries: np.ndarray, tol: float) -> np.nda
 
 
 def _certified_extreme(points: np.ndarray, tol: float) -> np.ndarray:
-    """Rows a hull program keeps against any subset of the others: along ``d = p_i`` or
-    ``p_i - centroid``, every other row falls more than ``(tol + 64 n eps) max|d|`` below.
-    As ``|d.q| <= max|d|`` for a probability ``q``, that margin bounds the phase-one deficiency
-    ``|p_i - lam P|_1 + |1 - sum lam|`` from below.  Products stay under 2**16 cells."""
+    """Rows a hull program keeps against any subset of the others: along ``d_i``, row ``i`` of
+    ``pinv([P | 1])`` (``d_i.p_j + c_i`` is the projector entry ``Pi_ij``), every other row scores
+    more than ``(tol + 64 n eps) max|d_i|`` below ``p_i``.  As ``|d.q| <= max|d|`` for probabilities
+    ``q``, that margin bounds the deficiency ``|p_i - lam P|_1 + |1 - sum lam|`` for any ``d``."""
     k, n = points.shape
+    D = np.linalg.pinv(np.column_stack([points, np.ones(k)])).T[:, :n]
+    limit = (tol + 64 * n * np.finfo(float).eps) * np.max(np.abs(D), axis=1)
     step = max(1, 2**16 // k)
     certified = np.zeros(k, dtype=bool)
-    for D in (points, points - points.mean(axis=0)):
-        limit = (tol + 64 * n * np.finfo(float).eps) * np.max(np.abs(D), axis=1)
-        for lo in range(0, k, step):
-            G = D[lo : lo + step] @ points.T
-            near = G >= (G[:, lo:].diagonal() - limit[lo : lo + step])[:, None]
-            certified[lo : lo + step] |= near.sum(axis=1) == 1
+    for lo in range(0, k, step):
+        G = D[lo : lo + step] @ points.T
+        near = G >= (G[:, lo:].diagonal() - limit[lo : lo + step])[:, None]
+        certified[lo : lo + step] = near.sum(axis=1) == 1
     return certified
 
 
@@ -279,6 +279,5 @@ def marginal_set(S: CredalSet, tol: float = DEFAULT_TOL) -> CredalSet:
     the set of marginals of all members.
     """
     space = _product_space(S.space, "marginal_set needs a credal set on a product space")
-    nu, nv = space.u_space.size, space.v_space.size
-    rows = S.matrix.reshape(S.n_vertices, nu, nv).sum(axis=2)
-    return CredalSet.from_rows(space.u_space, rows[_distinct(rows)], tol)
+    rows = S.matrix.reshape(S.n_vertices, space.u_space.size, -1).sum(axis=2)
+    return CredalSet.from_rows(space.u_space, rows, tol)

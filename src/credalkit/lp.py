@@ -25,7 +25,7 @@ UNBOUNDED = "unbounded"
 
 
 class SimplexStalledError(CredalkitError, RuntimeError):
-    """The pivot budget ran out; treated as an operation failure."""
+    """The pivot budget ran out, or rounding left phase one unbounded; an operation failure."""
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ def solve_lp(c, A, b, tol: float = DEFAULT_TOL) -> LPResult:
 
     cost1 = np.concatenate([np.zeros(n), np.ones(m)])
     value1, status = _run_simplex(T, basis, cost1, n_enter=n + m, tol=tol)
-    if status != OPTIMAL:  # pragma: no cover - phase one is always bounded
-        raise RuntimeError("phase one of the simplex cannot be unbounded")
+    if status != OPTIMAL:  # phase one is bounded in exact arithmetic
+        raise SimplexStalledError("phase one of the simplex came back unbounded")
     if value1 > tol:
         y = cost1[np.asarray(basis, dtype=int)] @ T[:, n : n + m]
         return LPResult(INFEASIBLE, None, float(value1), y * sign)

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -632,45 +634,34 @@ class TestExitCodes:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*args):
+    """``python -m credalkit *args`` in a child that imports the package from this
+    checkout's ``src``, installed or not."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "credalkit", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 class TestSubprocess:
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "ok.json"
         path.write_text(scenario_text(MINIMAL))
-        proc = subprocess.run(
-            [sys.executable, "-m", "credalkit", "run", str(path)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("run", str(path))
         assert proc.returncode == 0
         assert '"value": 3.0' in proc.stdout
 
     def test_list_demos(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "credalkit", "list-demos"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("list-demos")
         assert proc.returncode == 0
         for name in ("nonrectangular", "gwalk", "fubini-counterexample"):
             assert name in proc.stdout
 
     def test_demo_subcommand_with_param(self, tmp_path):
         out = tmp_path / "demo.json"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "credalkit",
-                "demo",
-                "continuity-failure",
-                "--param",
-                "n=4",
-                "--out",
-                str(out),
-            ],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("demo", "continuity-failure", "--param", "n=4", "--out", str(out))
         assert proc.returncode == 0
         doc = json.loads(out.read_text())
         assert doc["outputs"]["computed"]["composed_value"] == 1.0
@@ -685,11 +676,7 @@ class TestSubprocess:
             assert doc["outputs"]["passed"] is True
 
     def test_unknown_demo_is_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "credalkit", "demo", "nope"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("demo", "nope")
         assert proc.returncode == 2
 
     @pytest.mark.parametrize("case", ["5000-digit-label", "2000-deep-document",
@@ -711,8 +698,7 @@ class TestSubprocess:
         args = ["run", str(path)]
         if case == "5000-digit-param":
             args = ["demo", "gwalk", "--param", f"horizon={big}"]
-        proc = subprocess.run([sys.executable, "-m", "credalkit", *args],
-                              capture_output=True, text=True)
+        proc = run_module(*args)
         assert proc.returncode == 2
         assert proc.stderr.startswith("validation error: ")
         assert "Traceback" not in proc.stderr
@@ -722,6 +708,23 @@ class TestSubprocess:
             assert "unknown command fields: ['extra']" in proc.stderr
         if case == "5000-digit-param":
             assert proc.stderr.endswith("got '" + "9" * 39 + "…\n")
+
+    def test_unbounded_phase_one_exits_3(self, tmp_path):
+        # at tol 1e-15 rounding leaves phase one of a dual-set hull program unbounded
+        rng = np.random.default_rng(28)
+        k, level = rng.integers(1, 4), rng.choice([0.1, 0.25, 0.3, 0.5])
+        rows = rng.dirichlet(np.ones(6), size=k)
+        doc = {"format": 1, "spaces": {"U": list("abcdef")},
+               "sets": {"S": {"space": "U", "vertices": rows.tolist()}},
+               "variables": {"X": {"space": "U", "values": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}},
+               "command": {"op": "avar-dual", "set": "S", "variable": "X",
+                           "level": float(level), "vertices": True}}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))  # every digit: the report writer would round
+        proc = run_module("run", str(path), "--tol", "1e-15")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("operation error: ")
+        assert "Traceback" not in proc.stderr
 
 
 AVAR_DUAL = edited(MINIMAL, ("command",),

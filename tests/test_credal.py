@@ -602,3 +602,15 @@ class TestCertificateScreen:
         space = OutcomeSpace(["a", "b", "c"])
         S = CredalSet.from_rows(space, [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
         assert S.n_vertices == 3
+        # nor does a non-canonical pasting, whose 81 products on 3 x 4 outcomes are all extreme
+        rng = np.random.default_rng(0)
+        uv = ProductSpace(OutcomeSpace(["0", "1", "2"]), OutcomeSpace(list("abcd")))
+        sets = [(uv, pasted_rows(rng, 3))]
+        # nor any affinely independent set: rows on n outcomes span an (n - 1)-plane, so k <= n
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            rows = rng.dirichlet(np.ones(n), size=int(rng.integers(1, n + 1)))
+            sets.append((OutcomeSpace([f"o{i}" for i in range(n)]), rows))
+        for tol in TOLS:
+            for space, rows in sets:
+                assert CredalSet.from_rows(space, rows, tol).n_vertices == len(rows)
