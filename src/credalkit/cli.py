@@ -256,14 +256,26 @@ def _build_tree(sc: Scenario, path: str, body):
         raise ValidationError(f"{path}.step_space: expected a space name")
     step = _resolve_space(sc, step_ref, f"{path}.step_space")
     horizon = _int(f"{path}.horizon", body.get("horizon"))
-    ambiguity = []
-    for t, level in enumerate(_list(f"{path}.ambiguity", body.get("ambiguity"))):
-        sets = []
-        for j, rows in enumerate(_list(f"{path}.ambiguity[{t}]", level)):
-            where = f"{path}.ambiguity[{t}][{j}]"
-            sets.append(_credal(sc, where, step, _rows(where, rows)))
-        ambiguity.append(sets)
+    ambiguity = [_credal_level(sc, f"{path}.ambiguity[{t}]", step, level) for t, level
+                 in enumerate(_list(f"{path}.ambiguity", body.get("ambiguity")))]
     return _wrap(path, lambda: ScenarioTree(step, horizon, ambiguity))
+
+
+def _credal_level(sc: Scenario, path: str, space, level) -> list:
+    """A tree level's node sets, one stack per vertex count.  On a refusal (or a ragged row's
+    ValueError) the level is built node by node, so the first refusal in node order is raised."""
+    try:
+        nodes = [_rows(f"{path}[{j}]", rows) for j, rows in enumerate(_list(path, level))]
+        built = {}
+        for k in set(map(len, nodes)):
+            idx = [j for j, rows in enumerate(nodes) if len(rows) == k]
+            built.update(zip(idx, CredalSet._stack(space, [nodes[j] for j in idx], sc.tol)))
+    except (CredalkitError, ValueError):
+        return [_credal(sc, f"{path}[{j}]", space, _rows(f"{path}[{j}]", rows))
+                for j, rows in enumerate(_list(path, level))]
+    sc.canonicalization += [f"{path}[{j}]: {d} redundant generator(s) dropped"
+                            for j, r in enumerate(nodes) if (d := len(r) - built[j].n_vertices)]
+    return [built[j] for j in range(len(nodes))]
 
 
 def _resolve_args(sc: Scenario, refs: dict) -> dict:

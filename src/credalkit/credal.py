@@ -19,6 +19,7 @@ from .lp import DEFAULT_TOL, INFEASIBLE, OPTIMAL, solve_lp
 from .spaces import (
     Frozen,
     ProbVector,
+    _prob_rows,
     RandomVariable,
     Space,
     _check_same_space,
@@ -39,7 +40,7 @@ class SeparationCertificate:
 
 
 class CredalSet(Frozen):
-    """A nonempty convex compact set of probabilities, stored by vertices.
+    """A nonempty convex compact set of probabilities, stored as its vertex matrix.
 
     Construction drops exact duplicates, then, unless ``canonical``, every
     generator in the hull of the others: one certified extreme runs no LP, any
@@ -47,7 +48,7 @@ class CredalSet(Frozen):
     Surviving vertices keep their order.
     """
 
-    __slots__ = ("space", "vertices", "matrix")
+    __slots__ = ("space", "matrix")
 
     def __init__(self, space: Space, vertices: Sequence[ProbVector],
                  tol: float = DEFAULT_TOL, *, canonical: bool = False):
@@ -56,29 +57,57 @@ class CredalSet(Frozen):
             raise ValidationError("a credal set needs at least one vertex")
         for v in vertices:
             _check_same_space(v.space, space, "credal set vertex")
-        matrix = np.stack([v.weights for v in vertices])
-        keep = _distinct(matrix) if canonical else _canonicalize(matrix, tol)
-        vertices, matrix = tuple(vertices[i] for i in keep), matrix[keep]
-        matrix.setflags(write=False)
-        self._freeze(space=space, vertices=vertices, matrix=matrix)
+        self._set(space, np.stack([v.weights for v in vertices]), tol, canonical)
+
+    def _set(self, space: Space, matrix: np.ndarray, tol=DEFAULT_TOL, canonical=None):
+        """Every constructor ends here: freeze the validated rows that construction keeps."""
+        if canonical is not None:  # None keeps them all
+            matrix = matrix[_distinct(matrix) if canonical else _canonicalize(matrix, tol)]
+        return self._freeze(space=space, matrix=matrix)
 
     @classmethod
     def from_rows(cls, space: Space, rows: Sequence[Sequence[float]],
                   tol: float = DEFAULT_TOL, *, canonical: bool = False) -> "CredalSet":
-        return cls(space, [ProbVector(space, row) for row in rows], tol, canonical=canonical)
+        try:
+            matrix = _prob_rows(space.size, np.array(rows, dtype=float).reshape(len(rows), -1))
+        except ValueError:  # ragged, refused or no rows: checked one by one, as a ProbVector
+            return cls(space, [ProbVector(space, r) for r in rows], tol, canonical=canonical)
+        return cls.__new__(cls)._set(space, matrix, tol, canonical)
+
+    @classmethod
+    def _stack(cls, space: Space, sets, tol: float) -> list:
+        """``from_rows`` of ``m`` sets of ``k`` rows, validated as one stack; blocks of 2**16 cells
+        find the sets with a near-duplicate or uncertified row, and only those are canonicalized."""
+        P = _prob_rows(space.size, np.array(sets, dtype=float))
+        m, k, n = P.shape
+        step = 2**16 // (k * k * (n + 1))  # sets per block; 0 when one set's row pairs exceed it
+        i, j = np.triu_indices(k, 1)
+        plain = np.zeros(m, dtype=bool)
+        for lo in range(0, m if step else 0, max(step, 1)):
+            B = P[lo : lo + step]
+            apart = np.all(np.max(np.abs(B[:, i] - B[:, j]), axis=-1) > DEDUP_TOL, axis=1)
+            plain[lo : lo + step] = apart & np.all(_certified_extreme(B, tol), axis=1)
+        return [cls.__new__(cls)._set(space, p, tol, None if ok else False)
+                for p, ok in zip(P, plain)]
 
     @classmethod
     def simplex(cls, space: Space) -> "CredalSet":
         """The set of all probabilities on the space (hull of the Diracs)."""
-        return cls.from_rows(space, np.eye(space.size), canonical=True)
+        return cls.__new__(cls)._set(space, np.eye(space.size))
 
     @classmethod
     def singleton(cls, P: ProbVector) -> "CredalSet":
-        return cls(P.space, [P], canonical=True)
+        return cls.__new__(cls)._set(P.space, P.weights[None])
+
+    @property
+    def vertices(self) -> tuple:
+        # the rows were validated once; validating again could change their bits
+        return tuple(ProbVector.__new__(ProbVector)._freeze(space=self.space, weights=w)
+                     for w in self.matrix)
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.matrix)
 
     def __repr__(self) -> str:
         return f"CredalSet({self.space!r}, {self.n_vertices} vertices)"
@@ -147,19 +176,19 @@ def _vertex_matches(rows: np.ndarray, queries: np.ndarray, tol: float) -> np.nda
 
 
 def _certified_extreme(points: np.ndarray, tol: float) -> np.ndarray:
-    """Rows a hull program keeps against any subset of the others: along ``d_i``, row ``i`` of
-    ``pinv([P | 1])`` (``d_i.p_j + c_i`` is the projector entry ``Pi_ij``), every other row scores
-    more than ``(tol + 64 n eps) max|d_i|`` below ``p_i``.  As ``|d.q| <= max|d|`` for probabilities
-    ``q``, that margin bounds the deficiency ``|p_i - lam P|_1 + |1 - sum lam|`` for any ``d``."""
-    k, n = points.shape
-    D = np.linalg.pinv(np.column_stack([points, np.ones(k)])).T[:, :n]
-    limit = (tol + 64 * n * np.finfo(float).eps) * np.max(np.abs(D), axis=1)
-    step = max(1, 2**16 // k)
-    certified = np.zeros(k, dtype=bool)
+    """Rows of a set (or of each set of a stack) a hull program keeps against any subset of the
+    others: along ``d_i``, row ``i`` of ``pinv([P | 1])`` (``d_i.p_j + c_i`` is the projector entry
+    ``Pi_ij``), every other row scores over ``(tol + 64 n eps) max|d_i|`` below ``p_i``.  As
+    ``|d.q| <= max|d|`` for probabilities ``q``, that margin bounds the deficiency for any ``d``."""
+    *m, k, n = points.shape
+    D = np.linalg.pinv(np.concatenate([points, np.ones((*m, k, 1))], -1)).swapaxes(-1, -2)[..., :n]
+    limit = (tol + 64 * n * np.finfo(float).eps) * np.max(np.abs(D), axis=-1)
+    step = max(1, 2**16 // points[..., 0].size)
+    certified = np.zeros(points.shape[:-1], dtype=bool)
     for lo in range(0, k, step):
-        G = D[lo : lo + step] @ points.T
-        near = G >= (G[:, lo:].diagonal() - limit[lo : lo + step])[:, None]
-        certified[lo : lo + step] = near.sum(axis=1) == 1
+        G = D[..., lo : lo + step, :] @ np.swapaxes(points, -1, -2)
+        near = G >= (np.diagonal(G[..., lo:], 0, -2, -1) - limit[..., lo : lo + step])[..., None]
+        certified[..., lo : lo + step] = near.sum(axis=-1) == 1
     return certified
 
 

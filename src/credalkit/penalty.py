@@ -50,8 +50,6 @@ class PenaltyAtoms(Frozen):
         else:
             shift = 0.0
         points = np.stack([P.weights for P, _ in atoms])
-        points.setflags(write=False)
-        costs.setflags(write=False)
         self._freeze(space=space, points=points, costs=costs, normalization_shift=shift)
 
     @classmethod

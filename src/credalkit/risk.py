@@ -86,8 +86,6 @@ class LossSpec(Frozen):
         j0 = max(seg0 - 1, 0)
         anchors = rel - (rel[j0] + sl[seg0] * (0.0 - bp[j0]))
 
-        for arr in (bp, sl, anchors):
-            arr.setflags(write=False)
         self._freeze(breakpoints=bp, slopes=sl, _anchors=anchors, boundary=boundary)
 
     @classmethod

@@ -20,19 +20,17 @@ WEIGHT_CLAMP = 1e-12
 WEIGHT_SUM_TOL = 1e-9
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 class Frozen:
-    """Base of the immutable value types: fields are set once, by ``_freeze``."""
+    """Base of the immutable value types: fields are set once, arrays read-only, by ``_freeze``."""
 
     __slots__ = ()
 
-    def _freeze(self, **fields) -> None:
+    def _freeze(self, **fields):
         for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -142,10 +140,29 @@ class RandomVariable(Frozen):
             )
         if not np.all(np.isfinite(values)):
             raise ValidationError("random variable values must be finite")
-        self._freeze(space=space, values=_frozen(values.copy()))
+        self._freeze(space=space, values=values.copy())
 
     def __repr__(self) -> str:
         return f"RandomVariable({self.space!r}, {self.values.tolist()!r})"
+
+
+def _prob_rows(size: int, W: np.ndarray) -> np.ndarray:
+    """``W``, of shape ``(..., size)``, with each row checked, clamped and renormalized as
+    ``ProbVector`` documents; a refusal is the first failing row's first failing check."""
+    if W.shape[-1] != size:
+        raise ValidationError(f"expected {size} weights, got {W.shape[-1]}")
+    rows = W.reshape(-1, size)
+    clamped = np.where(rows < 0.0, 0.0, rows)
+    total = clamped.sum(axis=1)
+    ok = (rows.min(axis=1) >= -WEIGHT_CLAMP) & (np.abs(total - 1.0) <= WEIGHT_SUM_TOL)
+    if not ok.all():
+        i = np.argmin(ok)
+        raise ValidationError(
+            "probability weights must be finite" if not np.all(np.isfinite(rows[i])) else
+            f"negative probability weight {float(rows[i].min())!r} below tolerance"
+            if rows[i].min() < -WEIGHT_CLAMP else
+            f"weights sum {float(total[i])!r} exceeds tolerance around 1")
+    return (clamped / total[:, None]).reshape(W.shape)
 
 
 class ProbVector(Frozen):
@@ -159,21 +176,8 @@ class ProbVector(Frozen):
     __slots__ = ("space", "weights")
 
     def __init__(self, space: Space, weights: Sequence[float]):
-        w = np.asarray(weights, dtype=float).reshape(-1).copy()
-        if w.shape[0] != space.size:
-            raise ValidationError(f"expected {space.size} weights, got {w.shape[0]}")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("probability weights must be finite")
-        if np.any(w < -WEIGHT_CLAMP):
-            raise ValidationError(
-                f"negative probability weight {float(w.min())!r} below tolerance"
-            )
-        w[w < 0.0] = 0.0
-        total = float(np.sum(w))
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError(f"weights sum {total!r} exceeds tolerance around 1")
-        w /= total
-        self._freeze(space=space, weights=_frozen(w))
+        w = _prob_rows(space.size, np.asarray(weights, dtype=float).reshape(-1))
+        self._freeze(space=space, weights=w)
 
     @classmethod
     def dirac(cls, space: Space, label) -> "ProbVector":

@@ -11,7 +11,8 @@ now vectorises or shortcuts (the per-node scalar OCE scan, node-by-node
 backward induction, the first-listing duplicate scan, the LP-only
 inclusion scan, the LP-only canonicalization, the sorted-neighbour
 duplicate scan, the per-selection pasting and composed-atom loops, the
-per-vertex Fubini transpose, the branch-per-type report writer); the
+per-vertex Fubini transpose, the branch-per-type report writer, the
+one-row probability check, the node-by-node tree build); the
 package's versions must reproduce them bit for bit.  The path-by-path
 walk expectation is the one exception: the package computes it by
 backward induction, which rounds differently, so it must agree to 1e-12.
@@ -210,6 +211,60 @@ def backward_scalar(ambiguity_vertices, x_terminal: np.ndarray, branching: int,
         levels.insert(0, np.array([step_value(V, child) for V, child
                                    in zip(ambiguity_vertices[t], children)]))
     return levels
+
+
+def prob_weights(size: int, weights) -> np.ndarray:
+    """One probability row checked, clamped and renormalized on its own, as
+    ``ProbVector`` did before rows were validated as stacks."""
+    from credalkit.spaces import WEIGHT_CLAMP, WEIGHT_SUM_TOL
+
+    w = np.asarray(weights, dtype=float).reshape(-1).copy()
+    if w.shape[0] != size:
+        raise ValidationError(f"expected {size} weights, got {w.shape[0]}")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("probability weights must be finite")
+    if np.any(w < -WEIGHT_CLAMP):
+        raise ValidationError(
+            f"negative probability weight {float(w.min())!r} below tolerance"
+        )
+    w[w < 0.0] = 0.0
+    total = float(np.sum(w))
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValidationError(f"weights sum {total!r} exceeds tolerance around 1")
+    w /= total
+    return w
+
+
+def build_tree_per_node(sc, path: str, body):
+    """``cli._build_tree`` as it was before levels were stacked: every node read,
+    validated one row at a time (``prob_weights``) and canonicalized in turn."""
+    from credalkit.cli import _int, _list, _map, _resolve_space, _rows, _wrap
+    from credalkit.credal import CredalSet
+    from credalkit.risk import ScenarioTree
+    from credalkit.spaces import ProbVector
+
+    def credal(where, rows):
+        built = _wrap(where, lambda: CredalSet(step, [ProbVector.__new__(ProbVector)._freeze(
+            space=step, weights=prob_weights(step.size, row)) for row in rows], sc.tol))
+        if built.n_vertices < len(rows):
+            sc.canonicalization.append(
+                f"{where}: {len(rows) - built.n_vertices} redundant generator(s) dropped")
+        return built
+
+    body = _map(path, body)
+    step_ref = body.get("step_space")
+    if not isinstance(step_ref, str):
+        raise ValidationError(f"{path}.step_space: expected a space name")
+    step = _resolve_space(sc, step_ref, f"{path}.step_space")
+    horizon = _int(f"{path}.horizon", body.get("horizon"))
+    ambiguity = []
+    for t, level in enumerate(_list(f"{path}.ambiguity", body.get("ambiguity"))):
+        sets = []
+        for j, rows in enumerate(_list(f"{path}.ambiguity[{t}]", level)):
+            where = f"{path}.ambiguity[{t}][{j}]"
+            sets.append(credal(where, _rows(where, rows)))
+        ambiguity.append(sets)
+    return _wrap(path, lambda: ScenarioTree(step, horizon, ambiguity))
 
 
 def distinct_scan(rows: np.ndarray, tol: float = 1e-12) -> list:

@@ -796,6 +796,14 @@ class TestTypedFields:
         assert f"validation error: {field}:" in capsys.readouterr().err
 
 
+# tree nodes of 1, 2 and 3 rows: three vertex-count groups, the last node of
+# level 1 holds an interior row its hull program drops
+LEVELS_OF_1_2_3_ROWS = [
+    [[[0.5, 0.5]]],
+    [[[0.25, 0.75], [0.5, 0.5]], [[0.75, 0.25], [0.5, 0.5], [0.0, 1.0]]],
+]
+
+
 def only_referenced(doc):
     """Drop the objects the command does not name (spaces stay)."""
     names = {v for v in doc["command"].values() if isinstance(v, str)}
@@ -830,8 +838,9 @@ def valid_scenarios() -> dict:
         "oce": PIECEWISE,
         "avar-dual": edited(AVAR_DUAL, ("command", "vertices"), True),
         "tree-risk": TREE,
-        "tree-sublinear": edited(TREE, ("command",),
-                                 {"op": "tree-sublinear", "tree": "tr", "variable": "X"}),
+        "tree-sublinear": edited(edited(TREE, ("command",), {
+            "op": "tree-sublinear", "tree": "tr", "variable": "X"}),
+            ("trees", "tr", "ambiguity"), LEVELS_OF_1_2_3_ROWS),
         "demo": {"format": 1, "command": {"op": "demo", "name": "gwalk",
                                           "args": {"horizon": 2, "payoff": "abs"}}},
     }
@@ -839,11 +848,11 @@ def valid_scenarios() -> dict:
 
 
 def field_paths(doc, path=()):
-    """Every map field of a document, and the first element of every list."""
+    """Every map field of a document, and the first and last element of every list."""
     if isinstance(doc, dict):
         items = doc.items()
     elif isinstance(doc, list):
-        items = list(enumerate(doc))[:1]
+        items = list(enumerate(doc))[:: max(1, len(doc) - 1)]
     else:
         return
     for key, value in items:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import prob_weights
+
 from credalkit.conditional import (
     CredalKernel,
     PenaltyKernel,
@@ -21,6 +23,7 @@ from credalkit.spaces import (
     ProbVector,
     ProductSpace,
     RandomVariable,
+    _prob_rows,
     disintegrate,
     expectation,
     product,
@@ -73,7 +76,7 @@ def _value_objects():
         (Kernel(AB, [P, P]), "table"),
         (CredalKernel.constant(AB, S), "table"),
         (PenaltyKernel(AB, [A, A]), "table"),
-        (S, "vertices"),
+        (S, "matrix"),
         (A, "costs"),
         (LossSpec.avar(0.5), "slopes"),
         (ScenarioTree.uniform(AB, 1, S), "horizon"),
@@ -114,6 +117,58 @@ class TestProbVector:
     def test_renormalized(self):
         p = pv(AB, [0.3, 0.7])
         assert abs(float(np.sum(p.weights)) - 1.0) <= 1e-12
+
+
+def refusal(build) -> str:
+    with pytest.raises(ValidationError) as info:
+        build()
+    return str(info.value)
+
+
+class TestStackedRows:
+    """``_prob_rows`` checks a stack as the one-row reference checks each row."""
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_rows_are_bitwise_the_one_row_result(self, n):
+        rng = np.random.default_rng(n)
+        W = rng.dirichlet(np.full(n, 0.3), size=40)
+        W *= 1.0 + rng.uniform(-9e-10, 9e-10, (40, 1))  # masses off one, within tolerance
+        W[::5, 1] += W[::5, 0]
+        W[::5, 0] = -rng.uniform(0.0, 1e-12, 8)  # clamped to zero
+        want = np.stack([prob_weights(n, w) for w in W])
+        assert _prob_rows(n, W).tobytes() == want.tobytes()
+        assert _prob_rows(n, W.reshape(5, 8, n)).tobytes() == want.tobytes()
+        space = OutcomeSpace(range(n))
+        assert all(ProbVector(space, w).weights.tobytes() == row.tobytes()
+                   for w, row in zip(W, want))
+
+    FAILING = {
+        "nan": [np.nan, 0.5, 0.25, 0.25],
+        "inf": [np.inf, 0.0, 0.0, 0.0],
+        "nan-and-negative": [np.nan, -0.5, 1.0, 0.5],
+        "negative": [-0.2, 1.2, 0.0, 0.0],
+        "negative-and-mass": [-0.2, 0.5, 0.5, 0.5],
+        "mass": [0.275, 0.275, 0.275, 0.275],
+        "overflow": [1e308, 1e308, 0.0, 0.0],
+    }
+
+    @pytest.mark.parametrize("kind", FAILING)
+    def test_first_failing_row_is_named(self, kind):
+        good = np.random.default_rng(7).dirichlet(np.ones(4), size=6)
+        for pos in (0, 3, 5):
+            W = good.copy()
+            W[pos] = self.FAILING[kind]
+            if pos < 5:
+                W[5] = self.FAILING["negative" if kind == "mass" else "mass"]
+            want = refusal(lambda: prob_weights(4, W[pos]))
+            assert refusal(lambda: _prob_rows(4, W)) == want
+            assert refusal(lambda: _prob_rows(4, W.reshape(2, 3, 4))) == want
+            assert refusal(lambda: ProbVector(OutcomeSpace("abcd"), W[pos])) == want
+
+    def test_wrong_length_is_named(self):
+        want = refusal(lambda: prob_weights(4, np.full(5, 0.2)))
+        assert refusal(lambda: _prob_rows(4, np.full((3, 5), 0.2))) == want
+        assert refusal(lambda: ProbVector(OutcomeSpace("abcd"), np.full(5, 0.2))) == want
 
 
 class TestExpectation:

@@ -13,7 +13,7 @@ from _oracles import (
     hull_membership,
     support_value,
 )
-from credalkit import credal
+from credalkit import credal, spaces
 from credalkit.credal import (
     CredalSet,
     conjugate_indicator,
@@ -210,7 +210,7 @@ class TestCanonicalization:
         # 1e-11 apart is past the duplicate scan; the hull scan keeps the first listing
         first = ProbVector(AB, [0.2, 0.8])
         S = CredalSet(AB, [first, ProbVector(AB, [0.2 + 1e-11, 0.8 - 1e-11])])
-        assert S.vertices == (first,)
+        assert [v.weights.tobytes() for v in S.vertices] == [first.weights.tobytes()]
         assert np.array_equal(S.matrix, first.weights[None])
 
     def test_canonical_input_drops_duplicates_without_lp(self, monkeypatch):
@@ -218,12 +218,22 @@ class TestCanonicalization:
         first, second = ProbVector(AB, [0.2, 0.8]), ProbVector(AB, [0.6, 0.4])
         copies = [ProbVector(AB, [0.2, 0.8]), ProbVector(AB, [0.6 + 1e-13, 0.4 - 1e-13])]
         S = CredalSet(AB, [first, copies[0], second, copies[1]], canonical=True)
-        assert len(S.vertices) == 2
-        assert S.vertices[0] is first and S.vertices[1] is second
+        assert [v.weights.tobytes() for v in S.vertices] == [first.weights.tobytes(),
+                                                             second.weights.tobytes()]
         assert np.array_equal(S.matrix, np.stack([first.weights, second.weights]))
         rows = CredalSet.from_rows(AB, [[0.2, 0.8], [0.2, 0.8]], canonical=True)
         assert rows.matrix.tolist() == [[0.2, 0.8]]
         assert calls == []
+
+    def test_vertices_are_the_matrix_rows_unvalidated(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("stored rows are not validated again")
+
+        S = CredalSet.from_rows(OutcomeSpace("abc"), [[0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3]])
+        monkeypatch.setattr(spaces, "_prob_rows", refuse)
+        vertices = S.vertices
+        assert [v.weights.tobytes() for v in vertices] == [row.tobytes() for row in S.matrix]
+        assert all(v.space == S.space and not v.weights.flags.writeable for v in vertices)
 
     def test_no_vertex_in_hull_of_others(self):
         rng = np.random.default_rng(12)
@@ -334,7 +344,7 @@ class TestDistinct:
         monkeypatch.setattr(credal, "_key_windows", refuse)
         P = ProbVector(AB, [0.2, 0.8])
         S = CredalSet.singleton(P)
-        assert S.vertices == (P,)
+        assert [v.weights.tobytes() for v in S.vertices] == [P.weights.tobytes()]
         assert np.array_equal(S.matrix, P.weights[None])
         assert _distinct(np.array([[0.5, 0.5]])) == [0]
 
@@ -382,7 +392,7 @@ class TestVertexMatch:
             if want is None:
                 assert got is None and first_outside(X, Y, tol) is None
                 continue
-            assert got[0] is want[0]
+            assert got[0].weights.tobytes() == want[0].weights.tobytes()
             assert got[1].value == want[1].value and np.array_equal(got[1].dual, want[1].dual)
             try:
                 cert = _certificate(Y, *want, tol)
@@ -391,7 +401,7 @@ class TestVertexMatch:
                     first_outside(X, Y, tol)
                 continue
             vertex, ours = first_outside(X, Y, tol)
-            assert vertex is want[0]
+            assert vertex.weights.tobytes() == want[0].weights.tobytes()
             assert np.array_equal(ours.witness.values, cert.witness.values)
             assert ours.margin == cert.margin
         assert equal_sets(A, B, tol) == (
