@@ -109,8 +109,13 @@ def _map(path: str, v) -> dict:
     return v
 
 
-def _numbers(path: str, v) -> list:
-    return [_number(f"{path}[{i}]", x) for i, x in enumerate(_list(path, v))]
+def _numbers(path: str, v) -> list:  # one pass; only a refused element's path is formatted
+    out = []
+    for x in _list(path, v):
+        if type(x) not in (int, float) or not abs(x) <= _FLOAT_MAX:
+            _number(f"{path}[{len(out)}]", x)
+        out.append(float(x))
+    return out
 
 
 def _rows(path: str, v) -> list:
@@ -573,30 +578,32 @@ def _emit(report: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+# built once: append copies --param's default before appending, so no call leaks to the next
+_PARSER = argparse.ArgumentParser(
+    prog="credalkit",
+    description="Worst-case and convex expectations on finite outcome spaces",
+)
+_sub = _PARSER.add_subparsers(dest="subcommand", required=True)
+
+_p_run = _sub.add_parser("run", help="run a scenario file")
+_p_run.add_argument("scenario", help="path to the scenario document")
+_p_run.add_argument("--out", default=None, help="write the report here")
+_p_run.add_argument("--tol", type=float, default=DEFAULT_TOL)
+_p_run.add_argument("--seed", type=int, default=0)
+
+_p_demo = _sub.add_parser("demo", help="run a named demonstration")
+_p_demo.add_argument("name")
+_p_demo.add_argument("--out", default=None)
+_p_demo.add_argument(
+    "--param", action="append", default=[], metavar="KEY=VALUE",
+    help="override a demo parameter (JSON-typed value)",
+)
+
+_sub.add_parser("list-demos", help="list demonstration names")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="credalkit",
-        description="Worst-case and convex expectations on finite outcome spaces",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_run = sub.add_parser("run", help="run a scenario file")
-    p_run.add_argument("scenario", help="path to the scenario document")
-    p_run.add_argument("--out", default=None, help="write the report here")
-    p_run.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_run.add_argument("--seed", type=int, default=0)
-
-    p_demo = sub.add_parser("demo", help="run a named demonstration")
-    p_demo.add_argument("name")
-    p_demo.add_argument("--out", default=None)
-    p_demo.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="override a demo parameter (JSON-typed value)",
-    )
-
-    sub.add_parser("list-demos", help="list demonstration names")
-
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.subcommand == "list-demos":
             for name in DEMOS:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotSeparableError, ValidationError
-from .lp import DEFAULT_TOL, INFEASIBLE, OPTIMAL, solve_lp
+from .lp import DEFAULT_TOL, OPTIMAL, solve_lp
 from .spaces import (
     Frozen,
     ProbVector,
@@ -29,6 +29,7 @@ from .spaces import (
 # Points closer than this (sup-norm) are treated as duplicates: dropped from
 # every set, canonical or not, before any canonicalization LP runs.
 DEDUP_TOL = 1e-12
+_CELL_BUDGET = 1 << 16  # cells per temporary of blocked array work, here and in risk
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class CredalSet(Frozen):
 
     Construction drops exact duplicates, then, unless ``canonical``, every
     generator in the hull of the others: one certified extreme runs no LP, any
-    other one membership LP, from the back so earlier generators survive ties.
+    other one membership decision, from the back so earlier generators survive ties.
     Surviving vertices keep their order.
     """
 
@@ -80,7 +81,7 @@ class CredalSet(Frozen):
         find the sets with a near-duplicate or uncertified row, and only those are canonicalized."""
         P = _prob_rows(space.size, np.array(sets, dtype=float))
         m, k, n = P.shape
-        step = 2**16 // (k * k * (n + 1))  # sets per block; 0 when one set's row pairs exceed it
+        step = _CELL_BUDGET // (k * k * (n + 1))  # sets per block; 0: one set's pairs exceed it
         i, j = np.triu_indices(k, 1)
         plain = np.zeros(m, dtype=bool)
         for lo in range(0, m if step else 0, max(step, 1)):
@@ -101,9 +102,10 @@ class CredalSet(Frozen):
 
     @property
     def vertices(self) -> tuple:
-        # the rows were validated once; validating again could change their bits
-        return tuple(ProbVector.__new__(ProbVector)._freeze(space=self.space, weights=w)
-                     for w in self.matrix)
+        return tuple(map(self._vertex, self.matrix))
+
+    def _vertex(self, w) -> ProbVector:  # validated once; validating again could change bits
+        return ProbVector.__new__(ProbVector)._freeze(space=self.space, weights=w)
 
     @property
     def n_vertices(self) -> int:
@@ -183,7 +185,7 @@ def _certified_extreme(points: np.ndarray, tol: float) -> np.ndarray:
     *m, k, n = points.shape
     D = np.linalg.pinv(np.concatenate([points, np.ones((*m, k, 1))], -1)).swapaxes(-1, -2)[..., :n]
     limit = (tol + 64 * n * np.finfo(float).eps) * np.max(np.abs(D), axis=-1)
-    step = max(1, 2**16 // points[..., 0].size)
+    step = max(1, _CELL_BUDGET // points[..., 0].size)
     certified = np.zeros(points.shape[:-1], dtype=bool)
     for lo in range(0, k, step):
         G = D[..., lo : lo + step, :] @ np.swapaxes(points, -1, -2)
@@ -194,11 +196,11 @@ def _certified_extreme(points: np.ndarray, tol: float) -> np.ndarray:
 
 def _canonicalize(points: np.ndarray, tol: float) -> list[int]:
     keep = _distinct(points)
-    # scan from the back so that earlier generators survive ties; certified ones need no LP
+    # scan from the back so that earlier generators survive ties; certified ones are kept
     for pos in np.flatnonzero(~_certified_extreme(points[keep], tol))[::-1]:
         if len(keep) == 1:
             break
-        if _hull_lp(np.delete(points[keep], pos, axis=0), points[keep[pos]], tol).status == OPTIMAL:
+        if next(_decide(np.delete(points[keep], pos, 0), points[keep[pos]][None], tol))[0]:
             del keep[pos]
     return keep
 
@@ -213,12 +215,12 @@ def sublinear_expectation(S: CredalSet, X: RandomVariable) -> float:
     return float(np.max(S.matrix @ X.values))
 
 
-def _decide(S: CredalSet, points: np.ndarray, tol: float):
-    """``(member, j, res)`` for each row of ``points``, lazily and in order: a row
-    matching vertex ``j`` of ``S`` is a member with no LP (``res`` None); any other
-    has ``j == -1`` and is decided by its hull program ``res``."""
-    for p, j in zip(points, _vertex_matches(S.matrix, points, tol)):
-        res = None if j >= 0 else _hull_lp(S.matrix, p, tol)
+def _decide(rows: np.ndarray, points: np.ndarray, tol: float):
+    """``(member, j, res)`` for each row of ``points`` in the hull of ``rows``, lazily and in
+    order: one matching row ``j`` is a member with no LP (``res`` None); any other has
+    ``j == -1`` and is decided by its hull program ``res``, the only one membership runs."""
+    for p, j in zip(points, _vertex_matches(rows, points, tol)):
+        res = None if j >= 0 else _hull_lp(rows, p, tol)
         yield res is None or res.status == OPTIMAL, j, res
 
 
@@ -230,7 +232,7 @@ def membership(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL):
     point matching vertex ``j`` gets ``lam = e_j`` with no LP.
     """
     _check_same_space(S.space, P.space, "membership")
-    [(member, j, res)] = _decide(S, P.weights[None], tol)
+    [(member, j, res)] = _decide(S.matrix, P.weights[None], tol)
     if not member:
         return False, None
     if res is None:
@@ -251,13 +253,13 @@ def separate(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL) -> Separatio
     matching a vertex is one, with no LP.
     """
     _check_same_space(S.space, P.space, "separate")
-    [(_, _, res)] = _decide(S, P.weights[None], tol)
-    return _certificate(S, P, res, tol)
+    [(member, _, res)] = _decide(S.matrix, P.weights[None], tol)
+    return _certificate(S, P, None if member else res, tol)
 
 
 def _certificate(S: CredalSet, P: ProbVector, res, tol: float) -> SeparationCertificate:
-    """The separation certificate carried by a hull program; None is a matched vertex."""
-    if res is None or res.status != INFEASIBLE:
+    """The separation certificate carried by a nonmember's hull program; None is a member."""
+    if res is None:
         raise NotSeparableError("point is a member of the set")
     direction = res.dual[:-1]
     direction = direction - 0.5 * (direction.max() + direction.min())
@@ -274,9 +276,9 @@ def _certificate(S: CredalSet, P: ProbVector, res, tol: float) -> SeparationCert
 def _first_nonmember(A: CredalSet, B: CredalSet, tol: float):
     """The first vertex of ``A`` that is not a member of ``B``, with its hull program."""
     _check_same_space(A.space, B.space, "set inclusion")
-    for v, (member, _, res) in zip(A.vertices, _decide(B, A.matrix, tol)):
+    for v, (member, _, res) in zip(A.matrix, _decide(B.matrix, A.matrix, tol)):
         if not member:
-            return v, res
+            return A._vertex(v), res
     return None
 
 

@@ -25,7 +25,7 @@ UNBOUNDED = "unbounded"
 
 
 class SimplexStalledError(CredalkitError, RuntimeError):
-    """The pivot budget ran out, or rounding left phase one unbounded; an operation failure."""
+    """Pivots ran out, or rounding gave a program a status it cannot have; an operation failure."""
 
 
 @dataclass(frozen=True)

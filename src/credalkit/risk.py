@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .credal import CredalSet
+from .credal import _CELL_BUDGET, CredalSet
 from .errors import SizeGuardError, ValidationError
-from .lp import DEFAULT_TOL, OPTIMAL, solve_lp
+from .lp import DEFAULT_TOL, OPTIMAL, SimplexStalledError, solve_lp
 from .spaces import Frozen, OutcomeSpace, RandomVariable, _check_same_space
 
 # Explicit dual-set construction enumerates vertex candidates; past this
@@ -33,11 +33,6 @@ DUAL_SET_MAX_OUTCOMES = 10
 DUAL_SET_MAX_COMBINATIONS = 100_000
 # Tree evaluation refuses more than this many nodes.
 MAX_TREE_NODES = 200_000
-# Objective values are computed in chunks of candidate points whose loss and
-# expectation arrays hold at most this many cells (or rows * max(k, n), one
-# candidate per row, when that is more), so a one-step scan over many
-# outcomes or vertices needs no quadratic temporaries.
-_CELL_BUDGET = 1 << 16
 
 # Ties between one-step minimizers are resolved to the smallest location;
 # two objective values this close count as tied.
@@ -139,6 +134,9 @@ def _expect(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _objective(V: np.ndarray, x: np.ndarray, L: LossSpec, s: np.ndarray) -> np.ndarray:
     """``s + max over vertices of E[loss(x - s)]`` at every point ``s[r, c]``."""
+    # chunks of candidates whose loss and expectation arrays hold at most _CELL_BUDGET cells
+    # (or rows * max(k, n), one candidate per row, when that is more), so a one-step scan
+    # over many outcomes or vertices needs no quadratic temporaries
     out = np.empty(s.shape)
     step = max(1, _CELL_BUDGET // (s.shape[0] * max(V.shape[1:])))
     for lo in range(0, s.shape[1], step):
@@ -216,8 +214,8 @@ def avar_dual_evaluate(S: CredalSet, level: float, X: RandomVariable,
     b = np.concatenate([np.zeros(n), [1.0, 1.0]])
     c = np.concatenate([-X.values, np.zeros(n + k)])
     res = solve_lp(c, A, b, tol)
-    if res.status != OPTIMAL:  # pragma: no cover - feasible by construction
-        raise RuntimeError("dual evaluation program must be feasible and bounded")
+    if res.status != OPTIMAL:  # feasible by construction, but rounding can say otherwise
+        raise SimplexStalledError(f"the AVaR dual program came back {res.status}")
     return -res.value
 
 
@@ -323,7 +321,7 @@ class ScenarioTree(Frozen):
     level ``horizon``.
     """
 
-    __slots__ = ("step_space", "horizon", "ambiguity")
+    __slots__ = ("step_space", "horizon", "ambiguity", "_groups")
 
     def __init__(self, step_space: OutcomeSpace, horizon: int,
                  ambiguity: Sequence[Sequence[CredalSet]]):
@@ -344,7 +342,8 @@ class ScenarioTree(Frozen):
                 )
             for S in level:
                 _check_same_space(S.space, step_space, "tree ambiguity")
-        self._freeze(step_space=step_space, horizon=horizon, ambiguity=ambiguity)
+        self._freeze(step_space=step_space, horizon=horizon, ambiguity=ambiguity,
+                     _groups=tuple(map(_level_groups, ambiguity)))
 
     @property
     def n_terminal(self) -> int:
@@ -389,7 +388,7 @@ def _level_groups(sets: Sequence[CredalSet]):
 
 def _backward(tree: ScenarioTree, X: RandomVariable,
               step_values: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-    """Every level's values, one ``step_values`` call per vertex count of a level.
+    """Every level's values, one ``step_values`` call per vertex-count group the tree holds.
 
     ``step_values(V, children)`` maps stacked vertex matrices ``(r, k, b)``
     and child values ``(r, b)`` to the ``r`` node values.
@@ -404,7 +403,7 @@ def _backward(tree: ScenarioTree, X: RandomVariable,
     for t in range(tree.horizon - 1, -1, -1):
         vals = np.empty(b**t)
         children = levels[t + 1].reshape(-1, b)
-        for nodes, V in _level_groups(tree.ambiguity[t]):
+        for nodes, V in tree._groups[t]:
             vals[nodes] = step_values(V, children[nodes])
         levels[t] = vals
     return levels

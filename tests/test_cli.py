@@ -666,6 +666,13 @@ class TestSubprocess:
         doc = json.loads(out.read_text())
         assert doc["outputs"]["computed"]["composed_value"] == 1.0
 
+    def test_in_process_params_do_not_leak_into_the_next_call(self, tmp_path):
+        out = tmp_path / "demo.json"
+        for extra, want in ((["--param", "n=4"], {"n": 4}), ([], {}),
+                            (["--param", "n=3", "--param", "n=5"], {"n": 5})):
+            assert main(["demo", "continuity-failure", "--out", str(out), *extra]) == 0
+            assert json.loads(out.read_text())["command"]["args"] == want
+
     def test_every_demo_serializes_through_cli(self, tmp_path):
         from credalkit.demos import DEMOS
 
@@ -724,6 +731,21 @@ class TestSubprocess:
         proc = run_module("run", str(path), "--tol", "1e-15")
         assert proc.returncode == 3
         assert proc.stderr.startswith("operation error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_infeasible_avar_dual_program_exits_3(self, tmp_path):
+        # at tol 1e-15 rounding makes the AVaR dual program, feasible by construction,
+        # come back infeasible
+        rows = np.random.default_rng(32).dirichlet(np.ones(6), size=2)
+        doc = {"format": 1, "spaces": {"U": list("abcdef")},
+               "sets": {"S": {"space": "U", "vertices": rows.tolist()}},
+               "variables": {"X": {"space": "U", "values": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}},
+               "command": {"op": "avar-dual", "set": "S", "variable": "X", "level": 0.25}}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        proc = run_module("run", str(path), "--tol", "1e-15")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("operation error: ") and "AVaR dual program" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

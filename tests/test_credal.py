@@ -14,6 +14,7 @@ from _oracles import (
     support_value,
 )
 from credalkit import credal, spaces
+from credalkit.conditional import CredalKernel, check_tower, pasting
 from credalkit.credal import (
     CredalSet,
     conjugate_indicator,
@@ -30,6 +31,7 @@ from credalkit.credal import (
     _first_nonmember,
 )
 from credalkit.errors import NotSeparableError, SpaceMismatchError
+from credalkit.fubini import check_fubini
 from credalkit.lp import SimplexStalledError
 from credalkit.risk import _capped_box_vertices, _projected_lifted_vertices
 from credalkit.spaces import OutcomeSpace, ProbVector, ProductSpace, RandomVariable
@@ -498,6 +500,72 @@ class TestVertexMatch:
 
 
 TOLS = [10.0**e for e in range(-15, -5)]
+
+
+def outside_bytes(found):
+    """``first_outside``'s answer as bytes: the vertex, the witness and the margin."""
+    if found is None:
+        return None
+    vertex, cert = found
+    return vertex.weights.tobytes(), cert.witness.values.tobytes(), cert.margin
+
+
+def outside_lp(A, B, tol):
+    """``outside_bytes`` of the LP-only scan's first nonmember of ``A`` in ``B``."""
+    found = first_nonmember_lp(A, B, tol)
+    return outside_bytes(found and (found[0], _certificate(B, *found, tol)))
+
+
+class TestNoVertexTuple:
+    """Inclusion scans read vertex matrices: with ``CredalSet.vertices`` refused, set
+    equality, ``first_outside``, towers and Fubini checks give the LP-only scan's verdicts,
+    vertices and certificates."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_same_answers_as_lp_only_scan(self, monkeypatch, tol):
+        rng = np.random.default_rng(98)
+        us, vs = OutcomeSpace(["u0", "u1", "u2"]), OutcomeSpace(["v0", "v1", "v2"])
+
+        def draw(space, k):
+            return CredalSet.from_rows(space, rng.dirichlet(np.ones(space.size), size=k), tol)
+
+        towers, fubinis = [], []
+        for i in range(6):
+            K = CredalKernel(us, [draw(vs, 2) for _ in range(3)])
+            for S in (pasting(draw(us, 3), K), draw(ProductSpace(us, vs), 4)):
+                P = pasting(marginal_set(S, tol), K)
+                towers.append((S, K, P, outside_lp(P, S, tol), outside_lp(S, P, tol)))
+            # a Dirac outer set is interchangeable with any inner one
+            SU = draw(us, 3) if i % 2 else CredalSet.singleton(ProbVector.dirac(us, "u1"))
+            SV = draw(vs, 3)
+            report = check_fubini(SU, SV, tol)
+            F, B = report.forward_set, report.backward_set
+            fubinis.append((SU, SV, F, B, outside_lp(F, B, tol) or outside_lp(B, F, tol)))
+
+        def refuse(self):
+            raise AssertionError("an inclusion scan built the vertex tuple")
+
+        monkeypatch.setattr(CredalSet, "vertices", property(refuse))
+        verdicts = set()
+        for S, K, P, pasting_out, set_out in towers:
+            report = check_tower(S, K, tol)
+            assert np.array_equal(report.pasting.matrix, P.matrix)
+            assert outside_bytes(report.pasting_vertex_outside) == pasting_out
+            assert outside_bytes(report.set_vertex_outside) == set_out
+            assert report.rectangular == (pasting_out is None and set_out is None)
+            assert outside_bytes(first_outside(P, S, tol)) == pasting_out
+            assert outside_bytes(first_outside(S, P, tol)) == set_out
+            assert equal_sets(S, P, tol) == report.rectangular
+            verdicts.add(("tower", report.rectangular))
+        for SU, SV, F, B, outside in fubinis:
+            report = check_fubini(SU, SV, tol)
+            assert np.array_equal(report.forward_set.matrix, F.matrix)
+            assert np.array_equal(report.backward_set.matrix, B.matrix)
+            assert report.interchangeable == (outside is None) == equal_sets(F, B, tol)
+            if outside is not None:
+                assert report.witness[0].values.tobytes() == outside[1]
+            verdicts.add(("fubini", report.interchangeable))
+        assert verdicts == {("tower", True), ("tower", False), ("fubini", True), ("fubini", False)}
 
 
 def pasted_rows(rng, nu, nv=4, k=3):

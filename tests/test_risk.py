@@ -563,6 +563,24 @@ class TestBatchedScan:
         rv(STEP, [1.0, 2.0])  # the counters do see constructions
         assert calls["RandomVariable"] == 1
 
+    def test_levels_are_grouped_once_on_construction(self, monkeypatch):
+        rng = np.random.default_rng(84)
+        shared = CredalSet.from_rows(STEP, rng.dirichlet(np.ones(2), size=2))
+        x = np.round(rng.uniform(-3, 3, 16), 2)
+        X, L = rv(OutcomeSpace([f"p{i}" for i in range(16)]), x), LossSpec.avar(0.4)
+        trees = [mixed_tree(rng, STEP, 4), ScenarioTree.uniform(STEP, 4, shared)]
+
+        def regroup(sets):
+            raise AssertionError("levels are grouped once, when the tree is built")
+
+        monkeypatch.setattr(risk, "_level_groups", regroup)
+        for tree in trees:
+            verts = [[S.matrix for S in level] for level in tree.ambiguity]
+            for got, step in ((compose_risk(tree, X, L), lambda V, c: oce_scalar(V, c, L)[0]),
+                              (compose_sublinear(tree, X), lambda V, c: float(np.max(V @ c)))):
+                want = backward_scalar(verts, x, 2, step)
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
 
 class TestTreeSizeGuard:
     def test_uniform_refuses_before_building_levels(self):

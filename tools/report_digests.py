@@ -5,14 +5,16 @@
 The ``rectangularity`` and ``desk_cli`` scenario documents are generated
 through ``<root>/perfbench/workloads.py`` and run in-process with
 ``cli.main(["run", doc, "--out", report])`` from ``<root>/src``; each
-prints one ``workload seed key exit sha256`` line (``-`` for the digest
-when the exit code is not 0).  For ``tree_eval`` every level array that
-``compose_risk`` / ``compose_sublinear`` returns prints one line, keyed
-``tree/measure/payoff/level``.  Last, every demo runs once at its default
-parameters through ``cli.main(["demo", name, "--out", report])`` and prints
-one ``demo name exit sha256`` line.  Two checkouts give byte-identical
-reports, level arrays and demo reports exactly when their outputs ``diff``
-clean.
+prints one ``workload seed key exit sha256`` line, the digest of the report,
+or of the message a refused document writes to stderr when the exit code is
+not 0.  For ``tree_eval`` every level array that ``compose_risk`` /
+``compose_sublinear`` returns prints one line, keyed
+``tree/measure/payoff/level`` (``-`` for a failed op).  Last, every demo
+runs once at its default parameters through
+``cli.main(["demo", name, "--out", report])`` and prints one
+``demo name exit sha256`` line.  Two checkouts give byte-identical
+reports, level arrays, demo reports and refusal messages exactly when their
+outputs ``diff`` clean.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from contextlib import redirect_stderr  # noqa: E402
@@ -34,13 +37,18 @@ from pathlib import Path  # noqa: E402
 
 
 def cli_digest(cli, argv, report: Path):
-    """``(exit code, report sha256 or "-")`` of ``cli.main([*argv, "--out", report])``."""
+    """``(exit code, sha256)`` of ``cli.main([*argv, "--out", report])``: the digest of the
+    report, or of what a refusal writes to stderr."""
     report.unlink(missing_ok=True)
-    try:
-        code = cli.main([*argv, "--out", str(report)])
-    except Exception:  # an escaping exception is exit 1, as in the benchmark
-        code = 1
-    return code, hashlib.sha256(report.read_bytes()).hexdigest() if code == 0 else "-"
+    err = io.StringIO()
+    with redirect_stderr(err):
+        try:
+            code = cli.main([*argv, "--out", str(report)])
+        except Exception as exc:  # an escaping exception is exit 1, as in the benchmark
+            code = 1
+            print(f"{type(exc).__name__}: {exc}", file=err)
+    data = report.read_bytes() if code == 0 else err.getvalue().encode()
+    return code, hashlib.sha256(data).hexdigest()
 
 
 def cli_lines(wl, seed: int, work: Path):
