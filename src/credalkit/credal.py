@@ -20,6 +20,7 @@ from .spaces import (
     Frozen,
     ProbVector,
     _prob_rows,
+    _prob_stack,
     RandomVariable,
     Space,
     _check_same_space,
@@ -54,14 +55,14 @@ class CredalSet(Frozen):
     def __init__(self, space: Space, vertices: Sequence[ProbVector],
                  tol: float = DEFAULT_TOL, *, canonical: bool = False):
         vertices = tuple(vertices)
-        if not vertices:
-            raise ValidationError("a credal set needs at least one vertex")
         for v in vertices:
             _check_same_space(v.space, space, "credal set vertex")
-        self._set(space, np.stack([v.weights for v in vertices]), tol, canonical)
+        self._set(space, np.array([v.weights for v in vertices]), tol, canonical)
 
     def _set(self, space: Space, matrix: np.ndarray, tol=DEFAULT_TOL, canonical=None):
         """Every constructor ends here: freeze the validated rows that construction keeps."""
+        if not len(matrix):
+            raise ValidationError("a credal set needs at least one vertex")
         if canonical is not None:  # None keeps them all
             matrix = matrix[_distinct(matrix) if canonical else _canonicalize(matrix, tol)]
         return self._freeze(space=space, matrix=matrix)
@@ -69,11 +70,7 @@ class CredalSet(Frozen):
     @classmethod
     def from_rows(cls, space: Space, rows: Sequence[Sequence[float]],
                   tol: float = DEFAULT_TOL, *, canonical: bool = False) -> "CredalSet":
-        try:
-            matrix = _prob_rows(space.size, np.array(rows, dtype=float).reshape(len(rows), -1))
-        except ValueError:  # ragged, refused or no rows: checked one by one, as a ProbVector
-            return cls(space, [ProbVector(space, r) for r in rows], tol, canonical=canonical)
-        return cls.__new__(cls)._set(space, matrix, tol, canonical)
+        return cls.__new__(cls)._set(space, _prob_stack(space.size, rows), tol, canonical)
 
     @classmethod
     def _stack(cls, space: Space, sets, tol: float) -> list:

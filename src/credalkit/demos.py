@@ -287,6 +287,8 @@ def gwalk(
         raise ValidationError("need 0 <= sig_lo < sig_hi")
     if dt <= 0:
         raise ValidationError("dt must be positive")
+    if 2.0 * sig_hi * sig_hi == 0.0:
+        raise ValidationError(f"sig_hi {sig_hi!r} is too small: 2 sig_hi^2 underflows to zero")
     if payoff == "call":
         if strike is None:
             raise ValidationError("call payoff needs a strike")

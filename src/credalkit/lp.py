@@ -121,7 +121,7 @@ def _run_simplex(T, basis, cost, n_enter, tol):
         basis[leave] = j
     raise SimplexStalledError(
         f"simplex did not terminate within {budget} pivots"
-    )  # pragma: no cover - check_tower on pasted sets no longer gets here (ROADMAP D1)
+    )  # the open D1 stalls (ROADMAP): dual-set canonicalization, envelope_atoms
 
 
 def _pivot(T, r, row, col):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .lp import DEFAULT_TOL, OPTIMAL
-from .spaces import Frozen, ProbVector, RandomVariable, Space, _check_same_space
+from .spaces import Frozen, ProbVector, RandomVariable, Space, _check_same_space, _prob_stack
 from .credal import _distinct, _hull_lp
 
 # Costs may exceed the envelope by at most this before an atom is dropped.
@@ -35,33 +35,33 @@ class PenaltyAtoms(Frozen):
 
     def __init__(self, space: Space, atoms: Sequence[tuple[ProbVector, float]]):
         atoms = tuple(atoms)
-        if not atoms:
+        self._set(space, [P.weights for P, _ in atoms], [c for _, c in atoms],
+                  [P.space for P, _ in atoms])
+
+    def _set(self, space: Space, points, costs, spaces=()):
+        """Every constructor ends here: costs checked, then atom spaces, then costs shifted."""
+        if not len(points):
             raise ValidationError("a penalty family needs at least one atom")
-        costs = np.array([float(c) for _, c in atoms])
+        costs = np.array([float(c) for c in costs])
         if not np.all(np.isfinite(costs)):
             raise ValidationError("atom costs must be finite")
         if np.any(costs < 0.0):
             raise ValidationError(f"negative atom cost {float(costs.min())!r}")
-        for P, _ in atoms:
-            _check_same_space(P.space, space, "penalty atom")
-        shift = float(costs.min())
-        if shift > 0.0:
-            costs = costs - shift
-        else:
-            shift = 0.0
-        points = np.stack([P.weights for P, _ in atoms])
-        self._freeze(space=space, points=points, costs=costs, normalization_shift=shift)
+        for other in spaces:
+            _check_same_space(other, space, "penalty atom")
+        shift = float(costs.min()) or 0.0  # a zero minimum, -0.0 too, records no shift
+        return self._freeze(space=space, points=np.asarray(points), costs=costs - shift,
+                            normalization_shift=shift)
 
     @classmethod
     def from_rows(cls, space: Space, rows: Sequence[tuple[Sequence[float], float]]):
-        return cls(space, [(ProbVector(space, w), c) for w, c in rows])
+        rows = list(rows)
+        return cls.__new__(cls)._set(space, _prob_stack(space.size, [w for w, _ in rows]),
+                                     [c for _, c in rows])
 
     @property
     def n_atoms(self) -> int:
         return self.points.shape[0]
-
-    def atom(self, i: int) -> tuple[ProbVector, float]:
-        return ProbVector(self.space, self.points[i]), float(self.costs[i])
 
     def __repr__(self) -> str:
         return f"PenaltyAtoms({self.space!r}, {self.n_atoms} atoms)"

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, frexp
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .credal import _CELL_BUDGET, CredalSet
-from .errors import SizeGuardError, ValidationError
+from .errors import CredalkitError, SizeGuardError, ValidationError
 from .lp import DEFAULT_TOL, OPTIMAL, SimplexStalledError, solve_lp
 from .spaces import Frozen, OutcomeSpace, RandomVariable, _check_same_space
 
@@ -148,10 +148,17 @@ def _objective(V: np.ndarray, x: np.ndarray, L: LossSpec, s: np.ndarray) -> np.n
 def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
     """Values and smallest-tie minimizers of the one-step OCE, row by row.
 
-    Row ``r`` has vertex matrix ``V[r]`` and payoff ``x[r]``.  Candidates
-    stay sorted with their duplicates: equal points have equal objectives,
-    so ``argmin`` picks the first copy and its neighbours bracket it.
+    Row ``r`` has vertex matrix ``V[r]`` and payoff ``x[r]``.  Candidates stay sorted with
+    their duplicates: equal points have equal objectives, so ``argmin`` picks the first copy
+    and its neighbours bracket it.  A scan whose losses could overflow runs on ``x / 2^k``.
     """
+    k = frexp(L.slopes[-1])[1] + frexp(max(x.max(), -x.min(), *abs(L.breakpoints)))[1] - 1019
+    if k > 0:  # every loss is below 32 m max|x, bp| (m the last slope); 2^-k scales exactly
+        Lk = LossSpec(np.ldexp(L.breakpoints, -k), L.slopes, boundary=L.boundary)
+        value, minimizer = (np.ldexp(v, k) for v in _oce_batch(V, np.ldexp(x, -k), Lk))
+        if not np.all(np.isfinite(value)):
+            raise CredalkitError("the OCE value overflows the float range")
+        return value, minimizer
     rows = np.arange(x.shape[0])
     cand = np.sort((x[:, :, None] - L.breakpoints).reshape(x.shape[0], -1), axis=1)
     f = _objective(V, x, L, cand)
@@ -371,14 +378,12 @@ def _check_tree_size(b: int, horizon: int) -> None:
 def _level_groups(sets: Sequence[CredalSet]):
     """``(nodes, stacked vertex matrices)`` per vertex count of one tree level.
 
-    A level that shares one set is a single broadcast view, which saves
-    gathering every node's matrix.  Sets are never padded to a common
+    A level that shares one set stores that set's matrix once, as a batch
+    of one that broadcasts over the nodes.  Sets are never padded to a common
     vertex count: padding changes the products' rounding.
     """
-    first = sets[0]
-    if all(S is first for S in sets):
-        shape = (len(sets),) + first.matrix.shape
-        return [(np.arange(len(sets)), np.broadcast_to(first.matrix, shape))]
+    if all(S is sets[0] for S in sets):
+        return [(slice(None), sets[0].matrix[None])]
     by_count: dict[int, list[int]] = {}
     for node, S in enumerate(sets):
         by_count.setdefault(S.n_vertices, []).append(node)

@@ -165,6 +165,14 @@ def _prob_rows(size: int, W: np.ndarray) -> np.ndarray:
     return (clamped / total[:, None]).reshape(W.shape)
 
 
+def _prob_stack(size: int, rows) -> np.ndarray:
+    """``rows`` checked as one stack, or row by row if that fails, so the first bad row refuses."""
+    try:
+        return _prob_rows(size, np.array(rows, dtype=float).reshape(len(rows), -1))
+    except (TypeError, ValueError):
+        return np.reshape([_prob_rows(size, np.array(r, float).ravel()) for r in rows], (-1, size))
+
+
 class ProbVector(Frozen):
     """A probability mass function on a finite space.
 

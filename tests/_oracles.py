@@ -12,7 +12,8 @@ backward induction, the first-listing duplicate scan, the LP-only
 inclusion scan, the LP-only canonicalization, the sorted-neighbour
 duplicate scan, the per-selection pasting and composed-atom loops, the
 per-vertex Fubini transpose, the branch-per-type report writer, the
-one-row probability check, the node-by-node tree build); the
+one-row probability check, the node-by-node tree build, the
+one-``ProbVector``-per-row family builds); the
 package's versions must reproduce them bit for bit.  The path-by-path
 walk expectation is the one exception: the package computes it by
 backward induction, which rounds differently, so it must agree to 1e-12.
@@ -430,6 +431,22 @@ def composed_atoms_loop(AU, K):
                 sum(q[iu] * K[iu].costs[c] for iu, c in enumerate(choice)))
             atoms.append((ProbVector(space, np.concatenate(rows)), cost))
     return PenaltyAtoms(space, atoms)
+
+
+def credal_set_per_row(space, rows, tol: float = 1e-9):
+    """``CredalSet.from_rows`` as one ``ProbVector`` per row, checked in turn."""
+    from credalkit.credal import CredalSet
+    from credalkit.spaces import ProbVector
+
+    return CredalSet(space, [ProbVector(space, r) for r in rows], tol)
+
+
+def penalty_atoms_per_row(space, rows):
+    """``PenaltyAtoms.from_rows`` as one ``ProbVector`` per atom, checked in turn."""
+    from credalkit.penalty import PenaltyAtoms
+    from credalkit.spaces import ProbVector
+
+    return PenaltyAtoms(space, [(ProbVector(space, w), c) for w, c in rows])
 
 
 def format_number(x: float) -> str:

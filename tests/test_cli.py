@@ -733,6 +733,41 @@ class TestSubprocess:
         assert proc.stderr.startswith("operation error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_underflowing_sig_hi_exits_2(self, tmp_path):
+        # 2 sig_hi^2 underflows to zero below about 1e-162, and gwalk divides by it
+        doc = {"format": 1, "command": {"op": "demo", "name": "gwalk",
+                                        "args": {"sig_hi": 1e-170}}}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        for proc in (run_module("demo", "gwalk", "--param", "sig_hi=1e-170"),
+                     run_module("run", str(path))):
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("validation error: ") and "sig_hi" in proc.stderr
+            assert "Traceback" not in proc.stderr
+        assert main(["demo", "gwalk", "--param", "sig_hi=1e-160",
+                     "--out", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("x", [9e307, 1.7e308])
+    def test_oce_near_the_float_range_is_finite(self, tmp_path, x):
+        # x - s overflows at some candidates; the value is the finite dual one
+        doc = {"format": 1, "spaces": {"U": ["a", "b"]},
+               "sets": {"S": {"space": "U", "vertices": [[0.5, 0.5], [0.1, 0.9]]}},
+               "variables": {"X": {"space": "U", "values": [x, -x]}},
+               "command": {"op": "oce", "set": "S", "variable": "X",
+                           "loss": {"kind": "avar", "level": 0.5}}}
+        tree = {"format": 1, "spaces": {"U": ["a", "b"]},
+                "trees": {"T": {"step_space": "U", "horizon": 1,
+                                "ambiguity": [[[[0.5, 0.5], [0.1, 0.9]]]]}},
+                "variables": doc["variables"],
+                "command": {"op": "tree-risk", "tree": "T", "variable": "X",
+                            "loss": {"kind": "avar", "level": 0.5}}}
+        path = tmp_path / "doc.json"
+        for d, key in ((doc, "value"), (tree, "root_value")):
+            path.write_text(json.dumps(d))
+            proc = run_module("run", str(path))
+            assert proc.returncode == 0 and "Traceback" not in proc.stderr
+            assert json.loads(proc.stdout)["outputs"][key] == x
+
     def test_infeasible_avar_dual_program_exits_3(self, tmp_path):
         # at tol 1e-15 rounding makes the AVaR dual program, feasible by construction,
         # come back infeasible
@@ -864,7 +899,8 @@ def valid_scenarios() -> dict:
             "op": "tree-sublinear", "tree": "tr", "variable": "X"}),
             ("trees", "tr", "ambiguity"), LEVELS_OF_1_2_3_ROWS),
         "demo": {"format": 1, "command": {"op": "demo", "name": "gwalk",
-                                          "args": {"horizon": 2, "payoff": "abs"}}},
+                                          "args": {"horizon": 2, "payoff": "abs", "sig_lo": 0.0,
+                                                   "sig_hi": 1.0, "dt": 1.0}}},
     }
     return {op: only_referenced(doc) for op, doc in docs.items()}
 
@@ -924,6 +960,21 @@ class TestMutationFuzz:
             for value in RETYPES:
                 path.write_text(json.dumps(edited(doc, field, value)))
                 code = main(["run", str(path), "--out", str(out)])
+                assert code in (0, 2, 3, 4), (field, value)
+        capsys.readouterr()
+
+    EXTREMES = (0, -0.0, 1e-170, -1e-170, 8.9e307, 1.7e308, -1.7e308, 2**63, -(2**63))
+
+    @pytest.mark.parametrize("op", sorted(valid_scenarios()))
+    def test_numeric_extremes_exit_with_a_documented_code(self, op, tmp_path, capsys):
+        doc = valid_scenarios()[op]
+        path = tmp_path / "doc.json"
+        fields = [field for field, valid in typed_fields(doc) if type(valid) is not bool]
+        assert fields
+        for field in fields:
+            for value in self.EXTREMES:
+                path.write_text(json.dumps(edited(doc, field, value)))
+                code = main(["run", str(path), "--out", str(tmp_path / "r.json")])
                 assert code in (0, 2, 3, 4), (field, value)
         capsys.readouterr()
 

@@ -106,6 +106,14 @@ class TestGwalk:
                     report = gwalk(horizon, sig_lo, sig_hi, 1.0, payoff)
                     assert report.passed, (payoff, horizon, sig_lo, sig_hi)
 
+    def test_underflowing_sig_hi_refused(self):
+        # 2 sig_hi^2 is zero below about 1e-162; the weights divide by it
+        with pytest.raises(ValidationError, match="sig_hi"):
+            gwalk(sig_hi=1e-170)
+        with pytest.raises(ValidationError, match="sig_hi"):
+            gwalk(sig_lo=1e-171, sig_hi=1e-170)
+        assert gwalk(sig_hi=1e-160).passed
+
     def test_call_needs_strike(self):
         with pytest.raises(ValidationError):
             gwalk(payoff="call")

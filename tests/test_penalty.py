@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from _oracles import composed_atoms_loop, credal_set_per_row, penalty_atoms_per_row
 from _oracles import min_penalty as oracle_min_penalty
+from credalkit.conditional import PenaltyKernel, composed_atoms
 from credalkit.credal import CredalSet, sublinear_expectation
 from credalkit.errors import ValidationError
+from credalkit.lp import SimplexStalledError
 from credalkit.penalty import (
     PenaltyAtoms,
     convex_expectation,
@@ -105,7 +110,7 @@ class TestMinimalPenalty:
         for _ in range(50):
             A = random_atoms(rng)
             for i in range(A.n_atoms):
-                P, c = A.atom(i)
+                P, c = ProbVector(A.space, A.points[i]), float(A.costs[i])
                 assert minimal_penalty(A, P) <= c + 1e-9
 
     def test_outside_hull_is_inf(self):
@@ -205,6 +210,25 @@ class TestEnvelope:
         assert E.n_atoms == 2
         assert np.allclose(sorted(E.costs.tolist()), [0.0, 0.5])
 
+    @pytest.mark.xfail(strict=True, raises=SimplexStalledError,
+                       reason="D1: a costed hull program stalls on a composed family")
+    def test_composed_family_envelope(self):
+        # |U| = 4, |V| = 3, four atoms per family: 1,024 composed atoms
+        rng = np.random.default_rng(0)
+
+        def family(space):
+            costs = [0.0, *rng.uniform(0.0, 1.0, 3)]
+            return PenaltyAtoms.from_rows(
+                space, zip(rng.dirichlet(np.ones(space.size), size=4), costs))
+
+        us = OutcomeSpace([f"u{i}" for i in range(4)])
+        AU = family(us)
+        C = composed_atoms(AU, PenaltyKernel(us, [family(ABC) for _ in range(4)]))
+        E = envelope_atoms(C)
+        for x in rng.uniform(-4, 4, (20, C.space.size)):
+            assert convex_expectation(E, rv(C.space, x)) == pytest.approx(
+                convex_expectation(C, rv(C.space, x)), abs=1e-9)
+
     def test_idempotent_and_value_preserving(self):
         rng = np.random.default_rng(26)
         for _ in range(30):
@@ -218,3 +242,130 @@ class TestEnvelope:
                 assert convex_expectation(E, x) == pytest.approx(
                     convex_expectation(A, x), abs=1e-9
                 )
+
+
+def atom_rows(rng, n, k):
+    """``k`` atoms on ``n`` outcomes: masses off one within tolerance, a ``-1e-13``
+    weight, a duplicate atom, and costs that are shifted or already start at zero."""
+    rows = rng.dirichlet(np.ones(n), size=k)
+    rows *= 1.0 + rng.uniform(-9e-10, 9e-10, (k, 1))
+    if n > 1:
+        i = rng.integers(k)
+        rows[i] = np.eye(n)[rng.integers(n)]
+        rows[i, (np.argmax(rows[i]) + 1) % n] = -1e-13
+    if k > 1:
+        rows[-1] = rows[0]
+    costs = rng.uniform(0.0, 1.5, k)
+    if rng.random() < 0.5:
+        costs[rng.integers(k)] = 0.0
+    return list(zip(rows.tolist(), costs.tolist()))
+
+
+def same_family(A, B):
+    return (A.points.tobytes() == B.points.tobytes() and A.costs.tobytes() == B.costs.tobytes()
+            and A.normalization_shift == B.normalization_shift)
+
+
+def built(build):
+    """What ``build()`` gives: the family's bytes, or the class and message it raises."""
+    try:
+        A = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(A, CredalSet):
+        return A.matrix.tobytes()
+    return A.points.tobytes(), A.costs.tobytes(), A.normalization_shift
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("constructor called")
+
+
+class TestFamiliesFromRowStacks:
+    """Both families validate their rows as one stack (``spaces._prob_stack``), bitwise as one
+    ``ProbVector`` per row, and refuse as the first bad row would on its own."""
+
+    def test_no_probvector_per_atom(self, monkeypatch):
+        rng = np.random.default_rng(160)
+        for _ in range(40):
+            nu, nv = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            us = OutcomeSpace([f"u{i}" for i in range(nu)])
+            vs = OutcomeSpace([f"v{i}" for i in range(nv)])
+            outer = atom_rows(rng, nu, int(rng.integers(1, 4)))
+            table = [atom_rows(rng, nv, int(rng.integers(1, 3))) for _ in range(nu)]
+            AU_ref = penalty_atoms_per_row(us, outer)
+            K_ref = PenaltyKernel(us, [penalty_atoms_per_row(vs, t) for t in table])
+            C_ref = composed_atoms_loop(AU_ref, K_ref)
+            with monkeypatch.context() as m:
+                m.setattr(PenaltyAtoms, "from_rows", classmethod(
+                    lambda cls, space, rows: penalty_atoms_per_row(space, rows)))
+                E_ref = envelope_atoms(C_ref)
+            with monkeypatch.context() as m:
+                m.setattr(ProbVector, "__init__", refuse)
+                AU = PenaltyAtoms.from_rows(us, outer)
+                K = PenaltyKernel(us, [PenaltyAtoms.from_rows(vs, t) for t in table])
+                C = composed_atoms(AU, K)
+                E = envelope_atoms(C)
+            assert same_family(AU, AU_ref)
+            assert all(same_family(A, B) for A, B in zip(K.table, K_ref.table))
+            assert same_family(C, C_ref)
+            assert same_family(E, E_ref)
+
+    BAD = {
+        "short": lambda r: r[:-1],
+        "long": lambda r: r + [0.0],
+        "ragged": lambda r: [r[0], r[1:]],
+        "empty": lambda r: [],
+        "abc": lambda r: ["abc"] + r[1:],
+        "nan": lambda r: [float("nan")] + r[1:],
+        "mass-1.1": lambda r: [1.1 * w for w in r],
+        "weight-0.2": lambda r: [-0.2, 1.2] + [0.0] * (len(r) - 2),
+    }
+
+    def cases(self):
+        good = np.random.default_rng(161).dirichlet(np.ones(3), size=5).tolist()
+        for kind in self.BAD:
+            for pos in (0, 2, 4):
+                rows = list(good)
+                rows[pos] = self.BAD[kind](rows[pos])
+                yield rows
+            yield [self.BAD[kind](r) for r in good]
+        for (a, b), (i, j) in itertools.product(itertools.product(self.BAD, repeat=2),
+                                                [(0, 2), (0, 4), (2, 4)]):
+            rows = list(good)
+            rows[i], rows[j] = self.BAD[a](rows[i]), self.BAD[b](rows[j])
+            yield rows
+        yield []
+        yield good
+
+    def test_refusals_match_per_row_checks(self, monkeypatch):
+        space = OutcomeSpace("abc")
+        costs = [0.5, 0.0, 1.0, 2.0, 0.25]
+        n = 0
+        for rows in self.cases():
+            atoms = list(zip(rows, costs))
+            want = built(lambda: credal_set_per_row(space, rows)), built(
+                lambda: penalty_atoms_per_row(space, atoms))
+            with monkeypatch.context() as m:
+                for cls in (ProbVector, CredalSet, PenaltyAtoms):
+                    m.setattr(cls, "__init__", refuse)
+                got = built(lambda: CredalSet.from_rows(space, rows)), built(
+                    lambda: PenaltyAtoms.from_rows(space, atoms))
+            assert got == want, rows
+            n += isinstance(want[0], tuple)
+        assert n == 3 * len(self.BAD) + len(self.BAD) + 3 * len(self.BAD) ** 2 + 1
+
+    @pytest.mark.parametrize("cost", [-0.5, float("nan"), float("inf"), "abc", None, [1.0]])
+    def test_bad_cost_after_good_weights(self, cost):
+        space = OutcomeSpace("abc")
+        good = np.random.default_rng(162).dirichlet(np.ones(3), size=4).tolist()
+        for pos in (0, 3):
+            costs = [0.5, 0.0, 1.0, 2.0]
+            costs[pos] = cost
+            atoms = list(zip(good, costs))
+            want = built(lambda: penalty_atoms_per_row(space, atoms))
+            assert isinstance(want, tuple) and isinstance(want[0], type)
+            assert built(lambda: PenaltyAtoms.from_rows(space, atoms)) == want
+            atoms[1] = (self.BAD["nan"](good[1]), atoms[1][1])  # a bad weight comes first
+            assert built(lambda: PenaltyAtoms.from_rows(space, atoms)) == built(
+                lambda: penalty_atoms_per_row(space, atoms))

@@ -206,6 +206,45 @@ class TestOce:
             )
 
 
+class TestOceNearFloatRange:
+    """Where ``x - s`` or a loss would overflow, the scan runs on ``x / 2^k``: exactly the
+    scaled scan, so the value is finite and the dual one, never ``inf`` or a dropped NaN."""
+
+    SEG = CredalSet.from_rows(AB, [[0.5, 0.5], [0.1, 0.9]])
+
+    @pytest.mark.parametrize("x", [9e307, 1.7e308])
+    def test_opposite_extremes_match_the_dual(self, x):
+        X, L = rv(AB, [x, -x]), LossSpec.avar(0.5)
+        assert oce(self.SEG, X, L).value == x == avar_dual_evaluate(self.SEG, 0.5, X)
+        tree = ScenarioTree(AB, 1, [[self.SEG]])
+        assert compose_risk(tree, X, L)[0][0] == x
+
+    def test_infinite_objective_off_the_minimum(self):
+        # at s = 0 the loss 1e300 / 1e-9 overflows; the minimum at s = 1e300 stands
+        for S in (self.SEG, CredalSet.from_rows(AB, [[0.0, 1.0], [0.5, 0.5]])):
+            assert oce(S, rv(AB, [1e300, 0.0]), LossSpec.avar(1e-9)).value == 1e300
+        # unless the overflowing candidate is really the smaller one
+        S = CredalSet.from_rows(AB, [[1e-10, 1.0 - 1e-10]])
+        X = rv(AB, [1e300, 0.0])
+        assert oce(S, X, LossSpec.avar(1e-9)).value == pytest.approx(
+            avar_dual_evaluate(S, 1e-9, X), rel=1e-12)
+
+    def test_scaled_scan_is_exact(self):
+        rng = np.random.default_rng(161)
+        losses = [LossSpec.avar(0.05), LossSpec.avar(0.5), LossSpec.avar(1.0),
+                  LossSpec.piecewise([0.0], [0.0, 2.0]), LossSpec.piecewise([0.0], [0.5, 1e9])]
+        for _ in range(200):
+            S = random_set(rng, n=int(rng.integers(2, 5)), k=int(rng.integers(1, 4)))
+            L = losses[rng.integers(len(losses))]
+            big = rng.choice([1e300, 1e306, 8.9e307, 1.7e308]) * rng.uniform(-1.0, 1.0, S.space.size)
+            got = oce(S, rv(S.space, big), L)
+            # breakpoints at zero: the loss of x / 2^600 is the loss of x over 2^600
+            small = oce(S, rv(S.space, np.ldexp(big, -600)), L)
+            assert got.value == np.ldexp(small.value, 600)
+            assert got.minimizer == np.ldexp(small.minimizer, 600)
+            assert np.isfinite(got.value) and big.min() <= got.value <= big.max()
+
+
 class TestDual:
     def test_primal_dual_equality(self):
         rng = np.random.default_rng(67)
@@ -562,6 +601,14 @@ class TestBatchedScan:
         assert calls == {"oce": 0, "RandomVariable": 0}
         rv(STEP, [1.0, 2.0])  # the counters do see constructions
         assert calls["RandomVariable"] == 1
+
+    def test_shared_level_stores_its_matrix_once(self):
+        S = CredalSet.from_rows(STEP, [[0.25, 0.75], [0.5, 0.5]])
+        tree = ScenarioTree.uniform(STEP, 6, S)
+        for groups in tree._groups:
+            [(nodes, V)] = groups
+            assert nodes == slice(None) and V.shape == (1, 2, 2)
+            assert np.shares_memory(V, S.matrix)
 
     def test_levels_are_grouped_once_on_construction(self, monkeypatch):
         rng = np.random.default_rng(84)
