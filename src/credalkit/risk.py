@@ -64,7 +64,7 @@ class LossSpec(Frozen):
             raise ValidationError("need exactly one slope per segment")
         if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(sl))):
             raise ValidationError("loss data must be finite")
-        if np.any(np.diff(bp) <= 0):
+        if np.any(bp[1:] <= bp[:-1]):
             raise ValidationError("breakpoints must be strictly increasing")
         if np.any(np.diff(sl) < 0):
             raise ValidationError("slopes must be nondecreasing (convexity)")
@@ -75,11 +75,16 @@ class LossSpec(Frozen):
         if not boundary and sl[-1] <= 1.0:
             raise ValidationError("last slope must exceed one")
 
-        # loss values at the breakpoints, anchored so that l(0) = 0
-        rel = np.concatenate([[0.0], np.cumsum(sl[1:-1] * np.diff(bp))])
+        # loss values at breakpoints, l(0) = 0; overflowing sums are taken on bp / 2 and doubled
         seg0 = int(np.searchsorted(bp, 0.0, side="right"))
         j0 = max(seg0 - 1, 0)
-        anchors = rel - (rel[j0] + sl[seg0] * (0.0 - bp[j0]))
+        for e in (0, 1):
+            h = np.ldexp(bp, -e)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rel = np.concatenate([[0.0], np.cumsum(sl[1:-1] * np.diff(h))])
+                anchors = np.ldexp(rel - (rel[j0] + sl[seg0] * (0.0 - h[j0])), e)
+            if np.all(np.isfinite(anchors)):
+                break
 
         self._freeze(breakpoints=bp, slopes=sl, _anchors=anchors, boundary=boundary)
 
@@ -150,7 +155,8 @@ def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
 
     Row ``r`` has vertex matrix ``V[r]`` and payoff ``x[r]``.  Candidates stay sorted with
     their duplicates: equal points have equal objectives, so ``argmin`` picks the first copy
-    and its neighbours bracket it.  A scan whose losses could overflow runs on ``x / 2^k``.
+    and its neighbours bracket it.  Vertex crossings are scored only on rows that have one.
+    A scan whose losses could overflow runs on ``x / 2^k``.
     """
     k = frexp(L.slopes[-1])[1] + frexp(max(x.max(), -x.min(), *abs(L.breakpoints)))[1] - 1019
     if k > 0:  # every loss is below 32 m max|x, bp| (m the last slope); 2^-k scales exactly
@@ -169,8 +175,12 @@ def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
     a = np.stack([cand[rows, np.maximum(j - 1, 0)], at], axis=1)
     b = np.stack([at, cand[rows, nxt]], axis=1)
     cross = _vertex_crossings(V, x, L, a, b)
+    g = np.full(cross.shape, np.nan)
+    hit = np.flatnonzero(~np.isnan(cross).all(axis=1))
+    if hit.size:
+        g[hit] = _objective(V if V.shape[0] == 1 else V[hit], x[hit], L, cross[hit])
     points = np.concatenate([cand, cross], axis=1)
-    vals = np.concatenate([f, _objective(V, x, L, cross)], axis=1)
+    vals = np.concatenate([f, g], axis=1)
     value = np.nanmin(vals, axis=1)
     tied = vals <= value[:, None] + _TIE_TOL
     return value, np.min(np.where(tied, points, np.inf), axis=1)

@@ -13,7 +13,8 @@ inclusion scan, the LP-only canonicalization, the sorted-neighbour
 duplicate scan, the per-selection pasting and composed-atom loops, the
 per-vertex Fubini transpose, the branch-per-type report writer, the
 one-row probability check, the node-by-node tree build, the
-one-``ProbVector``-per-row family builds); the
+one-``ProbVector``-per-row family builds, the full-width crossing scan,
+the direct loss anchors); the
 package's versions must reproduce them bit for bit.  The path-by-path
 walk expectation is the one exception: the package computes it by
 backward induction, which rounds differently, so it must agree to 1e-12.
@@ -197,6 +198,44 @@ def vertex_crossings_scalar(V, x, L, a, b):
             if a + 1e-15 < s < b - 1e-15:
                 out.append(float(s))
     return out
+
+
+def oce_batch_full_scan(V: np.ndarray, x: np.ndarray, L):
+    """``risk._oce_batch`` scoring every row's vertex crossings, NaN columns included.
+
+    The package skips the rows whose crossing columns are all NaN; this is the
+    full-width scan it must reproduce bit for bit.
+    """
+    from credalkit import risk
+
+    k = (math.frexp(L.slopes[-1])[1]
+         + math.frexp(max(x.max(), -x.min(), *abs(L.breakpoints)))[1] - 1019)
+    if k > 0:
+        Lk = risk.LossSpec(np.ldexp(L.breakpoints, -k), L.slopes, boundary=L.boundary)
+        value, minimizer = oce_batch_full_scan(V, np.ldexp(x, -k), Lk)
+        return np.ldexp(value, k), np.ldexp(minimizer, k)
+    rows = np.arange(x.shape[0])
+    cand = np.sort((x[:, :, None] - L.breakpoints).reshape(x.shape[0], -1), axis=1)
+    f = risk._objective(V, x, L, cand)
+    j = np.argmin(f, axis=1)
+    at = cand[rows, j]
+    nxt = np.argmax(cand > at[:, None], axis=1)
+    a = np.stack([cand[rows, np.maximum(j - 1, 0)], at], axis=1)
+    b = np.stack([at, cand[rows, nxt]], axis=1)
+    cross = risk._vertex_crossings(V, x, L, a, b)
+    points = np.concatenate([cand, cross], axis=1)
+    vals = np.concatenate([f, risk._objective(V, x, L, cross)], axis=1)
+    value = np.nanmin(vals, axis=1)
+    tied = vals <= value[:, None] + 1e-12
+    return value, np.min(np.where(tied, points, np.inf), axis=1)
+
+
+def loss_anchors(breakpoints: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """A loss's values at its breakpoints, by the direct sums (``l(0) = 0``)."""
+    rel = np.concatenate([[0.0], np.cumsum(slopes[1:-1] * np.diff(breakpoints))])
+    seg0 = int(np.searchsorted(breakpoints, 0.0, side="right"))
+    j0 = max(seg0 - 1, 0)
+    return rel - (rel[j0] + slopes[seg0] * (0.0 - breakpoints[j0]))
 
 
 def backward_scalar(ambiguity_vertices, x_terminal: np.ndarray, branching: int,

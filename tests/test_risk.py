@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from _oracles import (
     backward_scalar,
     dedup_rows,
     greedy_tail,
+    loss_anchors,
+    oce_batch_full_scan,
     oce_grid,
     oce_scalar,
     robust_tail_lp,
@@ -114,6 +117,21 @@ class TestLossSpec:
                 at_zero = rel[seg0 - 1] + slopes[seg0] * (0.0 - bps[seg0 - 1])
             L = LossSpec.piecewise(bps, slopes)
             assert np.array_equal(L(bps), np.array(rel) - at_zero)
+
+    def test_anchors_past_the_float_range(self):
+        # the direct sums overflow (1.7e308 + 1.7e308); on the halved breakpoints they do not
+        bp, sl = np.array([-1.7e308, 1.7e308]), np.array([0.5, 0.9, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L = LossSpec.piecewise(bp, sl)
+            top, bottom = float(L(1.7e308)), float(L(-1.7e308))
+        assert np.array_equal(L._anchors, np.ldexp(loss_anchors(bp / 2, sl), 1))
+        assert L._anchors.tolist() == [bottom, top]
+        assert top == pytest.approx(1.53e308, rel=1e-15) and bottom == -top
+
+    def test_anchors_in_range_are_the_direct_sums(self):
+        for L in LOSSES:
+            assert np.array_equal(L._anchors, loss_anchors(L.breakpoints, L.slopes))
 
 
 class TestOce:
@@ -627,6 +645,113 @@ class TestBatchedScan:
                               (compose_sublinear(tree, X), lambda V, c: float(np.max(V @ c)))):
                 want = backward_scalar(verts, x, 2, step)
                 assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+
+class TestCrossingRows:
+    """Vertex crossings are scored only on the rows that have one, and the batch is bit for
+    bit the full-width scan that scores every row."""
+
+    @staticmethod
+    def crossings(monkeypatch, V, x, L):
+        """The vertex-crossing columns of ``_oce_batch(V, x, L)``, NaN where none."""
+        seen = []
+        crossings = risk._vertex_crossings
+
+        def record(*args):
+            seen.append(crossings(*args))
+            return seen[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(risk, "_vertex_crossings", record)
+            risk._oce_batch(V, x, L)
+        return seen[-1]
+
+    def crossing_rows(self, monkeypatch, V, x, L):
+        """Whether each row of ``_oce_batch(V, x, L)`` has a vertex crossing."""
+        return ~np.isnan(self.crossings(monkeypatch, V, x, L)).all(axis=1)
+
+    @staticmethod
+    def assert_full_scan(V, x, L):
+        got = risk._oce_batch(V, x, L)
+        want = oce_batch_full_scan(V, x, L)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+    @staticmethod
+    def batch(rng, rows, k, b, shared=False):
+        V = rng.dirichlet(np.ones(b), size=(1 if shared else rows, k))
+        x = rng.uniform(-3, 3, (rows, b))
+        x[::2] = np.round(x[::2], 1)  # repeated payoffs and shared candidates
+        return V, x
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("k,b", [(2, 2), (3, 3), (4, 5)])
+    def test_batch_matches_full_scan(self, monkeypatch, shared, k, b):
+        rng = np.random.default_rng(180 + 10 * k + b)
+        V, x = self.batch(rng, 400, k, b, shared)
+        hits = [self.crossing_rows(monkeypatch, V, x, L) for L in LOSSES]
+        assert any(h.any() for h in hits) and not any(h.all() for h in hits)
+        for L in LOSSES:
+            self.assert_full_scan(V, x, L)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_one_vertex_groups_have_no_crossing_columns(self, monkeypatch, shared):
+        V, x = self.batch(np.random.default_rng(185), 50, 1, 3, shared)
+        for L in LOSSES:
+            assert self.crossings(monkeypatch, V, x, L).shape == (50, 0)
+            self.assert_full_scan(V, x, L)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_no_row_and_every_row_crossing(self, monkeypatch, shared):
+        rng = np.random.default_rng(186)
+        V, x = self.batch(rng, 600, 3, 3, shared)
+        for L in LOSSES:
+            hit = self.crossing_rows(monkeypatch, V, x, L)
+            for rows, want in ((~hit, False), (hit, True)):
+                Vr = V if shared else V[rows]
+                assert rows.sum() >= 2
+                assert np.all(self.crossing_rows(monkeypatch, Vr, x[rows], L) == want)
+                self.assert_full_scan(Vr, x[rows], L)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_scaled_scan_matches_full_scan(self, monkeypatch, shared):
+        rng = np.random.default_rng(187)
+        V, x = self.batch(rng, 300, 3, 3, shared)
+        calls = []
+        oce_batch = risk._oce_batch
+
+        def counting(*args):
+            calls.append(1)
+            return oce_batch(*args)
+
+        xs = x * 1e307
+        for L in (LossSpec.avar(0.1), LOSSES[-1]):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(risk, "_oce_batch", counting)
+                risk._oce_batch(V, xs, L)
+            assert len(calls) == 2  # the scan ran once more, on x / 2^k
+            assert self.crossing_rows(monkeypatch, V, xs, L).any()
+            self.assert_full_scan(V, xs, L)
+
+    def test_no_row_without_a_crossing_is_scored(self, monkeypatch):
+        objective = risk._objective
+
+        def strict(V, x, L, s):
+            assert not np.isnan(s).all(axis=1).any(), "a row with no crossing was scored"
+            return objective(V, x, L, s)
+
+        rng = np.random.default_rng(188)
+        step = OutcomeSpace(["down", "flat", "up"])
+        paths = OutcomeSpace([f"p{i}" for i in range(3**5)])
+        X = rv(paths, rng.uniform(-3, 3, 3**5))
+        shared = CredalSet.from_rows(step, rng.dirichlet(np.ones(3), size=3))
+        trees = [mixed_tree(rng, step, 5), ScenarioTree.uniform(step, 5, shared)]
+        want = [[compose_risk(tree, X, L) for L in LOSSES] for tree in trees]
+        monkeypatch.setattr(risk, "_objective", strict)
+        for tree, levels in zip(trees, want, strict=True):
+            for L, expected in zip(LOSSES, levels, strict=True):
+                got = compose_risk(tree, X, L)
+                assert all(np.array_equal(g, w) for g, w in zip(got, expected, strict=True))
 
 
 class TestTreeSizeGuard:
