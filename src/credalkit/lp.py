@@ -90,7 +90,8 @@ def _run_simplex(T, basis, cost, n_enter, tol):
     """Pivot ``T`` in place until no reduced cost below ``-tol`` remains.
 
     Bland's rule throughout: the entering column is the smallest eligible
-    index, the leaving row breaks ratio ties by smallest basic index.
+    index (the first ``argmax`` of the eligibility mask), the leaving row breaks
+    ratio ties by smallest basic index.
     Returns ``(objective value, status)``.
     """
     m = T.shape[0]
@@ -102,20 +103,22 @@ def _run_simplex(T, basis, cost, n_enter, tol):
             r -= cb * T[i, :-1]
             z += cb * T[i, -1]
 
+    if n_enter == 0:  # no column can enter
+        return z, OPTIMAL
     budget = 1000 + 50 * T.shape[1]
     for _ in range(budget):
-        eligible = np.flatnonzero(r[:n_enter] < -tol)
-        if eligible.size == 0:
+        eligible = r[:n_enter] < -tol
+        j = int(eligible.argmax())
+        if not eligible[j]:
             return z, OPTIMAL
-        j = int(eligible[0])
         col = T[:, j]
-        rows = np.flatnonzero(col > tol)
+        rows = (col > tol).nonzero()[0]
         if rows.size == 0:
             return z, UNBOUNDED
         ratios = T[rows, -1] / col[rows]
         best = ratios.min()
         ties = rows[ratios <= best + tol * max(1.0, abs(best))]
-        leave = int(min(ties, key=lambda i: basis[i]))
+        leave = min(ties.tolist(), key=basis.__getitem__)
         z += r[j] * (T[leave, -1] / T[leave, j])
         _pivot(T, r, leave, j)
         basis[leave] = j

@@ -14,6 +14,7 @@ follow by backward induction level by level.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from math import comb, frexp
@@ -229,11 +230,13 @@ def avar_dual_evaluate(S: CredalSet, level: float, X: RandomVariable,
     A[n, :n] = 1.0
     A[n + 1, n : n + k] = 1.0
     b = np.concatenate([np.zeros(n), [1.0, 1.0]])
-    c = np.concatenate([-X.values, np.zeros(n + k)])
+    # payoffs near the float range run on X / 2^e (exact), so the reduced costs cannot overflow
+    e = max(frexp(1.0 / level)[1] + frexp(np.max(np.abs(X.values)))[1] - 1000, 0)
+    c = np.concatenate([-np.ldexp(X.values, -e), np.zeros(n + k)])
     res = solve_lp(c, A, b, tol)
     if res.status != OPTIMAL:  # feasible by construction, but rounding can say otherwise
         raise SimplexStalledError(f"the AVaR dual program came back {res.status}")
-    return -res.value
+    return -float(np.ldexp(res.value, e))
 
 
 def avar_dual_set(S: CredalSet, level: float, tol: float = DEFAULT_TOL) -> CredalSet:
@@ -291,7 +294,15 @@ def _capped_box_vertices(caps: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _projected_lifted_vertices(V: np.ndarray, level: float, tol: float) -> np.ndarray:
-    """Project lifted-polytope vertices onto the probability coordinates."""
+    """Project lifted-polytope vertices onto the probability coordinates.
+
+    The active sets are solved in lexicographic blocks of at most ``_CELL_BUDGET``
+    cells, one stacked ``np.linalg.solve`` per block.  Systems with a zero
+    ``slogdet`` sign are dropped first: that is the exact zero pivot that makes
+    ``solve`` refuse a system, as the LU is the same.  A block that ``solve`` still
+    refuses is solved one system at a time.  Each candidate is then checked on its
+    own (``G @ z``), so the candidates and their order are the per-system loop's.
+    """
     k, n = V.shape
     d = n + k
     n_ineq = 2 * n + k
@@ -309,21 +320,27 @@ def _projected_lifted_vertices(V: np.ndarray, level: float, tol: float) -> np.nd
     G[2 * n :, n:] = -np.eye(k)
 
     out = []
-    system = np.zeros((d, d))
-    system[0, :n] = 1.0
-    system[1, n:] = 1.0
+    simplex_rows = np.zeros((2, d))
+    simplex_rows[0, :n] = 1.0
+    simplex_rows[1, n:] = 1.0
     rhs = np.zeros(d)
     rhs[:2] = 1.0
-    for active in itertools.combinations(range(n_ineq), d - 2):
-        system[2:] = G[list(active)]
+    block = _CELL_BUDGET // (d * d)  # at least 9: the combination guard admits d <= 84
+    active_sets = itertools.combinations(range(n_ineq), d - 2)
+    for _ in range(0, combos, block):
+        flat = itertools.chain.from_iterable(itertools.islice(active_sets, block))
+        active = np.fromiter(flat, np.intp).reshape(-1, d - 2)
+        systems = np.concatenate([np.broadcast_to(simplex_rows, (len(active), 2, d)), G[active]], 1)
+        systems = systems[np.linalg.slogdet(systems)[0] != 0]
         try:
-            z = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(z)):
-            continue
-        if np.all(G @ z <= tol):
-            out.append(z[:n])
+            Z = np.linalg.solve(systems, rhs[None, :, None])[..., 0]  # a stack of matrices under numpy 1 and 2
+        except np.linalg.LinAlgError:  # a zero pivot the screen passed: one system at a time
+            Z = []
+            for system in systems:
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    Z.append(np.linalg.solve(system, rhs))
+            Z = np.reshape(Z, (-1, d))
+        out.extend(z[:n] for z in Z[np.isfinite(Z).all(axis=1)] if (G @ z <= tol).all())
     if not out:  # pragma: no cover - the lifted polytope is never empty
         raise RuntimeError("dual-set enumeration found no feasible vertex")
     return np.vstack(out)

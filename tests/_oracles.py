@@ -14,7 +14,8 @@ duplicate scan, the per-selection pasting and composed-atom loops, the
 per-vertex Fubini transpose, the branch-per-type report writer, the
 one-row probability check, the node-by-node tree build, the
 one-``ProbVector``-per-row family builds, the full-width crossing scan,
-the direct loss anchors); the
+the direct loss anchors, the one-solve-per-active-set dual-set enumeration, the
+``flatnonzero`` simplex loop); the
 package's versions must reproduce them bit for bit.  The path-by-path
 walk expectation is the one exception: the package computes it by
 backward induction, which rounds differently, so it must agree to 1e-12.
@@ -406,6 +407,75 @@ def dedup_rows(pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         if np.max(np.abs(pts[i] - pts[keep[-1]])) > tol:
             keep.append(i)
     return pts[keep]
+
+
+def projected_lifted_vertices_loop(V: np.ndarray, level: float, tol: float) -> np.ndarray:
+    """``risk._projected_lifted_vertices`` with one ``np.linalg.solve`` per active set,
+    skipping the sets whose system it refuses."""
+    k, n = V.shape
+    d = n + k
+    n_ineq = 2 * n + k
+    # inequality rows G z <= 0 over z = (q, mix)
+    G = np.zeros((n_ineq, d))
+    G[:n, :n] = np.eye(n)
+    G[:n, n:] = -V.T / level
+    G[n : 2 * n, :n] = -np.eye(n)
+    G[2 * n :, n:] = -np.eye(k)
+
+    out = []
+    system = np.zeros((d, d))
+    system[0, :n] = 1.0
+    system[1, n:] = 1.0
+    rhs = np.zeros(d)
+    rhs[:2] = 1.0
+    for active in itertools.combinations(range(n_ineq), d - 2):
+        system[2:] = G[list(active)]
+        try:
+            z = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(z)):
+            continue
+        if np.all(G @ z <= tol):
+            out.append(z[:n])
+    return np.vstack(out)
+
+
+def run_simplex_loop(T, basis, cost, n_enter, tol):
+    """``lp._run_simplex`` choosing its columns with ``flatnonzero`` and every leaving
+    row with a ``min`` over the ratio ties.  It pivots through ``lp._pivot``, looked up
+    on each pivot, so a wrapper installed there sees these pivots too."""
+    from credalkit import lp
+
+    m = T.shape[0]
+    r = cost.astype(float).copy()
+    z = 0.0
+    for i in range(m):
+        cb = cost[basis[i]]
+        if cb != 0.0:
+            r -= cb * T[i, :-1]
+            z += cb * T[i, -1]
+
+    budget = 1000 + 50 * T.shape[1]
+    for _ in range(budget):
+        eligible = np.flatnonzero(r[:n_enter] < -tol)
+        if eligible.size == 0:
+            return z, lp.OPTIMAL
+        j = int(eligible[0])
+        col = T[:, j]
+        rows = np.flatnonzero(col > tol)
+        if rows.size == 0:
+            return z, lp.UNBOUNDED
+        ratios = T[rows, -1] / col[rows]
+        best = ratios.min()
+        ties = rows[ratios <= best + tol * max(1.0, abs(best))]
+        leave = int(min(ties, key=lambda i: basis[i]))
+        z += r[j] * (T[leave, -1] / T[leave, j])
+        lp._pivot(T, r, leave, j)
+        basis[leave] = j
+    raise lp.SimplexStalledError(
+        f"simplex did not terminate within {budget} pivots"
+    )
 
 
 def walk_expectations(step_values, laws, horizon: int, payoffs) -> np.ndarray:

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from _oracles import run_simplex_loop
+from credalkit import lp
+from credalkit.credal import CredalSet
 from credalkit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from credalkit.risk import avar_dual_set
+from credalkit.spaces import OutcomeSpace
 
 
 def scipy_reference(c, A, b):
@@ -124,3 +129,97 @@ class TestEdgeCases:
         res = solve_lp([5.0], [[1.0]], [1.0])
         assert res.status == OPTIMAL
         assert res.value == pytest.approx(5.0)
+
+
+class TestSimplexLoop:
+    """``lp._run_simplex`` against the ``flatnonzero`` loop it replaced
+    (``_oracles.run_simplex_loop``): the same status, value, ``x``, ``dual`` and pivot
+    count, bit for bit."""
+
+    @staticmethod
+    def both(monkeypatch, solve):
+        """``[(result, pivots)]`` of ``solve()`` under the package's loop, then the oracle's;
+        a stall's result is its message."""
+        out = []
+        pivot = lp._pivot
+        for loop in (lp._run_simplex, run_simplex_loop):
+            pivots = []
+            with monkeypatch.context() as m:
+                m.setattr(lp, "_run_simplex", loop)
+                m.setattr(lp, "_pivot", lambda *args: pivots.append(pivot(*args)))
+                try:
+                    result = solve()
+                except lp.SimplexStalledError as exc:
+                    result = str(exc)
+            out.append((result, len(pivots)))
+        return out
+
+    def check(self, monkeypatch, c, A, b):
+        (new, n_new), (old, n_old) = self.both(monkeypatch, lambda: solve_lp(c, A, b))
+        assert n_new == n_old
+        assert (new.status, new.value) == (old.status, old.value)
+        assert (new.x is None and old.x is None) or np.array_equal(new.x, old.x)
+        assert np.array_equal(new.dual, old.dual)
+        return new.status
+
+    def test_random_programs(self, monkeypatch):
+        rng = np.random.default_rng(194)
+        statuses = []
+        for _ in range(60):
+            # costed and bounded, as in TestAgainstScipy
+            m, n = int(rng.integers(1, 6)), int(rng.integers(2, 12))
+            A = rng.normal(size=(m, n))
+            x = np.abs(rng.normal(size=n))
+            A = np.vstack([A, np.ones(n)])
+            b = np.concatenate([A[:-1] @ x, [x.sum() + 1.0]])
+            statuses.append(self.check(monkeypatch, rng.normal(size=n), A, b))
+            # hull programs, uncosted (membership, often infeasible) and costed (penalty)
+            n, k = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+            V = rng.dirichlet(np.ones(n), size=k)
+            A = np.vstack([V.T, np.ones((1, k))])
+            p = rng.dirichlet(np.ones(n)) if rng.random() < 0.5 else rng.dirichlet(np.ones(k)) @ V
+            b = np.concatenate([p, [1.0]])
+            statuses.append(self.check(monkeypatch, np.zeros(k), A, b))
+            statuses.append(self.check(monkeypatch, rng.uniform(0, 2, k), A, b))
+            # unbounded: a free ray along a column of zeros with negative cost
+            A = np.hstack([rng.normal(size=(m, n)), np.zeros((m, 1))])
+            b = A[:, :-1] @ np.abs(rng.normal(size=n))
+            statuses.append(self.check(monkeypatch, -np.abs(rng.normal(size=n + 1)), A, b))
+        assert set(statuses) == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+    def test_degenerate_programs_with_ratio_ties(self, monkeypatch):
+        # small integer data and sparse 0/1 solutions: zero right-hand sides and equal ratios
+        rng = np.random.default_rng(195)
+        for _ in range(80):
+            m, n = int(rng.integers(2, 6)), int(rng.integers(3, 10))
+            A = rng.integers(0, 3, size=(m, n)).astype(float)
+            A = np.hstack([A, A[:, : int(rng.integers(0, n))]])  # repeated columns
+            x = (rng.random(A.shape[1]) < 0.3).astype(float)
+            c = rng.integers(-1, 2, size=A.shape[1]).astype(float)
+            self.check(monkeypatch, c, np.vstack([A, np.ones(A.shape[1])]),
+                       np.concatenate([A @ x, [x.sum() + 1.0]]))
+            # hull programs over Dirac and repeated points
+            k = int(rng.integers(2, 6))
+            V = np.eye(m)[rng.integers(0, m, size=k)]
+            V[-1] = V[0]
+            A = np.vstack([V.T, np.ones((1, k))])
+            self.check(monkeypatch, np.zeros(k), A, np.concatenate([V[0], [1.0]]))
+
+    def test_programs_without_columns(self, monkeypatch):
+        # phase two has no column to enter: the mask is empty, not all False
+        assert self.check(monkeypatch, [], np.zeros((1, 0)), [0.0]) == OPTIMAL
+        assert self.check(monkeypatch, [], np.zeros((2, 0)), [0.0, 0.0]) == OPTIMAL
+        assert self.check(monkeypatch, [], np.zeros((1, 0)), [1.0]) == INFEASIBLE
+
+    def test_stall_after_the_same_pivots(self, monkeypatch):
+        # the D1 reproducer of test_risk's strict xfail: dual-set canonicalization stalls
+        space = OutcomeSpace([f"o{i}" for i in range(6)])
+        S = CredalSet.from_rows(space, [
+            [0.3846640671802725, 0.3731734998596908, 0.009381851183252481,
+             0.017969202492134795, 0.2084771438451464, 0.006334235439502805],
+            [0.005638933638565885, 0.0003369032194379831, 0.0011956724425198158,
+             0.6147931417005311, 0.31275447619267244, 0.0652808728062728],
+        ])
+        (new, n_new), (old, n_old) = self.both(monkeypatch, lambda: avar_dual_set(S, 1 / 3))
+        assert new == old and "did not terminate" in new
+        assert n_new == n_old

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -13,6 +14,7 @@ from _oracles import (
     oce_batch_full_scan,
     oce_grid,
     oce_scalar,
+    projected_lifted_vertices_loop,
     robust_tail_lp,
     tree_risk_grid,
 )
@@ -237,6 +239,20 @@ class TestOceNearFloatRange:
         tree = ScenarioTree(AB, 1, [[self.SEG]])
         assert compose_risk(tree, X, L)[0][0] == x
 
+    def test_dual_program_runs_scaled(self):
+        # on X / 2^e no reduced cost overflows, so no NaN enters the tableau
+        rng = np.random.default_rng(162)
+        cases = [(self.SEG, 0.5, rv(AB, [x, -x])) for x in (9e307, 1.7e308)]
+        for _ in range(100):
+            S = random_set(rng, n=int(rng.integers(2, 7)), k=int(rng.integers(1, 4)))
+            big = rng.choice([1e300, 1e306, 8.9e307, 1.7e308]) * rng.uniform(-1.0, 1.0, S.space.size)
+            cases.append((S, float(rng.choice([0.05, 0.25, 0.5, 0.9, 1.0])), rv(S.space, big)))
+        for S, level, X in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                dual = avar_dual_evaluate(S, level, X)
+            assert dual == pytest.approx(oce(S, X, LossSpec.avar(level)).value, rel=1e-12)
+
     def test_infinite_objective_off_the_minimum(self):
         # at s = 0 the loss 1e300 / 1e-9 overflows; the minimum at s = 1e300 stands
         for S in (self.SEG, CredalSet.from_rows(AB, [[0.0, 1.0], [0.5, 0.5]])):
@@ -418,6 +434,79 @@ class TestDualSet:
         S = CredalSet.from_rows(ten, [[0.1] * 10, [0.5] + [0.5 / 9] * 9])
         with pytest.raises(SizeGuardError, match="646646 active-set combinations"):
             avar_dual_set(S, 0.5)
+
+
+class TestBlockEnumeration:
+    """``_projected_lifted_vertices`` solves its active sets in stacked blocks behind a
+    ``slogdet`` screen; its candidates are the per-system loop's, bit for bit and in order."""
+
+    @staticmethod
+    def check(V, level, tol=1e-9):
+        want = projected_lifted_vertices_loop(V, level, tol)
+        got = risk._projected_lifted_vertices(V, level, tol)
+        assert np.array_equal(got, want)
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(191)
+        for _ in range(12):
+            n, k = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+            V = rng.dirichlet(np.ones(n), size=k)
+            for level in (0.1, 0.25, 0.5, 0.999):
+                self.check(V, level)
+
+    def test_singular_and_near_singular_systems(self):
+        rng = np.random.default_rng(192)
+        for _ in range(12):
+            n = int(rng.integers(3, 7))
+            V = rng.dirichlet(np.ones(n), size=3)
+            V[0] = np.eye(n)[int(rng.integers(n))]  # zero caps: exactly singular systems
+            V[2] = V[1] + 1e-13 * rng.normal(size=n)  # a vertex 1e-13 from another
+            V[2] /= V[2].sum()
+            for level in (0.25, 0.5):
+                self.check(V, level)
+        V = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
+        self.check(V, 0.5)  # a repeated vertex
+
+    def test_partial_last_block(self):
+        V = np.random.default_rng(193).dirichlet(np.ones(6), size=2)
+        block = risk._CELL_BUDGET // 8**2
+        assert math.comb(14, 6) > block and math.comb(14, 6) % block != 0
+        self.check(V, 0.25)
+
+    def test_singular_block_falls_back_to_one_solve_per_system(self, monkeypatch):
+        V = np.array([[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4]])
+        want = projected_lifted_vertices_loop(V, 0.5, 1e-9)
+        solve, single = np.linalg.solve, []
+
+        def counting_solve(a, b):
+            single.append(np.ndim(a) == 2)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        assert np.array_equal(risk._projected_lifted_vertices(V, 0.5, 1e-9), want)
+        assert not any(single)  # the screen dropped every singular system
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (np.ones(len(a)), np.zeros(len(a))))
+        assert np.array_equal(risk._projected_lifted_vertices(V, 0.5, 1e-9), want)
+        assert any(single)
+
+    def test_numpy_1_reads_the_stacked_solve_alike(self, monkeypatch):
+        # numpy < 2 reads ``b`` as a stack of vectors only when ``b.ndim == a.ndim - 1``
+        # and otherwise as a stack of matrices, which needs ``b.ndim >= 2``
+        solve = np.linalg.solve
+
+        def solve_numpy_1(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            if b.ndim == a.ndim - 1:
+                return solve(a, b[..., None])[..., 0]
+            if b.ndim < 2:
+                raise ValueError("Input operand 1 does not have enough dimensions")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_numpy_1)
+        rng = np.random.default_rng(196)
+        for n, k in ((3, 2), (5, 3), (6, 2)):
+            V = rng.dirichlet(np.ones(n), size=k)
+            self.check(V, 0.25)
 
 
 class TestTrees:
