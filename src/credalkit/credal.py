@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotSeparableError, ValidationError
-from .lp import DEFAULT_TOL, OPTIMAL, solve_lp
+from .lp import DEFAULT_TOL, OPTIMAL, SimplexStalledError, solve_lp
 from .spaces import (
     Frozen,
     ProbVector,
@@ -213,12 +213,59 @@ def sublinear_expectation(S: CredalSet, X: RandomVariable) -> float:
 
 
 def _decide(rows: np.ndarray, points: np.ndarray, tol: float):
-    """``(member, j, res)`` for each row of ``points`` in the hull of ``rows``, lazily and in
-    order: one matching row ``j`` is a member with no LP (``res`` None); any other has
-    ``j == -1`` and is decided by its hull program ``res``, the only one membership runs."""
+    """``(member, cert)`` for each row of ``points`` against the hull of ``rows``, lazily and in
+    order: ``cert`` is a member's convex weights over ``rows``, or a direction along which a
+    nonmember beats every row.  A point matching row ``j`` gets ``e_j``; any other is proven
+    by its nearest point, or, when that proves neither, decided by its hull program."""
     for p, j in zip(points, _vertex_matches(rows, points, tol)):
-        res = None if j >= 0 else _hull_lp(rows, p, tol)
-        yield res is None or res.status == OPTIMAL, j, res
+        found = (True, np.eye(1, len(rows), j)[0]) if j >= 0 else _nearest(rows, p, tol)
+        if found is None:  # the band; the hull program's member weights must reach p
+            res = _hull_lp(rows, p, tol)
+            found = (True, res.x / res.x.sum()) if res.status == OPTIMAL else (False, res.dual[:-1])
+            if found[0] and np.abs(found[1] @ rows - p).sum() > tol:
+                raise SimplexStalledError("the hull program's member weights miss the point")
+        yield found
+
+
+def _nearest(rows: np.ndarray, p: np.ndarray, tol: float):
+    """Wolfe's minimum-norm point of the hull of ``Q = rows - p``, run until ``x = lam @ Q``
+    proves a verdict, with ``64 n eps`` for rounding: a member when ``|x|_1 <= tol``, which
+    bounds the least ``|lam @ rows - p|_1 + |1 - sum lam|``; a nonmember when ``-x`` has a
+    margin over ``tol`` as ``_certificate`` scores it, which bounds that deficiency and the
+    hull program's phase one from below.  None when Wolfe's rule or a stall stops it first."""
+    Q = rows - p
+    norms = (Q * Q).sum(axis=1)
+    slack, stop = 64 * Q.shape[1] * np.finfo(float).eps, 1e-14 * norms.max()
+    corral, lam = [int(np.argmin(norms))], np.ones(1)
+    for _ in range(500):  # major iterations; each adds a point to the corral
+        x = lam @ Q[corral]
+        if np.abs(x).sum() + slack <= tol:
+            return True, np.bincount(corral, lam, len(Q))
+        g = Q @ x
+        j = int(np.argmin(g))
+        if g[j] > 0 and np.ptp(x) > 0 and _witness(rows, p, -x)[1] > tol + slack:
+            return False, -x
+        if x @ x - g[j] <= stop or j in corral:
+            return None
+        corral, lam = corral + [j], np.append(lam, 0.0)
+        while True:  # minor cycle: step towards the corral's affine minimizer
+            B = np.ones((len(corral) + 1,) * 2)
+            B[:-1, :-1], B[-1, -1] = Q[corral] @ Q[corral].T, 0.0
+            try:
+                mu = np.linalg.solve(B, np.eye(len(B))[-1])[:-1]
+            except np.linalg.LinAlgError:  # an affinely dependent corral: rounding
+                return None
+            if np.all(mu > 0):
+                break
+            out = np.flatnonzero(mu <= 0)
+            ratio = lam[out] / np.maximum(lam[out] - mu[out], np.finfo(float).tiny)
+            mu = lam + ratio.min() * (mu - lam)
+            mu[out[np.argmin(ratio)]] = 0.0
+            corral, lam = [c for c, m in zip(corral, mu) if m > 0], mu[mu > 0]
+        if j not in corral:  # the new point left at once: rounding, not progress
+            return None
+        lam = mu / mu.sum()
+    return None
 
 
 def membership(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL):
@@ -229,53 +276,51 @@ def membership(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL):
     point matching vertex ``j`` gets ``lam = e_j`` with no LP.
     """
     _check_same_space(S.space, P.space, "membership")
-    [(member, j, res)] = _decide(S.matrix, P.weights[None], tol)
-    if not member:
-        return False, None
-    if res is None:
-        return True, np.eye(S.n_vertices)[j]
-    lam = np.maximum(res.x, 0.0)
-    return True, lam / lam.sum()
+    [(member, lam)] = _decide(S.matrix, P.weights[None], tol)
+    return (True, lam) if member else (False, None)
 
 
 def separate(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL) -> SeparationCertificate:
     """A witness payoff with ``E_P[X] > sublinear_expectation(S, X)``.
 
-    The witness is the dual certificate of the infeasible membership
-    program.  Margins are invariant under adding constants to the
-    direction, so the witness is centered (max +1, min -1) before the
+    The witness is the direction that proved the point outside, a nearest-point
+    residual or a dual certificate.  Margins are invariant under adding constants to
+    the direction, so the witness is centered (max +1, min -1) before the
     sup-norm normalization; that makes the reported direction canonical.
     Raises :class:`NotSeparableError` when ``P`` is a member (the conjugate
     value is zero there, so no separating direction exists); a point
     matching a vertex is one, with no LP.
     """
     _check_same_space(S.space, P.space, "separate")
-    [(member, _, res)] = _decide(S.matrix, P.weights[None], tol)
-    return _certificate(S, P, None if member else res, tol)
+    [(member, cert)] = _decide(S.matrix, P.weights[None], tol)
+    return _certificate(S, P, None if member else cert, tol)
 
 
-def _certificate(S: CredalSet, P: ProbVector, res, tol: float) -> SeparationCertificate:
-    """The separation certificate carried by a nonmember's hull program; None is a member."""
-    if res is None:
+def _certificate(S: CredalSet, P: ProbVector, direction, tol: float) -> SeparationCertificate:
+    """The separation certificate along a nonmember's direction; None is a member."""
+    if direction is None:
         raise NotSeparableError("point is a member of the set")
-    direction = res.dual[:-1]
-    direction = direction - 0.5 * (direction.max() + direction.min())
-    scale = float(np.max(np.abs(direction)))
-    if scale <= 0.0:  # pragma: no cover - a constant direction cannot separate
+    if np.ptp(direction) <= 0.0:  # pragma: no cover - a constant direction cannot separate
         raise NotSeparableError("degenerate separation direction")
-    witness = RandomVariable(S.space, direction / scale)
-    margin = float(np.dot(P.weights, witness.values)) - sublinear_expectation(S, witness)
+    witness, margin = _witness(S.matrix, P.weights, direction)
     if margin <= tol:
         raise NotSeparableError("point is within tolerance of the set")
-    return SeparationCertificate(witness, margin)
+    return SeparationCertificate(RandomVariable(S.space, witness), margin)
+
+
+def _witness(rows: np.ndarray, p: np.ndarray, direction: np.ndarray):
+    """A nonconstant ``direction`` centered to max +1, min -1, and ``p``'s margin along it."""
+    w = direction - 0.5 * (direction.max() + direction.min())
+    w = w / np.max(np.abs(w))
+    return w, float(np.dot(p, w)) - float(np.max(rows @ w))
 
 
 def _first_nonmember(A: CredalSet, B: CredalSet, tol: float):
-    """The first vertex of ``A`` that is not a member of ``B``, with its hull program."""
+    """The first vertex of ``A`` that is not a member of ``B``, with its separating direction."""
     _check_same_space(A.space, B.space, "set inclusion")
-    for v, (member, _, res) in zip(A.matrix, _decide(B.matrix, A.matrix, tol)):
+    for v, (member, cert) in zip(A.matrix, _decide(B.matrix, A.matrix, tol)):
         if not member:
-            return A._vertex(v), res
+            return A._vertex(v), cert
     return None
 
 
@@ -283,7 +328,7 @@ def first_outside(A: CredalSet, B: CredalSet, tol: float = DEFAULT_TOL):
     """The first vertex of ``A`` outside ``B`` with its separation certificate.
 
     Returns ``(vertex, certificate)``, or ``None`` when ``A`` is contained
-    in ``B``; the certificate is read from the program that decided it.
+    in ``B``; the certificate is read from the decision that found it.
     """
     found = _first_nonmember(A, B, tol)
     return None if found is None else (found[0], _certificate(B, *found, tol))

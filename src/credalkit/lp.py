@@ -124,7 +124,7 @@ def _run_simplex(T, basis, cost, n_enter, tol):
         basis[leave] = j
     raise SimplexStalledError(
         f"simplex did not terminate within {budget} pivots"
-    )  # the open D1 stalls (ROADMAP): dual-set canonicalization, envelope_atoms
+    )  # the open D1 stall (ROADMAP): a costed program, envelope_atoms
 
 
 def _pivot(T, r, row, col):

@@ -203,7 +203,7 @@ def _vertex_crossings(V, x, L, a, b):
     betas = at_a - alphas * a[..., None]
     i, j = np.triu_indices(V.shape[1], 1)
     da = alphas[..., i] - alphas[..., j]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf lies outside
         s = (betas[..., j] - betas[..., i]) / da
     inside = (np.abs(da) >= 1e-15) & (a[..., None] + 1e-15 < s) & (s < b[..., None] - 1e-15)
     return np.where(inside, s, np.nan).reshape(a.shape[0], a.shape[1] * i.size)

@@ -8,8 +8,7 @@ other way around.
 
 The last section keeps the plain loop forms of computations the package
 now vectorises or shortcuts (the per-node scalar OCE scan, node-by-node
-backward induction, the first-listing duplicate scan, the LP-only
-inclusion scan, the LP-only canonicalization, the sorted-neighbour
+backward induction, the first-listing duplicate scan, the sorted-neighbour
 duplicate scan, the per-selection pasting and composed-atom loops, the
 per-vertex Fubini transpose, the branch-per-type report writer, the
 one-row probability check, the node-by-node tree build, the
@@ -19,6 +18,8 @@ the direct loss anchors, the one-solve-per-active-set dual-set enumeration, the
 package's versions must reproduce them bit for bit.  The path-by-path
 walk expectation is the one exception: the package computes it by
 backward induction, which rounds differently, so it must agree to 1e-12.
+The hull-program membership decision (``decide_lp``) is kept as a verdict
+reference for the nearest-point decision that replaced it.
 """
 
 from __future__ import annotations
@@ -317,35 +318,47 @@ def distinct_scan(rows: np.ndarray, tol: float = 1e-12) -> list:
     return keep
 
 
-def first_nonmember_lp(A, B, tol: float):
-    """The first vertex of ``A`` whose membership LP in ``B`` is not optimal,
-    with that LP's result: one program per vertex, no vertex matching."""
-    from credalkit.credal import _hull_lp
+def decide_lp(rows: np.ndarray, points: np.ndarray, tol: float):
+    """``credal._decide`` before its nearest-point decision: ``(member, j, res)`` for each
+    point, lazily and in order; a point matching row ``j`` is a member with no LP (``res``
+    None), any other is decided by its hull program ``res``."""
+    from credalkit.credal import _hull_lp, _vertex_matches
     from credalkit.lp import OPTIMAL
 
-    for v in A.vertices:
-        res = _hull_lp(B.matrix, v.weights, tol)
-        if res.status != OPTIMAL:
-            return v, res
-    return None
+    for p, j in zip(points, _vertex_matches(rows, points, tol)):
+        res = None if j >= 0 else _hull_lp(rows, p, tol)
+        yield res is None or res.status == OPTIMAL, j, res
 
 
-def canonicalize_lp(points: np.ndarray, tol: float) -> list:
-    """The surviving row indices with one hull program per distinct generator,
-    as canonicalization ran before its certificate screen."""
-    from credalkit.credal import _distinct, _hull_lp
-    from credalkit.lp import OPTIMAL
+def d1_hull_program():
+    """``(rows, p)`` of the hull program that stalls (ROADMAP D1) when the six-outcome dual
+    set of ``test_risk``'s D1 test is canonicalized by ``decide_lp``."""
+    from credalkit import credal, lp
+    from credalkit.risk import avar_dual_set
+    from credalkit.spaces import OutcomeSpace
 
-    keep = _distinct(points)
-    # scan from the back so that, among redundant generators, the ones
-    # listed first survive
-    for pos in range(len(keep) - 1, -1, -1):
-        if len(keep) == 1:
-            break
-        others = points[[j for j in keep if j != keep[pos]]]
-        if _hull_lp(others, points[keep[pos]], tol).status == OPTIMAL:
-            del keep[pos]
-    return keep
+    S = credal.CredalSet.from_rows(OutcomeSpace([f"o{i}" for i in range(6)]), D1_SET)
+    programs = []
+    real = credal._hull_lp
+    saved = credal._decide, credal._hull_lp
+    credal._decide = decide_lp
+    credal._hull_lp = lambda rows, p, tol: programs.append((rows, p)) or real(rows, p, tol)
+    try:
+        avar_dual_set(S, 1 / 3)
+    except lp.SimplexStalledError:
+        return programs[-1]
+    finally:
+        credal._decide, credal._hull_lp = saved
+    raise AssertionError("the D1 dual set canonicalized under decide_lp")
+
+
+# the two vertices on six outcomes whose AVaR dual set at level 1/3 stalls the hull program
+D1_SET = [
+    [0.3846640671802725, 0.3731734998596908, 0.009381851183252481,
+     0.017969202492134795, 0.2084771438451464, 0.006334235439502805],
+    [0.005638933638565885, 0.0003369032194379831, 0.0011956724425198158,
+     0.6147931417005311, 0.31275447619267244, 0.0652808728062728],
+]
 
 
 def hull_deficiency(points: np.ndarray, p: np.ndarray) -> float:

@@ -854,7 +854,7 @@ class TestTypedFields:
 
 
 # tree nodes of 1, 2 and 3 rows: three vertex-count groups, the last node of
-# level 1 holds an interior row its hull program drops
+# level 1 holds an interior row its membership decision drops
 LEVELS_OF_1_2_3_ROWS = [
     [[[0.5, 0.5]]],
     [[[0.25, 0.75], [0.5, 0.5]], [[0.75, 0.25], [0.5, 0.5], [0.0, 1.0]]],

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
-    canonicalize_lp,
+    D1_SET,
+    decide_lp,
     distinct_scan,
-    first_nonmember_lp,
+    exact_hull_deficiency,
     hull_deficiency,
     hull_membership,
     support_value,
@@ -27,6 +28,7 @@ from credalkit.credal import (
     _canonicalize,
     _certificate,
     _certified_extreme,
+    _decide,
     _distinct,
     _first_nonmember,
 )
@@ -382,32 +384,82 @@ def shifted(rng, S, j, distance):
     return ProbVector(S.space, p) if p.min() >= 0 and np.abs(d).sum() else None
 
 
+def margin(rows, p, direction):
+    """The margin of ``p`` over the rows along ``direction``, centered and sup-normalized."""
+    w = direction - 0.5 * (direction.max() + direction.min())
+    w = w / np.max(np.abs(w))
+    return p @ w - np.max(rows @ w)
+
+
+def decision(rows, p, tol):
+    """``_decide``'s verdict on ``p`` against the rows, checked against its certificate and
+    against the decision it replaced (``decide_lp``: the vertex match, else the hull program).
+
+    A member's weights reach ``p`` within ``tol`` (L1); a direction from the nearest point
+    separates a nonmember by more than ``tol`` (a band decision is the hull program's own,
+    whose direction can miss: ROADMAP D2).  A verdict other than the hull program's must be
+    the exact referee's.  ``None`` when the decision refuses: the hull program's member
+    weights miss ``p`` (D4)."""
+    try:
+        [(member, cert)] = _decide(rows, p[None], tol)
+    except SimplexStalledError as exc:
+        assert "member weights miss the point" in str(exc)
+        return None
+    if member:
+        assert cert.min() >= 0 and np.abs(cert @ rows - p).sum() <= tol
+    elif credal._nearest(rows, p, tol) is not None:
+        assert margin(rows, p, cert) > tol
+    try:
+        [(lp_member, _, _)] = decide_lp(rows, p[None], tol)
+    except SimplexStalledError:
+        return member  # ROADMAP D1: the hull program gives no reference
+    if member != lp_member:
+        assert (exact_hull_deficiency(rows, p) <= tol) == member
+    return member
+
+
+def first_nonmember_refereed(A, B, tol):
+    """The index of the first vertex of ``A`` that ``decision`` puts outside ``B``; None when
+    all are members, and "refused" when a decision refuses before any is outside."""
+    for i, v in enumerate(A.matrix):
+        verdict = decision(B.matrix, v, tol)
+        if verdict is None:
+            return "refused"
+        if not verdict:
+            return i
+    return None
+
+
 class TestVertexMatch:
-    """Inclusion scans settle vertices that match a vertex without a program,
-    and otherwise pick the same vertex and certificate as the LP-only scan."""
+    """Inclusion scans settle vertices that match a vertex without a program, and otherwise
+    pick the vertex the refereed decision puts first outside, with its proven certificate."""
 
     @staticmethod
     def assert_same_as_lp_scan(A, B, tol):
         for X, Y in ((A, B), (B, A)):
-            want = first_nonmember_lp(X, Y, tol)
+            want = first_nonmember_refereed(X, Y, tol)
+            if want == "refused":
+                with pytest.raises(SimplexStalledError):
+                    _first_nonmember(X, Y, tol)
+                continue
             got = _first_nonmember(X, Y, tol)
             if want is None:
                 assert got is None and first_outside(X, Y, tol) is None
                 continue
-            assert got[0].weights.tobytes() == want[0].weights.tobytes()
-            assert got[1].value == want[1].value and np.array_equal(got[1].dual, want[1].dual)
+            assert got[0].weights.tobytes() == X.matrix[want].tobytes()
             try:
-                cert = _certificate(Y, *want, tol)
+                cert = _certificate(Y, *got, tol)
             except NotSeparableError:
                 with pytest.raises(NotSeparableError):
                     first_outside(X, Y, tol)
                 continue
             vertex, ours = first_outside(X, Y, tol)
-            assert vertex.weights.tobytes() == want[0].weights.tobytes()
+            assert vertex.weights.tobytes() == X.matrix[want].tobytes()
             assert np.array_equal(ours.witness.values, cert.witness.values)
-            assert ours.margin == cert.margin
-        assert equal_sets(A, B, tol) == (
-            first_nonmember_lp(A, B, tol) is None and first_nonmember_lp(B, A, tol) is None)
+            assert ours.margin == cert.margin > tol
+        outside = [first_nonmember_refereed(X, Y, tol) for X, Y in ((A, B), (B, A))]
+        if "refused" not in outside:
+            assert equal_sets(A, B, tol) == (outside == [None, None])
 
     @pytest.mark.parametrize("tol", [1e-15, 1e-9, 1e-6])
     def test_permuted_presentation_needs_no_lp(self, monkeypatch, tol):
@@ -510,15 +562,20 @@ def outside_bytes(found):
     return vertex.weights.tobytes(), cert.witness.values.tobytes(), cert.margin
 
 
-def outside_lp(A, B, tol):
-    """``outside_bytes`` of the LP-only scan's first nonmember of ``A`` in ``B``."""
-    found = first_nonmember_lp(A, B, tol)
-    return outside_bytes(found and (found[0], _certificate(B, *found, tol)))
+def outside_ref(A, B, tol):
+    """``outside_bytes`` of the refereed scan's first nonmember of ``A`` in ``B``, one vertex
+    of the tuple at a time, with the certificate of its own decision."""
+    i = first_nonmember_refereed(A, B, tol)
+    if i is None:
+        return None
+    v = A.vertices[i]
+    [(_, direction)] = _decide(B.matrix, v.weights[None], tol)
+    return outside_bytes((v, _certificate(B, v, direction, tol)))
 
 
 class TestNoVertexTuple:
     """Inclusion scans read vertex matrices: with ``CredalSet.vertices`` refused, set
-    equality, ``first_outside``, towers and Fubini checks give the LP-only scan's verdicts,
+    equality, ``first_outside``, towers and Fubini checks give the refereed scan's verdicts,
     vertices and certificates."""
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6])
@@ -534,13 +591,13 @@ class TestNoVertexTuple:
             K = CredalKernel(us, [draw(vs, 2) for _ in range(3)])
             for S in (pasting(draw(us, 3), K), draw(ProductSpace(us, vs), 4)):
                 P = pasting(marginal_set(S, tol), K)
-                towers.append((S, K, P, outside_lp(P, S, tol), outside_lp(S, P, tol)))
+                towers.append((S, K, P, outside_ref(P, S, tol), outside_ref(S, P, tol)))
             # a Dirac outer set is interchangeable with any inner one
             SU = draw(us, 3) if i % 2 else CredalSet.singleton(ProbVector.dirac(us, "u1"))
             SV = draw(vs, 3)
             report = check_fubini(SU, SV, tol)
             F, B = report.forward_set, report.backward_set
-            fubinis.append((SU, SV, F, B, outside_lp(F, B, tol) or outside_lp(B, F, tol)))
+            fubinis.append((SU, SV, F, B, outside_ref(F, B, tol) or outside_ref(B, F, tol)))
 
         def refuse(self):
             raise AssertionError("an inclusion scan built the vertex tuple")
@@ -634,18 +691,32 @@ def screen_families(tol):
     return families
 
 
+def canonicalize_refereed(points: np.ndarray, tol: float):
+    """The surviving row indices when every distinct generator, scanned from the back, is
+    settled by ``decision`` against the kept others; None when a decision refuses."""
+    keep = _distinct(points)
+    for pos in range(len(keep) - 1, -1, -1):
+        if len(keep) == 1:
+            break
+        verdict = decision(points[[j for j in keep if j != keep[pos]]], points[keep[pos]], tol)
+        if verdict is None:
+            return None
+        if verdict:
+            del keep[pos]
+    return keep
+
+
 class TestCertificateScreen:
-    """Canonicalization certifies extreme generators with no LP and keeps exactly
-    the rows the LP-only scan keeps."""
+    """Canonicalization certifies extreme generators with no decision and keeps exactly
+    the rows the refereed scan keeps, which decides every generator."""
 
     @pytest.mark.parametrize("tol", TOLS)
     def test_same_rows_as_lp_only_scan(self, tol):
         compared = 0
         for rows in screen_families(tol):
-            try:
-                want = canonicalize_lp(rows, tol)
-            except (SimplexStalledError, RuntimeError):
-                continue  # the LP-only scan stalls (ROADMAP D1) or fails: no reference
+            want = canonicalize_refereed(rows, tol)
+            if want is None:
+                continue  # the hull program's member weights miss (ROADMAP D4): no reference
             distinct = _distinct(rows)
             certified = np.array(distinct)[_certified_extreme(rows[distinct], tol)]
             misjudged = [i for i in certified if i not in want]
@@ -674,9 +745,9 @@ class TestCertificateScreen:
 
     def test_generic_triangle_runs_no_hull_program(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a certified generator needs no hull program")
+            raise AssertionError("a certified generator needs no membership decision")
 
-        monkeypatch.setattr(credal, "_hull_lp", refuse)
+        monkeypatch.setattr(credal, "_decide", refuse)
         space = OutcomeSpace(["a", "b", "c"])
         S = CredalSet.from_rows(space, [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
         assert S.n_vertices == 3
@@ -692,3 +763,86 @@ class TestCertificateScreen:
         for tol in TOLS:
             for space, rows in sets:
                 assert CredalSet.from_rows(space, rows, tol).n_vertices == len(rows)
+
+
+def dual_set_candidates(rows, level):
+    """The validated, lexsorted candidate points ``avar_dual_set`` canonicalizes."""
+    V = np.array(rows, dtype=float)
+    pts = _projected_lifted_vertices(V, level, 1e-9)
+    return spaces._prob_stack(V.shape[1], pts[np.lexsort(pts.T[::-1])])
+
+
+@functools.lru_cache(maxsize=None)
+def decision_families(tol):
+    """``screen_families`` (pastings among them), the D1 dual set's candidates and seeded
+    dual-set candidate families."""
+    rng = np.random.default_rng(300 + int(-np.log10(tol)))
+    families = list(screen_families(tol)) + [dual_set_candidates(D1_SET, 1 / 3)]
+    for _ in range(3):
+        V = rng.dirichlet(np.ones(6), size=int(rng.integers(2, 4)))
+        families.append(dual_set_candidates(V, float(rng.choice([0.1, 0.25, 1 / 3, 0.5]))))
+    return families
+
+
+class TestNearestPointDecision:
+    """``_decide`` against the decision it replaced (``decide_lp``), generator by generator:
+    every certificate proves its verdict, and a verdict other than the hull program's is the
+    exact referee's (``decision``)."""
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_same_verdicts_as_hull_program(self, tol):
+        rng = np.random.default_rng(301)
+        verdicts = []
+        for rows in decision_families(tol):
+            rows = rows[_distinct(rows)]
+            # a seeded sample of the large families' generators keeps the time down
+            for i in rng.permutation(len(rows))[: 40 if len(rows) <= 40 else 12]:
+                if len(rows) > 1:
+                    verdicts.append(decision(np.delete(rows, i, 0), rows[i], tol))
+        assert {True, False} <= set(verdicts)
+
+    def test_member_weights_that_miss_are_refused(self):
+        # ROADMAP D4: the hull program calls the point a member with weights (1/2, 1/2),
+        # 2.8e-9 (L1) away from it; its exact deficiency is 2.0e-9, over tol 1e-9.  Neither
+        # nearest-point certificate holds here, so the decision falls back to that program
+        rows = np.array([
+            [0.19473630899618843, 0.38488603591431675, 0.08580856462367632,
+             0.06335455085418036, 0.27121453961163805],
+            [0.4214742237075137, 0.18635328613904206, 0.13693124185073444,
+             0.23927848794014123, 0.01596276036256845]])
+        space = OutcomeSpace(list("abcde"))
+        S = CredalSet.from_rows(space, rows, canonical=True)
+        P = ProbVector(space, [0.3081052673093631, 0.28561966082040774, 0.11136990290777339,
+                               0.15131651893286446, 0.1435886500295912])
+        p = P.weights
+        assert exact_hull_deficiency(rows, p) > 1e-9
+        assert credal._nearest(rows, p, 1e-9) is None
+        [(member, _, res)] = decide_lp(rows, p[None], 1e-9)
+        assert member and np.abs(res.x @ rows - p).sum() > 1e-9
+        with pytest.raises(SimplexStalledError, match="member weights miss the point"):
+            next(_decide(rows, p[None], 1e-9))
+        assert np.array_equal(S.matrix, rows)
+        for query in (membership, separate):
+            with pytest.raises(SimplexStalledError, match="member weights miss the point"):
+                query(S, P, 1e-9)
+
+    def test_tiny_tolerance_ends_in_the_band(self):
+        # at tol 1e-15 no certificate clears its rounding allowance near the set: a point
+        # 0.5 or 2 tol off a vertex is decided by the hull program, as before
+        rng = np.random.default_rng(94)
+        tol, decided = 1e-15, 0
+        for _ in range(40):
+            B = random_credal(rng, n=int(rng.integers(2, 7)), k=int(rng.integers(2, 6)))
+            for j in range(B.n_vertices):
+                for factor in (0.5, 2.0):
+                    P = shifted(rng, B, j, factor * tol)
+                    if P is None or credal._vertex_matches(B.matrix, P.weights[None], tol)[0] >= 0:
+                        continue
+                    assert credal._nearest(B.matrix, P.weights, tol) is None
+                    decided += 1
+                    try:
+                        [(member, _)] = _decide(B.matrix, P.weights[None], tol)
+                    except SimplexStalledError:
+                        continue  # D4: the hull program's member weights miss the point
+                    assert member == next(decide_lp(B.matrix, P.weights[None], tol))[0]
+        assert decided >= 50

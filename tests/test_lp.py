@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from _oracles import run_simplex_loop
+from _oracles import d1_hull_program, run_simplex_loop
 from credalkit import lp
-from credalkit.credal import CredalSet
+from credalkit.credal import _hull_lp
 from credalkit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from credalkit.risk import avar_dual_set
-from credalkit.spaces import OutcomeSpace
 
 
 def scipy_reference(c, A, b):
@@ -212,14 +210,8 @@ class TestSimplexLoop:
         assert self.check(monkeypatch, [], np.zeros((1, 0)), [1.0]) == INFEASIBLE
 
     def test_stall_after_the_same_pivots(self, monkeypatch):
-        # the D1 reproducer of test_risk's strict xfail: dual-set canonicalization stalls
-        space = OutcomeSpace([f"o{i}" for i in range(6)])
-        S = CredalSet.from_rows(space, [
-            [0.3846640671802725, 0.3731734998596908, 0.009381851183252481,
-             0.017969202492134795, 0.2084771438451464, 0.006334235439502805],
-            [0.005638933638565885, 0.0003369032194379831, 0.0011956724425198158,
-             0.6147931417005311, 0.31275447619267244, 0.0652808728062728],
-        ])
-        (new, n_new), (old, n_old) = self.both(monkeypatch, lambda: avar_dual_set(S, 1 / 3))
+        # the D1 program that stalled dual-set canonicalization before its nearest-point decision
+        rows, p = d1_hull_program()
+        (new, n_new), (old, n_old) = self.both(monkeypatch, lambda: _hull_lp(rows, p, 1e-9))
         assert new == old and "did not terminate" in new
         assert n_new == n_old

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    D1_SET,
     avar_loss,
     backward_scalar,
     dedup_rows,
@@ -18,7 +19,7 @@ from _oracles import (
     robust_tail_lp,
     tree_risk_grid,
 )
-from credalkit import risk, spaces
+from credalkit import credal, risk, spaces
 from credalkit.conditional import CredalKernel, pasting
 from credalkit.credal import CredalSet, equal_sets, sublinear_expectation
 from credalkit.errors import SizeGuardError, ValidationError
@@ -278,6 +279,22 @@ class TestOceNearFloatRange:
             assert got.minimizer == np.ldexp(small.minimizer, 600)
             assert np.isfinite(got.value) and big.min() <= got.value <= big.max()
 
+    def test_overflowing_crossings_do_not_warn(self):
+        # a crossing past the float range lies outside every finite bracket: it is dropped
+        # with no RuntimeWarning, and the value is the scan's with warnings ignored
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            S = random_set(rng, n=int(rng.integers(2, 7)), k=int(rng.integers(2, 4)))
+            big = rng.choice([1e305, 9.9e305, 8.9e307]) * rng.uniform(-1.0, 1.0, S.space.size)
+            for level in (0.25, 1.0):
+                X, L = rv(S.space, big), LossSpec.avar(level)
+                with np.errstate(all="ignore"):
+                    quiet = oce(S, X, L)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    loud = oce(S, X, L)
+                assert (loud.value, loud.minimizer) == (quiet.value, quiet.minimizer)
+
 
 class TestDual:
     def test_primal_dual_equality(self):
@@ -406,20 +423,43 @@ class TestDualSet:
             old = outcome(lambda: neighbour_pipeline(S, level))
             assert np.array_equal(new, old)  # "stalled" equals only itself
 
-    @pytest.mark.xfail(strict=True, raises=SimplexStalledError,
-                       reason="D1: canonicalization stalls on a degenerate program")
     def test_six_outcome_dual_set_canonicalizes(self):
+        # D1: its hull program stalls (test_lp); the nearest-point decision settles every point
         space = OutcomeSpace([f"o{i}" for i in range(6)])
-        S = CredalSet.from_rows(space, [
-            [0.3846640671802725, 0.3731734998596908, 0.009381851183252481,
-             0.017969202492134795, 0.2084771438451464, 0.006334235439502805],
-            [0.005638933638565885, 0.0003369032194379831, 0.0011956724425198158,
-             0.6147931417005311, 0.31275447619267244, 0.0652808728062728],
-        ])
+        S = CredalSet.from_rows(space, D1_SET)
         D = avar_dual_set(S, 1 / 3)
         x = rv(space, np.arange(6.0))
         assert sublinear_expectation(D, x) == pytest.approx(
             avar_dual_evaluate(S, 1 / 3, x), abs=1e-9)
+
+    def test_guard_edge_dual_set_answers(self):
+        # 3 vertices on 8 outcomes: 92,378 active sets, the most the guard admits; its hull
+        # programs stalled (exit 3) before the nearest-point decision
+        space = OutcomeSpace([f"o{i}" for i in range(8)])
+        S = CredalSet.from_rows(space, np.random.default_rng(0).dirichlet(np.ones(8), size=3))
+        D = avar_dual_set(S, 0.25)
+        rng = np.random.default_rng(201)
+        for _ in range(20):
+            x = rv(space, rng.normal(size=8))
+            assert sublinear_expectation(D, x) == pytest.approx(
+                avar_dual_evaluate(S, 0.25, x), abs=1e-9)
+
+    def test_six_outcome_dual_sets_run_no_hull_program(self, monkeypatch):
+        # every canonicalization decision is proven by a nearest-point certificate
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dual-set decision fell back to the hull program")
+
+        monkeypatch.setattr(credal, "_hull_lp", refuse)
+        rng = np.random.default_rng(202)
+        space = OutcomeSpace([f"o{i}" for i in range(6)])
+        sets = [D1_SET] + [rng.dirichlet(np.ones(6), size=int(rng.integers(2, 4))) for _ in range(30)]
+        for rows in sets:
+            S = CredalSet.from_rows(space, rows)
+            level = float(rng.choice([0.1, 0.25, 1 / 3, 0.5]))
+            D = avar_dual_set(S, level)
+            x = rv(space, rng.normal(size=6))
+            assert sublinear_expectation(D, x) == pytest.approx(
+                avar_dual_evaluate(S, level, x), abs=1e-9)
 
     def test_outcome_guard(self):
         space = OutcomeSpace([f"o{i}" for i in range(11)])

@@ -176,9 +176,9 @@ class TestLevelBuild:
         rng = np.random.default_rng(1406)
         levels = random_levels(rng, 3, 3, ks=[2])
         levels[2][2] = node(rng, 3, 4, "interior")
-        monkeypatch.setattr(credal, "_hull_lp", stall)
+        monkeypatch.setattr(credal, "_nearest", stall)
         doc = tree_doc(levels, 3)
-        for bad in (5, 1):  # after the node needing a hull program, then before it
+        for bad in (5, 1):  # after the node needing a membership decision, then before it
             doc["trees"]["T"]["ambiguity"][2][bad] = malformed(rng, 3, "mass-1.1")
             code, message = same_as_per_node(monkeypatch, doc)
             path = tmp_path / "doc.json"
