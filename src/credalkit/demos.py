@@ -314,9 +314,13 @@ def gwalk(
              for T in (S, *map(CredalSet.singleton, S.vertices))]
 
     # summed from the last step back: the order fixes each sum's rounding
-    sums = sum(np.ix_(*[step_values] * horizon)[::-1]).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = sum(np.ix_(*[step_values] * horizon)[::-1]).ravel()
+        payoffs = [fn(s) for s in sums]
+    if not np.all(np.isfinite(payoffs)):
+        raise ValidationError(f"step size {h!r} over horizon {horizon} overflows the payoff")
     terminal_space = OutcomeSpace([f"path{i}" for i in range(sums.size)])
-    x = RandomVariable(terminal_space, [fn(s) for s in sums])
+    x = RandomVariable(terminal_space, payoffs)
     value, min_var, max_var = (float(compose_sublinear(t, x)[0][0]) for t in trees)
     if kind == "convex":
         envelope = _target(max_var, "enumeration")

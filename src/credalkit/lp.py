@@ -1,12 +1,12 @@
 """Dense two-phase simplex for small equality-form linear programs.
 
 Solves ``min c.x  s.t.  A x = b, x >= 0`` with Bland's anti-cycling rule.
-Sized for desk-scale problems (tens of rows, a few hundred columns), which
-is all the convex-hull membership, minimal-penalty, and dual risk programs
-in this package ever need.  When the program is infeasible the returned
-dual vector is a certificate: ``y . A <= tol`` columnwise while
-``y . b >= deficiency > 0``, which is exactly the separating functional the
-credal module turns into a witness.
+Sized for desk-scale problems (tens of rows, a few hundred columns): the
+minimal-penalty and dual risk programs, and the hull program of a membership
+decision in the tolerance band, the only way pruning reaches this solver.
+When the program is infeasible the returned dual vector is a certificate:
+``y . A <= tol`` columnwise while ``y . b >= deficiency > 0``, which is
+exactly the separating functional the credal module turns into a witness.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def _run_simplex(T, basis, cost, n_enter, tol):
         basis[leave] = j
     raise SimplexStalledError(
         f"simplex did not terminate within {budget} pivots"
-    )  # the open D1 stall (ROADMAP): a costed program, envelope_atoms
+    )  # D1 (ROADMAP): degenerate programs stalled here; no pruning path runs one now
 
 
 def _pivot(T, r, row, col):

@@ -5,11 +5,12 @@ a convex increasing functional preserving constants once the smallest cost
 is zero.  The minimal (convex, lower semicontinuous) penalty representing
 the same functional is the convex envelope of the atoms, evaluated here by
 a small linear program; points outside the atom hull carry infinite
-penalty.
+penalty.  The atoms it needs are pruned as a credal set is, in its perspective lift.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -17,10 +18,7 @@ import numpy as np
 from .errors import ValidationError
 from .lp import DEFAULT_TOL, OPTIMAL
 from .spaces import Frozen, ProbVector, RandomVariable, Space, _check_same_space, _prob_stack
-from .credal import _distinct, _hull_lp
-
-# Costs may exceed the envelope by at most this before an atom is dropped.
-DOMINANCE_TOL = 1e-9
+from .credal import _canonicalize, _hull_lp
 
 
 class PenaltyAtoms(Frozen):
@@ -77,32 +75,27 @@ def minimal_penalty(A: PenaltyAtoms, P: ProbVector, tol: float = DEFAULT_TOL) ->
     """The convex envelope of the atom costs at ``P``; +inf outside the hull.
 
     This is the unique convex lower semicontinuous penalty generating
-    ``convex_expectation(A, .)``, evaluated by the cheapest-mixture LP.
+    ``convex_expectation(A, .)``, evaluated by the cheapest-mixture LP.  Costs past
+    ``2**900`` are scaled down by a power of two, exactly, so the simplex cannot overflow.
     """
     _check_same_space(A.space, P.space, "minimal penalty")
-    res = _hull_lp(A.points, P.weights, tol, A.costs)
+    k = max(math.frexp(A.costs.max())[1] - 900, 0)
+    res = _hull_lp(A.points, P.weights, tol, np.ldexp(A.costs, -k))
     if res.status != OPTIMAL:
         return float("inf")
-    return max(res.value, 0.0)
+    return math.ldexp(max(res.value, 0.0), k)
 
 
-def envelope_atoms(A: PenaltyAtoms, tol: float = DOMINANCE_TOL) -> PenaltyAtoms:
-    """Drop atoms whose cost the remaining family already undercuts.
+def envelope_atoms(A: PenaltyAtoms, tol: float = DEFAULT_TOL) -> PenaltyAtoms:
+    """The atoms the envelope needs, in listing order: the others pruned as a credal set is.
 
-    Exact duplicates go first (keeping the earliest listing); then each atom
-    is removed when the current family without it reproduces its point at a
-    cost more than ``tol`` cheaper.  Removals are sequential in listing
-    order, so the surviving family still generates the same convex
-    expectation.
+    With ``t = c / max c``, the perspective map ``(p, t) / (1 + t)`` sends the envelope's
+    epigraph onto the hull of the lifted atoms and the apex ``e_{n+1}``, its point at
+    infinite cost.  An atom drops when its lifted point lies within ``tol`` (L1) of the
+    hull of the others kept and the apex; at a payoff ``X`` it then exceeds them by at
+    most ``(1 + t) tol (max c + ptp(X) / 2)``.
     """
-    keep = _distinct(np.column_stack([A.points, A.costs]))
-    pos = 0
-    while pos < len(keep) and len(keep) > 1:
-        i = keep[pos]
-        others = [j for j in keep if j != i]
-        res = _hull_lp(A.points[others], A.points[i], DEFAULT_TOL, A.costs[others])
-        if res.status == OPTIMAL and A.costs[i] > res.value + tol:
-            keep.pop(pos)
-        else:
-            pos += 1
+    t = A.costs[:, None] / (A.costs.max() or 1.0)
+    lifted = np.vstack([np.hstack([A.points, t]) / (1 + t), np.eye(A.space.size + 1)[-1]])
+    keep = [i for i in _canonicalize(lifted, tol) if i < A.n_atoms]
     return PenaltyAtoms.from_rows(A.space, zip(A.points[keep], A.costs[keep]))

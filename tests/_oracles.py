@@ -19,7 +19,9 @@ package's versions must reproduce them bit for bit.  The path-by-path
 walk expectation is the one exception: the package computes it by
 backward induction, which rounds differently, so it must agree to 1e-12.
 The hull-program membership decision (``decide_lp``) is kept as a verdict
-reference for the nearest-point decision that replaced it.
+reference for the nearest-point decision that replaced it, and the costed
+dominance loop (``envelope_atoms_lp``) for the perspective-lift pruning that
+replaced it.
 """
 
 from __future__ import annotations
@@ -54,6 +56,18 @@ def min_penalty(points: np.ndarray, costs: np.ndarray, p: np.ndarray):
     if res.status != 0:
         return float("inf")
     return float(res.fun)
+
+
+def worst_value_loss(points: np.ndarray, costs: np.ndarray, p: np.ndarray, c: float) -> float:
+    """How far the atom ``(p, c)`` can exceed the family ``(points, costs)`` at a payoff with
+    ``|X| <= 1``: HiGHS maximizes ``p.X - c - s`` over ``s >= points @ X - costs``, and the
+    loss is recomputed at its clipped maximizer, away from the solver's tolerances."""
+    k, n = points.shape
+    res = linprog(np.append(-p, 1.0), A_ub=np.hstack([points, -np.ones((k, 1))]), b_ub=costs,
+                  bounds=[(-1, 1)] * n + [(None, None)], method="highs")
+    assert res.status == 0
+    X = np.clip(res.x[:n], -1.0, 1.0)
+    return float(p @ X - c - np.max(points @ X - costs))
 
 
 def support_value(points: np.ndarray, x: np.ndarray) -> float:
@@ -328,6 +342,27 @@ def decide_lp(rows: np.ndarray, points: np.ndarray, tol: float):
     for p, j in zip(points, _vertex_matches(rows, points, tol)):
         res = None if j >= 0 else _hull_lp(rows, p, tol)
         yield res is None or res.status == OPTIMAL, j, res
+
+
+def envelope_atoms_lp(A, tol: float = 1e-9):
+    """``penalty.envelope_atoms`` before the perspective lift: exact duplicates go first, then
+    each atom, in listing order, drops when the current family without it reproduces its point
+    at a cost more than ``tol`` cheaper (one costed hull program per atom)."""
+    from credalkit.credal import _distinct, _hull_lp
+    from credalkit.lp import OPTIMAL
+    from credalkit.penalty import PenaltyAtoms
+
+    keep = _distinct(np.column_stack([A.points, A.costs]))
+    pos = 0
+    while pos < len(keep) and len(keep) > 1:
+        i = keep[pos]
+        others = [j for j in keep if j != i]
+        res = _hull_lp(A.points[others], A.points[i], 1e-9, A.costs[others])
+        if res.status == OPTIMAL and A.costs[i] > res.value + tol:
+            keep.pop(pos)
+        else:
+            pos += 1
+    return PenaltyAtoms.from_rows(A.space, zip(A.points[keep], A.costs[keep]))
 
 
 def d1_hull_program():

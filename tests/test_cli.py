@@ -747,6 +747,13 @@ class TestSubprocess:
         assert main(["demo", "gwalk", "--param", "sig_hi=1e-160",
                      "--out", str(tmp_path / "r.json")]) == 0
 
+    @pytest.mark.parametrize("sig_hi", ["1.7e308", "1e200"])
+    def test_overflowing_gwalk_payoff_exits_2(self, sig_hi):
+        proc = run_module("demo", "gwalk", "--param", f"sig_hi={sig_hi}")
+        assert proc.returncode == 2
+        assert proc.stderr == (f"validation error: step size {float(sig_hi)!r} over horizon 2 "
+                               "overflows the payoff\n")
+
     @pytest.mark.parametrize("x", [9e307, 1.7e308])
     def test_oce_near_the_float_range_is_finite(self, tmp_path, x):
         # x - s overflows at some candidates; the value is the finite dual one

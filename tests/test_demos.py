@@ -114,6 +114,16 @@ class TestGwalk:
             gwalk(sig_lo=1e-171, sig_hi=1e-170)
         assert gwalk(sig_hi=1e-160).passed
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_payoff_refused_by_name(self):
+        # the path sums overflow at 1.7e308, the squares at 1e200; no numpy warning either way
+        for kw in ({"sig_hi": 1.7e308}, {"sig_hi": 1e200}, {"sig_hi": 1e200, "payoff": "neg-square"},
+                   {"sig_hi": 1e308, "horizon": 3, "payoff": "identity"},
+                   {"sig_hi": 1e10, "dt": 1e308}):
+            with pytest.raises(ValidationError, match=r"step size \S+ over horizon \d"):
+                gwalk(**kw)
+        assert gwalk(sig_hi=1e200, payoff="identity").passed
+
     def test_call_needs_strike(self):
         with pytest.raises(ValidationError):
             gwalk(payoff="call")
