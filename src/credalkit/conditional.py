@@ -272,16 +272,21 @@ def check_penalty_additivity(
     if probes is None:
         probes = _default_probes(AU, K, n_random, seed)
 
+    memo = {}  # the atom grid repeats programs; the simplex is deterministic: solve each once
+
+    def penalty(F: PenaltyAtoms, P: ProbVector) -> float:
+        key = (F, P.space, P.weights.tobytes())
+        return memo[key] if key in memo else memo.setdefault(key, minimal_penalty(F, P, tol))
+
     results = []
     for Q, R in probes:
-        joint = minimal_penalty(A, product(Q, R), tol)
-        split = minimal_penalty(AU, Q, tol)
+        joint = penalty(A, product(Q, R))
+        split = penalty(AU, Q)
         for iu in range(K.u_space.size):
             w = float(Q.weights[iu])
             if w <= 0.0:
                 continue
-            part = minimal_penalty(K[iu], R[iu], tol)
-            split = split + w * part  # inf propagates
+            split = split + w * penalty(K[iu], R[iu])  # inf propagates
         if joint == split or abs(joint - split) <= tol:
             relation = "equal"
         elif joint > split:

@@ -98,4 +98,4 @@ def envelope_atoms(A: PenaltyAtoms, tol: float = DEFAULT_TOL) -> PenaltyAtoms:
     t = A.costs[:, None] / (A.costs.max() or 1.0)
     lifted = np.vstack([np.hstack([A.points, t]) / (1 + t), np.eye(A.space.size + 1)[-1]])
     keep = [i for i in _canonicalize(lifted, tol) if i < A.n_atoms]
-    return PenaltyAtoms.from_rows(A.space, zip(A.points[keep], A.costs[keep]))
+    return PenaltyAtoms.__new__(PenaltyAtoms)._set(A.space, A.points[keep], A.costs[keep])

@@ -6,11 +6,15 @@ deterministic: keys are sorted, floats carry twelve significant digits
 become the strings ``"inf"`` / ``"-inf"`` (JSON has no literal for them),
 and ``json`` encodes every other scalar.  Twelve-digit decimals re-parse
 to the same twelve digits, so render -> parse -> render is the identity.
+Float vectors (four or more) and nests of them render as blocks, one ``%`` for
+all leaves and joins for the layout, in the same bytes as the recursion.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii as _quoted  # json.dumps of a str
 from typing import Any
 
 import numpy as np
@@ -46,18 +50,38 @@ def _render(doc: Any, nl: str) -> str:
         return json.dumps(doc, ensure_ascii=True)
     inner = nl + "  "
     if isinstance(doc, (list, tuple)):
-        brackets = "[]"
-        items = [_render(item, inner) for item in doc]
+        head = type(doc) is list and doc and type(doc[0])  # under 4 floats, recursion is faster
+        block = (head is list or head is float and len(doc) > 3) and _float_block(doc, inner)
+        brackets, items = "[]", block or [_render(item, inner) for item in doc]
     elif isinstance(doc, dict):
         if not all(isinstance(k, str) for k in doc):
             raise ValidationError("document keys must be strings")
-        brackets = "{}"
-        items = [json.dumps(k) + ": " + _render(doc[k], inner) for k in sorted(doc)]
+        brackets, items = "{}", [_quoted(k) + ": " + _render(doc[k], inner) for k in sorted(doc)]
     else:
         raise ValidationError(f"cannot serialize value of type {type(doc).__name__}")
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+
+
+def _float_block(doc: list, inner: str) -> list[str] | None:
+    """The recursion's item texts for a list whose leaves are all floats at one depth, else
+    None: one ``%`` formats every leaf, and joins rebuild the nesting from the inside out."""
+    sizes, items = [], doc
+    while type(items[0]) is list:  # past 32 levels the recursion renders, or refuses, the rest
+        if len(sizes) == 32 or set(map(type, items)) != {list} or not all(items):
+            return None
+        sizes.append(list(map(len, items)))
+        items = tuple(chain.from_iterable(items))
+    if type(items[0]) is not float or set(map(type, items)) != {float}:
+        return None
+    parts = (text := "%.12g\n" * len(items) % tuple(items)).split("\n")[:-1]
+    if text.count(".") < len(parts):  # some leaf lacks the "." that marks a float
+        parts = [s if "." in s or "e" in s else format_number(float(s)) for s in parts]
+    for d in range(len(sizes), 0, -1):
+        pad, close, parts = inner + "  " * d, inner + "  " * (d - 1) + "]", iter(parts)
+        parts = ["[" + pad + ("," + pad).join(islice(parts, k)) + close for k in sizes[d - 1]]
+    return parts
 
 
 def parse(text: str) -> Any:

@@ -347,7 +347,8 @@ def decide_lp(rows: np.ndarray, points: np.ndarray, tol: float):
 def envelope_atoms_lp(A, tol: float = 1e-9):
     """``penalty.envelope_atoms`` before the perspective lift: exact duplicates go first, then
     each atom, in listing order, drops when the current family without it reproduces its point
-    at a cost more than ``tol`` cheaper (one costed hull program per atom)."""
+    at a cost more than ``tol`` cheaper (one costed hull program per atom).  The atoms kept
+    keep their rows, bit for bit, as ``envelope_atoms`` keeps them."""
     from credalkit.credal import _distinct, _hull_lp
     from credalkit.lp import OPTIMAL
     from credalkit.penalty import PenaltyAtoms
@@ -362,7 +363,7 @@ def envelope_atoms_lp(A, tol: float = 1e-9):
             keep.pop(pos)
         else:
             pos += 1
-    return PenaltyAtoms.from_rows(A.space, zip(A.points[keep], A.costs[keep]))
+    return PenaltyAtoms.__new__(PenaltyAtoms)._set(A.space, A.points[keep], A.costs[keep])
 
 
 def d1_hull_program():

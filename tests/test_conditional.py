@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import composed_atoms_loop, pasting_generator_support, pasting_loop
-from credalkit import conditional, credal
+from credalkit import conditional, credal, penalty
 from credalkit.conditional import (
     CredalKernel,
     PenaltyKernel,
@@ -19,13 +19,14 @@ from credalkit.conditional import (
 )
 from credalkit.credal import CredalSet, equal_sets, marginal_set, membership, sublinear_expectation
 from credalkit.errors import SizeGuardError, ValidationError
-from credalkit.penalty import PenaltyAtoms, convex_expectation, envelope_atoms
+from credalkit.penalty import PenaltyAtoms, convex_expectation, envelope_atoms, minimal_penalty
 from credalkit.spaces import (
     Kernel,
     OutcomeSpace,
     ProbVector,
     ProductSpace,
     RandomVariable,
+    product,
 )
 
 U = OutcomeSpace(["0", "1"])
@@ -548,6 +549,33 @@ class TestPenaltyAdditivity:
                 assert probe.joint_penalty <= probe.split_penalty + 1e-9
             assert report.classification in ("additive", "subadditive")
             assert report.consistent
+
+    def test_each_distinct_program_is_solved_once(self, monkeypatch):
+        # the atom grid repeats outer and kernel programs: each distinct one is solved once,
+        # and every probe is bitwise what the uncached loop computes
+        rng = np.random.default_rng(42)
+        real, calls = penalty._hull_lp, []
+        monkeypatch.setattr(penalty, "_hull_lp", lambda *a: calls.append(a) or real(*a))
+        solved = uncached = 0
+        for _ in range(15):
+            us = OutcomeSpace([f"u{i}" for i in range(int(rng.integers(1, 4)))])
+            AU, KP = random_penalty(rng, us), random_penalty_kernel(rng, us)
+            C = composed_atoms(AU, KP)
+            calls.clear()
+            report = check_penalty_additivity(C, AU, KP, n_random=3, seed=2)
+            assert len(calls) == len({(id(a[0]), a[1].tobytes()) for a in calls})
+            solved += len(calls)
+            for probe in report.probes:
+                Q, R = probe.Q, probe.R
+                split = minimal_penalty(AU, Q)
+                uncached += 2
+                for iu in range(us.size):
+                    if Q.weights[iu] > 0.0:
+                        split = split + float(Q.weights[iu]) * minimal_penalty(KP[iu], R[iu])
+                        uncached += 1
+                assert probe.joint_penalty == minimal_penalty(C, product(Q, R))
+                assert probe.split_penalty == split
+        assert solved < uncached
 
     def test_zero_cost_rectangular_probes_equal(self):
         AU = PenaltyAtoms.from_rows(U, [([0.5, 0.5], 0.0), ([1, 0], 0.0)])

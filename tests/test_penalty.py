@@ -293,8 +293,8 @@ def without_simplex(monkeypatch, A):
 
 
 def kept_rows(A, E):
-    """The indices of ``A``'s atoms that ``E`` lists, in order, with ``E`` checked to be
-    exactly those atoms rebuilt by ``from_rows``; None if ``E`` is not such a subfamily."""
+    """The indices of ``A``'s atoms that ``E`` lists, in order, with ``E`` checked to hold
+    exactly those rows and costs, bit for bit; None if ``E`` is not such a subfamily."""
     keep, j = [], 0
     for w, c in zip(E.points, E.costs):
         while j < A.n_atoms and (np.max(np.abs(A.points[j] - w)) > 1e-15
@@ -304,8 +304,8 @@ def kept_rows(A, E):
         j += 1
     if j > A.n_atoms:
         return None
-    rebuilt = PenaltyAtoms.from_rows(A.space, zip(A.points[keep], A.costs[keep]))
-    return keep if same_family(E, rebuilt) else None
+    own = PenaltyAtoms.__new__(PenaltyAtoms)._set(A.space, A.points[keep], A.costs[keep])
+    return keep if same_family(E, own) else None
 
 
 D4_REFUSAL = "the hull program's member weights miss the point"
@@ -367,6 +367,7 @@ class TestEnvelopeRule:
                 keep = kept_rows(A, E)
                 assert keep is not None, kind
                 assert kept_rows(E, envelope_atoms(E, self.TOL)) == list(range(E.n_atoms))
+                assert same_family(envelope_atoms(E, self.TOL), E)  # idempotent, bit for bit
                 rank = {i: r for r, i in enumerate(sorted(set(range(A.n_atoms)) - set(keep)), 1)}
                 for i, r in rank.items():
                     assert self.loss(A, keep, i) <= self.bound(A, i, r), kind
@@ -430,10 +431,7 @@ class TestFamiliesFromRowStacks:
             AU_ref = penalty_atoms_per_row(us, outer)
             K_ref = PenaltyKernel(us, [penalty_atoms_per_row(vs, t) for t in table])
             C_ref = composed_atoms_loop(AU_ref, K_ref)
-            with monkeypatch.context() as m:
-                m.setattr(PenaltyAtoms, "from_rows", classmethod(
-                    lambda cls, space, rows: penalty_atoms_per_row(space, rows)))
-                E_ref = envelope_atoms(C_ref)
+            E_ref = envelope_atoms(C_ref)  # keeps the family's own rows: nothing to rebuild
             with monkeypatch.context() as m:
                 m.setattr(ProbVector, "__init__", refuse)
                 AU = PenaltyAtoms.from_rows(us, outer)

@@ -1,5 +1,6 @@
 """The report writer against the branch-per-type writer kept in ``_oracles``:
-the same text, or the same ``ValidationError``, on every document."""
+the same text, or the same ``ValidationError``, on every document, whether a
+list renders as a float block or by the recursion."""
 
 import math
 import random
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import _oracles as reference
+from credalkit import serialize
 from credalkit.errors import ValidationError
 from credalkit.serialize import format_number, parse, render
 
@@ -94,18 +96,121 @@ class TestAgainstReference:
                                '        1,\n        null\n      ]\n    }\n  ]\n}\n')
 
 
+def nest(rng, depth, leaf):
+    """Lists nested ``depth`` deep, each 1-5 long, around leaves drawn by ``leaf(rng)``."""
+    if depth == 0:
+        return leaf(rng)
+    return [nest(rng, depth - 1, leaf) for _ in range(rng.randint(1, 5))]
+
+
+def spoil(rng, doc):
+    """``doc`` with one item of one of its lists replaced by something a block must not
+    take, or ``doc`` itself, half the time."""
+    if rng.random() < 0.5 or not isinstance(doc, list):
+        return doc
+    rows = [doc]
+    while isinstance(rows[-1][0], list) and rng.random() < 0.7:
+        rows.append(rng.choice(rows[-1]))
+    row = rows[-1]
+    row[rng.randrange(len(row))] = rng.choice(
+        [1, 0, True, np.float64(0.5), "x", None, math.nan, [], [0.5], [[0.5]], (0.25, 0.5),
+         [0.5, [0.5]], {"k": 0.5}, -0.0, math.inf])
+    return doc
+
+
+def blocks(monkeypatch):
+    """Count the lists rendered as one block."""
+    taken = []
+    block = serialize._float_block
+
+    def counted(doc, inner):
+        out = block(doc, inner)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(serialize, "_float_block", counted)
+    return taken
+
+
+class TestFloatBlocks:
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_float_nests(self, depth, monkeypatch):
+        taken, rng = blocks(monkeypatch), random.Random(depth)
+        for _ in range(50):
+            doc = nest(rng, depth, lambda r: r.uniform(-1, 1) * 10.0 ** r.randint(-8, 8))
+            assert render(doc) == reference.render(doc)
+            assert render({"k": [doc]}) == reference.render({"k": [doc]})
+        assert sum(taken) >= 50
+
+    @pytest.mark.parametrize("doc", [
+        [[0.5, 0.25], [0.125]], [[0.5], [0.25, 0.125, 1.5, 2.5]],
+        [[[0.5, 0.25]], [[0.125], [1.5, 2.5]]], [[0.5, 0.25], []], [[], [0.5, 0.25]],
+        [[[0.5]], [[]]], [[0.5, 0.25], [0.5, [0.25]]], [[0.5, 0.25], 0.5],
+        [0.5, 0.25, 0.125, [0.5]], [[[0.5]], [0.5]],
+    ], ids=repr)
+    def test_ragged_rows_and_empty_lists(self, doc):
+        assert render(doc) == reference.render(doc)
+        assert render([doc, doc]) == reference.render([doc, doc])
+
+    @pytest.mark.parametrize("other", [1, 0, -3, True, False, np.float64(0.5), np.float32(0.5),
+                                       None, "0.5", (0.5, 0.25)], ids=repr)
+    def test_mixed_leaves_take_the_recursion(self, other):
+        for doc in ([0.5, 0.25, 0.125, other], [other, 0.5, 0.25, 0.125],
+                    [[0.5, 0.25], [0.125, other]], [[0.5, other]] * 3):
+            assert render(doc) == reference.render(doc)
+        doc = (0.5, 0.25, 0.125, 1.0)
+        assert render(doc) == reference.render(doc) == reference.render(list(doc))
+        assert render([doc, doc]) == reference.render([list(doc), list(doc)])
+
+    @pytest.mark.parametrize("x", EDGE_FLOATS, ids=repr)
+    def test_edge_floats_inside_blocks(self, x, monkeypatch):
+        taken = blocks(monkeypatch)
+        for doc in ([x, 0.5, 1.0, 0.25], [0.5, 0.25, 1e-5, x], [[x, 0.5], [2.0, 1e16]],
+                    [[[x]], [[x, -0.0]]]):
+            assert outcome(render, doc) == outcome(reference.render, doc)
+        assert taken == ([] if math.isnan(x) else [True] * 4)  # NaN ends the block by raising
+
+    def test_leaves_without_a_point(self):
+        doc = [0.9999999999999, -0.0, 1e16, 5e-324, math.inf, -math.inf, 3.0, -2.0, 1e11]
+        assert render(doc) == reference.render(doc)
+        assert render(doc).split()[1:-1] == ["1.0,", "0.0,", "1e+16,", "4.94065645841e-324,",
+                                             '"inf",', '"-inf",', "3.0,", "-2.0,", "100000000000.0"]
+
+    def test_nan_in_a_block_is_refused(self):
+        for doc in ([0.5, 0.25, 0.125, math.nan], [[0.5, 0.25], [math.nan, 0.125]]):
+            with pytest.raises(ValidationError, match="reports never contain NaN"):
+                render(doc)
+
+    def test_random_float_documents(self, monkeypatch):
+        taken, rng = blocks(monkeypatch), random.Random(22)
+        refused = 0
+        for _ in range(2000):
+            leaf = rng.choice([lambda r: r.random(), lambda r: r.choice(EDGE_FLOATS[:-1]),
+                               lambda r: float(r.randint(-3, 3)), lambda r: scalar(r)])
+            doc = spoil(rng, nest(rng, rng.randint(1, 4), leaf))
+            if rng.random() < 0.3:
+                doc = {"a": doc, "b": [doc, doc]}
+            expected = outcome(reference.render, doc)
+            assert outcome(render, doc) == expected, doc
+            refused += expected.startswith("ValidationError")
+        assert 0 < refused < 400
+        assert 1000 < sum(taken) < len(taken)  # both paths are exercised
+
+
 class TestRefusals:
     def test_mixed_keys_are_a_validation_error(self):
         with pytest.raises(ValidationError, match="document keys must be strings"):
             render({1: "x", "a": 2})
 
     def test_over_deep_document_is_a_validation_error(self):
-        doc = []
-        for _ in range(sys.getrecursionlimit()):
-            doc = [doc]
-        with pytest.raises(ValidationError, match="nested too deeply"):
-            render(doc)
+        for leaf in ([], 0.5):  # a float nest is a block only up to 32 levels
+            doc = leaf
+            for _ in range(sys.getrecursionlimit()):
+                doc = [doc]
+            with pytest.raises(ValidationError, match="nested too deeply"):
+                render(doc)
         assert render([[]]) == "[\n  []\n]\n"
+        assert render([[0.5]]) == "[\n  [\n    0.5\n  ]\n]\n"
 
     @pytest.mark.parametrize("text", ["9" * 5000, "[" * 100_000 + "]" * 100_000])
     def test_parse_refuses_huge_integers_and_deep_nesting(self, text):
