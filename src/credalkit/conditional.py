@@ -272,13 +272,11 @@ def check_penalty_additivity(
     if probes is None:
         probes = _default_probes(AU, K, n_random, seed)
 
-    memo = {}  # the atom grid repeats programs; the simplex is deterministic: solve each once
+    results, memo = [], {}  # memo: the atom grid repeats programs; the simplex is deterministic
 
-    def penalty(F: PenaltyAtoms, P: ProbVector) -> float:
+    def penalty(F: PenaltyAtoms, P: ProbVector) -> float:  # each distinct program solved once
         key = (F, P.space, P.weights.tobytes())
         return memo[key] if key in memo else memo.setdefault(key, minimal_penalty(F, P, tol))
-
-    results = []
     for Q, R in probes:
         joint = penalty(A, product(Q, R))
         split = penalty(AU, Q)

@@ -5,9 +5,8 @@ deterministic: keys are sorted, floats carry twelve significant digits
 (with a trailing ``.0`` so they stay floats on re-parse), infinities
 become the strings ``"inf"`` / ``"-inf"`` (JSON has no literal for them),
 and ``json`` encodes every other scalar.  Twelve-digit decimals re-parse
-to the same twelve digits, so render -> parse -> render is the identity.
-Float vectors (four or more) and nests of them render as blocks, one ``%`` for
-all leaves and joins for the layout, in the same bytes as the recursion.
+to the same twelve digits, so render -> parse -> render is the identity.  Float
+nests render by rows, one ``%`` each, in the same bytes as value by value.
 """
 
 from __future__ import annotations
@@ -65,20 +64,24 @@ def _render(doc: Any, nl: str) -> str:
 
 
 def _float_block(doc: list, inner: str) -> list[str] | None:
-    """The recursion's item texts for a list whose leaves are all floats at one depth, else
-    None: one ``%`` formats every leaf, and joins rebuild the nesting from the inside out."""
-    sizes, items = [], doc
-    while type(items[0]) is list:  # past 32 levels the recursion renders, or refuses, the rest
-        if len(sizes) == 32 or set(map(type, items)) != {list} or not all(items):
+    """The recursion's item texts for a nest of floats, one ``%`` per innermost list, or None."""
+    sizes, rows, parts, forms = [], [doc], [], {}
+    while type(rows[0][0]) is list:  # past 32 levels the recursion renders, or refuses, the rest
+        rows = tuple(chain.from_iterable(rows))
+        if len(sizes) == 32 or set(map(type, rows)) != {list} or not all(rows):
             return None
-        sizes.append(list(map(len, items)))
-        items = tuple(chain.from_iterable(items))
-    if type(items[0]) is not float or set(map(type, items)) != {float}:
+        sizes.append(list(map(len, rows)))
+    if type(rows[0][0]) is not float or set(map(type, chain.from_iterable(rows))) != {float}:
         return None
-    parts = (text := "%.12g\n" * len(items) % tuple(items)).split("\n")[:-1]
-    if text.count(".") < len(parts):  # some leaf lacks the "." that marks a float
-        parts = [s if "." in s or "e" in s else format_number(float(s)) for s in parts]
-    for d in range(len(sizes), 0, -1):
+    pad = inner + "  " * len(sizes)
+    head, sep, close = ("[" + pad, "," + pad, pad[:-2] + "]") if sizes else ("", "," + pad, "")
+    for row in rows:
+        form = forms.get(len(row)) or forms.setdefault(len(row), sep.join(["%.12g"] * len(row)))
+        if (text := form % tuple(row)).count(".") < len(row):  # a leaf lacks the "." of a float
+            text = sep.join([s if "." in s or "e" in s else s + ".0" if s.isdigit() else
+                             format_number(float(s)) for s in text.split(sep)])
+        parts.append(head + text + close)
+    for d in range(len(sizes) - 1, 0, -1):
         pad, close, parts = inner + "  " * d, inner + "  " * (d - 1) + "]", iter(parts)
         parts = ["[" + pad + ("," + pad).join(islice(parts, k)) + close for k in sizes[d - 1]]
     return parts

@@ -1,7 +1,6 @@
 """Print a digest of every benchmark output of one checkout.
 
     python3 tools/report_digests.py --root <checkout> --seeds 0,1,2
-    python3 tools/report_digests.py --root <checkout> --workloads rectangularity,desk_cli
 
 The ``rectangularity`` and ``desk_cli`` scenario documents are generated
 through ``<root>/perfbench/workloads.py`` and run in-process with
@@ -16,10 +15,6 @@ runs once at its default parameters through
 ``demo name exit sha256`` line.  Two checkouts give byte-identical
 reports, level arrays, demo reports and refusal messages exactly when their
 outputs ``diff`` clean.
-
-``--workloads`` (all three by default) keeps the named workloads only; the demo
-lines come with ``desk_cli``.  ``tree_eval`` renders no report, so a change to
-rendering alone can skip it.
 """
 
 from __future__ import annotations
@@ -92,20 +87,11 @@ def demo_lines(wl, work: Path):
         yield f"demo {name} {code} {digest}"
 
 
-LINES = {"rectangularity": cli_lines, "desk_cli": cli_lines, "tree_eval": tree_lines}
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", required=True, type=Path, help="checkout to digest")
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
-    p.add_argument("--workloads", default=",".join(LINES),
-                   help="comma-separated workloads to digest (default: all)")
     args = p.parse_args(argv)
-    names = args.workloads.split(",")
-    if not set(names) <= set(LINES):
-        p.error(f"--workloads takes names from {', '.join(LINES)}")
-    names = [name for name in LINES if name in names]  # in the default order
     bench = args.root.resolve() / "perfbench"
     if not (bench / "workloads.py").is_file():
         print(f"no perfbench/workloads.py under {args.root}", file=sys.stderr)
@@ -116,16 +102,16 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as sink:
         for seed in seeds:
-            for name in names:
+            for name, lines in (("rectangularity", cli_lines), ("desk_cli", cli_lines),
+                                ("tree_eval", tree_lines)):
                 work = Path(tmp) / f"{name}-{seed}"
                 work.mkdir()
                 with redirect_stderr(sink):
-                    for line in LINES[name](WORKLOADS[name], seed, work):
+                    for line in lines(WORKLOADS[name], seed, work):
                         print(line, flush=True)
-        if "desk_cli" in names:
-            with redirect_stderr(sink):
-                for line in demo_lines(WORKLOADS["desk_cli"], Path(tmp)):
-                    print(line, flush=True)
+        with redirect_stderr(sink):
+            for line in demo_lines(WORKLOADS["desk_cli"], Path(tmp)):
+                print(line, flush=True)
     return 0
 
 
