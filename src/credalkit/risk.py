@@ -53,7 +53,7 @@ class LossSpec(Frozen):
     worst-case expectation) and is flagged by ``boundary``.
     """
 
-    __slots__ = ("breakpoints", "slopes", "_anchors", "boundary")
+    __slots__ = ("breakpoints", "slopes", "_pieces", "boundary")
 
     def __init__(self, breakpoints: Sequence[float], slopes: Sequence[float],
                  *, boundary: bool = False):
@@ -87,7 +87,9 @@ class LossSpec(Frozen):
             if np.all(np.isfinite(anchors)):
                 break
 
-        self._freeze(breakpoints=bp, slopes=sl, _anchors=anchors, boundary=boundary)
+        # per segment: loss at its anchor, slope, anchor (left breakpoint, the first for segment 0)
+        self._freeze(breakpoints=bp, slopes=sl, boundary=boundary,
+                     _pieces=np.stack([np.r_[anchors[:1], anchors], sl, np.r_[bp[:1], bp]]))
 
     @classmethod
     def avar(cls, level: float) -> "LossSpec":
@@ -102,9 +104,13 @@ class LossSpec(Frozen):
     def __call__(self, x):
         """Evaluate the loss at (an array of) points."""
         x = np.asarray(x, dtype=float)
-        seg = np.searchsorted(self.breakpoints, x, side="right")
-        j = np.maximum(seg - 1, 0)
-        return self._anchors[j] + self.slopes[seg] * (x - self.breakpoints[j])
+        anchor, slope, start = self._pieces.take(self._segment(x), axis=1)
+        return anchor + slope * (x - start)
+
+    def _segment(self, x: np.ndarray) -> np.ndarray:
+        """Each point's segment, as ``searchsorted(side="right")`` finds it off NaN, by counting."""
+        le = np.less_equal.outer(self.breakpoints, x)
+        return np.add.reduce(le, axis=0, dtype=np.min_scalar_type(self.breakpoints.size))
 
 
 @dataclass(frozen=True)
@@ -130,34 +136,32 @@ def oce(S: CredalSet, X: RandomVariable, L: LossSpec) -> OceResult:
 
 
 def _expect(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """``E[Y[r, c]]`` under every vertex of ``V[r]``, shape ``(r, c, k)``.
+    """``E[Y[c, r]]`` under every vertex of ``V[r]``, shape ``(k, c, r)``: vertices lead.
 
-    Each product is the matrix-vector call ``V[r] @ Y[r, c]`` makes, so a
-    batch agrees bit for bit with per-node evaluation.
+    Each product is the matrix-vector call ``V[r] @ Y[c, r]`` makes, so a batch agrees bit for
+    bit with per-node evaluation; it is the scan's only expectation kernel.
     """
-    return np.matmul(V[:, None], Y[..., None])[..., 0]
+    return np.matmul(V, Y[..., None])[..., 0].transpose(2, 0, 1).copy()
 
 
-def _objective(V: np.ndarray, x: np.ndarray, L: LossSpec, s: np.ndarray) -> np.ndarray:
-    """``s + max over vertices of E[loss(x - s)]`` at every point ``s[r, c]``."""
+def _objective(V: np.ndarray, x: np.ndarray, L: LossSpec, s: np.ndarray):
+    """``s + max over vertices of E[loss(x - s)]`` at every point ``s[c, r]``, and the
+    expectations under each vertex, shape ``(k, c, r)``."""
     # chunks of candidates whose loss and expectation arrays hold at most _CELL_BUDGET cells
-    # (or rows * max(k, n), one candidate per row, when that is more), so a one-step scan
-    # over many outcomes or vertices needs no quadratic temporaries
-    out = np.empty(s.shape)
-    step = max(1, _CELL_BUDGET // (s.shape[0] * max(V.shape[1:])))
-    for lo in range(0, s.shape[1], step):
-        c = s[:, lo : lo + step]
-        out[:, lo : lo + step] = c + np.max(_expect(V, L(x[:, None, :] - c[..., None])), axis=-1)
-    return out
+    # (rows * max(k, n) when that is more), so wide one-step scans need no quadratic temporaries
+    step = max(1, _CELL_BUDGET // (s.shape[1] * max(V.shape[1:])))
+    E = np.concatenate([_expect(V, L(x - s[lo : lo + step, :, None]))
+                        for lo in range(0, s.shape[0], step)], axis=1)
+    return s + E.max(axis=0), E
 
 
 def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
     """Values and smallest-tie minimizers of the one-step OCE, row by row.
 
-    Row ``r`` has vertex matrix ``V[r]`` and payoff ``x[r]``.  Candidates stay sorted with
-    their duplicates: equal points have equal objectives, so ``argmin`` picks the first copy
-    and its neighbours bracket it.  Vertex crossings are scored only on rows that have one.
-    A scan whose losses could overflow runs on ``x / 2^k``.
+    Row ``r`` has vertex matrix ``V[r]`` and payoff ``x[r]``.  Candidates lie along the leading
+    axis, sorted with their duplicates: equal points have equal objectives, so ``argmin`` picks
+    the first copy and its neighbours bracket it.  Vertex crossings are scored only on the rows
+    and pair-brackets that have one.  A scan whose losses could overflow runs on ``x / 2^k``.
     """
     k = frexp(L.slopes[-1])[1] + frexp(max(x.max(), -x.min(), *abs(L.breakpoints)))[1] - 1019
     if k > 0:  # every loss is below 32 m max|x, bp| (m the last slope); 2^-k scales exactly
@@ -167,46 +171,43 @@ def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
             raise CredalkitError("the OCE value overflows the float range")
         return value, minimizer
     rows = np.arange(x.shape[0])
-    cand = np.sort((x[:, :, None] - L.breakpoints).reshape(x.shape[0], -1), axis=1)
-    f = _objective(V, x, L, cand)
-    j = np.argmin(f, axis=1)
-    at = cand[rows, j]
-    # first larger candidate, or the first one (an empty bracket) when none is
-    nxt = np.argmax(cand > at[:, None], axis=1)
-    a = np.stack([cand[rows, np.maximum(j - 1, 0)], at], axis=1)
-    b = np.stack([at, cand[rows, nxt]], axis=1)
-    cross = _vertex_crossings(V, x, L, a, b)
+    cand = np.sort((x[:, :, None] - L.breakpoints).reshape(x.shape[0], -1), axis=1).T.copy()
+    f, E = _objective(V, x, L, cand)
+    j = np.argmin(f, axis=0)
+    # flat indices of the previous candidate (the minimum itself when it comes first), the
+    # minimum, and the first larger candidate (the first one, an empty bracket, when none is)
+    ends = np.concatenate([np.maximum(j - 1, 0), j, np.argmax(cand > cand[j, rows], axis=0)])
+    ends = ends.reshape(3, -1) * x.shape[0] + rows
+    a, b = cand.take(ends[:2]), cand.take(ends[1:])
+    cross = _vertex_crossings(V, x, L, a, b, a + E.reshape(E.shape[0], -1).take(ends[:2], axis=1))
+    live = cross == cross  # keep the pair-brackets with a crossing, score the rows with one
+    cross, hit = cross[live.any(axis=1)], np.flatnonzero(live.any(axis=0))
     g = np.full(cross.shape, np.nan)
-    hit = np.flatnonzero(~np.isnan(cross).all(axis=1))
     if hit.size:
-        g[hit] = _objective(V if V.shape[0] == 1 else V[hit], x[hit], L, cross[hit])
-    points = np.concatenate([cand, cross], axis=1)
-    vals = np.concatenate([f, g], axis=1)
-    value = np.nanmin(vals, axis=1)
-    tied = vals <= value[:, None] + _TIE_TOL
-    return value, np.min(np.where(tied, points, np.inf), axis=1)
+        g[:, hit] = _objective(V if V.shape[0] == 1 else V[hit], x[hit], L, cross[:, hit])[0]
+    vals = np.concatenate([f, g])
+    value = np.fmin.reduce(vals, axis=0)
+    tied = vals <= value + _TIE_TOL
+    return value, np.min(np.where(tied, np.concatenate([cand, cross]), np.inf), axis=0)
 
 
-def _vertex_crossings(V, x, L, a, b):
-    """Interior points of each ``(a[r, c], b[r, c])`` where two vertex objectives meet.
+def _vertex_crossings(V, x, L, a, b, at_a):
+    """Interior points of each ``(a[c, r], b[c, r])`` where two vertex objectives meet.
 
     On an open interval every ``loss(x_i - s)`` is linear in ``s``, so
-    each vertex objective is a line; pairwise intersections are the only
-    extra kink candidates the breakpoint grid misses.  One column per
-    bracket and vertex pair, NaN where the pair does not cross inside.
+    each vertex objective is a line through ``at_a[v, c, r]``, its value at
+    ``a``; pairwise intersections are the only extra kink candidates the
+    breakpoint grid misses.  One row per vertex pair and bracket (rows of
+    ``a`` last), NaN where the pair does not cross inside.
     """
-    mid = 0.5 * (a + b)
-    seg_slopes = L.slopes[np.searchsorted(L.breakpoints, x[:, None, :] - mid[..., None],
-                                          side="right")]
-    alphas = 1.0 - _expect(V, seg_slopes)
-    at_a = a[..., None] + _expect(V, L(x[:, None, :] - a[..., None]))
-    betas = at_a - alphas * a[..., None]
-    i, j = np.triu_indices(V.shape[1], 1)
-    da = alphas[..., i] - alphas[..., j]
+    alphas = 1.0 - _expect(V, L.slopes.take(L._segment(x - (0.5 * (a + b))[..., None])))
+    betas = at_a - alphas * a
+    i, j = np.nonzero(~np.tri(V.shape[1], dtype=bool))  # triu_indices(k, 1), at less cost
+    da = alphas[i] - alphas[j]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf lies outside
-        s = (betas[..., j] - betas[..., i]) / da
-    inside = (np.abs(da) >= 1e-15) & (a[..., None] + 1e-15 < s) & (s < b[..., None] - 1e-15)
-    return np.where(inside, s, np.nan).reshape(a.shape[0], a.shape[1] * i.size)
+        s = (betas[j] - betas[i]) / da
+    inside = (np.abs(da) >= 1e-15) & (a + 1e-15 < s) & (s < b - 1e-15)
+    return np.where(inside, s, np.nan).reshape(-1, a.shape[1])
 
 
 def avar_dual_evaluate(S: CredalSet, level: float, X: RandomVariable,
@@ -452,4 +453,4 @@ def compose_risk(tree: ScenarioTree, X: RandomVariable, L: LossSpec):
 
 def compose_sublinear(tree: ScenarioTree, X: RandomVariable):
     """Backward induction of the plain worst-case expectation."""
-    return _backward(tree, X, lambda V, children: _expect(V, children[:, None]).max(axis=(1, 2)))
+    return _backward(tree, X, lambda V, children: _expect(V, children[None]).max(axis=(0, 1)))

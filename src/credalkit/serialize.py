@@ -4,9 +4,10 @@ Documents are plain maps/lists/numbers/strings.  Rendering is byte
 deterministic: keys are sorted, floats carry twelve significant digits
 (with a trailing ``.0`` so they stay floats on re-parse), infinities
 become the strings ``"inf"`` / ``"-inf"`` (JSON has no literal for them),
-and ``json`` encodes every other scalar.  Twelve-digit decimals re-parse
-to the same twelve digits, so render -> parse -> render is the identity.  Float
-nests render by rows, one ``%`` each, in the same bytes as value by value.
+and every other scalar is written as ``json.dumps(..., ensure_ascii=True)``
+writes it.  Twelve-digit decimals re-parse to the same twelve digits, so
+render -> parse -> render is the identity.  Float nests render by rows, one
+``%`` each, and string lists by one join, in the same bytes as value by value.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from typing import Any
 import numpy as np
 
 from .errors import ValidationError
+
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def format_number(x: float) -> str:
@@ -45,12 +48,18 @@ def _render(doc: Any, nl: str) -> str:
         doc = doc.item()
     if isinstance(doc, float):
         return format_number(doc)
-    if doc is None or isinstance(doc, (bool, int, str)):
-        return json.dumps(doc, ensure_ascii=True)
+    if isinstance(doc, str):
+        return _quoted(doc)
+    if doc is None or isinstance(doc, bool):
+        return _LITERALS[doc]
+    if isinstance(doc, int):
+        return int.__repr__(doc)  # as json writes an int
     inner = nl + "  "
     if isinstance(doc, (list, tuple)):
         head = type(doc) is list and doc and type(doc[0])  # under 4 floats, recursion is faster
         block = (head is list or head is float and len(doc) > 3) and _float_block(doc, inner)
+        if head is str and set(map(type, doc)) == {str}:
+            block = list(map(_quoted, doc))
         brackets, items = "[]", block or [_render(item, inner) for item in doc]
     elif isinstance(doc, dict):
         if not all(isinstance(k, str) for k in doc):

@@ -12,7 +12,8 @@ backward induction, the first-listing duplicate scan, the sorted-neighbour
 duplicate scan, the per-selection pasting and composed-atom loops, the
 per-vertex Fubini transpose, the branch-per-type report writer, the
 one-row probability check, the node-by-node tree build, the
-one-``ProbVector``-per-row family builds, the full-width crossing scan,
+one-``ProbVector``-per-row family builds, the full-width crossing scan
+with the rows-first objective and ``searchsorted`` loss it ran on,
 the direct loss anchors, the one-solve-per-active-set dual-set enumeration, the
 ``flatnonzero`` simplex loop); the
 package's versions must reproduce them bit for bit.  The path-by-path
@@ -216,11 +217,56 @@ def vertex_crossings_scalar(V, x, L, a, b):
     return out
 
 
-def oce_batch_full_scan(V: np.ndarray, x: np.ndarray, L):
-    """``risk._oce_batch`` scoring every row's vertex crossings, NaN columns included.
+def searchsorted_loss(L, x):
+    """``L(x)``, each point's segment found by ``searchsorted``."""
+    x = np.asarray(x, dtype=float)
+    seg = np.searchsorted(L.breakpoints, x, side="right")
+    j = np.maximum(seg - 1, 0)
+    anchors = L._pieces[0, 1:]  # the loss at each breakpoint
+    return anchors[j] + L.slopes[seg] * (x - L.breakpoints[j])
 
-    The package skips the rows whose crossing columns are all NaN; this is the
-    full-width scan it must reproduce bit for bit.
+
+def expect_rows(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``E[Y[r, c]]`` under every vertex of ``V[r]``, shape ``(r, c, k)``, one gemv each."""
+    return np.matmul(V[:, None], Y[..., None])[..., 0]
+
+
+def objective_rows(V: np.ndarray, x: np.ndarray, L, s: np.ndarray) -> np.ndarray:
+    """``s + max over vertices of E[loss(x - s)]`` at every point ``s[r, c]``, rows first,
+    in chunks of candidates of at most ``2**16`` cells per array."""
+    out = np.empty(s.shape)
+    step = max(1, (1 << 16) // (s.shape[0] * max(V.shape[1:])))
+    for lo in range(0, s.shape[1], step):
+        c = s[:, lo : lo + step]
+        loss = searchsorted_loss(L, x[:, None, :] - c[..., None])
+        out[:, lo : lo + step] = c + np.max(expect_rows(V, loss), axis=-1)
+    return out
+
+
+def vertex_crossings_rows(V, x, L, a, b):
+    """Interior points of each bracket ``(a[r, c], b[r, c])`` where two vertex objectives
+    meet, one column per bracket and vertex pair, NaN where the pair does not cross inside.
+    Each vertex line is anchored by evaluating the loss at ``a`` afresh."""
+    mid = 0.5 * (a + b)
+    seg = np.searchsorted(L.breakpoints, x[:, None, :] - mid[..., None], side="right")
+    alphas = 1.0 - expect_rows(V, L.slopes[seg])
+    at_a = a[..., None] + expect_rows(V, searchsorted_loss(L, x[:, None, :] - a[..., None]))
+    betas = at_a - alphas * a[..., None]
+    i, j = np.triu_indices(V.shape[1], 1)
+    da = alphas[..., i] - alphas[..., j]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = (betas[..., j] - betas[..., i]) / da
+    inside = (np.abs(da) >= 1e-15) & (a[..., None] + 1e-15 < s) & (s < b[..., None] - 1e-15)
+    return np.where(inside, s, np.nan).reshape(a.shape[0], a.shape[1] * i.size)
+
+
+def oce_batch_full_scan(V: np.ndarray, x: np.ndarray, L):
+    """``risk._oce_batch`` as a rows-first scan scoring every row's vertex crossings, NaN
+    columns included.
+
+    The package lays candidates along a leading axis, reuses the bracket ends'
+    expectations, counts segments and skips the rows whose crossing columns are all NaN;
+    this is the full-width scan it must reproduce bit for bit.
     """
     from credalkit import risk
 
@@ -232,18 +278,36 @@ def oce_batch_full_scan(V: np.ndarray, x: np.ndarray, L):
         return np.ldexp(value, k), np.ldexp(minimizer, k)
     rows = np.arange(x.shape[0])
     cand = np.sort((x[:, :, None] - L.breakpoints).reshape(x.shape[0], -1), axis=1)
-    f = risk._objective(V, x, L, cand)
+    f = objective_rows(V, x, L, cand)
     j = np.argmin(f, axis=1)
     at = cand[rows, j]
     nxt = np.argmax(cand > at[:, None], axis=1)
     a = np.stack([cand[rows, np.maximum(j - 1, 0)], at], axis=1)
     b = np.stack([at, cand[rows, nxt]], axis=1)
-    cross = risk._vertex_crossings(V, x, L, a, b)
+    cross = vertex_crossings_rows(V, x, L, a, b)
     points = np.concatenate([cand, cross], axis=1)
-    vals = np.concatenate([f, risk._objective(V, x, L, cross)], axis=1)
+    vals = np.concatenate([f, objective_rows(V, x, L, cross)], axis=1)
     value = np.nanmin(vals, axis=1)
     tied = vals <= value[:, None] + 1e-12
     return value, np.min(np.where(tied, points, np.inf), axis=1)
+
+
+def backward_full_scan(ambiguity_vertices, x_terminal: np.ndarray, branching: int, L=None):
+    """Every level of backward induction by the full-width scan (``L``) or the worst-case
+    expectation (``L=None``), one stacked call per level and vertex count."""
+    levels = [np.asarray(x_terminal, dtype=float)]
+    for level in reversed(ambiguity_vertices):
+        children = levels[0].reshape(-1, branching)
+        vals = np.empty(len(level))
+        for k in {V.shape[0] for V in level}:
+            nodes = [i for i, V in enumerate(level) if V.shape[0] == k]
+            V = np.stack([level[i] for i in nodes])
+            if L is None:
+                vals[nodes] = expect_rows(V, children[nodes, None]).max(axis=(1, 2))
+            else:
+                vals[nodes] = oce_batch_full_scan(V, children[nodes], L)[0]
+        levels.insert(0, vals)
+    return levels
 
 
 def loss_anchors(breakpoints: np.ndarray, slopes: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from _oracles import (
     D1_SET,
     avar_loss,
+    backward_full_scan,
     backward_scalar,
     dedup_rows,
     greedy_tail,
@@ -17,6 +18,7 @@ from _oracles import (
     oce_scalar,
     projected_lifted_vertices_loop,
     robust_tail_lp,
+    searchsorted_loss,
     tree_risk_grid,
 )
 from credalkit import credal, risk, spaces
@@ -128,13 +130,25 @@ class TestLossSpec:
             warnings.simplefilter("error")
             L = LossSpec.piecewise(bp, sl)
             top, bottom = float(L(1.7e308)), float(L(-1.7e308))
-        assert np.array_equal(L._anchors, np.ldexp(loss_anchors(bp / 2, sl), 1))
-        assert L._anchors.tolist() == [bottom, top]
+        anchors = L._pieces[0, 1:]  # the loss at each breakpoint
+        assert np.array_equal(anchors, np.ldexp(loss_anchors(bp / 2, sl), 1))
+        assert anchors.tolist() == [bottom, top]
         assert top == pytest.approx(1.53e308, rel=1e-15) and bottom == -top
+
+    def test_segments_are_counted_as_searchsorted_finds_them(self):
+        rng = np.random.default_rng(91)
+        wide = LossSpec.piecewise(np.sort(rng.uniform(-1, 1, 300)), np.linspace(0.0, 2.0, 301))
+        for L in [*LOSSES, wide]:  # 300 breakpoints count in 16 bits
+            bp = L.breakpoints
+            x = np.concatenate([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf),
+                                rng.uniform(-2, 2, 200), [-1e300, 1e300, -0.0]])
+            assert np.array_equal(L._segment(x), np.searchsorted(bp, x, side="right"))
+            np.testing.assert_array_equal(L(x), searchsorted_loss(L, x))
+            assert all(L(v) == searchsorted_loss(L, v) for v in (bp[0], 0.25, -3.0))
 
     def test_anchors_in_range_are_the_direct_sums(self):
         for L in LOSSES:
-            assert np.array_equal(L._anchors, loss_anchors(L.breakpoints, L.slopes))
+            assert np.array_equal(L._pieces[0, 1:], loss_anchors(L.breakpoints, L.slopes))
 
 
 class TestOce:
@@ -688,6 +702,24 @@ class TestBatchedScan:
             assert np.array_equal(got.value, value)
             assert np.array_equal(got.minimizer, minimizer)
 
+    def test_wide_sets_match_scalar_scan(self):
+        # up to 64 vertices on up to 8 outcomes, kept as listed (no canonicalization)
+        rng = np.random.default_rng(85)
+        for trial in range(60):
+            n = int(rng.integers(2, 9))
+            rows = rng.dirichlet(np.ones(n), size=int(rng.integers(8, 65)))
+            rows[: trial % 4] = np.eye(n)[rng.integers(n, size=trial % 4)]  # Dirac vertices
+            space = OutcomeSpace([f"o{i}" for i in range(n)])
+            S = CredalSet.from_rows(space, rows, canonical=True)
+            x = rng.uniform(-3, 3, n)
+            if trial % 2 == 0:
+                x = np.round(x, 1)  # repeated payoffs and shared candidates
+            L = LOSSES[trial % len(LOSSES)]
+            got = oce(S, rv(space, x), L)
+            value, minimizer = oce_scalar(S.matrix, x, L)
+            assert np.array_equal(got.value, value)
+            assert np.array_equal(got.minimizer, minimizer)
+
     def test_many_outcomes_need_no_quadratic_memory(self):
         # candidates times outcomes would be 9e6 cells; the scan works in chunks
         rng = np.random.default_rng(83)
@@ -776,13 +808,55 @@ class TestBatchedScan:
                 assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
 
 
+BENCH_LOSSES = [LossSpec.avar(0.1), LossSpec.avar(0.3),
+                LossSpec.piecewise([-0.4, 0.1, 0.5], [0.3, 0.6, 1.4, 2.5])]
+
+
+class TestBenchShapedTrees:
+    """Trees shaped as the benchmark's: horizon 8 over three outcomes, 3-vertex sets, shared
+    by every node or drawn per node."""
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        rng = np.random.default_rng(89)
+        step = OutcomeSpace(["down", "flat", "up"])
+        shared = CredalSet.from_rows(step, rng.dirichlet(np.ones(3), size=3))
+        distinct = [[CredalSet.from_rows(step, rng.dirichlet(np.ones(3), size=3))
+                     for _ in range(3**t)] for t in range(8)]
+        X = rv(OutcomeSpace([f"p{i}" for i in range(3**8)]), rng.uniform(-1, 1, 3**8))
+        return {"shared": ScenarioTree.uniform(step, 8, shared),
+                "distinct": ScenarioTree(step, 8, distinct)}, X
+
+    @pytest.mark.parametrize("name", ["shared", "distinct"])
+    def test_levels_match_frozen_scan(self, trees, name):
+        tree, X = trees[0][name], trees[1]
+        verts = [[S.matrix for S in level] for level in tree.ambiguity]
+        for L in [None, *BENCH_LOSSES]:
+            got = compose_sublinear(tree, X) if L is None else compose_risk(tree, X, L)
+            want = backward_full_scan(verts, X.values, 3, L)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+    @pytest.mark.parametrize("name", ["shared", "distinct"])
+    @pytest.mark.parametrize("L,limit", [(BENCH_LOSSES[0], 2e6), (BENCH_LOSSES[2], 5e6)])
+    def test_traced_peak(self, trees, name, L, limit):
+        tree, X = trees[0][name], trees[1]
+        tracemalloc.start()
+        try:
+            compose_risk(tree, X, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
+
+
 class TestCrossingRows:
     """Vertex crossings are scored only on the rows that have one, and the batch is bit for
     bit the full-width scan that scores every row."""
 
     @staticmethod
     def crossings(monkeypatch, V, x, L):
-        """The vertex-crossing columns of ``_oce_batch(V, x, L)``, NaN where none."""
+        """The vertex-crossing columns of ``_oce_batch(V, x, L)``, NaN where none, one row per
+        row of ``x`` (the scan lays them out pairs first)."""
         seen = []
         crossings = risk._vertex_crossings
 
@@ -793,7 +867,7 @@ class TestCrossingRows:
         with monkeypatch.context() as m:
             m.setattr(risk, "_vertex_crossings", record)
             risk._oce_batch(V, x, L)
-        return seen[-1]
+        return seen[-1].T
 
     def crossing_rows(self, monkeypatch, V, x, L):
         """Whether each row of ``_oce_batch(V, x, L)`` has a vertex crossing."""
@@ -865,8 +939,9 @@ class TestCrossingRows:
     def test_no_row_without_a_crossing_is_scored(self, monkeypatch):
         objective = risk._objective
 
-        def strict(V, x, L, s):
-            assert not np.isnan(s).all(axis=1).any(), "a row with no crossing was scored"
+        def strict(V, x, L, s):  # points s[c, r], candidates first
+            assert not np.isnan(s).all(axis=0).any(), "a row with no crossing was scored"
+            assert not np.isnan(s).all(axis=1).any(), "a pair-bracket with no crossing was scored"
             return objective(V, x, L, s)
 
         rng = np.random.default_rng(188)

@@ -2,6 +2,8 @@
 the same text, or the same ``ValidationError``, on every document, whether a
 list renders as a float block or by the recursion."""
 
+import enum
+import json
 import math
 import random
 import sys
@@ -195,6 +197,37 @@ class TestFloatBlocks:
             refused += expected.startswith("ValidationError")
         assert 0 < refused < 400
         assert 1000 < sum(taken) < len(taken)  # both paths are exercised
+
+
+class Label(str):
+    pass
+
+
+class Count(enum.IntEnum):
+    ONE = 1
+
+
+class TestScalarsAndStringLists:
+    """Scalars are written as ``json.dumps(..., ensure_ascii=True)`` writes them, and a list
+    of strings as one join of their quoted forms."""
+
+    @pytest.mark.parametrize("x", [*EDGE_INTS, *STRINGS, None, True, False, Label('l"1'),
+                                   Count.ONE], ids=repr)
+    def test_scalars_are_json_text(self, x):
+        assert render(x) == json.dumps(x, ensure_ascii=True) + "\n"
+        assert render([x, {"k": x}]) == reference.render([x, {"k": x}])
+
+    def test_string_lists(self):
+        rng = random.Random(23)
+        paths = [f"p{i}" for i in range(729)]
+        assert render({"labels": paths}) == reference.render({"labels": paths})
+        for _ in range(500):
+            doc = [rng.choice(STRINGS) for _ in range(rng.randint(1, 8))]
+            if rng.random() < 0.4:  # one item a string list must not join
+                doc[rng.randrange(len(doc))] = rng.choice(
+                    [np.str_("ns"), Label("sub"), 1, None, True, 0.5, ["a"], ("a",), {"k": "a"}])
+            for wrapped in (doc, tuple(doc), {"k": doc}, [doc, [doc]]):
+                assert render(wrapped) == reference.render(wrapped), wrapped
 
 
 class TestRefusals:
