@@ -108,9 +108,11 @@ class LossSpec(Frozen):
         return anchor + slope * (x - start)
 
     def _segment(self, x: np.ndarray) -> np.ndarray:
-        """Each point's segment, as ``searchsorted(side="right")`` finds it off NaN, by counting."""
-        le = np.less_equal.outer(self.breakpoints, x)
-        return np.add.reduce(le, axis=0, dtype=np.min_scalar_type(self.breakpoints.size))
+        """Each point's segment, as ``searchsorted(side="right")`` finds it off NaN: counted up to
+        eight breakpoints (one byte per point and breakpoint, no more than the loss array)."""
+        if self.breakpoints.size > 8:
+            return np.searchsorted(self.breakpoints, x, side="right")
+        return np.add.reduce(np.less_equal.outer(self.breakpoints, x), axis=0, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -144,15 +146,16 @@ def _expect(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.matmul(V, Y[..., None])[..., 0].transpose(2, 0, 1).copy()
 
 
-def _objective(V: np.ndarray, x: np.ndarray, L: LossSpec, s: np.ndarray):
-    """``s + max over vertices of E[loss(x - s)]`` at every point ``s[c, r]``, and the
-    expectations under each vertex, shape ``(k, c, r)``."""
+def _objective(V: np.ndarray, x: np.ndarray, L: LossSpec, s: np.ndarray) -> np.ndarray:
+    """``s + max over vertices of E[loss(x - s)]`` at every point ``s[c, r]``."""
     # chunks of candidates whose loss and expectation arrays hold at most _CELL_BUDGET cells
     # (rows * max(k, n) when that is more), so wide one-step scans need no quadratic temporaries
+    out = np.empty(s.shape)
     step = max(1, _CELL_BUDGET // (s.shape[1] * max(V.shape[1:])))
-    E = np.concatenate([_expect(V, L(x - s[lo : lo + step, :, None]))
-                        for lo in range(0, s.shape[0], step)], axis=1)
-    return s + E.max(axis=0), E
+    for lo in range(0, s.shape[0], step):
+        c = s[lo : lo + step]
+        out[lo : lo + step] = c + _expect(V, L(x - c[..., None])).max(axis=0)
+    return out
 
 
 def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
@@ -172,37 +175,34 @@ def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
         return value, minimizer
     rows = np.arange(x.shape[0])
     cand = np.sort((x[:, :, None] - L.breakpoints).reshape(x.shape[0], -1), axis=1).T.copy()
-    f, E = _objective(V, x, L, cand)
+    f = _objective(V, x, L, cand)
     j = np.argmin(f, axis=0)
     # flat indices of the previous candidate (the minimum itself when it comes first), the
     # minimum, and the first larger candidate (the first one, an empty bracket, when none is)
     ends = np.concatenate([np.maximum(j - 1, 0), j, np.argmax(cand > cand[j, rows], axis=0)])
     ends = ends.reshape(3, -1) * x.shape[0] + rows
-    a, b = cand.take(ends[:2]), cand.take(ends[1:])
-    cross = _vertex_crossings(V, x, L, a, b, a + E.reshape(E.shape[0], -1).take(ends[:2], axis=1))
-    live = cross == cross  # keep the pair-brackets with a crossing, score the rows with one
+    cross = _vertex_crossings(V, x, L, cand.take(ends[:2]), cand.take(ends[1:]))
+    live = ~np.isnan(cross)  # keep the pair-brackets with a crossing, score the rows with one
     cross, hit = cross[live.any(axis=1)], np.flatnonzero(live.any(axis=0))
     g = np.full(cross.shape, np.nan)
     if hit.size:
-        g[:, hit] = _objective(V if V.shape[0] == 1 else V[hit], x[hit], L, cross[:, hit])[0]
+        g[:, hit] = _objective(V if V.shape[0] == 1 else V[hit], x[hit], L, cross[:, hit])
     vals = np.concatenate([f, g])
     value = np.fmin.reduce(vals, axis=0)
     tied = vals <= value + _TIE_TOL
     return value, np.min(np.where(tied, np.concatenate([cand, cross]), np.inf), axis=0)
 
 
-def _vertex_crossings(V, x, L, a, b, at_a):
+def _vertex_crossings(V, x, L, a, b):
     """Interior points of each ``(a[c, r], b[c, r])`` where two vertex objectives meet.
 
-    On an open interval every ``loss(x_i - s)`` is linear in ``s``, so
-    each vertex objective is a line through ``at_a[v, c, r]``, its value at
-    ``a``; pairwise intersections are the only extra kink candidates the
-    breakpoint grid misses.  One row per vertex pair and bracket (rows of
-    ``a`` last), NaN where the pair does not cross inside.
+    On an open interval every ``loss(x_i - s)`` is linear in ``s``, so each vertex objective
+    is a line; pairwise intersections are the only extra kink candidates the breakpoint grid
+    misses.  Shape ``(pairs * brackets, r)``, NaN where a pair does not cross inside.
     """
     alphas = 1.0 - _expect(V, L.slopes.take(L._segment(x - (0.5 * (a + b))[..., None])))
-    betas = at_a - alphas * a
-    i, j = np.nonzero(~np.tri(V.shape[1], dtype=bool))  # triu_indices(k, 1), at less cost
+    betas = a + _expect(V, L(x - a[..., None])) - alphas * a
+    i, j = np.triu_indices(V.shape[1], 1)
     da = alphas[i] - alphas[j]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf lies outside
         s = (betas[j] - betas[i]) / da

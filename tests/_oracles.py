@@ -264,9 +264,9 @@ def oce_batch_full_scan(V: np.ndarray, x: np.ndarray, L):
     """``risk._oce_batch`` as a rows-first scan scoring every row's vertex crossings, NaN
     columns included.
 
-    The package lays candidates along a leading axis, reuses the bracket ends'
-    expectations, counts segments and skips the rows whose crossing columns are all NaN;
-    this is the full-width scan it must reproduce bit for bit.
+    The package lays candidates along a leading axis, counts segments against up to eight
+    breakpoints and skips the rows and pair-brackets whose crossings are all NaN; this is the
+    full-width scan it must reproduce bit for bit.
     """
     from credalkit import risk
 

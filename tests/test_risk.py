@@ -137,8 +137,10 @@ class TestLossSpec:
 
     def test_segments_are_counted_as_searchsorted_finds_them(self):
         rng = np.random.default_rng(91)
-        wide = LossSpec.piecewise(np.sort(rng.uniform(-1, 1, 300)), np.linspace(0.0, 2.0, 301))
-        for L in [*LOSSES, wide]:  # 300 breakpoints count in 16 bits
+        # up to eight breakpoints are counted, nine and more bisected
+        wide = [LossSpec.piecewise(np.sort(rng.uniform(-1, 1, m)), np.linspace(0.0, 2.0, m + 1))
+                for m in (8, 9, 300)]
+        for L in [*LOSSES, *wide]:
             bp = L.breakpoints
             x = np.concatenate([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf),
                                 rng.uniform(-2, 2, 200), [-1e300, 1e300, -0.0]])
@@ -738,6 +740,35 @@ class TestBatchedScan:
         value, minimizer = oce_scalar(S.matrix, x, LossSpec.avar(0.3))
         assert np.array_equal(got.value, value)
         assert np.array_equal(got.minimizer, minimizer)
+
+    @pytest.mark.parametrize("k,n,limit", [(40, 2000, 3.5e6), (400, 400, 7e6)])
+    def test_wide_sets_keep_no_expectations_per_candidate(self, k, n, limit):
+        # per-vertex expectations at every candidate would be 1.9 and 3.8 MB here; what the
+        # 400-vertex scan does hold is its crossing block, one cell per vertex pair and bracket
+        rng = np.random.default_rng(86)
+        V, x = rng.dirichlet(np.ones(n), size=(1, k)), rng.uniform(-3, 3, (1, n))
+        tracemalloc.start()
+        try:
+            risk._oce_batch(V, x, LossSpec.piecewise([-0.4, 0.1, 0.5], [0.3, 0.6, 1.4, 2.5]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
+
+    def test_many_breakpoints_need_no_comparison_per_breakpoint(self):
+        # counting 4,000 breakpoints at each of 16,000 loss cells would take 64 MB
+        rng = np.random.default_rng(87)
+        V, x = rng.dirichlet(np.ones(2), size=(1, 2)), rng.uniform(-3, 3, (1, 2))
+        L = LossSpec.piecewise(np.linspace(-1.0, 1.0, 4000), np.linspace(0.0, 2.0, 4001))
+        tracemalloc.start()
+        try:
+            got = risk._oce_batch(V, x, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+        want = oce_batch_full_scan(V, x, L)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
     @pytest.mark.parametrize("b,horizon", [(2, 10), (3, 4)])
     def test_trees_match_node_by_node(self, b, horizon):

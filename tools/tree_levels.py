@@ -1,11 +1,11 @@
 """Print the CPU time of each tree level of the ``tree_eval`` backward induction.
 
-    python3 tools/tree_levels.py --root <checkout> [--root <other>] [--passes 10]
+    python3 tools/tree_levels.py --root <checkout> [--root <other>]
 
 Each checkout runs in its own worker process, which builds the ``tree_eval``
 trees, payoffs and measures of seed 1 through
 ``<root>/perfbench/workloads.py`` (importing credalkit from ``<root>/src``)
-and then, once per pass, runs every op of the workload's cycles:
+and then, in each of 10 passes, runs every op of the workload's cycles:
 ``compose_risk`` for the AVaR and four-segment losses, ``compose_sublinear``
 for the worst-case expectation.  The step of each level is timed with
 ``time.process_time`` by wrapping the step function that ``risk._backward``
@@ -36,6 +36,8 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from collections import defaultdict  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+PASSES = 10
 
 
 def measure_name(m: dict) -> str:
@@ -97,14 +99,13 @@ def worker(root: Path, seed: int = 1) -> int:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", action="append", type=Path, help="checkout (once or twice)")
-    p.add_argument("--passes", type=int, default=10, help="alternated passes per checkout")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
         return worker(args.worker)
     roots = args.root or []
-    if len(roots) not in (1, 2) or args.passes < 1:
-        p.error("give --root once or twice and --passes of at least 1")
+    if len(roots) not in (1, 2):
+        p.error("give --root once or twice")
     for root in roots:
         if not (root / "perfbench" / "workloads.py").is_file():
             p.error(f"no perfbench/workloads.py under {root}")
@@ -113,7 +114,7 @@ def main(argv=None) -> int:
                for root in roots]
     passes: list[list[dict]] = [[] for _ in roots]
     try:
-        for i in range(args.passes):
+        for i in range(PASSES):
             for w in (range(len(roots)) if i % 2 == 0 else reversed(range(len(roots)))):
                 workers[w].stdin.write("pass\n")
                 workers[w].stdin.flush()
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
             w.wait()
     medians = [{k: statistics.median(run[k] for run in runs) * 1e3 for k in runs[0]}
                for runs in passes]
-    print(f"# seed 1, {args.passes} alternated passes, one BLAS thread; "
+    print(f"# seed 1, {PASSES} alternated passes, one BLAS thread; "
           "median over passes of the mean CPU ms per level step (all: per op)")
     for label, root in zip("AB", roots):
         print(f"# {label} = {root}")
