@@ -103,9 +103,12 @@ def _list(path: str, v) -> list:
     return v
 
 
-def _map(path: str, v) -> dict:
+def _map(path: str, v, fields=None) -> dict:
+    """A map; given ``fields``, one holding no other field."""
     if not isinstance(v, dict):
         raise ValidationError(f"{path}: expected a map")
+    if fields is not None and (unknown := v.keys() - fields):
+        raise ValidationError(f"{path}: unknown fields: {_shown(sorted(unknown))}")
     return v
 
 
@@ -126,7 +129,7 @@ def _atom_rows(path: str, v) -> list:
     """``[(weights, cost), ...]`` from a list of ``{"weights", "cost"}`` maps."""
     atoms = []
     for i, entry in enumerate(_list(path, v)):
-        entry = _map(f"{path}[{i}]", entry)
+        entry = _map(f"{path}[{i}]", entry, ("weights", "cost"))
         atoms.append((_numbers(f"{path}[{i}].weights", entry.get("weights")),
                       _number(f"{path}[{i}].cost", entry.get("cost", 0.0))))
     return atoms
@@ -193,7 +196,24 @@ def _resolve_space(sc: Scenario, ref, path: str):
 
 def _credal(sc: Scenario, path: str, space, rows: list) -> CredalSet:
     """A credal set from vertex rows, noting generators canonicalization drops."""
-    built = _wrap(path, lambda: CredalSet.from_rows(space, rows, sc.tol))
+    return _noted(sc, path, rows, _wrap(path, lambda: CredalSet.from_rows(space, rows, sc.tol)))
+
+
+def _credal_table(sc: Scenario, path: str, space, entries) -> list:
+    """A table's credal sets (a kernel's outcomes, a tree level's nodes) as one stack; on a
+    refusal or a ragged row, entry by entry, so the first refusal in entry order is raised."""
+    entries = _list(path, entries)
+    try:
+        rows = [_rows(f"{path}[{j}]", entry) for j, entry in enumerate(entries)]
+        built = CredalSet._stack(space, rows, sc.tol)
+    except (CredalkitError, ValueError):
+        return [_credal(sc, f"{path}[{j}]", space, _rows(f"{path}[{j}]", entry))
+                for j, entry in enumerate(entries)]
+    return [_noted(sc, f"{path}[{j}]", r, S) for j, (r, S) in enumerate(zip(rows, built))]
+
+
+def _noted(sc: Scenario, path: str, rows: list, built: CredalSet) -> CredalSet:
+    """``built``, noting the generators of ``rows`` that canonicalization dropped."""
     if built.n_vertices < len(rows):
         sc.canonicalization.append(
             f"{path}: {len(rows) - built.n_vertices} redundant generator(s) dropped"
@@ -216,40 +236,37 @@ def _build_set(sc: Scenario, path: str, body):
     body = _map(path, body)
     space = _resolve_space(sc, body.get("space"), f"{path}.space")
     if "vertices" in body:
+        _map(path, body, ("space", "vertices"))
         return _credal(sc, path, space, _rows(f"{path}.vertices", body["vertices"]))
     if "atoms" in body:
+        _map(path, body, ("space", "atoms"))
         return _penalty(sc, path, space, _atom_rows(f"{path}.atoms", body["atoms"]),
                         " so the smallest is zero")
     raise ValidationError(f'{path}: needs "vertices" (credal) or "atoms" (penalty)')
-
-
-_KERNEL_FAMILIES = {
-    "credal": (CredalKernel, _rows, _credal),
-    "penalty": (PenaltyKernel, _atom_rows, _penalty),
-}
 
 
 def _build_kernel(sc: Scenario, path: str, body):
     body = _map(path, body)
     u_space = _resolve_space(sc, body.get("u_space"), f"{path}.u_space")
     v_space = _resolve_space(sc, body.get("v_space"), f"{path}.v_space")
-    kind = next((k for k in _KERNEL_FAMILIES if k in body), None)
+    kind = next((k for k in ("credal", "penalty") if k in body), None)
     if kind is None:
         raise ValidationError(f'{path}: needs "credal" or "penalty" tables')
-    cls, read, build = _KERNEL_FAMILIES[kind]
+    _map(path, body, ("u_space", "v_space", kind))
     per_u = _list(f"{path}.{kind}", body[kind])
     if len(per_u) != u_space.size:
         raise ValidationError(f"{path}.{kind}: need one entry per outcome")
-    table = []
-    for i, entry in enumerate(per_u):
-        where = f"{path}.{kind}[{i}]"
-        table.append(build(sc, where, v_space, read(where, entry)))
-    return cls(u_space, table)
+    if kind == "credal":
+        return CredalKernel(u_space, _credal_table(sc, f"{path}.credal", v_space, per_u))
+    return PenaltyKernel(u_space, [
+        _penalty(sc, f"{path}.penalty[{i}]", v_space, _atom_rows(f"{path}.penalty[{i}]", entry))
+        for i, entry in enumerate(per_u)])
 
 
 def _build_variable(sc: Scenario, path: str, body):
     body = _map(path, body)
     space = _resolve_space(sc, body.get("space"), f"{path}.space")
+    _map(path, body, ("space", "values"))
     values = _numbers(f"{path}.values", body.get("values"))
     return _wrap(path, lambda: RandomVariable(space, values))
 
@@ -261,26 +278,10 @@ def _build_tree(sc: Scenario, path: str, body):
         raise ValidationError(f"{path}.step_space: expected a space name")
     step = _resolve_space(sc, step_ref, f"{path}.step_space")
     horizon = _int(f"{path}.horizon", body.get("horizon"))
-    ambiguity = [_credal_level(sc, f"{path}.ambiguity[{t}]", step, level) for t, level
+    _map(path, body, ("step_space", "horizon", "ambiguity"))
+    ambiguity = [_credal_table(sc, f"{path}.ambiguity[{t}]", step, level) for t, level
                  in enumerate(_list(f"{path}.ambiguity", body.get("ambiguity")))]
     return _wrap(path, lambda: ScenarioTree(step, horizon, ambiguity))
-
-
-def _credal_level(sc: Scenario, path: str, space, level) -> list:
-    """A tree level's node sets, one stack per vertex count.  On a refusal (or a ragged row's
-    ValueError) the level is built node by node, so the first refusal in node order is raised."""
-    try:
-        nodes = [_rows(f"{path}[{j}]", rows) for j, rows in enumerate(_list(path, level))]
-        built = {}
-        for k in set(map(len, nodes)):
-            idx = [j for j, rows in enumerate(nodes) if len(rows) == k]
-            built.update(zip(idx, CredalSet._stack(space, [nodes[j] for j in idx], sc.tol)))
-    except (CredalkitError, ValueError):
-        return [_credal(sc, f"{path}[{j}]", space, _rows(f"{path}[{j}]", rows))
-                for j, rows in enumerate(_list(path, level))]
-    sc.canonicalization += [f"{path}[{j}]: {d} redundant generator(s) dropped"
-                            for j, r in enumerate(nodes) if (d := len(r) - built[j].n_vertices)]
-    return [built[j] for j in range(len(nodes))]
 
 
 def _resolve_args(sc: Scenario, refs: dict) -> dict:
@@ -305,9 +306,11 @@ def _loss(command: dict) -> LossSpec:
     body = _map("command.loss", command.get("loss"))
     kind = body.get("kind")
     if kind == "avar":
+        _map("command.loss", body, ("kind", "level"))
         level = _number("command.loss.level", body.get("level", 0.0))
         return _wrap("command.loss", lambda: LossSpec.avar(level))
     if kind == "piecewise-linear":
+        _map("command.loss", body, ("kind", "breakpoints", "slopes"))
         breakpoints = _numbers("command.loss.breakpoints", body.get("breakpoints", []))
         slopes = _numbers("command.loss.slopes", body.get("slopes", []))
         return _wrap("command.loss", lambda: LossSpec.piecewise(breakpoints, slopes))
@@ -327,7 +330,7 @@ def _probes(a):
     probes = []
     for i, entry in enumerate(_list("command.probes", a.cmd["probes"])):
         path = f"command.probes[{i}]"
-        entry = _map(path, entry)
+        entry = _map(path, entry, ("q", "r"))
         q = _numbers(f"{path}.q", entry.get("q"))
         rows = _rows(f"{path}.r", entry.get("r"))
         if len(rows) != K.u_space.size:

@@ -252,9 +252,11 @@ def check_penalty_additivity(
     penalties, skipping zero-mass rows.  A joint penalty at least as large
     on every probe is evidence that the joint evaluation never exceeds the
     composed one; the reverse inequality is evidence for the reverse bound;
-    equality on all probes is evidence for the two-sided identity.  The
-    probe set is finite, so this check is sound but not complete; a direct
-    value comparison on sampled payoffs complements it.
+    equality on all probes is evidence for the two-sided identity.  Only
+    this holds: a relation other than ``equal`` is a real difference of the
+    two penalties at that probe.  A classification covers only the probes
+    tried, so ``additive`` (even with ``consistent`` true) can be wrong off
+    them; a direct value comparison on sampled payoffs complements it.
     """
     space = _product_space(A.space, "check_penalty_additivity needs a joint penalty family")
     _check_same_space(AU.space, space.u_space, "penalty additivity")

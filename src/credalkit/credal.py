@@ -44,7 +44,8 @@ class SeparationCertificate:
 class CredalSet(Frozen):
     """A nonempty convex compact set of probabilities, stored as its vertex matrix.
 
-    Construction drops exact duplicates, then, unless ``canonical``, every
+    Construction drops every row within ``DEDUP_TOL`` (sup norm) of an earlier
+    kept one, so the first listing survives, then, unless ``canonical``, every
     generator in the hull of the others: one certified extreme runs no LP, any
     other one membership decision, from the back so earlier generators survive ties.
     Surviving vertices keep their order.
@@ -74,19 +75,24 @@ class CredalSet(Frozen):
 
     @classmethod
     def _stack(cls, space: Space, sets, tol: float) -> list:
-        """``from_rows`` of ``m`` sets of ``k`` rows, validated as one stack; blocks of 2**16 cells
-        find the sets with a near-duplicate or uncertified row, and only those are canonicalized."""
-        P = _prob_rows(space.size, np.array(sets, dtype=float))
-        m, k, n = P.shape
-        step = _CELL_BUDGET // (k * k * (n + 1))  # sets per block; 0: one set's pairs exceed it
-        i, j = np.triu_indices(k, 1)
-        plain = np.zeros(m, dtype=bool)
-        for lo in range(0, m if step else 0, max(step, 1)):
-            B = P[lo : lo + step]
-            apart = np.all(np.max(np.abs(B[:, i] - B[:, j]), axis=-1) > DEDUP_TOL, axis=1)
-            plain[lo : lo + step] = apart & np.all(_certified_extreme(B, tol), axis=1)
-        return [cls.__new__(cls)._set(space, p, tol, None if ok else False)
-                for p, ok in zip(P, plain)]
+        """``from_rows`` of each row list, in input order: the lists of each length are validated
+        as one stack, and blocks of 2**16 cells find the sets with a near-duplicate or uncertified
+        row, and only those are canonicalized.  A refusal need not be the first set's."""
+        built = {}
+        for k in set(map(len, sets)):
+            idx = [s for s, rows in enumerate(sets) if len(rows) == k]
+            P = _prob_rows(space.size, np.array([sets[s] for s in idx], dtype=float))
+            m, n = len(idx), space.size
+            step = _CELL_BUDGET // (k * k * (n + 1))  # sets per block; 0: one set's pairs exceed it
+            i, j = np.triu_indices(k, 1)
+            plain = np.zeros(m, dtype=bool)
+            for lo in range(0, m if step else 0, max(step, 1)):
+                B = P[lo : lo + step]
+                apart = np.all(np.max(np.abs(B[:, i] - B[:, j]), axis=-1) > DEDUP_TOL, axis=1)
+                plain[lo : lo + step] = apart & np.all(_certified_extreme(B, tol), axis=1)
+            built.update((s, cls.__new__(cls)._set(space, p, tol, None if ok else False))
+                         for s, p, ok in zip(idx, P, plain))
+        return [built[s] for s in range(len(sets))]
 
     @classmethod
     def simplex(cls, space: Space) -> "CredalSet":

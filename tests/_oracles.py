@@ -12,11 +12,11 @@ backward induction, the first-listing duplicate scan, the sorted-neighbour
 duplicate scan, the per-selection pasting and composed-atom loops, the
 per-vertex Fubini transpose, the branch-per-type report writer, the
 one-row probability check, the node-by-node tree build, the
-one-``ProbVector``-per-row family builds, the full-width crossing scan
-with the rows-first objective and ``searchsorted`` loss it ran on,
-the direct loss anchors, the one-solve-per-active-set dual-set enumeration, the
-``flatnonzero`` simplex loop); the
-package's versions must reproduce them bit for bit.  The path-by-path
+entry-by-entry kernel build, the one-``ProbVector``-per-row family builds,
+the full-width crossing scan with the rows-first objective and
+``searchsorted`` loss it ran on, the direct loss anchors, the
+one-solve-per-active-set dual-set enumeration, the ``flatnonzero`` simplex
+loop); the package's versions must reproduce them bit for bit.  The path-by-path
 walk expectation is the one exception: the package computes it by
 backward induction, which rounds differently, so it must agree to 1e-12.
 The hull-program membership decision (``decide_lp``) is kept as a verdict
@@ -385,6 +385,46 @@ def build_tree_per_node(sc, path: str, body):
             sets.append(credal(where, _rows(where, rows)))
         ambiguity.append(sets)
     return _wrap(path, lambda: ScenarioTree(step, horizon, ambiguity))
+
+
+def build_kernel_per_entry(sc, path: str, body):
+    """``cli._build_kernel`` as it was before kernel tables were stacked: every outcome's
+    entry read and built in turn, one ``from_rows`` per credal set or penalty family."""
+    from credalkit.cli import _atom_rows, _list, _map, _resolve_space, _rows, _wrap
+    from credalkit.conditional import CredalKernel, PenaltyKernel
+    from credalkit.credal import CredalSet
+    from credalkit.penalty import PenaltyAtoms
+
+    def credal(where, rows):
+        built = _wrap(where, lambda: CredalSet.from_rows(v_space, rows, sc.tol))
+        if built.n_vertices < len(rows):
+            sc.canonicalization.append(
+                f"{where}: {len(rows) - built.n_vertices} redundant generator(s) dropped")
+        return built
+
+    def penalty(where, atoms):
+        built = _wrap(where, lambda: PenaltyAtoms.from_rows(v_space, atoms))
+        if built.normalization_shift > 0.0:
+            sc.warnings.append(f"{where}: costs shifted down by {built.normalization_shift!r}")
+        return built
+
+    families = {"credal": (CredalKernel, _rows, credal),
+                "penalty": (PenaltyKernel, _atom_rows, penalty)}
+    body = _map(path, body)
+    u_space = _resolve_space(sc, body.get("u_space"), f"{path}.u_space")
+    v_space = _resolve_space(sc, body.get("v_space"), f"{path}.v_space")
+    kind = next((k for k in families if k in body), None)
+    if kind is None:
+        raise ValidationError(f'{path}: needs "credal" or "penalty" tables')
+    cls, read, build = families[kind]
+    per_u = _list(f"{path}.{kind}", body[kind])
+    if len(per_u) != u_space.size:
+        raise ValidationError(f"{path}.{kind}: need one entry per outcome")
+    table = []
+    for i, entry in enumerate(per_u):
+        where = f"{path}.{kind}[{i}]"
+        table.append(build(where, read(where, entry)))
+    return cls(u_space, table)
 
 
 def distinct_scan(rows: np.ndarray, tol: float = 1e-12) -> list:

@@ -416,6 +416,10 @@ class TestExitCodes:
         capsys.readouterr()
         ok = tmp_path / "ok.json"
         ok.write_text(scenario_text(MINIMAL))
+        compose = valid_scenarios()["compose"]
+        both_tables = edited(compose, ("kernels", "K", "penalty"), [[{"weights": [1.0, 0.0]}]] * 2)
+        atoms = [{"weights": [0.5, 0.5]}]
+        additivity = valid_scenarios()["check-penalty-additivity"]
         for bad, message in (
             ([1, 2], "scenario must be a map"),
             (edited(MINIMAL, ("extras",), {}), "unknown scenario sections: ['extras']"),
@@ -425,6 +429,25 @@ class TestExitCodes:
              "unknown command fields: ['loss']"),
             (edited(MINIMAL, ("command", "op"), "eval-convex"),
              "command.set: expected a penalty family"),
+            # a field that an object's kind does not take
+            (both_tables, "kernels.K: unknown fields: ['penalty']"),
+            (edited(compose, ("sets", "SU", "atoms"), atoms), "sets.SU: unknown fields: ['atoms']"),
+            (edited(compose, ("variables", "X", "valeus"), [1.0, 0.0, 0.0, 1.0]),
+             "variables.X: unknown fields: ['valeus']"),
+            (edited(edited(both_tables, ("sets", "SU", "atoms"), atoms),
+                    ("variables", "X", "valeus"), []),
+             "sets.SU: unknown fields: ['atoms']"),  # all three: sets are read first
+            (edited(TREE, ("trees", "tr", "levels"), []), "trees.tr: unknown fields: ['levels']"),
+            (edited(TREE, ("command", "loss", "slopes"), [1.0]),
+             "command.loss: unknown fields: ['slopes']"),
+            (edited(PIECEWISE, ("command", "loss", "level"), 0.5),
+             "command.loss: unknown fields: ['level']"),
+            (edited(PENALTY, ("sets", "A", "atoms", 1, "costs"), 2.0),
+             "sets.A.atoms[1]: unknown fields: ['costs']"),
+            (edited(additivity, ("kernels", "KP", "penalty", 1, 0, "w"), []),
+             "kernels.KP.penalty[1][0]: unknown fields: ['w']"),
+            (edited(additivity, ("command", "probes", 0, "s"), [1.0]),
+             "command.probes[0]: unknown fields: ['s']"),
         ):
             path.write_text(json.dumps(bad))
             assert self.run_cli(["run", str(path)]) == 2
@@ -937,12 +960,16 @@ def nested(depth):
 RETYPES = (DELETE, "abc", [1], {"k": 1}, True, None, nested(600))
 
 
+def field_value(doc, field):
+    for key in field:
+        doc = doc[key]
+    return doc
+
+
 def typed_fields(doc):
     """The fields of ``doc`` holding a JSON number or boolean, with their value."""
     for field in field_paths(doc):
-        value = doc
-        for key in field:
-            value = value[key]
+        value = field_value(doc, field)
         if type(value) in (int, float, bool):
             yield field, value
 
@@ -968,6 +995,17 @@ class TestMutationFuzz:
                 path.write_text(json.dumps(edited(doc, field, value)))
                 code = main(["run", str(path), "--out", str(out)])
                 assert code in (0, 2, 3, 4), (field, value)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("op", sorted(valid_scenarios()))
+    def test_an_extra_field_in_any_map_exits_2(self, op, tmp_path, capsys):
+        doc = valid_scenarios()[op]
+        path = tmp_path / "doc.json"
+        maps = [()] + [field for field in field_paths(doc)
+                       if isinstance(field_value(doc, field), dict)]
+        for field in maps:
+            path.write_text(json.dumps(edited(doc, field + ("extra",), 1)))
+            assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 2, field
         capsys.readouterr()
 
     EXTREMES = (0, -0.0, 1e-170, -1e-170, 8.9e307, 1.7e308, -1.7e308, 2**63, -(2**63))

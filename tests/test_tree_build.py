@@ -1,9 +1,14 @@
-"""The stacked tree-level build against the node-by-node build it replaced.
+"""The stacked builds of tree levels and credal kernel tables against the
+per-node and per-entry builds they replaced.
 
-``cli._build_tree`` validates and canonicalizes each level as one stack per
-vertex count.  ``_oracles.build_tree_per_node`` keeps the old loop, one
-node and one row at a time; the two must give bitwise-equal node matrices,
-equal canonicalization notes, and equal refusals (exit code and message).
+``cli._build_tree`` validates and canonicalizes each level, and
+``cli._build_kernel`` each credal kernel table, with one
+``CredalSet._stack``: one stack per vertex count.
+``_oracles.build_tree_per_node`` keeps the old tree loop, one node and one
+row at a time, and ``_oracles.build_kernel_per_entry`` the old kernel loop,
+one ``from_rows`` per outcome; each pair must give bitwise-equal set
+matrices, equal canonicalization notes and warnings, and equal refusals
+(exit code and message).
 """
 
 import json
@@ -11,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from _oracles import build_tree_per_node
+from _oracles import build_kernel_per_entry, build_tree_per_node
 from credalkit import cli, credal
 from credalkit.cli import main
 from credalkit.credal import DEDUP_TOL, CredalSet
@@ -33,6 +38,18 @@ def tree_doc(levels, n):
         "trees": {"T": {"step_space": "step", "horizon": len(levels), "ambiguity": levels}},
         "variables": {"X": {"space": "paths", "values": [float(i % 7) for i in range(n_paths)]}},
         "command": {"op": "tree-sublinear", "tree": "T", "variable": "X"},
+    }
+
+
+def kernel_doc(entries, n):
+    """A credal kernel with one vertex-row entry per outcome of ``U``, on ``n`` outcomes."""
+    u = len(entries)
+    return {
+        "format": 1,
+        "spaces": {"U": [f"u{i}" for i in range(u)], "V": [f"v{i}" for i in range(n)]},
+        "kernels": {"K": {"u_space": "U", "v_space": "V", "credal": entries}},
+        "variables": {"X": {"space": ["U", "V"], "values": [float(i % 7) for i in range(u * n)]}},
+        "command": {"op": "conditional", "kernel": "K", "variable": "X"},
     }
 
 
@@ -77,23 +94,31 @@ def random_levels(rng, n, horizon, ks=range(1, 7)):
              for _ in range(n**t)] for t in range(horizon)]
 
 
+def entry_bytes(S):
+    return S.matrix.tobytes() if isinstance(S, CredalSet) else (S.points.tobytes(),
+                                                                S.costs.tobytes())
+
+
 def outcome(doc, tol):
-    """Node matrix bytes and notes of a parsed document, or its exit code and message."""
+    """The bytes of each tree level's and kernel table's sets, and the notes and warnings
+    of a parsed document, or its exit code and message."""
     try:
         sc = cli.parse_scenario(json.dumps(doc), tol)
     except CredalkitError as exc:
         if isinstance(exc, SizeGuardError):
             return 4, str(exc)
         return 2 if isinstance(exc, ValidationError) else 3, str(exc)
-    levels = [[S.matrix.tobytes() for S in level] for tree in sc.trees.values()
-              for level in tree.ambiguity]
-    return levels, sc.canonicalization
+    tables = [level for tree in sc.trees.values() for level in tree.ambiguity]
+    tables += [K.table for K in sc.kernels.values()]
+    return [list(map(entry_bytes, table)) for table in tables], sc.canonicalization + sc.warnings
 
 
 def same_as_per_node(monkeypatch, doc, tol=1e-9):
+    """``doc`` parsed with the stacked builds and with the per-node and per-entry ones."""
     got = outcome(doc, tol)
     with monkeypatch.context() as m:
         m.setattr(cli, "_build_tree", build_tree_per_node)
+        m.setattr(cli, "_build_kernel", build_kernel_per_entry)
         want = outcome(doc, tol)
     assert got == want
     return got
@@ -129,14 +154,22 @@ class TestLevelBuild:
 
     def test_stack_of_many_blocks_matches_one_set_at_a_time(self):
         rng = np.random.default_rng(1403)
+        stacks = []
         for k, n in ((3, 3), (6, 9)):
             step = 2**16 // (k * k * (n + 1))
             P = [node(rng, n, k, str(rng.choice(NODE_KINDS))) for _ in range(step + 40)]
+            stacks.append((n, np.array(P)))
+        # row lists of mixed lengths: the 6-row lists alone span two blocks
+        mixed = [node(rng, 9, int(rng.integers(1, 7)), str(rng.choice(NODE_KINDS)))
+                 for _ in range(1200)]
+        assert sum(len(rows) == 6 for rows in mixed) > 2**16 // (6 * 6 * 10)
+        stacks.append((9, mixed))
+        for n, P in stacks:
             space = OutcomeSpace(range(n))
-            got = CredalSet._stack(space, np.array(P), 1e-9)
+            got = CredalSet._stack(space, P, 1e-9)
             want = [CredalSet.from_rows(space, rows, 1e-9) for rows in P]
             assert [S.matrix.tobytes() for S in got] == [S.matrix.tobytes() for S in want]
-            assert sum(S.n_vertices < k for S in want) > 0
+            assert sum(S.n_vertices < len(rows) for S, rows in zip(want, P)) > 0
 
     def test_sets_whose_row_pairs_exceed_a_block(self, monkeypatch):
         n, k = 3, 130
@@ -194,5 +227,70 @@ class TestLevelBuild:
         for doc in (valid_scenarios()["tree-sublinear"], TREE):
             for field in field_paths(doc):
                 if field[:1] == ("trees",):
+                    for value in RETYPES:
+                        same_as_per_node(monkeypatch, edited(doc, field, value))
+
+
+class TestKernelBuild:
+    @pytest.mark.parametrize("n", (2, 3, 6, 9))
+    def test_every_node_kind_and_size_in_one_table(self, monkeypatch, n):
+        rng = np.random.default_rng(1410 + n)
+        entries = [node(rng, n, k, kind) for kind in NODE_KINDS for k in range(1, 7)]
+        notes = 0
+        for tol in (1e-15, 1e-12, 1e-9, 1e-6):
+            got = same_as_per_node(monkeypatch, kernel_doc(entries, n), tol)
+            notes += len(got[1])
+        assert notes > 0  # duplicates and interior rows were dropped somewhere
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_malformed_entry_anywhere(self, monkeypatch, kind):
+        rng = np.random.default_rng(1411)
+        for n in (2, 3):
+            entries = [node(rng, n, int(rng.integers(1, 4)), "plain") for _ in range(9)]
+            for pos in (0, 4, 8):
+                doc = kernel_doc(json.loads(json.dumps(entries)), n)
+                doc["kernels"]["K"]["credal"][pos] = malformed(rng, n, kind)
+                code, message = same_as_per_node(monkeypatch, doc)
+                assert code == 2 and f"credal[{pos}]" in message
+
+    @pytest.mark.parametrize("first", MALFORMED)
+    def test_earlier_malformed_entry_is_the_one_named(self, monkeypatch, first):
+        rng = np.random.default_rng(1412)
+        entries = [node(rng, 3, int(rng.integers(1, 4)), "plain") for _ in range(9)]
+        for later in MALFORMED:
+            doc = kernel_doc(json.loads(json.dumps(entries)), 3)
+            doc["kernels"]["K"]["credal"][4] = malformed(rng, 3, first)
+            doc["kernels"]["K"]["credal"][7] = malformed(rng, 3, later)
+            code, message = same_as_per_node(monkeypatch, doc)
+            assert code == 2 and "credal[4]" in message
+
+    def test_stall_before_malformed_entry_exits_3(self, monkeypatch, tmp_path, capsys):
+        def stall(*args, **kwargs):
+            raise SimplexStalledError("forced stall")
+
+        rng = np.random.default_rng(1413)
+        entries = [node(rng, 3, 2, "plain") for _ in range(9)]
+        entries[2] = node(rng, 3, 4, "interior")
+        monkeypatch.setattr(credal, "_nearest", stall)
+        doc = kernel_doc(entries, 3)
+        for bad in (5, 1):  # after the entry needing a membership decision, then before it
+            doc["kernels"]["K"]["credal"][bad] = malformed(rng, 3, "mass-1.1")
+            code, message = same_as_per_node(monkeypatch, doc)
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == code
+            assert message in capsys.readouterr().err
+            if bad == 5:
+                assert (code, message) == (3, "kernels.K.credal[2]: forced stall")
+            else:
+                assert code == 2 and "credal[1]" in message
+
+    def test_mutated_kernel_documents(self, monkeypatch):
+        docs = [doc for doc in valid_scenarios().values() if "kernels" in doc]
+        assert {kind for doc in docs for K in doc["kernels"].values()
+                for kind in ("credal", "penalty") if kind in K} == {"credal", "penalty"}
+        for doc in docs:
+            for field in field_paths(doc):
+                if field[:1] == ("kernels",):
                     for value in RETYPES:
                         same_as_per_node(monkeypatch, edited(doc, field, value))
