@@ -112,13 +112,13 @@ def _map(path: str, v, fields=None) -> dict:
     return v
 
 
-def _numbers(path: str, v) -> list:  # one pass; only a refused element's path is formatted
-    out = []
-    for x in _list(path, v):
+def _numbers(path: str, v) -> list:
+    """The JSON list ``v`` itself, once each element is checked a finite number (only a refused
+    element's path is formatted); numpy converts the numbers where a vector or stack is built."""
+    for i, x in enumerate(_list(path, v)):
         if type(x) not in (int, float) or not abs(x) <= _FLOAT_MAX:
-            _number(f"{path}[{len(out)}]", x)
-        out.append(float(x))
-    return out
+            _number(f"{path}[{i}]", x)
+    return v
 
 
 def _rows(path: str, v) -> list:

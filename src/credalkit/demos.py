@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,6 +26,9 @@ from .risk import ScenarioTree, compose_sublinear
 from .spaces import OutcomeSpace, ProbVector, ProductSpace, RandomVariable
 
 DEMO_TOL = 1e-9
+
+# U = V = {0, 1}: the two-point space of the tower and Fubini demos
+_BIT = OutcomeSpace(["0", "1"])
 
 
 @dataclass(frozen=True)
@@ -57,11 +61,9 @@ def nonrectangular_demo() -> DemoReport:
     equal-coordinates indicator the joint evaluation gives one half while
     the composed evaluation reaches one.
     """
-    u = OutcomeSpace(["0", "1"])
-    v = OutcomeSpace(["0", "1"])
-    uv = ProductSpace(u, v)
+    uv = ProductSpace(_BIT, _BIT)
     S = CredalSet.from_rows(uv, [[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5]])
-    K = CredalKernel.constant(u, CredalSet.simplex(v))
+    K = CredalKernel.constant(_BIT, CredalSet.simplex(_BIT))
     report = check_tower(S, K)
     match = RandomVariable(uv, [1.0, 0.0, 0.0, 1.0])
     lhs = sublinear_expectation(S, match)
@@ -105,17 +107,10 @@ def diagonal_demo(n_payoffs: int = 100, seed: int = 0) -> DemoReport:
     """
     if 4 * n_payoffs > MAX_GENERATORS:
         raise SizeGuardError(f"diagonal demo payoff cells exceed {MAX_GENERATORS}")
-    u = OutcomeSpace(["0", "1"])
-    v = OutcomeSpace(["0", "1"])
-    uv = ProductSpace(u, v)
+    uv = ProductSpace(_BIT, _BIT)
     S = CredalSet.from_rows(uv, [[1.0, 0, 0, 0], [0, 0, 0, 1.0]])
-    K = CredalKernel(
-        u,
-        [
-            CredalSet.singleton(ProbVector.dirac(v, "0")),
-            CredalSet.singleton(ProbVector.dirac(v, "1")),
-        ],
-    )
+    K = CredalKernel(_BIT, [CredalSet.singleton(ProbVector.dirac(_BIT, label))
+                            for label in _BIT.labels])
     report = check_tower(S, K)
     rng = np.random.default_rng(seed)
     max_gap = 0.0
@@ -159,14 +154,12 @@ def fubini_counterexample() -> DemoReport:
     on the second, the equal-coordinates indicator integrates to one in
     the U-then-V order but only one half the other way around.
     """
-    u = OutcomeSpace(["0", "1"])
-    v = OutcomeSpace(["0", "1"])
-    uv = ProductSpace(u, v)
-    SU = CredalSet.from_rows(u, [[0.5, 0.5]])
-    SV = CredalSet.simplex(v)
+    uv = ProductSpace(_BIT, _BIT)
+    SU = CredalSet.from_rows(_BIT, [[0.5, 0.5]])
+    SV = CredalSet.simplex(_BIT)
     match = RandomVariable(uv, [1.0, 0, 0, 1.0])
     lhs, rhs = interchange_gap(SU, SV, match)
-    swapped = interchange_gap(CredalSet.simplex(u), CredalSet.from_rows(v, [[0.5, 0.5]]), match)
+    swapped = interchange_gap(SV, SU, match)
     report = check_fubini(SU, SV)
     computed = {
         "lhs": lhs,
@@ -259,6 +252,11 @@ PAYOFFS: dict[str, tuple[Callable[[float], float], str]] = {
     "neg-abs": (lambda x: -abs(x), "concave"),
     "identity": (lambda x: x, "linear"),
 }
+# payoffs of a strike ``k``, called as ``fn(x, k=strike)``
+STRIKE_PAYOFFS: dict[str, tuple[Callable[[float, float], float], str]] = {
+    "call": (lambda x, k: max(x - k, 0.0), "convex"),
+    "put": (lambda x, k: max(k - x, 0.0), "convex"),
+}
 
 
 def gwalk(
@@ -289,18 +287,17 @@ def gwalk(
         raise ValidationError("dt must be positive")
     if 2.0 * sig_hi * sig_hi == 0.0:
         raise ValidationError(f"sig_hi {sig_hi!r} is too small: 2 sig_hi^2 underflows to zero")
-    if payoff == "call":
+    if payoff in STRIKE_PAYOFFS:
         if strike is None:
-            raise ValidationError("call payoff needs a strike")
-        fn, kind = (lambda x: max(x - strike, 0.0)), "convex"
-    elif payoff == "put":
-        if strike is None:
-            raise ValidationError("put payoff needs a strike")
-        fn, kind = (lambda x: max(strike - x, 0.0)), "convex"
-    elif payoff in PAYOFFS:
-        fn, kind = PAYOFFS[payoff]
-    else:
+            raise ValidationError(f"{payoff} payoff needs a strike")
+        with_strike, kind = STRIKE_PAYOFFS[payoff]
+        fn = partial(with_strike, k=strike)
+    elif payoff not in PAYOFFS:
         raise ValidationError(f"unknown payoff {payoff!r}")
+    elif strike is not None:
+        raise ValidationError(f"{payoff} payoff takes no strike")
+    else:
+        fn, kind = PAYOFFS[payoff]
 
     h = sig_hi * math.sqrt(dt)
     p_hi = 0.5
@@ -322,12 +319,9 @@ def gwalk(
     terminal_space = OutcomeSpace([f"path{i}" for i in range(sums.size)])
     x = RandomVariable(terminal_space, payoffs)
     value, min_var, max_var = (float(compose_sublinear(t, x)[0][0]) for t in trees)
-    if kind == "convex":
-        envelope = _target(max_var, "enumeration")
-    elif kind == "concave":
-        envelope = _target(min_var, "enumeration")
-    else:
-        envelope = _target(0.0, "analytic")
+    envelope = {"convex": _target(max_var, "enumeration"),
+                "concave": _target(min_var, "enumeration"),
+                "linear": _target(0.0, "analytic")}[kind]
     computed = {
         "root_value": value,
         "max_variance_value": max_var,

@@ -40,6 +40,11 @@ MAX_TREE_NODES = 200_000
 _TIE_TOL = 1e-12
 
 
+def _avar_level(level: float) -> None:
+    if not (0.0 < level <= 1.0):
+        raise ValidationError("level must lie in (0, 1]")
+
+
 class LossSpec(Frozen):
     """A convex nondecreasing piecewise-linear loss with ``l(0) = 0``.
 
@@ -93,8 +98,7 @@ class LossSpec(Frozen):
 
     @classmethod
     def avar(cls, level: float) -> "LossSpec":
-        if not (0.0 < level <= 1.0):
-            raise ValidationError("level must lie in (0, 1]")
+        _avar_level(level)
         return cls([0.0], [0.0, 1.0 / level], boundary=level == 1.0)
 
     @classmethod
@@ -219,8 +223,7 @@ def avar_dual_evaluate(S: CredalSet, level: float, X: RandomVariable,
     maximizes the payoff expectation over them.
     """
     _check_same_space(S.space, X.space, "avar dual")
-    if not (0.0 < level <= 1.0):
-        raise ValidationError("level must lie in (0, 1]")
+    _avar_level(level)
     n = S.space.size
     k = S.n_vertices
     # variables: q (n), mix (k), slack (n); rows: caps (n), two simplex rows
@@ -253,8 +256,7 @@ def avar_dual_set(S: CredalSet, level: float, tol: float = DEFAULT_TOL) -> Creda
     their dual polytope is a capped box whose vertices saturate a subset of
     caps and spend the leftover on one coordinate.
     """
-    if not (0.0 < level <= 1.0):
-        raise ValidationError("level must lie in (0, 1]")
+    _avar_level(level)
     n = S.space.size
     if n > DUAL_SET_MAX_OUTCOMES:
         raise SizeGuardError(

@@ -456,6 +456,9 @@ class TestExitCodes:
             (["run", str(ok), "--seed", "-1"], "seed must be nonnegative"),
             (["demo", "gwalk", "--param", "horizon"],
              "--param needs KEY=VALUE, got 'horizon'"),
+            (["demo", "gwalk", "--param", "payoff=call"], "call payoff needs a strike"),
+            (["demo", "gwalk", "--param", "payoff=square", "--param", "strike=1"],
+             "square payoff takes no strike"),
         ):
             assert self.run_cli(args) == 2
             assert capsys.readouterr().err == f"validation error: {message}\n"

@@ -637,6 +637,21 @@ class TestPenaltyAdditivity:
         with pytest.raises(ValidationError):
             check_penalty_additivity(A, AU, KP, n_random=-1)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="D5: probes sit only on the composed-atom grid and its mixtures")
+    def test_joint_atom_off_the_probe_grid_is_subadditive(self):
+        # the joint family adds a Dirac at (0, 0), at cost 10, to the composed uniform atom;
+        # no probe reaches it, so the check reads "additive" while the joint value is larger
+        half = PenaltyAtoms.from_rows(U, [([0.5, 0.5], 0.0)])
+        KP = PenaltyKernel(U, [PenaltyAtoms.from_rows(V, [([0.5, 0.5], 0.0)])] * 2)
+        A = PenaltyAtoms.from_rows(UV, [([0.25] * 4, 0.0), ([1, 0, 0, 0], 10.0)])
+        x = rv(UV, [100.0, 0.0, 0.0, 0.0])
+        assert convex_expectation(A, x) == 90.0
+        assert compose(half, KP, x) == 25.0
+        report = check_penalty_additivity(A, half, KP)
+        assert report.classification == "subadditive"
+        assert report.consistent
+
     def test_atom_probe_equality_on_envelope_minimal_inputs(self):
         rng = np.random.default_rng(41)
         for _ in range(15):

@@ -132,6 +132,13 @@ class TestGwalk:
         report = gwalk(horizon=2, payoff="call", strike=0.5)
         assert report.passed
 
+    def test_strike_refused_where_the_payoff_takes_none(self):
+        for name in PAYOFFS:
+            with pytest.raises(ValidationError, match=f"^{name} payoff takes no strike$"):
+                gwalk(payoff=name, strike=1.0)
+        with pytest.raises(ValidationError, match="^unknown payoff 'nope'$"):
+            gwalk(payoff="nope", strike=1.0)
+
     @pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5, 6, 7, 8, 10])
     def test_single_measure_values_match_path_enumeration(self, horizon):
         payoffs = {name: fn for name, (fn, _) in PAYOFFS.items()}

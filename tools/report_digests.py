@@ -12,9 +12,10 @@ not 0.  For ``tree_eval`` every level array that ``compose_risk`` /
 ``tree/measure/payoff/level`` (``-`` for a failed op).  Last, every demo
 runs once at its default parameters through
 ``cli.main(["demo", name, "--out", report])`` and prints one
-``demo name exit sha256`` line.  Two checkouts give byte-identical
-reports, level arrays, demo reports and refusal messages exactly when their
-outputs ``diff`` clean.
+``demo name exit sha256`` line; ``gwalk`` then runs twice more, with its call
+and its put payoff at strike 0.5 (``demo gwalk payoff=call strike=0.5 exit
+sha256``).  Two checkouts give byte-identical reports, level arrays, demo
+reports and refusal messages exactly when their outputs ``diff`` clean.
 """
 
 from __future__ import annotations
@@ -80,11 +81,16 @@ def tree_lines(wl, seed: int, work: Path):
                 yield f"{wl.name} {seed} {key} {code} -"
 
 
+# demo runs past the defaults: gwalk's payoffs that take a strike
+STRIKE_RUNS = [("gwalk", "payoff=call", "strike=0.5"), ("gwalk", "payoff=put", "strike=0.5")]
+
+
 def demo_lines(wl, work: Path):
     cli = wl.setup(None)
-    for name in cli.DEMOS:
-        code, digest = cli_digest(cli, ["demo", name], work / "demo.json")
-        yield f"demo {name} {code} {digest}"
+    for name, *params in [(name,) for name in cli.DEMOS] + STRIKE_RUNS:
+        argv = ["demo", name, *(arg for p in params for arg in ("--param", p))]
+        code, digest = cli_digest(cli, argv, work / "demo.json")
+        yield f"demo {' '.join([name, *params])} {code} {digest}"
 
 
 def main(argv=None) -> int:
