@@ -161,7 +161,8 @@ def parse_scenario(text: str, tol: float = DEFAULT_TOL) -> Scenario:
     sc = Scenario(raw=raw, tol=tol)
 
     for name, labels in _map("spaces", raw.get("spaces", {})).items():
-        sc.spaces[name] = OutcomeSpace(_list(f"spaces.{name}", labels))
+        labels = _list(f"spaces.{name}", labels)
+        sc.spaces[name] = _wrap(f"spaces.{name}", lambda: OutcomeSpace(labels))
 
     for section, build in (("sets", _build_set), ("kernels", _build_kernel),
                            ("variables", _build_variable), ("trees", _build_tree)):

@@ -148,14 +148,26 @@ def _distinct(rows: np.ndarray) -> list[int]:
     """Indices of the rows farther than ``DEDUP_TOL`` (sup norm) from every
     earlier kept row; the first listing of each duplicate group survives.
 
-    Each row is compared only with the kept rows in its key window; a row
-    alone in its window has no duplicate and is kept outright.
+    A row alone in its key window has no duplicate and is kept outright.  The
+    others fall, in key order, into runs whose windows chain, so that no window
+    crosses a run's ends and any two rows within ``DEDUP_TOL`` share a run.  A
+    run at most ``DEDUP_TOL`` wide in every coordinate has every pair within the
+    tolerance and keeps its lowest index at once; only the rows of a wider run
+    are compared one by one with the kept rows in their windows.
     """
     if len(rows) == 1:
         return [0]
     order, lo, hi = _key_windows(rows, rows, DEDUP_TOL)
     kept = hi - lo == 1
-    for i in np.flatnonzero(~kept):
+    if kept.all():
+        return list(range(len(rows)))
+    t = np.arange(1, len(rows))
+    starts = np.flatnonzero(np.r_[True, (hi[order[:-1]] <= t) & (lo[order[1:]] >= t)])
+    R = rows[order]
+    tight = (np.maximum.reduceat(R, starts) - np.minimum.reduceat(R, starts) <= DEDUP_TOL).all(1)
+    kept[np.minimum.reduceat(order, starts)[tight]] = True
+    wide = order[np.repeat(~tight, np.diff(np.r_[starts, len(rows)]))]
+    for i in np.sort(wide[~kept[wide]]):
         near = order[lo[i] : hi[i]]
         near = near[kept[near]]
         kept[i] = np.all(np.max(np.abs(rows[near] - rows[i]), axis=1) > DEDUP_TOL)
@@ -168,16 +180,20 @@ def _vertex_matches(rows: np.ndarray, queries: np.ndarray, tol: float) -> np.nda
     The membership program's phase-one objective at ``lam = s e_v`` is ``2 (1 - s)``;
     ``s`` is ``1 - tol/2`` plus a rounding margin, so a match passes even the rounded
     LP's test and lies within L1 ``tol`` of ``v``.  ``s <= 1``: a point dominating a
-    vertex is that vertex up to rounding."""
+    vertex is that vertex up to rounding.  The key windows are walked by offset: at
+    each one, every query whose window reaches that far tests one row, in chunks of at
+    most ``_CELL_BUDGET`` cells."""
     order, lo, hi = _key_windows(rows, queries, tol)
     scaled = min(1.0, 1.0 - 0.5 * tol + 8 * rows.shape[1] * np.finfo(float).eps) * rows
-    match = np.full(len(queries), -1)
-    for i in np.flatnonzero(hi > lo):
-        near = order[lo[i] : hi[i]]
-        ok = near[np.all(queries[i] >= scaled[near], axis=1)]
-        if ok.size:
-            match[i] = ok.min()
-    return match
+    match = np.full(len(queries), len(rows))
+    step = max(1, _CELL_BUDGET // rows.shape[1])
+    for off in range(np.max(hi - lo, initial=0)):
+        reach = np.flatnonzero(hi - lo > off)
+        for q in np.split(reach, np.arange(step, len(reach), step)):
+            r = order[lo[q] + off]
+            ok = np.all(queries[q] >= scaled[r], axis=1)
+            match[q[ok]] = np.minimum(match[q[ok]], r[ok])
+    return np.where(match < len(rows), match, -1)
 
 
 def _certified_extreme(points: np.ndarray, tol: float) -> np.ndarray:

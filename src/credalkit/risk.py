@@ -269,8 +269,10 @@ def avar_dual_set(S: CredalSet, level: float, tol: float = DEFAULT_TOL) -> Creda
     else:
         pts = _projected_lifted_vertices(S.matrix, level, tol)
     # the sorted order is the dual set's vertex order; construction drops
-    # duplicates, keeping the first listing
-    return CredalSet.from_rows(S.space, pts[np.lexsort(pts.T[::-1])], tol)
+    # duplicates, keeping the first listing.  The feasibility screen admits
+    # coordinates down to -tol: they are clamped to 0, as construction does
+    pts = pts[np.lexsort(pts.T[::-1])]
+    return CredalSet.from_rows(S.space, np.where(pts < 0.0, 0.0, pts), tol)
 
 
 def _capped_box_vertices(caps: np.ndarray, tol: float) -> np.ndarray:

@@ -9,20 +9,20 @@ other way around.
 The last section keeps the plain loop forms of computations the package
 now vectorises or shortcuts (the per-node scalar OCE scan, node-by-node
 backward induction, the first-listing duplicate scan, the sorted-neighbour
-duplicate scan, the per-selection pasting and composed-atom loops, the
-per-vertex Fubini transpose, the branch-per-type report writer, the
-one-row probability check, the node-by-node tree build, the
-entry-by-entry kernel build, the one-``ProbVector``-per-row family builds,
-the full-width crossing scan with the rows-first objective and
-``searchsorted`` loss it ran on, the direct loss anchors, the
-one-solve-per-active-set dual-set enumeration, the ``flatnonzero`` simplex
-loop); the package's versions must reproduce them bit for bit.  The path-by-path
-walk expectation is the one exception: the package computes it by
-backward induction, which rounds differently, so it must agree to 1e-12.
-The hull-program membership decision (``decide_lp``) is kept as a verdict
-reference for the nearest-point decision that replaced it, and the costed
-dominance loop (``envelope_atoms_lp``) for the perspective-lift pruning that
-replaced it.
+duplicate scan, the vertex match over all rows, the per-selection pasting
+and composed-atom loops, the per-vertex Fubini transpose, the
+branch-per-type report writer, the one-row probability check, the
+node-by-node tree build, the entry-by-entry kernel build, the
+one-``ProbVector``-per-row family builds, the full-width crossing scan with
+the rows-first objective and ``searchsorted`` loss it ran on, the direct
+loss anchors, the one-solve-per-active-set dual-set enumeration, the
+``flatnonzero`` simplex loop); the package's versions must reproduce them
+bit for bit.  The path-by-path walk expectation is the one exception: the
+package computes it by backward induction, which rounds differently, so it
+must agree to 1e-12.  The hull-program membership decision (``decide_lp``)
+is kept as a verdict reference for the nearest-point decision that replaced
+it, and the costed dominance loop (``envelope_atoms_lp``) for the
+perspective-lift pruning that replaced it.
 """
 
 from __future__ import annotations
@@ -434,6 +434,18 @@ def distinct_scan(rows: np.ndarray, tol: float = 1e-12) -> list:
         if np.all(np.max(np.abs(rows[keep] - row), axis=1) > tol):
             keep.append(i)
     return keep
+
+
+def match_scan(rows: np.ndarray, queries: np.ndarray, tol: float) -> np.ndarray:
+    """For each query ``p``, the lowest-index row ``v`` with ``p >= s v`` over all rows, else -1;
+    ``s`` is ``credal._vertex_matches``'s scale, ``1 - tol/2`` plus its rounding margin."""
+    scaled = min(1.0, 1.0 - 0.5 * tol + 8 * rows.shape[1] * np.finfo(float).eps) * rows
+    match = np.full(len(queries), -1)
+    for i, p in enumerate(queries):
+        ok = np.flatnonzero(np.all(p >= scaled, axis=1))
+        if ok.size:
+            match[i] = ok[0]
+    return match
 
 
 def decide_lp(rows: np.ndarray, points: np.ndarray, tol: float):

@@ -448,6 +448,11 @@ class TestExitCodes:
              "kernels.KP.penalty[1][0]: unknown fields: ['w']"),
             (edited(additivity, ("command", "probes", 0, "s"), [1.0]),
              "command.probes[0]: unknown fields: ['s']"),
+            # a space's labels are checked where they are read
+            (edited(MINIMAL, ("spaces", "W"), ["a", "a"]),
+             "spaces.W: outcome labels must be pairwise distinct"),
+            (edited(MINIMAL, ("spaces", "W"), []),
+             "spaces.W: an outcome space needs at least one label"),
         ):
             path.write_text(json.dumps(bad))
             assert self.run_cli(["run", str(path)]) == 2
@@ -479,6 +484,27 @@ class TestExitCodes:
             path.write_text(json.dumps(doc))
             assert self.run_cli(["run", str(path)]) == 2
             assert capsys.readouterr().err == f"validation error: {message}\n"
+
+    def test_valid_dual_set_is_not_refused_as_input(self, tmp_path, capsys):
+        # D7: the dual set's feasibility screen admits candidate coordinates down to
+        # -tol; one at -4.45e-11 was refused as a negative weight in the user's input
+        rows = [[7.487914437354219e-05, 0.533190721278679, 0.10114309116907762,
+                 4.452986544760341e-07, 2.6135173991012193e-05, 0.3655647279352244],
+                [0.9997394657182752, 2.0100929513474737e-11, 0.00026053425893130243,
+                 3.84607935699129e-14, 7.777565973627666e-19, 2.654070362377614e-12],
+                [0.000129115358608602, 0.0019159510579526988, 0.023675999345091646,
+                 0.3983086944392831, 0.554783064933615, 0.021187174865448966]]
+        doc = {"format": 1, "spaces": {"W": [f"w{i}" for i in range(6)]},
+               "sets": {"S": {"space": "W", "vertices": rows}},
+               "variables": {"X": {"space": "W", "values": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}},
+               "command": {"op": "avar-dual", "set": "S", "variable": "X", "level": 0.25,
+                           "vertices": True}}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))  # every digit: the report writer would round
+        code = self.run_cli(["run", str(path), "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert code in (0, 3), err  # 3 while the band's simplex stalls (D7)
+        assert "validation error" not in err
 
     def test_parse_error_is_2(self, tmp_path):
         path = tmp_path / "broken.json"

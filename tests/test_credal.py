@@ -12,6 +12,7 @@ from _oracles import (
     exact_hull_deficiency,
     hull_deficiency,
     hull_membership,
+    match_scan,
     support_value,
 )
 from credalkit import credal, spaces
@@ -31,6 +32,8 @@ from credalkit.credal import (
     _decide,
     _distinct,
     _first_nonmember,
+    _key_windows,
+    _vertex_matches,
 )
 from credalkit.errors import NotSeparableError, SpaceMismatchError
 from credalkit.fubini import check_fubini
@@ -363,6 +366,100 @@ class TestDistinct:
         keep = _distinct(rows)
         assert keep == distinct_scan(rows)
         assert keep == list(range(81))
+
+    @pytest.mark.parametrize("n_u", [3, 4])
+    def test_marginal_clusters(self, n_u):
+        # marginal_set's sums leave the products of one outer vertex a few ulps
+        # apart: 3 clusters of 27 (|U| = 3) or 81 (|U| = 4) rows share key windows
+        rng = np.random.default_rng(93 + n_u)
+        outer = rng.dirichlet(np.ones(n_u), size=3)
+        kernel = rng.dirichlet(np.ones(3), size=(n_u, 3))
+        rows = np.array([[(q[u] * kernel[u, c[u]]).sum() for u in range(n_u)]
+                         for q in outer for c in np.ndindex(*(3,) * n_u)])
+        order = rng.permutation(len(rows))
+        for r in (rows, rows[order]):
+            _, lo, hi = _key_windows(r, r, credal.DEDUP_TOL)
+            assert np.all(hi - lo > 1) and len(np.unique(r, axis=0)) > 3
+            keep = _distinct(r)
+            assert keep == distinct_scan(r)
+            assert len(keep) == 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runs_wider_than_the_tolerance(self, seed):
+        # chains stepping 0.6-1.0e-12 are wider than DEDUP_TOL end to end, so
+        # their later links can survive; tight clusters lie between them
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            base = rng.dirichlet(np.ones(n), size=int(rng.integers(2, 6)))
+            steps = rng.uniform(0.6e-12, 1.0e-12, size=(len(base), 6, n))
+            steps *= rng.choice([-1.0, 1.0], size=steps.shape)
+            chains = base[:, None] + np.cumsum(steps, axis=1)
+            clusters = base[:, None] * (1 + rng.integers(-4, 5, size=(len(base), 5, n)) * 2**-52)
+            rows = np.concatenate([chains, clusters], axis=1).reshape(-1, n)
+            rows = rows[rng.permutation(len(rows))]
+            keep = _distinct(rows)
+            assert keep == distinct_scan(rows)
+            assert len(keep) > len(base)
+
+
+class TestVertexMatches:
+    """The window walk by offset returns the lowest-index match over all rows."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+    def test_near_vertex_queries(self, tol):
+        rng = np.random.default_rng(100)
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            rows = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 12)))
+            picks = rows[rng.integers(len(rows), size=40)]
+            towards = rng.dirichlet(np.ones(n), size=40)
+            t = rng.choice([0.0, 0.1, 0.45, 0.5, 0.55, 2.0], size=(40, 1)) * tol
+            queries = np.vstack([(1 - t) * picks + t * towards, rng.dirichlet(np.ones(n), 5)])
+            assert np.array_equal(_vertex_matches(rows, queries, tol),
+                                  match_scan(rows, queries, tol))
+
+    def test_query_dominating_two_rows_takes_the_lower_index(self):
+        rows = np.array([[0.2, 0.8], [0.5, 0.5], [0.5 + 1e-7, 0.5 - 1e-7], [0.9, 0.1]])
+        p = np.array([[0.5 + 5e-8, 0.5 - 5e-8]])
+        assert _vertex_matches(rows, p, 1e-6).tolist() == [1]
+        assert _vertex_matches(rows[[0, 2, 1, 3]], p, 1e-6).tolist() == [1]
+        assert match_scan(rows, p, 1e-6).tolist() == [1]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    def test_one_wide_window_beside_short_ones(self, tol):
+        # rows on the line x @ w = 7/6 (w = 1 + i/3) share one key, so each of
+        # their queries walks a window of all 40; the other rows sit alone
+        rng = np.random.default_rng(101)
+        line = np.array([0.3, 0.4, 0.3]) + rng.uniform(-0.2, 0.2, (40, 1)) * [1.0, -2.0, 1.0]
+        rows = np.vstack([rng.dirichlet(np.ones(3), 20), line, line[:5]])
+        rows = rows[rng.permutation(len(rows))]
+        queries = np.vstack([rows, np.maximum(rows - rng.uniform(0, tol, rows.shape), 0.0),
+                             rows + rng.uniform(0, tol, rows.shape) / 3])
+        _, lo, hi = _key_windows(rows, queries, tol)
+        assert (hi - lo).max() >= 45 and (hi - lo).min() <= 2
+        match = _vertex_matches(rows, queries, tol)
+        assert np.array_equal(match, match_scan(rows, queries, tol))
+        assert np.all(match[: len(rows)] >= 0)
+
+    def test_zero_and_one_query(self):
+        rows = np.random.default_rng(102).dirichlet(np.ones(4), 6)
+        none = _vertex_matches(rows, np.empty((0, 4)), 1e-9)
+        assert none.shape == (0,) and none.dtype == match_scan(rows, np.empty((0, 4)), 1e-9).dtype
+        assert _vertex_matches(rows, rows[3:4], 1e-9).tolist() == [3]
+        assert _vertex_matches(rows, np.full((1, 4), 0.25), 1e-9).tolist() == [-1]
+
+    def test_queries_across_several_chunks(self):
+        # 16 columns: a chunk holds _CELL_BUDGET // 16 queries, so these span four
+        rng = np.random.default_rng(103)
+        rows = rng.dirichlet(np.ones(16), 30)
+        rows = np.vstack([rows, rows[:10]])
+        n_queries = 3 * (credal._CELL_BUDGET // 16) + 7
+        queries = rows[rng.integers(len(rows), size=n_queries)]
+        queries[::3] = rng.dirichlet(np.ones(16), len(queries[::3]))
+        match = _vertex_matches(rows, queries, 1e-9)
+        assert np.array_equal(match, match_scan(rows, queries, 1e-9))
+        assert match.max() < 30 and np.any(match < 0)
 
 
 def count_lps(monkeypatch):

@@ -16,7 +16,9 @@ every process uses one BLAS thread.
 Per tree, measure and level the table gives the median over passes of the
 mean CPU time of one level step, in ms, then the median over passes of the
 mean time of a whole op (``all``), and with two checkouts the ratio of the
-first to the second.
+first median to the second, then the quartiles of the per-pass ratios (pass
+``i`` of A over pass ``i`` of B), whose spread shows how far one invocation
+can be trusted.
 """
 
 from __future__ import annotations
@@ -129,20 +131,23 @@ def main(argv=None) -> int:
     medians = [{k: statistics.median(run[k] for run in runs) * 1e3 for k in runs[0]}
                for runs in passes]
     print(f"# seed 1, {PASSES} alternated passes, one BLAS thread; "
-          "median over passes of the mean CPU ms per level step (all: per op)")
+          "median over passes of the mean CPU ms per level step (all: per op)"
+          + ("; quartiles of the per-pass A/B ratios" if len(roots) == 2 else ""))
     for label, root in zip("AB", roots):
         print(f"# {label} = {root}")
     print(f"{'tree':<9} {'measure':<22} {'level':>5} {'nodes':>6} "
           + " ".join(f"{label + ' ms':>9}" for label in "AB"[:len(roots)])
-          + ("    A/B" if len(roots) == 2 else ""))
+          + ("    A/B  A/B q1  A/B q3" if len(roots) == 2 else ""))
     order = sorted(medians[0], key=lambda k: (k.rsplit("/", 2)[0], k.endswith("/all/"),
                                               int(k.split("/")[2]) if k[-1] != "/" else 0))
     for key in order:
         tree, measure, level, nodes = key.split("/")
         row = [m[key] for m in medians]
+        ratios = [a[key] / b[key] for a, b in zip(*passes)] if len(row) == 2 else []
+        q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if ratios else (0, 0, 0)
         print(f"{tree:<9} {measure:<22} {level:>5} {nodes:>6} "
               + " ".join(f"{v:9.3f}" for v in row)
-              + (f" {row[0] / row[1]:6.2f}" if len(row) == 2 else ""))
+              + (f" {row[0] / row[1]:6.2f} {q1:7.2f} {q3:7.2f}" if ratios else ""))
     return 0
 
 
