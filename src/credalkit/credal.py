@@ -9,6 +9,7 @@ is a member, and a generator certified extreme is a vertex, with no LP.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -196,20 +197,42 @@ def _vertex_matches(rows: np.ndarray, queries: np.ndarray, tol: float) -> np.nda
     return np.where(match < len(rows), match, -1)
 
 
+@functools.lru_cache(maxsize=None)
+def _bank(n: int) -> np.ndarray:
+    """The fixed exposing directions on ``n`` outcomes: 1,024 standard-normal draws."""
+    return np.random.default_rng(0).standard_normal((1024, n))
+
+
 def _certified_extreme(points: np.ndarray, tol: float) -> np.ndarray:
     """Rows of a set (or of each set of a stack) a hull program keeps against any subset of the
-    others: along ``d_i``, row ``i`` of ``pinv([P | 1])`` (``d_i.p_j + c_i`` is the projector entry
-    ``Pi_ij``), every other row scores over ``(tol + 64 n eps) max|d_i|`` below ``p_i``.  As
-    ``|d.q| <= max|d|`` for probabilities ``q``, that margin bounds the deficiency for any ``d``."""
+    others: along some ``d``, every other row scores over ``(tol + 64 n eps) max|d|`` below
+    ``p_i``.  As ``|d.q| <= max|d|`` for probabilities ``q``, that margin bounds the deficiency
+    for any ``d``.  Each row tries ``d_i``, row ``i`` of ``pinv([P | 1])`` (``d_i.p_j + c_i`` is
+    the projector entry ``Pi_ij``), which certifies every affinely independent row; a set of
+    more than ``n + 1`` rows left uncertified then tries ``_bank(n)``, where a direction
+    certifies its argmax row."""
     *m, k, n = points.shape
     D = np.linalg.pinv(np.concatenate([points, np.ones((*m, k, 1))], -1)).swapaxes(-1, -2)[..., :n]
-    limit = (tol + 64 * n * np.finfo(float).eps) * np.max(np.abs(D), axis=-1)
+    slack = tol + 64 * n * np.finfo(float).eps
+    limit = slack * np.max(np.abs(D), axis=-1)
     step = max(1, _CELL_BUDGET // points[..., 0].size)
     certified = np.zeros(points.shape[:-1], dtype=bool)
     for lo in range(0, k, step):
         G = D[..., lo : lo + step, :] @ np.swapaxes(points, -1, -2)
         near = G >= (np.diagonal(G[..., lo:], 0, -2, -1) - limit[..., lo : lo + step])[..., None]
         certified[..., lo : lo + step] = near.sum(axis=-1) == 1
+    flat = certified.reshape(-1, k)
+    sets = np.flatnonzero(~flat.all(axis=1)) if k > n + 1 else []
+    if len(sets):
+        P, bank = points.reshape(-1, k, n)[sets], _bank(n)
+        limit = slack * np.max(np.abs(bank), axis=1)
+        step = max(1, _CELL_BUDGET // (len(sets) * k))
+        for lo in range(0, len(bank), step):
+            G = P @ bank[lo : lo + step].T
+            top = np.argmax(G, axis=1)
+            two = np.partition(G, k - 2, axis=1)[:, k - 2 :]
+            s, d = np.nonzero(two[:, 1] - two[:, 0] > limit[lo : lo + step])
+            flat[sets[s], top[s, d]] = True
     return certified
 
 
@@ -237,16 +260,22 @@ def sublinear_expectation(S: CredalSet, X: RandomVariable) -> float:
 def _decide(rows: np.ndarray, points: np.ndarray, tol: float):
     """``(member, cert)`` for each row of ``points`` against the hull of ``rows``, lazily and in
     order: ``cert`` is a member's convex weights over ``rows``, or a direction along which a
-    nonmember beats every row.  A point matching row ``j`` gets ``e_j``; any other is proven
-    by its nearest point, or, when that proves neither, decided by its hull program."""
+    nonmember beats every row.  A point matching row ``j`` gets ``e_j``; any other is
+    ``_unmatched``'s."""
     for p, j in zip(points, _vertex_matches(rows, points, tol)):
-        found = (True, np.eye(1, len(rows), j)[0]) if j >= 0 else _nearest(rows, p, tol)
-        if found is None:  # the band; the hull program's member weights must reach p
-            res = _hull_lp(rows, p, tol)
-            found = (True, res.x / res.x.sum()) if res.status == OPTIMAL else (False, res.dual[:-1])
-            if found[0] and np.abs(found[1] @ rows - p).sum() > tol:
-                raise SimplexStalledError("the hull program's member weights miss the point")
-        yield found
+        yield (True, np.eye(1, len(rows), j)[0]) if j >= 0 else _unmatched(rows, p, tol)
+
+
+def _unmatched(rows: np.ndarray, p: np.ndarray, tol: float):
+    """``_decide``'s verdict on a point that matches no row: proven by its nearest point, or,
+    when that proves neither, decided by its hull program."""
+    found = _nearest(rows, p, tol)
+    if found is None:  # the band; the hull program's member weights must reach p
+        res = _hull_lp(rows, p, tol)
+        found = (True, res.x / res.x.sum()) if res.status == OPTIMAL else (False, res.dual[:-1])
+        if found[0] and np.abs(found[1] @ rows - p).sum() > tol:
+            raise SimplexStalledError("the hull program's member weights miss the point")
+    return found
 
 
 def _nearest(rows: np.ndarray, p: np.ndarray, tol: float):
@@ -338,11 +367,14 @@ def _witness(rows: np.ndarray, p: np.ndarray, direction: np.ndarray):
 
 
 def _first_nonmember(A: CredalSet, B: CredalSet, tol: float):
-    """The first vertex of ``A`` that is not a member of ``B``, with its separating direction."""
+    """The first vertex of ``A`` that is not a member of ``B``, with its separating direction.
+    Vertices matching one of ``B`` are members, settled in one step; only the others, in
+    order, take a decision."""
     _check_same_space(A.space, B.space, "set inclusion")
-    for v, (member, cert) in zip(A.matrix, _decide(B.matrix, A.matrix, tol)):
+    for i in np.flatnonzero(_vertex_matches(B.matrix, A.matrix, tol) < 0):
+        member, cert = _unmatched(B.matrix, A.matrix[i], tol)
         if not member:
-            return A._vertex(v), cert
+            return A._vertex(A.matrix[i]), cert
     return None
 
 

@@ -254,7 +254,10 @@ def avar_dual_set(S: CredalSet, level: float, tol: float = DEFAULT_TOL) -> Creda
     the feasible solutions yields a superset of the dual set's vertices;
     canonicalization removes the rest.  Singleton sets take a direct route:
     their dual polytope is a capped box whose vertices saturate a subset of
-    caps and spend the leftover on one coordinate.
+    caps and spend the leftover on one coordinate.  A level at which the caps
+    or the enumeration overflow is answered only when the vertex mean caps
+    every coordinate some vertex charges at 1 or more: the dual set is then the
+    face of the simplex on those coordinates, the hull of their Diracs.
     """
     _avar_level(level)
     n = S.space.size
@@ -264,10 +267,16 @@ def avar_dual_set(S: CredalSet, level: float, tol: float = DEFAULT_TOL) -> Creda
         )
     if level == 1.0:
         return S
-    if S.n_vertices == 1:
-        pts = _capped_box_vertices(S.matrix[0] / level, tol)
-    else:
-        pts = _projected_lifted_vertices(S.matrix, level, tol)
+    V = S.matrix
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            pts = (_capped_box_vertices(V[0] / level, tol) if len(V) == 1
+                   else _projected_lifted_vertices(V, level, tol))
+    except FloatingPointError:
+        support = V.max(axis=0) > 0.0
+        if not np.all(V.mean(axis=0)[support] >= level * (1.0 + 4 * len(V) * np.finfo(float).eps)):
+            raise CredalkitError(f"dual-set enumeration overflows at level {level!r}") from None
+        pts = np.eye(n)[support]
     # the sorted order is the dual set's vertex order; construction drops
     # duplicates, keeping the first listing.  The feasibility screen admits
     # coordinates down to -tol: they are clamped to 0, as construction does
@@ -305,8 +314,9 @@ def _projected_lifted_vertices(V: np.ndarray, level: float, tol: float) -> np.nd
     cells, one stacked ``np.linalg.solve`` per block.  Systems with a zero
     ``slogdet`` sign are dropped first: that is the exact zero pivot that makes
     ``solve`` refuse a system, as the LU is the same.  A block that ``solve`` still
-    refuses is solved one system at a time.  Each candidate is then checked on its
-    own (``G @ z``), so the candidates and their order are the per-system loop's.
+    refuses is solved one system at a time.  The candidates are checked in one stacked
+    ``np.matmul`` per block, the same matrix-vector product ``G @ z`` for each, so the
+    candidates and their order are the per-system loop's.
     """
     k, n = V.shape
     d = n + k
@@ -345,9 +355,10 @@ def _projected_lifted_vertices(V: np.ndarray, level: float, tol: float) -> np.nd
                 with contextlib.suppress(np.linalg.LinAlgError):
                     Z.append(np.linalg.solve(system, rhs))
             Z = np.reshape(Z, (-1, d))
-        out.extend(z[:n] for z in Z[np.isfinite(Z).all(axis=1)] if (G @ z <= tol).all())
+        Z = Z[np.isfinite(Z).all(axis=1)]
+        out.extend(Z[(np.matmul(G, Z[..., None])[..., 0] <= tol).all(axis=1), :n])
     if not out:  # pragma: no cover - the lifted polytope is never empty
-        raise RuntimeError("dual-set enumeration found no feasible vertex")
+        raise CredalkitError(f"dual-set enumeration found no feasible vertex at level {level!r}")
     return np.vstack(out)
 
 

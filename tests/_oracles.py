@@ -513,25 +513,9 @@ D1_SET = [
 ]
 
 
-def hull_deficiency(points: np.ndarray, p: np.ndarray) -> float:
-    """The least phase-one deficiency ``|p - lam @ points|_1 + |1 - sum lam|`` over
-    ``lam >= 0``, with the residual split into nonnegative parts ``u - v``.
-
-    HiGHS solves it in floating point, to an absolute accuracy near its
-    feasibility tolerance; a value within ``1e-5`` of zero is solved again in
-    exact rational arithmetic (``exact_hull_deficiency``)."""
-    k, n = points.shape
-    eye = np.eye(n + 1)
-    A_eq = np.hstack([np.vstack([points.T, np.ones((1, k))]), eye, -eye])
-    c = np.concatenate([np.zeros(k), np.ones(2 * (n + 1))])
-    res = linprog(c, A_eq=A_eq, b_eq=np.concatenate([p, [1.0]]), bounds=(0, None),
-                  method="highs")
-    assert res.status == 0
-    return float(res.fun) if res.fun > 1e-5 else float(exact_hull_deficiency(points, p))
-
-
 def exact_hull_deficiency(points: np.ndarray, p: np.ndarray) -> Fraction:
-    """``hull_deficiency`` of the rows' exact binary values, by a rational simplex
+    """The least phase-one deficiency ``|p - lam @ points|_1 + |1 - sum lam|`` over
+    ``lam >= 0`` of the rows' exact binary values, by a rational simplex
     with Bland's rule: columns ``lam``, ``u``, ``v``, starting from the basis of
     ``u`` (``v`` on a row with negative right-hand side)."""
     k, n = points.shape
@@ -561,6 +545,49 @@ def exact_hull_deficiency(points: np.ndarray, p: np.ndarray) -> Fraction:
                 f = rows[r][enter]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[leave])]
         basis[leave] = enter
+
+
+def deficiency_exceeds(points: np.ndarray, p: np.ndarray, tol: float, *,
+                       lam=None, direction=None) -> bool:
+    """Whether ``exact_hull_deficiency(points, p) > tol``, in exact arithmetic.
+
+    Convex weights ``lam`` bound the deficiency from above by their own
+    ``|p - lam @ points|_1 + |1 - sum lam|``.  A ``direction`` ``d`` bounds it from below
+    by weak duality: ``y = (d, -max_j d.p_j)``, scaled to ``|y|_inf <= 1``, is feasible
+    for the dual, whose objective ``y.(p, 1)`` is then ``d.p - max_j d.p_j`` scaled.
+    Given neither, HiGHS solves the deficiency program, and a value over ``1e-5`` is
+    taken as it is; below, the direction is the one of largest float margin among its
+    dual, ``p``'s row of ``pinv([points; p | 1])`` and 1,024 standard-normal draws.  The
+    rational simplex runs only when the bound does not settle the comparison."""
+    P = [[Fraction(x) for x in row] for row in points]
+    q, bound = [Fraction(x) for x in p], Fraction(tol)
+    if lam is not None:
+        lam = [Fraction(x) for x in lam]
+        mix = [sum(w * row[j] for w, row in zip(lam, P)) for j in range(len(q))]
+        if sum(abs(a - b) for a, b in zip(q, mix)) + abs(1 - sum(lam)) <= bound:
+            return False
+    else:
+        if direction is None:
+            k, n = points.shape
+            eye = np.eye(n + 1)
+            res = linprog(np.concatenate([np.zeros(k), np.ones(2 * (n + 1))]),
+                          A_eq=np.hstack([np.vstack([points.T, np.ones((1, k))]), eye, -eye]),
+                          b_eq=np.concatenate([p, [1.0]]), bounds=(0, None), method="highs")
+            assert res.status == 0
+            if res.fun > 1e-5:  # far above HiGHS's feasibility tolerance: its value decides
+                return res.fun > tol
+            pinv = np.linalg.pinv(np.column_stack([np.vstack([points, p]), np.ones(k + 1)]))
+            D = np.vstack([res.eqlin.marginals[:-1], pinv[:n, -1],
+                           np.random.default_rng(0).standard_normal((1024, n))])
+            D = D[np.max(np.abs(D), axis=1) > 0]
+            margin = (D @ p - np.max(points @ D.T, axis=0)) / np.max(np.abs(D), axis=1)
+            direction = D[np.argmax(margin)]
+        d = [Fraction(x) for x in direction]
+        top = max(sum(a * x for a, x in zip(d, row)) for row in P)
+        scale = max(*map(abs, d), abs(top))
+        if scale > 0 and (sum(a * x for a, x in zip(d, q)) - top) / scale > bound:
+            return True
+    return exact_hull_deficiency(points, p) > bound
 
 
 def dedup_rows(pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:

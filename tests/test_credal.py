@@ -1,4 +1,8 @@
 import functools
+import importlib.util
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,9 @@ from hypothesis import strategies as st
 from _oracles import (
     D1_SET,
     decide_lp,
+    deficiency_exceeds,
     distinct_scan,
     exact_hull_deficiency,
-    hull_deficiency,
     hull_membership,
     match_scan,
     support_value,
@@ -511,7 +515,8 @@ def decision(rows, p, tol):
     except SimplexStalledError:
         return member  # ROADMAP D1: the hull program gives no reference
     if member != lp_member:
-        assert (exact_hull_deficiency(rows, p) <= tol) == member
+        hint = {"lam": cert} if member else {"direction": cert}
+        assert deficiency_exceeds(rows, p, tol, **hint) != member
     return member
 
 
@@ -525,6 +530,17 @@ def first_nonmember_refereed(A, B, tol):
         if not verdict:
             return i
     return None
+
+
+# ROADMAP D4: the hull program calls D4_POINT a member of the hull of D4_ROWS with weights
+# (1/2, 1/2), 2.8e-9 (L1) away from it; its exact deficiency is 2.0e-9, over tol 1e-9
+D4_ROWS = np.array([
+    [0.19473630899618843, 0.38488603591431675, 0.08580856462367632,
+     0.06335455085418036, 0.27121453961163805],
+    [0.4214742237075137, 0.18635328613904206, 0.13693124185073444,
+     0.23927848794014123, 0.01596276036256845]])
+D4_POINT = [0.3081052673093631, 0.28561966082040774, 0.11136990290777339,
+            0.15131651893286446, 0.1435886500295912]
 
 
 class TestVertexMatch:
@@ -634,6 +650,37 @@ class TestVertexMatch:
             member, lam = membership(CredalSet(space, vertices, canonical=True), P, 1e-6)
             assert member and np.array_equal(lam, [1.0, 0.0])
         assert lps == []
+
+    def test_matched_vertices_run_no_nearest_point(self, monkeypatch):
+        # an inclusion scan settles every vertex matching one of the other set in one step;
+        # only the others run Wolfe's nearest point, in order, up to the first nonmember
+        rng = np.random.default_rng(104)
+        calls = []
+        real = credal._nearest
+        monkeypatch.setattr(credal, "_nearest",
+                            lambda rows, p, tol: calls.append(p.tobytes()) or real(rows, p, tol))
+        for _ in range(20):
+            B = random_credal(rng, k=int(rng.integers(2, 6)))
+            vertices = [B.vertices[i] for i in rng.permutation(B.n_vertices)]
+            A = CredalSet(B.space, vertices, canonical=True)
+            calls.clear()  # building B canonicalized it
+            assert equal_sets(A, B) and first_outside(A, B) is None and calls == []
+            # the vertex mean is an unmatched member; a Dirac lies outside the Dirichlet rows
+            mean = ProbVector(B.space, B.matrix.mean(axis=0))
+            dirac = ProbVector.dirac(B.space, B.space.labels[0])
+            A = CredalSet(B.space, [vertices[0], mean, dirac, *vertices[1:]], canonical=True)
+            vertex, _ = first_outside(A, B)
+            assert vertex.weights.tobytes() == dirac.weights.tobytes()
+            assert calls == [mean.weights.tobytes(), dirac.weights.tobytes()]
+
+    def test_refusal_after_matched_vertices_is_raised(self):
+        # the two matched vertices come first; the unmatched point then refuses (ROADMAP D4)
+        space = OutcomeSpace(list("abcde"))
+        B = CredalSet.from_rows(space, D4_ROWS, canonical=True)
+        A = CredalSet(space, [*B.vertices, ProbVector(space, D4_POINT)], canonical=True)
+        for scan in (first_outside, equal_sets):
+            with pytest.raises(SimplexStalledError, match="member weights miss the point"):
+                scan(A, B, 1e-9)
 
     def test_match_is_within_tolerance_of_the_point(self):
         rng = np.random.default_rng(98)
@@ -775,9 +822,33 @@ def special_rows(rng):
     return rows[rng.permutation(len(rows))]
 
 
+def tiny_dual_set_rows(rng):
+    """ROADMAP D7's tiny-coordinate family: the candidates of 1-3 vertices on 2-6 outcomes
+    with 30% of their coordinates scaled by 1e-9 and renormalized."""
+    n = int(rng.integers(2, 7))
+    V = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 4)))
+    V[rng.random(V.shape) < 0.3] *= 1e-9
+    V /= V.sum(axis=1, keepdims=True)
+    return dual_set_candidates(V, float(rng.choice([0.05, 0.1, 0.25, 0.5])))
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_dual_sets():
+    """``(vertices, level)`` of the ``avar-dual`` vertex documents of the seed 0-2 ``desk_cli``
+    corpora, as ``perfbench/gen.py`` draws them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(gen)
+    return [(op.doc["sets"]["S"]["vertices"], op.doc["command"]["level"])
+            for seed in (0, 1, 2) for cycle in gen.desk_cli(seed, 24) for op in cycle
+            if op.kind == "avar-dual" and op.doc["command"].get("vertices")]
+
+
 @functools.lru_cache(maxsize=None)
 def screen_families(tol):
-    """Seeded generator sets shaped like the corpus, and adversarial ones."""
+    """Seeded generator sets shaped like the corpus, and adversarial ones; the corpus's dual-set
+    candidates are spread over the tolerances, a tenth at each."""
     rng = np.random.default_rng(int(-np.log10(tol)))
     families = [rng.dirichlet(np.ones(3), size=3) for _ in range(40)]
     families += [pasted_rows(rng, 3), pasted_rows(rng, 4)]
@@ -785,6 +856,9 @@ def screen_families(tol):
     families += [collinear_rows(rng, tol) for _ in range(30)]
     families += [off_hull_rows(rng, tol) for _ in range(30)]
     families += [special_rows(rng) for _ in range(30)]
+    families += [tiny_dual_set_rows(rng) for _ in range(5)]
+    families += [dual_set_candidates(V, level)
+                 for V, level in corpus_dual_sets()[TOLS.index(tol) :: len(TOLS)]]
     return families
 
 
@@ -821,7 +895,7 @@ class TestCertificateScreen:
             # (ROADMAP D4); the screen keeps it, so the later scan may differ
             for i in misjudged:
                 others = rows[[j for j in distinct if j != i]]
-                assert hull_deficiency(others, rows[i]) > tol
+                assert deficiency_exceeds(others, rows[i], tol)
             if not misjudged:
                 assert _canonicalize(rows, tol) == want
                 compared += 1
@@ -838,7 +912,22 @@ class TestCertificateScreen:
             # a seeded sample of the large sets' rows keeps the referee's time down
             for i in rng.permutation(certified)[:12]:
                 others = np.delete(distinct, i, axis=0)
-                assert hull_deficiency(others, distinct[i]) > tol
+                assert deficiency_exceeds(others, distinct[i], tol)
+
+    def test_bank_product_stays_within_the_cell_budget(self, monkeypatch):
+        # 5,000 candidates on 6 outcomes: the bank's 1,024 directions at once would take 41 MB
+        rows = np.random.default_rng(105).dirichlet(np.ones(6), size=5000)
+        credal._bank(6)  # drawn once and cached, outside the trace
+        tracemalloc.start()
+        try:
+            certified = _certified_extreme(rows, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+        monkeypatch.setattr(credal, "_bank", lambda n: np.empty((0, n)))
+        alone = _certified_extreme(rows, 1e-9)
+        assert not np.any(alone & ~certified) and certified.sum() > alone.sum()
 
     def test_generic_triangle_runs_no_hull_program(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -865,8 +954,10 @@ class TestCertificateScreen:
 def dual_set_candidates(rows, level):
     """The validated, lexsorted candidate points ``avar_dual_set`` canonicalizes."""
     V = np.array(rows, dtype=float)
-    pts = _projected_lifted_vertices(V, level, 1e-9)
-    return spaces._prob_stack(V.shape[1], pts[np.lexsort(pts.T[::-1])])
+    pts = (_capped_box_vertices(V[0] / level, 1e-9) if len(V) == 1
+           else _projected_lifted_vertices(V, level, 1e-9))
+    pts = pts[np.lexsort(pts.T[::-1])]
+    return spaces._prob_stack(V.shape[1], np.where(pts < 0.0, 0.0, pts))
 
 
 @functools.lru_cache(maxsize=None)
@@ -902,15 +993,9 @@ class TestNearestPointDecision:
         # ROADMAP D4: the hull program calls the point a member with weights (1/2, 1/2),
         # 2.8e-9 (L1) away from it; its exact deficiency is 2.0e-9, over tol 1e-9.  Neither
         # nearest-point certificate holds here, so the decision falls back to that program
-        rows = np.array([
-            [0.19473630899618843, 0.38488603591431675, 0.08580856462367632,
-             0.06335455085418036, 0.27121453961163805],
-            [0.4214742237075137, 0.18635328613904206, 0.13693124185073444,
-             0.23927848794014123, 0.01596276036256845]])
-        space = OutcomeSpace(list("abcde"))
+        rows, space = D4_ROWS, OutcomeSpace(list("abcde"))
         S = CredalSet.from_rows(space, rows, canonical=True)
-        P = ProbVector(space, [0.3081052673093631, 0.28561966082040774, 0.11136990290777339,
-                               0.15131651893286446, 0.1435886500295912])
+        P = ProbVector(space, D4_POINT)
         p = P.weights
         assert exact_hull_deficiency(rows, p) > 1e-9
         assert credal._nearest(rows, p, 1e-9) is None

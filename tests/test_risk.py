@@ -24,7 +24,7 @@ from _oracles import (
 from credalkit import credal, risk, spaces
 from credalkit.conditional import CredalKernel, pasting
 from credalkit.credal import CredalSet, equal_sets, sublinear_expectation
-from credalkit.errors import SizeGuardError, ValidationError
+from credalkit.errors import CredalkitError, SizeGuardError, ValidationError
 from credalkit.lp import SimplexStalledError
 from credalkit.risk import (
     LossSpec,
@@ -488,6 +488,25 @@ class TestDualSet:
             assert sublinear_expectation(D, x) == pytest.approx(
                 avar_dual_evaluate(S, level, x), abs=1e-9)
 
+    def test_levels_whose_caps_overflow(self):
+        # every cap exceeds 1, so the dual set is the whole simplex; past 1e-308 the caps
+        # overflow, and the set is still answered exactly, with no warning
+        space = OutcomeSpace(["a", "b", "c"])
+        S = CredalSet.from_rows(space, [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+        for level in (1e-308, 1e-310, 5e-324):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                D = avar_dual_set(S, level)
+            assert np.array_equal(D.matrix, np.eye(3)[::-1])
+        # only the second vertex charges "c", with 1e-320: its cap stays below 1 at 1e-300
+        # and 1e-310, where the enumeration overflows, and exceeds 1 at 5e-324
+        S = CredalSet.from_rows(space, [[1.0, 0.0, 0.0], [0.0, 1.0, 1e-320]])
+        for level in (1e-300, 1e-310):
+            with pytest.raises(CredalkitError, match=f"at level {level!r}$") as refusal:
+                avar_dual_set(S, level)
+            assert not isinstance(refusal.value, RuntimeError)
+        assert np.array_equal(avar_dual_set(S, 5e-324).matrix, np.eye(3)[::-1])
+
     def test_outcome_guard(self):
         space = OutcomeSpace([f"o{i}" for i in range(11)])
         S = CredalSet.singleton(ProbVector.uniform(space))
@@ -533,6 +552,25 @@ class TestBlockEnumeration:
                 self.check(V, level)
         V = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
         self.check(V, 0.5)  # a repeated vertex
+
+    def test_random_sets_with_dirac_and_tiny_rows(self):
+        # 2-10 outcomes and 1-3 vertices: the stacked feasibility check keeps the per-candidate
+        # check's candidates, bit for bit.  A fifth of the combination guard bounds the loop's time
+        rng = np.random.default_rng(197)
+        checked = 0
+        while checked < 24:
+            n, k = int(rng.integers(2, 11)), int(rng.integers(1, 4))
+            if math.comb(2 * n + k, n + k - 2) > risk.DUAL_SET_MAX_COMBINATIONS // 5:
+                continue
+            V = rng.dirichlet(np.ones(n), size=k)
+            kind = checked % 3
+            if kind == 1:  # a Dirac row
+                V[int(rng.integers(k))] = np.eye(n)[int(rng.integers(n))]
+            elif kind == 2:  # 30% of the coordinates scaled by 1e-9, as in ROADMAP D7
+                V[rng.random(V.shape) < 0.3] *= 1e-9
+                V /= V.sum(axis=1, keepdims=True)
+            self.check(V, float(rng.choice([0.05, 0.1, 0.25, 1 / 3, 0.5, 0.9])))
+            checked += 1
 
     def test_partial_last_block(self):
         V = np.random.default_rng(193).dirichlet(np.ones(6), size=2)

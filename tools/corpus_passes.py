@@ -1,14 +1,16 @@
 """Print the CPU time of whole passes over a CLI corpus, in one checkout or two.
 
     python3 tools/corpus_passes.py --root <checkout> [--root <other>]
-        [--workload rectangularity|desk_cli] [--passes 20] [--cycles N]
+        [--workload rectangularity|desk_cli] [--passes 20] [--cycles N] [--op NAME]
 
 Each checkout runs in its own worker process, which writes the seed-1
 documents of the workload through ``<root>/perfbench/workloads.py``
 (importing credalkit from ``<root>/src``) into a temporary directory, then,
 in each pass, runs every document of the first ``--cycles`` cycles (all of
 the workload's pool by default) through
-``cli.main(["run", doc, "--out", report])``.  A pass is timed with
+``cli.main(["run", doc, "--out", report])``; with ``--op NAME`` only the
+documents whose ``command.op`` is ``NAME`` run, so that one document class
+can be timed alone.  A pass is timed with
 ``time.process_time``, so the figures are the CPU time of the documents
 alone.  Passes alternate between the checkouts, each pass starting with the
 other one, and every process uses one BLAS thread.
@@ -49,7 +51,8 @@ def quartiles(values) -> list:
     return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
 
-def worker(root: Path, workload: str, cycles: int | None, seed: int = 1) -> int:
+def worker(root: Path, workload: str, cycles: int | None, op_name: str | None,
+           seed: int = 1) -> int:
     """Answer each line on stdin with one pass's ``{"cpu": seconds, "codes": [exit codes]}``."""
     sys.path.insert(0, str(root.resolve() / "perfbench"))
     from workloads import WORKLOADS as ALL
@@ -58,7 +61,10 @@ def worker(root: Path, workload: str, cycles: int | None, seed: int = 1) -> int:
     cli = wl.setup(None)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        paths = [op.meta["path"] for cycle in wl.inputs(seed, work)[:cycles] for op in cycle]
+        paths = [op.meta["path"] for cycle in wl.inputs(seed, work)[:cycles] for op in cycle
+                 if op_name in (None, op.meta["op"])]
+        if not paths:
+            raise SystemExit(f"no {workload} document has command.op {op_name!r}")
         report = str(work / "report.json")
         protocol = sys.stdout
         for _ in sys.stdin:
@@ -81,12 +87,13 @@ def main(argv=None) -> int:
     p.add_argument("--workload", choices=WORKLOADS, default="rectangularity")
     p.add_argument("--passes", type=int, default=20)
     p.add_argument("--cycles", type=int, default=None, help="cycles per pass (default: all)")
+    p.add_argument("--op", default=None, help="run only the documents with this command.op")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.passes < 1 or (args.cycles is not None and args.cycles < 1):
         p.error("--passes and --cycles must be positive")
     if args.worker:
-        return worker(args.worker, args.workload, args.cycles)
+        return worker(args.worker, args.workload, args.cycles, args.op)
     roots = args.root or []
     if len(roots) not in (1, 2):
         p.error("give --root once or twice")
@@ -94,6 +101,7 @@ def main(argv=None) -> int:
         if not (root / "perfbench" / "workloads.py").is_file():
             p.error(f"no perfbench/workloads.py under {root}")
     extra = ["--workload", args.workload] + (["--cycles", str(args.cycles)] if args.cycles else [])
+    extra += ["--op", args.op] if args.op else []
     workers = [subprocess.Popen([sys.executable, __file__, "--worker", str(root), *extra],
                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
                for root in roots]
@@ -116,7 +124,8 @@ def main(argv=None) -> int:
         for w in workers:
             w.stdin.close()
             w.wait()
-    print(f"# {args.workload}, seed 1, {args.passes} alternated passes, one BLAS thread; "
+    only = f", command.op {args.op}" if args.op else ""
+    print(f"# {args.workload}{only}, seed 1, {args.passes} alternated passes, one BLAS thread; "
           "CPU seconds per pass")
     for label, root in zip("AB", roots):
         print(f"# {label} = {root}")
