@@ -11,7 +11,9 @@ Every op is one entry of the ``OPS`` table: the objects its command names
 with the section and type of each, the only other fields it may carry, and
 a handler receiving them resolved.  Every number read from a document goes
 through the typed readers (``_number``, ``_int``, ``_numbers``, ``_rows``),
-which accept JSON numbers only and name the offending field path.
+which accept JSON numbers only and name the offending field path; a table of
+credal sets is read whole once one type scan finds only what they admit, and
+through them on anything else.
 """
 
 from __future__ import annotations
@@ -22,8 +24,11 @@ import inspect
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from types import SimpleNamespace
 from typing import Any, Optional
+
+import numpy as np
 
 from . import __version__
 from .conditional import (
@@ -49,6 +54,8 @@ from .penalty import PenaltyAtoms, convex_expectation
 from .risk import (
     LossSpec,
     ScenarioTree,
+    _check_shape,
+    _level_groups,
     avar_dual_evaluate,
     avar_dual_set,
     compose_risk,
@@ -197,29 +204,66 @@ def _resolve_space(sc: Scenario, ref, path: str):
 
 def _credal(sc: Scenario, path: str, space, rows: list) -> CredalSet:
     """A credal set from vertex rows, noting generators canonicalization drops."""
-    return _noted(sc, path, rows, _wrap(path, lambda: CredalSet.from_rows(space, rows, sc.tol)))
-
-
-def _credal_table(sc: Scenario, path: str, space, entries) -> list:
-    """A table's credal sets (a kernel's outcomes, a tree level's nodes) as one stack; on a
-    refusal or a ragged row, entry by entry, so the first refusal in entry order is raised."""
-    entries = _list(path, entries)
-    try:
-        rows = [_rows(f"{path}[{j}]", entry) for j, entry in enumerate(entries)]
-        built = CredalSet._stack(space, rows, sc.tol)
-    except (CredalkitError, ValueError):
-        return [_credal(sc, f"{path}[{j}]", space, _rows(f"{path}[{j}]", entry))
-                for j, entry in enumerate(entries)]
-    return [_noted(sc, f"{path}[{j}]", r, S) for j, (r, S) in enumerate(zip(rows, built))]
-
-
-def _noted(sc: Scenario, path: str, rows: list, built: CredalSet) -> CredalSet:
-    """``built``, noting the generators of ``rows`` that canonicalization dropped."""
-    if built.n_vertices < len(rows):
-        sc.canonicalization.append(
-            f"{path}: {len(rows) - built.n_vertices} redundant generator(s) dropped"
-        )
+    built = _wrap(path, lambda: CredalSet.from_rows(space, rows, sc.tol))
+    _noted(sc, path, len(rows) - built.n_vertices)
     return built
+
+
+def _credal_tables(sc: Scenario, paths: list, space, tables: list) -> list:
+    """Tables of credal sets (a kernel's outcomes, a tree's levels of nodes), each as the level
+    stacks of ``CredalSet._stack``: all their entries are read as one array per vertex count and
+    screened as one stack when ``_typed_table`` holds.  On any other type or a refusal, table by
+    table, and a table that fails alone entry by entry, so the first refusal in entry order is
+    raised."""
+    entries = list(chain.from_iterable(tables))
+    try:
+        groups = CredalSet._stack(space, entries, sc.tol) if _typed_table(entries) else None
+    except (CredalkitError, ValueError, OverflowError):  # overflow: an int past the float range
+        groups = None
+    if groups is None and len(tables) > 1:
+        return [_credal_tables(sc, [path], space, [table])[0]
+                for path, table in zip(paths, tables)]
+    if groups is None:
+        return [_level_groups([_credal(sc, f"{paths[0]}[{j}]", space, _rows(f"{paths[0]}[{j}]", e))
+                               for j, e in enumerate(tables[0])])]
+    kept = np.empty(len(entries), dtype=int)
+    for nodes, V in groups:
+        kept[nodes] = V.shape[1]
+    dropped = np.fromiter(map(len, entries), int, len(entries)) - kept
+    out, lo = [], 0
+    for path, table in zip(paths, tables):
+        hi = lo + len(table)
+        for j in np.flatnonzero(dropped[lo:hi]):
+            _noted(sc, f"{path}[{j}]", dropped[lo + j])
+        out.append(_entry_range(groups, lo, hi))
+        lo = hi
+    return out
+
+
+def _entry_range(groups: list, lo: int, hi: int) -> list:
+    """The level stacks of entries ``lo`` to ``hi - 1`` of ``groups``, numbered from ``lo``."""
+    part = []
+    for nodes, V in groups:  # the nodes are sorted; a slice is every entry
+        a, b = (lo, hi) if isinstance(nodes, slice) else np.searchsorted(nodes, (lo, hi))
+        if a < b:
+            part.append((nodes if isinstance(nodes, slice) else nodes[a:b] - lo, V[a:b]))
+    return [(slice(None), part[0][1])] if len(part) == 1 else part
+
+
+def _typed_table(entries: list) -> bool:
+    """Whether every entry and row is a list and every weight an int or a float: the types
+    ``_rows`` admits.  Their values are left to the probability check, which refuses every
+    one that ``_numbers`` does (weights lie within about 1e-9 of [0, 1])."""
+    if not {list}.issuperset(map(type, entries)):
+        return False
+    rows = list(chain.from_iterable(entries))
+    return {list}.issuperset(map(type, rows)) and {int, float}.issuperset(
+        map(type, chain.from_iterable(rows)))
+
+
+def _noted(sc: Scenario, path: str, dropped: int) -> None:
+    if dropped:
+        sc.canonicalization.append(f"{path}: {dropped} redundant generator(s) dropped")
 
 
 def _penalty(sc: Scenario, path: str, space, atoms: list,
@@ -258,7 +302,8 @@ def _build_kernel(sc: Scenario, path: str, body):
     if len(per_u) != u_space.size:
         raise ValidationError(f"{path}.{kind}: need one entry per outcome")
     if kind == "credal":
-        return CredalKernel(u_space, _credal_table(sc, f"{path}.credal", v_space, per_u))
+        [groups] = _credal_tables(sc, [f"{path}.credal"], v_space, [per_u])
+        return CredalKernel(u_space, CredalSet._unstack(v_space, groups, len(per_u)))
     return PenaltyKernel(u_space, [
         _penalty(sc, f"{path}.penalty[{i}]", v_space, _atom_rows(f"{path}.penalty[{i}]", entry))
         for i, entry in enumerate(per_u)])
@@ -280,9 +325,11 @@ def _build_tree(sc: Scenario, path: str, body):
     step = _resolve_space(sc, step_ref, f"{path}.step_space")
     horizon = _int(f"{path}.horizon", body.get("horizon"))
     _map(path, body, ("step_space", "horizon", "ambiguity"))
-    ambiguity = [_credal_table(sc, f"{path}.ambiguity[{t}]", step, level) for t, level
-                 in enumerate(_list(f"{path}.ambiguity", body.get("ambiguity")))]
-    return _wrap(path, lambda: ScenarioTree(step, horizon, ambiguity))
+    levels = [_list(f"{path}.ambiguity[{t}]", level)
+              for t, level in enumerate(_list(f"{path}.ambiguity", body.get("ambiguity")))]
+    _wrap(path, lambda: _check_shape(step.size, horizon, levels))  # before any node is read
+    paths = [f"{path}.ambiguity[{t}]" for t in range(horizon)]
+    return ScenarioTree._from_stacks(step, horizon, _credal_tables(sc, paths, step, levels))
 
 
 def _resolve_args(sc: Scenario, refs: dict) -> dict:

@@ -76,13 +76,17 @@ class CredalSet(Frozen):
 
     @classmethod
     def _stack(cls, space: Space, sets, tol: float) -> list:
-        """``from_rows`` of each row list, in input order: the lists of each length are validated
-        as one stack, and blocks of 2**16 cells find the sets with a near-duplicate or uncertified
-        row, and only those are canonicalized.  A refusal need not be the first set's."""
-        built = {}
-        for k in set(map(len, sets)):
-            idx = [s for s, rows in enumerate(sets) if len(rows) == k]
-            P = _prob_rows(space.size, np.array([sets[s] for s in idx], dtype=float))
+        """``from_rows`` of each row list, kept as level stacks: ``(nodes, matrices)`` per vertex
+        count, the nodes in input order, and ``slice(None)`` when one stack holds every set.  The
+        lists of each length are read and validated as one stack, and blocks of 2**16 cells find
+        the sets with a near-duplicate or uncertified row; only those are canonicalized, one by
+        one.  A refusal need not be the first set's."""
+        lens = np.fromiter(map(len, sets), int, len(sets))
+        found: dict[int, list] = {}  # vertex count -> (nodes, matrices) parts
+        for k in np.unique(lens):
+            idx = np.flatnonzero(lens == k)
+            P = _prob_rows(space.size, np.array(
+                sets if len(idx) == len(sets) else [sets[s] for s in idx], dtype=float))
             m, n = len(idx), space.size
             step = _CELL_BUDGET // (k * k * (n + 1))  # sets per block; 0: one set's pairs exceed it
             i, j = np.triu_indices(k, 1)
@@ -91,9 +95,30 @@ class CredalSet(Frozen):
                 B = P[lo : lo + step]
                 apart = np.all(np.max(np.abs(B[:, i] - B[:, j]), axis=-1) > DEDUP_TOL, axis=1)
                 plain[lo : lo + step] = apart & np.all(_certified_extreme(B, tol), axis=1)
-            built.update((s, cls.__new__(cls)._set(space, p, tol, None if ok else False))
-                         for s, p, ok in zip(idx, P, plain))
-        return [built[s] for s in range(len(sets))]
+            if plain.any():
+                found.setdefault(k, []).append((idx, P) if plain.all() else (idx[plain], P[plain]))
+            for s in np.flatnonzero(~plain):
+                V = P[s][_canonicalize(P[s], tol)]
+                found.setdefault(len(V), []).append((idx[s : s + 1], V[None]))
+        groups = []
+        for parts in found.values():
+            if len(parts) > 1:
+                nodes, V = map(np.concatenate, zip(*parts))
+                order = np.argsort(nodes, kind="stable")
+                parts = [(nodes[order], V[order])]
+            [(nodes, V)] = parts
+            V.setflags(write=False)
+            groups.append((slice(None) if len(found) == 1 else nodes, V))
+        return groups
+
+    @classmethod
+    def _unstack(cls, space: Space, groups, width: int) -> list:
+        """The ``width`` sets of level stacks ``[(nodes, matrices), ...]``, in node order."""
+        sets = [None] * width
+        for nodes, V in groups:
+            for node, M in zip(np.arange(width)[nodes], V):
+                sets[node] = cls.__new__(cls)._freeze(space=space, matrix=M)
+        return sets
 
     @classmethod
     def simplex(cls, space: Space) -> "CredalSet":
@@ -212,7 +237,7 @@ def _certified_extreme(points: np.ndarray, tol: float) -> np.ndarray:
     more than ``n + 1`` rows left uncertified then tries ``_bank(n)``, where a direction
     certifies its argmax row."""
     *m, k, n = points.shape
-    D = np.linalg.pinv(np.concatenate([points, np.ones((*m, k, 1))], -1)).swapaxes(-1, -2)[..., :n]
+    D = _directions(np.concatenate([points, np.ones((*m, k, 1))], -1))[..., :n]
     slack = tol + 64 * n * np.finfo(float).eps
     limit = slack * np.max(np.abs(D), axis=-1)
     step = max(1, _CELL_BUDGET // points[..., 0].size)
@@ -234,6 +259,29 @@ def _certified_extreme(points: np.ndarray, tol: float) -> np.ndarray:
             s, d = np.nonzero(two[:, 1] - two[:, 0] > limit[lo : lo + step])
             flat[sets[s], top[s, d]] = True
     return certified
+
+
+def _directions(A: np.ndarray) -> np.ndarray:
+    """``pinv(A)`` transposed, for ``A`` a set's (or a stack's) ``[P | 1]``, or ``(A A^T)^-1 A``,
+    the pseudo-inverse of a full-row-rank ``A``, solved in one batch when ``A`` has fewer rows
+    than columns (``k <= n``: ``n + 1`` rows that sum to one are affinely dependent).  A set whose
+    Gram matrix ``solve`` refuses (an exact zero pivot, which ``slogdet``'s sign finds in the same
+    LU) or whose solution is not finite takes ``pinv``, as a wider set does.  Either way, any
+    direction is sound for ``_certified_extreme``, and a set's never depend on its stack."""
+    k, c = A.shape[-2:]
+    if k >= c:
+        return np.linalg.pinv(A).swapaxes(-1, -2)
+    G = A @ A.swapaxes(-1, -2)
+    try:
+        D = np.linalg.solve(G, A)
+    except np.linalg.LinAlgError:
+        D = np.full(A.shape, np.nan)
+        ok = np.linalg.slogdet(G)[0] != 0
+        D[ok] = np.linalg.solve(G[ok], A[ok])
+    bad = ~np.isfinite(D).all(axis=(-1, -2))
+    if bad.any():
+        D[bad] = np.linalg.pinv(A[bad]).swapaxes(-1, -2)
+    return D
 
 
 def _canonicalize(points: np.ndarray, tol: float) -> list[int]:

@@ -368,32 +368,40 @@ class ScenarioTree(Frozen):
     Level ``t`` has one node per length-``t`` path over the step space;
     ``ambiguity[t][node]`` is the credal set governing the next step from
     that node (nodes in row-major path order).  Terminal payoffs live on
-    level ``horizon``.
+    level ``horizon``.  The tree keeps each level as stacks of vertex
+    matrices, one per vertex count; a tree read from its level stacks builds
+    ``ambiguity`` from them on first use.
     """
 
-    __slots__ = ("step_space", "horizon", "ambiguity", "_groups")
+    __slots__ = ("step_space", "horizon", "_ambiguity", "_groups")
 
     def __init__(self, step_space: OutcomeSpace, horizon: int,
                  ambiguity: Sequence[Sequence[CredalSet]]):
         horizon = int(horizon)
-        if horizon < 1:
-            raise ValidationError("horizon must be at least one")
-        b = step_space.size
-        _check_tree_size(b, horizon)
         ambiguity = tuple(tuple(level) for level in ambiguity)
-        if len(ambiguity) != horizon:
-            raise ValidationError(
-                f"need ambiguity for {horizon} levels, got {len(ambiguity)}"
-            )
-        for t, level in enumerate(ambiguity):
-            if len(level) != b**t:
-                raise ValidationError(
-                    f"level {t} needs {b**t} ambiguity sets, got {len(level)}"
-                )
+        _check_shape(step_space.size, horizon, ambiguity)
+        for level in ambiguity:
             for S in level:
                 _check_same_space(S.space, step_space, "tree ambiguity")
-        self._freeze(step_space=step_space, horizon=horizon, ambiguity=ambiguity,
+        self._freeze(step_space=step_space, horizon=horizon, _ambiguity=ambiguity,
                      _groups=tuple(map(_level_groups, ambiguity)))
+
+    @classmethod
+    def _from_stacks(cls, step_space: OutcomeSpace, horizon: int, levels) -> "ScenarioTree":
+        """The tree of level stacks ``levels[t] = [(nodes, matrices), ...]`` on ``step_space``
+        (one stack per vertex count, the nodes sorted, ``slice(None)`` for every node of the
+        level), validated and canonicalized, in a shape ``_check_shape`` has passed."""
+        return cls.__new__(cls)._freeze(step_space=step_space, horizon=horizon, _ambiguity=None,
+                                        _groups=tuple(levels))
+
+    @property
+    def ambiguity(self) -> tuple:
+        if self._ambiguity is None:  # built once; a race builds equal sets twice
+            b = self.step_space.size
+            self._freeze(_ambiguity=tuple(
+                tuple(CredalSet._unstack(self.step_space, groups, b**t))
+                for t, groups in enumerate(self._groups)))
+        return self._ambiguity
 
     @property
     def n_terminal(self) -> int:
@@ -406,6 +414,19 @@ class ScenarioTree(Frozen):
         b = step_space.size
         _check_tree_size(b, int(horizon))
         return cls(step_space, horizon, [[S] * (b**t) for t in range(horizon)])
+
+
+def _check_shape(b: int, horizon: int, levels: Sequence) -> None:
+    """Refuse a tree of ``levels`` (one sized sequence of nodes per level) on ``b`` outcomes
+    whose horizon, total size, level count or level widths are wrong, reading no node."""
+    if horizon < 1:
+        raise ValidationError("horizon must be at least one")
+    _check_tree_size(b, horizon)
+    if len(levels) != horizon:
+        raise ValidationError(f"need ambiguity for {horizon} levels, got {len(levels)}")
+    for t, level in enumerate(levels):
+        if len(level) != b**t:
+            raise ValidationError(f"level {t} needs {b**t} ambiguity sets, got {len(level)}")
 
 
 def _check_tree_size(b: int, horizon: int) -> None:

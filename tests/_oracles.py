@@ -357,10 +357,11 @@ def prob_weights(size: int, weights) -> np.ndarray:
 
 def build_tree_per_node(sc, path: str, body):
     """``cli._build_tree`` as it was before levels were stacked: every node read,
-    validated one row at a time (``prob_weights``) and canonicalized in turn."""
+    validated one row at a time (``prob_weights``) and canonicalized in turn, once the
+    tree's counts are checked."""
     from credalkit.cli import _int, _list, _map, _resolve_space, _rows, _wrap
     from credalkit.credal import CredalSet
-    from credalkit.risk import ScenarioTree
+    from credalkit.risk import ScenarioTree, _check_shape
     from credalkit.spaces import ProbVector
 
     def credal(where, rows):
@@ -377,10 +378,13 @@ def build_tree_per_node(sc, path: str, body):
         raise ValidationError(f"{path}.step_space: expected a space name")
     step = _resolve_space(sc, step_ref, f"{path}.step_space")
     horizon = _int(f"{path}.horizon", body.get("horizon"))
+    levels = [_list(f"{path}.ambiguity[{t}]", level)
+              for t, level in enumerate(_list(f"{path}.ambiguity", body.get("ambiguity")))]
+    _wrap(path, lambda: _check_shape(step.size, horizon, levels))
     ambiguity = []
-    for t, level in enumerate(_list(f"{path}.ambiguity", body.get("ambiguity"))):
+    for t, level in enumerate(levels):
         sets = []
-        for j, rows in enumerate(_list(f"{path}.ambiguity[{t}]", level)):
+        for j, rows in enumerate(level):
             where = f"{path}.ambiguity[{t}][{j}]"
             sets.append(credal(where, _rows(where, rows)))
         ambiguity.append(sets)

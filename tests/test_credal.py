@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -822,6 +823,24 @@ def special_rows(rng):
     return rows[rng.permutation(len(rows))]
 
 
+def ill_conditioned_rows(rng, cond):
+    """At most ``n`` rows near a segment, whose ``[P | 1]`` has a Gram matrix of condition
+    number within a factor 10 of ``cond``: the segment's ends and points along it moved off it
+    by ``h`` (L1), each in its own direction, redrawn until the condition number fits."""
+    while True:
+        n = int(rng.integers(3, 7))
+        a, b = 0.5 * rng.dirichlet(np.ones(n), size=2) + 0.5 / n
+        k = int(rng.integers(3, n + 1))
+        e = rng.normal(size=(k - 2, n))
+        e -= e.mean(axis=1, keepdims=True)
+        h = np.sqrt(50 / cond) * np.exp(rng.normal())
+        along = a + rng.uniform(0.1, 0.9, (k - 2, 1)) * (b - a)
+        rows = np.vstack([a, b, along + h * e / np.abs(e).sum(axis=1, keepdims=True)])
+        A = np.column_stack([rows, np.ones(k)])
+        if 0.1 <= np.linalg.cond(A @ A.T) / cond <= 10:
+            return rows[rng.permutation(k)]
+
+
 def tiny_dual_set_rows(rng):
     """ROADMAP D7's tiny-coordinate family: the candidates of 1-3 vertices on 2-6 outcomes
     with 30% of their coordinates scaled by 1e-9 and renormalized."""
@@ -857,6 +876,7 @@ def screen_families(tol):
     families += [off_hull_rows(rng, tol) for _ in range(30)]
     families += [special_rows(rng) for _ in range(30)]
     families += [tiny_dual_set_rows(rng) for _ in range(5)]
+    families += [ill_conditioned_rows(rng, cond) for cond in 10.0 ** np.arange(4, 13)]
     families += [dual_set_candidates(V, level)
                  for V, level in corpus_dual_sets()[TOLS.index(tol) :: len(TOLS)]]
     return families
@@ -913,6 +933,44 @@ class TestCertificateScreen:
             for i in rng.permutation(certified)[:12]:
                 others = np.delete(distinct, i, axis=0)
                 assert deficiency_exceeds(others, distinct[i], tol)
+
+    def test_screen_families_span_gram_conditions(self):
+        conds = [np.linalg.cond(A @ A.T) for rows in screen_families(1e-9)
+                 if len(rows) <= rows.shape[1]
+                 for A in [np.column_stack([rows, np.ones(len(rows))])]]
+        assert min(conds) <= 1e5 and max(conds) >= 1e11
+
+    def test_singular_gram_takes_pinv(self, monkeypatch):
+        # an exact duplicate and an exactly collinear triple: exact zero pivots in the Gram LU
+        repeated = [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        collinear = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]
+        rng = np.random.default_rng(106)
+        P = np.array([*rng.dirichlet(np.ones(3), size=(3, 3)), repeated, collinear])
+        A = np.concatenate([P, np.ones((5, 3, 1))], -1)
+        for a in A[3:]:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(a @ a.T, a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            D = credal._directions(A)
+            certified = _certified_extreme(P, 1e-9)
+            groups = CredalSet._stack(OutcomeSpace("abc"), P.tolist(), 1e-9)
+        for i, a in enumerate(A):
+            want = np.linalg.pinv(a).T if i >= 3 else credal._directions(a)
+            assert D[i].tobytes() == want.tobytes()
+            assert np.array_equal(certified[i], _certified_extreme(P[i], 1e-9))
+        assert np.allclose(D[:3], np.linalg.pinv(A[:3]).swapaxes(-1, -2), atol=1e-6)
+        sets = CredalSet._unstack(OutcomeSpace("abc"), groups, 5)
+        for S, rows in zip(sets, P):
+            assert S.matrix.tobytes() == CredalSet.from_rows(S.space, rows, 1e-9).matrix.tobytes()
+        assert sets[3].matrix.tolist() == sets[4].matrix.tolist() == [[1, 0, 0], [0, 1, 0]]
+        # a set whose solution is not finite takes pinv too, alone
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda G, B: np.where(
+            np.arange(len(G))[:, None, None] == 1, np.nan, solve(G, B)))
+        D = credal._directions(A[:3])
+        assert D[1].tobytes() == np.linalg.pinv(A[1]).T.tobytes()
+        assert D[0].tobytes() == solve(A[0] @ A[0].T, A[0]).tobytes()
 
     def test_bank_product_stays_within_the_cell_budget(self, monkeypatch):
         # 5,000 candidates on 6 outcomes: the bank's 1,024 directions at once would take 41 MB

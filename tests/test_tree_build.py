@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from _oracles import build_kernel_per_entry, build_tree_per_node
-from credalkit import cli, credal
+from credalkit import cli, credal, risk
 from credalkit.cli import main
 from credalkit.credal import DEDUP_TOL, CredalSet
 from credalkit.errors import CredalkitError, SizeGuardError, ValidationError
@@ -166,7 +166,7 @@ class TestLevelBuild:
         stacks.append((9, mixed))
         for n, P in stacks:
             space = OutcomeSpace(range(n))
-            got = CredalSet._stack(space, P, 1e-9)
+            got = CredalSet._unstack(space, CredalSet._stack(space, P, 1e-9), len(P))
             want = [CredalSet.from_rows(space, rows, 1e-9) for rows in P]
             assert [S.matrix.tobytes() for S in got] == [S.matrix.tobytes() for S in want]
             assert sum(S.n_vertices < len(rows) for S, rows in zip(want, P)) > 0
@@ -229,6 +229,114 @@ class TestLevelBuild:
                 if field[:1] == ("trees",):
                     for value in RETYPES:
                         same_as_per_node(monkeypatch, edited(doc, field, value))
+
+
+    # (outcomes, field under the ambiguity, value) of a plain three-level tree, with the exit
+    # code and message, or the notes, of each as the node-by-node build gave them
+    LEVEL_EDITS = {
+        "true-leaf": (3, (2, 4, 1, 0), True, "[2][4][1][0]: expected a finite number, got True"),
+        "nan": (3, (2, 4, 1, 0), float("nan"), "[2][4][1][0]: expected a finite number, got nan"),
+        "1e400": (3, (2, 4, 1, 0), 1e400, "[2][4][1][0]: expected a finite number, got inf"),
+        "400-digit-int": (3, (2, 4, 1, 0), 10**400,
+                          "[2][4][1][0]: expected a finite number, got " + "1" + "0" * 39 + "…"),
+        "nested-leaf": (3, (2, 4, 1, 0), [0.5], "[2][4][1][0]: expected a finite number, got [0.5]"),
+        "dict-row": (3, (2, 4, 1), {"a": 1}, "[2][4][1]: expected a list"),
+        "string-node": (3, (2, 4), "abc", "[2][4]: expected a list"),
+        "number-node": (3, (2, 4), 0.5, "[2][4]: expected a list"),
+        "number-level": (3, (2,), 0.5, "[2]: expected a list"),
+        "empty-node": (3, (2, 4), [], "[2][4]: a credal set needs at least one vertex"),
+        "empty-row": (3, (2, 4, 1), [], "[2][4]: expected 3 weights, got 0"),
+        "3-weight-row": (2, (2, 2, 1), [0.2, 0.3, 0.5], "[2][2]: expected 2 weights, got 3"),
+        "negative-weight": (3, (2, 4, 1), [-0.2, 1.2, 0.0],
+                            "[2][4]: negative probability weight -0.2 below tolerance"),
+        "integer-weights": (3, (2, 4, 1), [0, 1, 0], []),
+        "duplicate-row": (3, (2, 4), [[0.2, 0.3, 0.5], [0.6, 0.2, 0.2], [0.2, 0.3, 0.5]],
+                          ["[2][4]: 1 redundant generator(s) dropped"]),
+        "interior-row": (3, (2, 4), [[0.2, 0.3, 0.5], [0.6, 0.2, 0.2], [0.4, 0.25, 0.35]],
+                         ["[2][4]: 1 redundant generator(s) dropped"]),
+    }
+
+    @pytest.mark.parametrize("case", LEVEL_EDITS)
+    def test_level_refuses_and_notes_as_node_by_node(self, monkeypatch, case):
+        n, field, value, want = self.LEVEL_EDITS[case]
+        rng = np.random.default_rng(1408)
+        levels = [[node(rng, n, 3, "plain") for _ in range(n**t)] for t in range(3)]
+        doc = edited(tree_doc(levels, n), ("trees", "T", "ambiguity", *field), value)
+        got = same_as_per_node(monkeypatch, doc)
+        if isinstance(want, list):
+            assert got[1] == [f"trees.T.ambiguity{note}" for note in want]
+        else:
+            assert got == (2, f"trees.T.ambiguity{want}")
+
+    def test_plain_levels_build_no_set(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plain level builds no per-node credal set")
+
+        rng = np.random.default_rng(1409)
+        n = 3
+        doc = tree_doc([[node(rng, n, 3, "plain") for _ in range(n**t)] for t in range(5)], n)
+        with monkeypatch.context() as m:
+            m.setattr(CredalSet, "_set", refuse)
+            m.setattr(cli, "_level_groups", refuse)
+            m.setattr(risk, "_level_groups", refuse)
+            tree = cli.parse_scenario(json.dumps(doc)).trees["T"]
+        for t, groups in enumerate(tree._groups):
+            [(nodes, V)] = groups
+            assert nodes == slice(None) and V.shape == (n**t, 3, n)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_tree", build_tree_per_node)
+            want = cli.parse_scenario(json.dumps(doc)).trees["T"]
+        assert [[S.matrix.tobytes() for S in level] for level in tree.ambiguity] == [
+            [S.matrix.tobytes() for S in level] for level in want.ambiguity]
+        assert tree.ambiguity is tree.ambiguity  # built once
+
+    def test_only_the_refused_level_is_read_node_by_node(self, monkeypatch):
+        rng = np.random.default_rng(1423)
+        n = 3
+        levels = [[node(rng, n, 3, "plain") for _ in range(n**t)] for t in range(4)]
+        levels[3][20] = malformed(rng, n, "abc")
+        read, credal_one = [], cli._credal
+        monkeypatch.setattr(cli, "_credal", lambda sc, path, *args: read.append(path)
+                            or credal_one(sc, path, *args))
+        code, message = outcome(tree_doc(levels, n), 1e-9)
+        assert code == 2 and "ambiguity[3][20]" in message
+        assert read == [f"trees.T.ambiguity[3][{j}]" for j in range(20)]
+
+
+class TestTreeShape:
+    """A tree's horizon, size and level widths are refused before any node is read."""
+
+    def run_refused(self, monkeypatch, tmp_path, capsys, doc):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no node is built before the tree's counts are checked")
+
+        monkeypatch.setattr(CredalSet, "_stack", refuse)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        return capsys.readouterr().err
+
+    def test_surplus_level(self, monkeypatch, tmp_path, capsys):
+        rng = np.random.default_rng(1420)
+        doc = tree_doc(random_levels(rng, 3, 2), 3)
+        doc["trees"]["T"]["horizon"] = 1
+        err = self.run_refused(monkeypatch, tmp_path, capsys, doc)
+        assert "trees.T: need ambiguity for 1 levels, got 2" in err
+
+    def test_short_level(self, monkeypatch, tmp_path, capsys):
+        rng = np.random.default_rng(1421)
+        doc = tree_doc(random_levels(rng, 3, 3), 3)
+        del doc["trees"]["T"]["ambiguity"][1][2]
+        err = self.run_refused(monkeypatch, tmp_path, capsys, doc)
+        assert "trees.T: level 1 needs 3 ambiguity sets, got 2" in err
+
+    def test_count_named_before_malformed_node(self, monkeypatch, tmp_path, capsys):
+        rng = np.random.default_rng(1422)
+        doc = tree_doc(random_levels(rng, 3, 2), 3)
+        doc["trees"]["T"]["horizon"] = 1
+        doc["trees"]["T"]["ambiguity"][0][0] = malformed(rng, 3, "abc")
+        err = self.run_refused(monkeypatch, tmp_path, capsys, doc)
+        assert "trees.T: need ambiguity for 1 levels, got 2" in err
 
 
 class TestKernelBuild:

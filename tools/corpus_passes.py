@@ -10,7 +10,9 @@ in each pass, runs every document of the first ``--cycles`` cycles (all of
 the workload's pool by default) through
 ``cli.main(["run", doc, "--out", report])``; with ``--op NAME`` only the
 documents whose ``command.op`` is ``NAME`` run, so that one document class
-can be timed alone.  A pass is timed with
+can be timed alone.  Each report goes to a new file, as in
+``perfbench/run.py`` (rewriting one file costs several times as much), and a
+pass's reports are removed after its timing ends.  A pass is timed with
 ``time.process_time``, so the figures are the CPU time of the documents
 alone.  Passes alternate between the checkouts, each pass starting with the
 other one, and every process uses one BLAS thread.
@@ -34,6 +36,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import argparse  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import shutil  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -65,18 +68,20 @@ def worker(root: Path, workload: str, cycles: int | None, op_name: str | None,
                  if op_name in (None, op.meta["op"])]
         if not paths:
             raise SystemExit(f"no {workload} document has command.op {op_name!r}")
-        report = str(work / "report.json")
+        reports = work / "reports"
         protocol = sys.stdout
         for _ in sys.stdin:
             codes = []
+            reports.mkdir()
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 t0 = time.process_time()
-                for path in paths:
+                for n, path in enumerate(paths):
                     try:
-                        codes.append(cli.main(["run", path, "--out", report]))
+                        codes.append(cli.main(["run", path, "--out", str(reports / f"{n}.json")]))
                     except Exception:  # an escaping exception is exit 1, as in the benchmark
                         codes.append(1)
                 cpu = time.process_time() - t0
+            shutil.rmtree(reports)
             print(json.dumps({"cpu": cpu, "codes": codes}), file=protocol, flush=True)
     return 0
 
