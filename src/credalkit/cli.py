@@ -212,20 +212,16 @@ def _credal(sc: Scenario, path: str, space, rows: list) -> CredalSet:
 def _credal_tables(sc: Scenario, paths: list, space, tables: list) -> list:
     """Tables of credal sets (a kernel's outcomes, a tree's levels of nodes), each as the level
     stacks of ``CredalSet._stack``: all their entries are read as one array per vertex count and
-    screened as one stack when ``_typed_table`` holds.  On any other type or a refusal, table by
-    table, and a table that fails alone entry by entry, so the first refusal in entry order is
-    raised."""
+    screened as one stack when ``_typed_table`` holds.  On any other type or a refusal, entry by
+    entry, so the first refusal in entry order is raised."""
     entries = list(chain.from_iterable(tables))
     try:
         groups = CredalSet._stack(space, entries, sc.tol) if _typed_table(entries) else None
     except (CredalkitError, ValueError, OverflowError):  # overflow: an int past the float range
         groups = None
-    if groups is None and len(tables) > 1:
-        return [_credal_tables(sc, [path], space, [table])[0]
-                for path, table in zip(paths, tables)]
     if groups is None:
-        return [_level_groups([_credal(sc, f"{paths[0]}[{j}]", space, _rows(f"{paths[0]}[{j}]", e))
-                               for j, e in enumerate(tables[0])])]
+        return [_level_groups([_credal(sc, f"{path}[{j}]", space, _rows(f"{path}[{j}]", e))
+                               for j, e in enumerate(table)]) for path, table in zip(paths, tables)]
     kept = np.empty(len(entries), dtype=int)
     for nodes, V in groups:
         kept[nodes] = V.shape[1]

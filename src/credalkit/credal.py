@@ -83,7 +83,7 @@ class CredalSet(Frozen):
         one.  A refusal need not be the first set's."""
         lens = np.fromiter(map(len, sets), int, len(sets))
         found: dict[int, list] = {}  # vertex count -> (nodes, matrices) parts
-        for k in np.unique(lens):
+        for k in sorted(set(lens.tolist())):
             idx = np.flatnonzero(lens == k)
             P = _prob_rows(space.size, np.array(
                 sets if len(idx) == len(sets) else [sets[s] for s in idx], dtype=float))

@@ -290,18 +290,6 @@ class TestLevelBuild:
             [S.matrix.tobytes() for S in level] for level in want.ambiguity]
         assert tree.ambiguity is tree.ambiguity  # built once
 
-    def test_only_the_refused_level_is_read_node_by_node(self, monkeypatch):
-        rng = np.random.default_rng(1423)
-        n = 3
-        levels = [[node(rng, n, 3, "plain") for _ in range(n**t)] for t in range(4)]
-        levels[3][20] = malformed(rng, n, "abc")
-        read, credal_one = [], cli._credal
-        monkeypatch.setattr(cli, "_credal", lambda sc, path, *args: read.append(path)
-                            or credal_one(sc, path, *args))
-        code, message = outcome(tree_doc(levels, n), 1e-9)
-        assert code == 2 and "ambiguity[3][20]" in message
-        assert read == [f"trees.T.ambiguity[3][{j}]" for j in range(20)]
-
 
 class TestTreeShape:
     """A tree's horizon, size and level widths are refused before any node is read."""
