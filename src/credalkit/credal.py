@@ -89,7 +89,7 @@ class CredalSet(Frozen):
                 sets if len(idx) == len(sets) else [sets[s] for s in idx], dtype=float))
             m, n = len(idx), space.size
             step = _CELL_BUDGET // (k * k * (n + 1))  # sets per block; 0: one set's pairs exceed it
-            i, j = np.triu_indices(k, 1)
+            i, j = _pairs(k)
             plain = np.zeros(m, dtype=bool)
             for lo in range(0, m if step else 0, max(step, 1)):
                 B = P[lo : lo + step]
@@ -220,6 +220,16 @@ def _vertex_matches(rows: np.ndarray, queries: np.ndarray, tol: float) -> np.nda
             ok = np.all(queries[q] >= scaled[r], axis=1)
             match[q[ok]] = np.minimum(match[q[ok]], r[ok])
     return np.where(match < len(rows), match, -1)
+
+
+@functools.lru_cache(maxsize=16)
+def _pairs(k: int) -> tuple:
+    """``np.triu_indices(k, 1)``, the vertex pairs of a ``k``-vertex set, built once per vertex
+    count (the last 16 counts used are kept) and read-only."""
+    pairs = np.triu_indices(k, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
 
 
 @functools.lru_cache(maxsize=None)

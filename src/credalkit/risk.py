@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .credal import _CELL_BUDGET, CredalSet
+from .credal import _CELL_BUDGET, CredalSet, _pairs
 from .errors import CredalkitError, SizeGuardError, ValidationError
 from .lp import DEFAULT_TOL, OPTIMAL, SimplexStalledError, solve_lp
 from .spaces import Frozen, OutcomeSpace, RandomVariable, _check_same_space
@@ -150,16 +150,32 @@ def _expect(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.matmul(V, Y[..., None])[..., 0].transpose(2, 0, 1).copy()
 
 
-def _objective(V: np.ndarray, x: np.ndarray, L: LossSpec, s: np.ndarray) -> np.ndarray:
-    """``s + max over vertices of E[loss(x - s)]`` at every point ``s[c, r]``."""
+def _objective(V: np.ndarray, x: np.ndarray, L: LossSpec, s: np.ndarray):
+    """``s + max over vertices of E[loss(x - s)]`` at every point ``s[c, r]``, with each row's
+    first minimum ``j`` (``argmin``'s) and the per-vertex expectations at points ``j - 1`` and
+    ``j`` (``j`` twice when ``j = 0``), shape ``(k, 2, r)``."""
     # chunks of candidates whose loss and expectation arrays hold at most _CELL_BUDGET cells
-    # (rows * max(k, n) when that is more), so wide one-step scans need no quadratic temporaries
+    # (rows * max(k, n) when that is more), so wide one-step scans need no quadratic temporaries;
+    # the running minimum keeps 2 k r cells, and the previous chunk's last column k r more
     out = np.empty(s.shape)
+    rows = np.arange(s.shape[1])
     step = max(1, _CELL_BUDGET // (s.shape[1] * max(V.shape[1:])))
     for lo in range(0, s.shape[0], step):
         c = s[lo : lo + step]
-        out[lo : lo + step] = c + _expect(V, L(x - c[..., None])).max(axis=0)
-    return out
+        E = _expect(V, L(x - c[..., None]))
+        f = out[lo : lo + step] = c + E.max(axis=0)
+        jc, fc = f.argmin(axis=0), f.min(axis=0)
+        # a row's minimum moves here when below the kept one, or NaN first, as in argmin
+        new = lo == 0 or (fc < best) | (np.isnan(fc) > np.isnan(best))
+        if np.any(new):
+            at = E.reshape(len(E), -1).take(np.maximum(jc - [[1], [0]], 0) * len(rows) + rows, 1)
+            if lo:
+                at[:, 0] = np.where(jc > 0, at[:, 0], last)
+                jc, fc, at = (np.where(new, lo + jc, j), np.where(new, fc, best),
+                              np.where(new, at, kept))
+            j, best, kept = jc, fc, at
+        last = E[:, -1].copy()
+    return out, j, kept
 
 
 def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
@@ -167,8 +183,10 @@ def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
 
     Row ``r`` has vertex matrix ``V[r]`` and payoff ``x[r]``.  Candidates lie along the leading
     axis, sorted with their duplicates: equal points have equal objectives, so ``argmin`` picks
-    the first copy and its neighbours bracket it.  Vertex crossings are scored only on the rows
-    and pair-brackets that have one.  A scan whose losses could overflow runs on ``x / 2^k``.
+    the first copy and its neighbours bracket it.  The objective is scored once at each
+    candidate and at each vertex crossing, (pair-bracket, row) entry by entry; minima and tie
+    tests run in the order of candidates, then crossings.  A scan whose losses could overflow
+    runs on ``x / 2^k``.
     """
     k = frexp(L.slopes[-1])[1] + frexp(max(x.max(), -x.min(), *abs(L.breakpoints)))[1] - 1019
     if k > 0:  # every loss is below 32 m max|x, bp| (m the last slope); 2^-k scales exactly
@@ -177,41 +195,58 @@ def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
         if not np.all(np.isfinite(value)):
             raise CredalkitError("the OCE value overflows the float range")
         return value, minimizer
-    rows = np.arange(x.shape[0])
-    cand = np.sort((x[:, :, None] - L.breakpoints).reshape(x.shape[0], -1), axis=1).T.copy()
-    f = _objective(V, x, L, cand)
-    j = np.argmin(f, axis=0)
+    r = x.shape[0]
+    rows = np.arange(r)
+    cand = np.sort((x[:, :, None] - L.breakpoints).reshape(r, -1), axis=1).T.copy()
+    f, j, at = _objective(V, x, L, cand)
     # flat indices of the previous candidate (the minimum itself when it comes first), the
     # minimum, and the first larger candidate (the first one, an empty bracket, when none is)
     ends = np.concatenate([np.maximum(j - 1, 0), j, np.argmax(cand > cand[j, rows], axis=0)])
-    ends = ends.reshape(3, -1) * x.shape[0] + rows
-    cross = _vertex_crossings(V, x, L, cand.take(ends[:2]), cand.take(ends[1:]))
-    live = ~np.isnan(cross)  # keep the pair-brackets with a crossing, score the rows with one
-    cross, hit = cross[live.any(axis=1)], np.flatnonzero(live.any(axis=0))
-    g = np.full(cross.shape, np.nan)
-    if hit.size:
-        g[:, hit] = _objective(V if V.shape[0] == 1 else V[hit], x[hit], L, cross[:, hit])
-    vals = np.concatenate([f, g])
-    value = np.fmin.reduce(vals, axis=0)
-    tied = vals <= value + _TIE_TOL
-    return value, np.min(np.where(tied, np.concatenate([cand, cross]), np.inf), axis=0)
+    ends = ends.reshape(3, -1) * r + rows
+    cross = _vertex_crossings(V, x, L, cand.take(ends[:2]), cand.take(ends[1:]), at).reshape(-1)
+    hit, g = _crossing_objective(V, x, L, cross)
+    row = hit % r
+    value = np.fmin.reduce(f, axis=0)
+    np.fmin.at(value, row, g)
+    tied = value + _TIE_TOL
+    minimizer = np.where(f <= tied, cand, np.inf).min(axis=0)
+    np.minimum.at(minimizer, row, np.where(g <= tied.take(row), cross.take(hit), np.inf))
+    return value, minimizer
 
 
-def _vertex_crossings(V, x, L, a, b):
-    """Interior points of each ``(a[c, r], b[c, r])`` where two vertex objectives meet.
+def _vertex_crossings(V, x, L, a, b, at):
+    """Interior points of each ``(a[c, r], b[c, r])`` where two vertex objectives meet, given
+    the per-vertex expectations ``at`` of ``loss(x - a)``.
 
     On an open interval every ``loss(x_i - s)`` is linear in ``s``, so each vertex objective
     is a line; pairwise intersections are the only extra kink candidates the breakpoint grid
     misses.  Shape ``(pairs * brackets, r)``, NaN where a pair does not cross inside.
     """
     alphas = 1.0 - _expect(V, L.slopes.take(L._segment(x - (0.5 * (a + b))[..., None])))
-    betas = a + _expect(V, L(x - a[..., None])) - alphas * a
-    i, j = np.triu_indices(V.shape[1], 1)
+    betas = a + at - alphas * a
+    i, j = _pairs(V.shape[1])
     da = alphas[i] - alphas[j]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf lies outside
         s = (betas[j] - betas[i]) / da
     inside = (np.abs(da) >= 1e-15) & (a + 1e-15 < s) & (s < b - 1e-15)
     return np.where(inside, s, np.nan).reshape(-1, a.shape[1])
+
+
+def _crossing_objective(V, x, L, cross):
+    """``(entries, values)``: the objective at each crossing of the flat ``(pair-bracket, row)``
+    block ``cross``, at its non-NaN entries only, in order.  Entries are found a block of
+    ``_CELL_BUDGET`` cells at a time and scored in chunks whose gathered payoffs, vertex
+    matrices, losses and expectations hold at most ``_CELL_BUDGET`` cells each."""
+    r, (k, n) = x.shape[0], V.shape[1:]
+    per = max(1, _CELL_BUDGET // (k * n if V.shape[0] > 1 else max(k, n)))
+    hit, g = [np.empty(0, np.intp)], [np.empty(0)]
+    for lo in range(0, cross.size, _CELL_BUDGET):
+        live = lo + np.flatnonzero(~np.isnan(cross[lo : lo + _CELL_BUDGET]))
+        for e in (live[c : c + per] for c in range(0, live.size, per)):
+            row = e % r
+            g.append(_objective(V if V.shape[0] == 1 else V[row], x[row], L, cross[e][None])[0][0])
+            hit.append(e)
+    return np.concatenate(hit), np.concatenate(g)
 
 
 def avar_dual_evaluate(S: CredalSet, level: float, X: RandomVariable,

@@ -1018,10 +1018,11 @@ class TestCrossingRows:
 
     def test_no_row_without_a_crossing_is_scored(self, monkeypatch):
         objective = risk._objective
+        crossing_calls = []
 
-        def strict(V, x, L, s):  # points s[c, r], candidates first
-            assert not np.isnan(s).all(axis=0).any(), "a row with no crossing was scored"
-            assert not np.isnan(s).all(axis=1).any(), "a pair-bracket with no crossing was scored"
+        def strict(V, x, L, s):  # points s[c, r]: the candidates, then crossing entries s[0, e]
+            assert not np.isnan(s).any(), "a point with no crossing was scored"
+            crossing_calls.append(len(s) == 1)  # the candidates of three outcomes take 3 rows
             return objective(V, x, L, s)
 
         rng = np.random.default_rng(188)
@@ -1036,6 +1037,154 @@ class TestCrossingRows:
             for L, expected in zip(LOSSES, levels, strict=True):
                 got = compose_risk(tree, X, L)
                 assert all(np.array_equal(g, w) for g, w in zip(got, expected, strict=True))
+        assert any(crossing_calls)
+
+    @pytest.mark.parametrize("L,limit", [(LossSpec.avar(0.1), 10e6), (BENCH_LOSSES[2], 10e6)])
+    def test_distinct_wide_sets_score_crossings_within_the_budget(self, monkeypatch, L, limit):
+        # 200 rows of 40 vertices on 50 outcomes: 780 vertex pairs and two brackets per row, so
+        # 312,000 crossing entries, of which 50,049 (AVaR) and 1,148 (four segments) are live.
+        # Scoring whole pair-brackets of the hit rows, with every row's vertex matrix gathered at
+        # once, peaked at 16.2 and 11.5 MB; the entries and their gathers are chunked
+        rng = np.random.default_rng(190)
+        V, x = rng.dirichlet(np.ones(50), size=(200, 40)), rng.uniform(-3, 3, (200, 50))
+        assert self.crossing_rows(monkeypatch, V, x, L).any()
+        tracemalloc.start()
+        try:
+            got = risk._oce_batch(V, x, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
+        want = oce_batch_full_scan(V, x, L)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+class TestRunningMinimum:
+    """The candidate scan keeps each row's first minimum across chunks, with the per-vertex
+    expectations at it and at the candidate before it, so nothing is evaluated twice."""
+
+    @staticmethod
+    def scan(monkeypatch, V, x, L, per_chunk):
+        """``_oce_batch(V, x, L)`` in chunks of ``per_chunk`` candidates, with its candidates and
+        what the candidate scan returned: objectives, minima and bracket-end expectations."""
+        seen = []
+        objective = risk._objective
+
+        def record(V, x, L, s):
+            seen.append((s, objective(V, x, L, s)))
+            return seen[-1][1]
+
+        with monkeypatch.context() as m:
+            m.setattr(risk, "_CELL_BUDGET", per_chunk * x.shape[0] * max(V.shape[1:]))
+            m.setattr(risk, "_objective", record)
+            got = risk._oce_batch(V, x, L)
+        cand, (f, j, ends) = seen[0]
+        return got, cand, f, j, ends
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("per_chunk", [1, 2])
+    def test_minimum_across_chunks(self, monkeypatch, per_chunk, shared):
+        rng = np.random.default_rng(200 + 2 * per_chunk + shared)
+        rows = np.arange(300)
+        V = rng.dirichlet(np.ones(3), size=(1 if shared else 300, 3))
+        x = rng.integers(-4, 5, (300, 3)) / 2  # repeated payoffs: equal candidates
+        x[::3] = rng.uniform(-2, 2, (100, 3))
+        cases = dict.fromkeys(["first in its chunk", "first candidate", "tie across a chunk end"], 0)
+        for L in LOSSES:
+            got, cand, f, j, ends = self.scan(monkeypatch, V, x, L, per_chunk)
+            assert np.array_equal(j, np.argmin(f, axis=0))
+            before = np.maximum(j - 1, 0)
+            assert ends.tobytes() == risk._expect(V, L(x - cand[[before, j], rows][..., None])).tobytes()
+            want = oce_batch_full_scan(V, x, L)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+            for r in rows[::7]:
+                assert (got[0][r], got[1][r]) == oce_scalar(V[0 if shared else r], x[r], L)
+            after = np.minimum(j + 1, len(cand) - 1)
+            cases["first in its chunk"] += np.sum((j % per_chunk == 0) & (j > 0))
+            cases["first candidate"] += np.sum(j == 0)
+            cases["tie across a chunk end"] += np.sum((after % per_chunk == 0) & (after > j)
+                                                      & (cand[after, rows] == cand[j, rows]))
+        assert all(cases.values()), cases
+
+    def test_nan_objective_comes_first_as_in_argmin(self):
+        # argmin takes the first NaN; a NaN later in the scan than a number replaces it
+        f = np.array([[1.0, np.nan, 2.0], [np.nan, 3.0, 2.0], [0.5, np.nan, np.nan]])
+        s = np.arange(9.0).reshape(3, 3)  # the point s[c, r] is 3 c + r, so y = x - s names it
+        V, x = np.ones((1, 1, 1)), np.zeros((3, 1))
+
+        class Stub:  # a loss that makes the objective f
+            def __call__(self, y):
+                return f.reshape(-1)[(-y).astype(int)] + y
+
+        budget = risk._CELL_BUDGET
+        try:
+            risk._CELL_BUDGET = 3  # one candidate per chunk
+            _, j, _ = risk._objective(V, x, Stub(), s)
+        finally:
+            risk._CELL_BUDGET = budget
+        assert np.array_equal(j, np.argmin(f, axis=0))
+
+
+class TestNothingEvaluatedTwice:
+    """Each candidate and each live crossing is scored once: one loss and one expectation per
+    chunk, one more expectation for the segment slopes, and no loss at the bracket ends."""
+
+    @pytest.mark.parametrize("budget", [None, 400])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_one_loss_per_chunk(self, monkeypatch, budget, shared):
+        rng = np.random.default_rng(210 + shared)
+        V = rng.dirichlet(np.ones(3), size=(1 if shared else 500, 3))
+        x = rng.uniform(-3, 3, (500, 3))
+        if budget:
+            monkeypatch.setattr(risk, "_CELL_BUDGET", budget)
+        counts = {"loss": 0, "points": 0, "expect": 0, "live": 0}
+        loss_call, expect, crossings = LossSpec.__call__, risk._expect, risk._vertex_crossings
+
+        def counting_loss(self, y):
+            counts["loss"] += 1
+            counts["points"] += y.size // 3
+            return loss_call(self, y)
+
+        def counting_expect(V, Y):
+            counts["expect"] += 1
+            return expect(V, Y)
+
+        def counting_crossings(*args):
+            out = crossings(*args)
+            counts["live"] += np.count_nonzero(~np.isnan(out))
+            return out
+
+        monkeypatch.setattr(LossSpec, "__call__", counting_loss)
+        monkeypatch.setattr(risk, "_expect", counting_expect)
+        monkeypatch.setattr(risk, "_vertex_crossings", counting_crossings)
+        for L in LOSSES:
+            for key in counts:
+                counts[key] = 0
+            risk._oce_batch(V, x, L)
+            assert counts["live"] > 0
+            assert counts["points"] == 500 * 3 * L.breakpoints.size + counts["live"]
+            assert counts["expect"] == counts["loss"] + 1
+            if budget is None:  # one candidate chunk and one crossing chunk
+                assert counts["loss"] == 2
+
+    def test_vertex_pairs_are_built_once_per_count(self, monkeypatch):
+        calls = []
+        triu = np.triu_indices
+
+        def counting_triu(*args, **kwargs):
+            calls.append(args)
+            return triu(*args, **kwargs)
+
+        monkeypatch.setattr(np, "triu_indices", counting_triu)
+        credal._pairs.cache_clear()
+        rng = np.random.default_rng(212)
+        for _ in range(2):
+            V, x = rng.dirichlet(np.ones(4), size=(30, 5)), rng.uniform(-3, 3, (30, 4))
+            risk._oce_batch(V, x, LossSpec.avar(0.3))
+        space = OutcomeSpace([f"o{i}" for i in range(4)])
+        CredalSet._stack(space, [np.eye(4).tolist() + [[0.25] * 4]] * 3, 1e-9)
+        assert calls == [(5, 1)]
+        assert not any(a.flags.writeable for a in credal._pairs(5))
 
 
 class TestTreeSizeGuard:
