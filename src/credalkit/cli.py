@@ -523,7 +523,7 @@ def _avar_dual(a) -> dict:
     vertices = a.cmd.get("vertices", False)
     if type(vertices) is not bool:
         raise ValidationError(f"command.vertices: expected a boolean, got {_shown(vertices)}")
-    doc = {"value": avar_dual_evaluate(a.set, level, a.variable, a.tol)}
+    doc = {"value": avar_dual_evaluate(a.set, level, a.variable)}
     if vertices:
         doc["dual_vertices"] = avar_dual_set(a.set, level, a.tol).matrix.tolist()
     return doc

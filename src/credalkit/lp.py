@@ -2,8 +2,8 @@
 
 Solves ``min c.x  s.t.  A x = b, x >= 0`` with Bland's anti-cycling rule.
 Sized for desk-scale problems (tens of rows, a few hundred columns): the
-minimal-penalty and dual risk programs, and the hull program of a membership
-decision in the tolerance band, the only way pruning reaches this solver.
+minimal-penalty program, and the hull program of a membership decision in
+the tolerance band, the only way pruning reaches this solver.
 When the program is infeasible the returned dual vector is a certificate:
 ``y . A <= tol`` columnwise while ``y . b >= deficiency > 0``, which is
 exactly the separating functional the credal module turns into a witness.

@@ -8,8 +8,10 @@ dual is the supremum of plain expectations over all probabilities whose
 density against *some* member of the ambiguity set is capped at
 ``1 / level`` -- note the cap measure ranges over the whole set, not just
 its vertices: the capped-expectation value is concave in the reference
-measure, so restricting to vertices can undershoot.  Multi-period values
-follow by backward induction level by level.
+measure, so restricting to vertices can undershoot.  By duality that
+supremum is the AVaR value itself, so one scan serves both; the dual set is
+enumerated explicitly only when asked for.  Multi-period values follow by
+backward induction level by level.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .credal import _CELL_BUDGET, CredalSet, _pairs
 from .errors import CredalkitError, SizeGuardError, ValidationError
-from .lp import DEFAULT_TOL, OPTIMAL, SimplexStalledError, solve_lp
+from .lp import DEFAULT_TOL
 from .spaces import Frozen, OutcomeSpace, RandomVariable, _check_same_space
 
 # Explicit dual-set construction enumerates vertex candidates; past this
@@ -99,7 +101,11 @@ class LossSpec(Frozen):
     @classmethod
     def avar(cls, level: float) -> "LossSpec":
         _avar_level(level)
-        return cls([0.0], [0.0, 1.0 / level], boundary=level == 1.0)
+        slope = 1.0 / float(level)
+        if slope == np.inf:
+            raise ValidationError(
+                f"level {level!r} is too small: 1/level overflows the float range")
+        return cls([0.0], [0.0, slope], boundary=level == 1.0)
 
     @classmethod
     def piecewise(cls, breakpoints, slopes) -> "LossSpec":
@@ -249,33 +255,17 @@ def _crossing_objective(V, x, L, cross):
     return np.concatenate(hit), np.concatenate(g)
 
 
-def avar_dual_evaluate(S: CredalSet, level: float, X: RandomVariable,
-                       tol: float = DEFAULT_TOL) -> float:
+def avar_dual_evaluate(S: CredalSet, level: float, X: RandomVariable) -> float:
     """Exact sup of ``E_Q[X]`` over densities capped at ``1/level``.
 
     The feasible pairs are ``(Q, mix)`` with ``Q`` a probability and
-    ``Q <= (mix of vertices) / level`` componentwise; one linear program
-    maximizes the payoff expectation over them.
+    ``Q <= (mix of vertices) / level`` componentwise.  By linear-programming
+    duality (Rockafellar and Uryasev; Ben-Tal and Teboulle) that supremum is
+    the robust AVaR ``inf over s of (s + max over S of E[max(X - s, 0)] / level)``,
+    so it is read off the one-step scan, ``oce`` with the AVaR loss.
     """
     _check_same_space(S.space, X.space, "avar dual")
-    _avar_level(level)
-    n = S.space.size
-    k = S.n_vertices
-    # variables: q (n), mix (k), slack (n); rows: caps (n), two simplex rows
-    A = np.zeros((n + 2, 2 * n + k))
-    A[:n, :n] = np.eye(n)
-    A[:n, n : n + k] = -S.matrix.T / level
-    A[:n, n + k :] = np.eye(n)
-    A[n, :n] = 1.0
-    A[n + 1, n : n + k] = 1.0
-    b = np.concatenate([np.zeros(n), [1.0, 1.0]])
-    # payoffs near the float range run on X / 2^e (exact), so the reduced costs cannot overflow
-    e = max(frexp(1.0 / level)[1] + frexp(np.max(np.abs(X.values)))[1] - 1000, 0)
-    c = np.concatenate([-np.ldexp(X.values, -e), np.zeros(n + k)])
-    res = solve_lp(c, A, b, tol)
-    if res.status != OPTIMAL:  # feasible by construction, but rounding can say otherwise
-        raise SimplexStalledError(f"the AVaR dual program came back {res.status}")
-    return -float(np.ldexp(res.value, e))
+    return oce(S, X, LossSpec.avar(level)).value
 
 
 def avar_dual_set(S: CredalSet, level: float, tol: float = DEFAULT_TOL) -> CredalSet:

@@ -676,15 +676,16 @@ def run_simplex_loop(T, basis, cost, n_enter, tol):
 
 def walk_expectations(step_values, laws, horizon: int, payoffs) -> np.ndarray:
     """``out[i, j]``: the expectation of ``payoffs[i]`` of the terminal sum of
-    an i.i.d. walk whose steps follow ``laws[j]``, one path at a time."""
-    b = len(step_values)
+    an i.i.d. walk whose steps follow ``laws[j]``, summed over step counts: the
+    paths taking ``m[d]`` steps of ``step_values[d]`` share one terminal sum and
+    weigh ``horizon! / prod m[d]!`` times ``prod laws[j][d] ** m[d]``."""
     out = [[0.0] * len(laws) for _ in payoffs]
-    for path in range(b**horizon):
-        rest, total, probs = path, 0.0, [1.0] * len(laws)
-        for _ in range(horizon):
-            rest, digit = divmod(rest, b)
-            total += step_values[digit]
-            probs = [p * w[digit] for p, w in zip(probs, laws)]
+    for counts in itertools.product(range(horizon + 1), repeat=len(step_values)):
+        if sum(counts) != horizon:
+            continue
+        paths = math.factorial(horizon) // math.prod(map(math.factorial, counts))
+        total = sum(v * m for v, m in zip(step_values, counts))
+        probs = [paths * math.prod(w ** m for w, m in zip(law, counts)) for law in laws]
         for row, f in zip(out, payoffs):
             value = f(total)
             for j, p in enumerate(probs):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import robust_tail_lp
 from credalkit.cli import main, parse_scenario, run
 from credalkit.errors import ValidationError
 from credalkit.serialize import parse, render
@@ -506,6 +507,17 @@ class TestExitCodes:
         assert code in (0, 3), err  # 3 while the band's simplex stalls (D7)
         assert "validation error" not in err
 
+    def test_level_whose_reciprocal_overflows_is_2(self, tmp_path, capsys):
+        # 1e-310 lies in (0, 1], but 1/level, the AVaR loss's slope, is past the float range
+        message = "level 1e-310 is too small: 1/level overflows the float range"
+        for doc, prefix in ((edited(OCE, ("command", "loss", "level"), 1e-310), "command.loss: "),
+                            (edited(TREE, ("command", "loss", "level"), 1e-310), "command.loss: "),
+                            (edited(AVAR_DUAL, ("command", "level"), 1e-310), "")):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            assert self.run_cli(["run", str(path)]) == 2, doc["command"]["op"]
+            assert capsys.readouterr().err == f"validation error: {prefix}{message}\n"
+
     def test_parse_error_is_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -827,20 +839,31 @@ class TestSubprocess:
             assert proc.returncode == 0 and "Traceback" not in proc.stderr
             assert json.loads(proc.stdout)["outputs"][key] == x
 
-    def test_infeasible_avar_dual_program_exits_3(self, tmp_path):
-        # at tol 1e-15 rounding makes the AVaR dual program, feasible by construction,
-        # come back infeasible
+    def test_avar_dual_answers_at_tight_tol_and_small_levels(self, tmp_path):
+        # answered at --tol 1e-15, and at levels whose caps dwarf the vertex weights
+        # (ROADMAP D6), where the value is that of the payoff's best supported outcome
         rows = np.random.default_rng(32).dirichlet(np.ones(6), size=2)
         doc = {"format": 1, "spaces": {"U": list("abcdef")},
                "sets": {"S": {"space": "U", "vertices": rows.tolist()}},
                "variables": {"X": {"space": "U", "values": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}},
                "command": {"op": "avar-dual", "set": "S", "variable": "X", "level": 0.25}}
-        path = tmp_path / "doc.json"
+        path, out = tmp_path / "doc.json", tmp_path / "r.json"
         path.write_text(json.dumps(doc))
         proc = run_module("run", str(path), "--tol", "1e-15")
-        assert proc.returncode == 3
-        assert proc.stderr.startswith("operation error: ") and "AVaR dual program" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        value = json.loads(proc.stdout)["outputs"]["value"]
+        assert value == pytest.approx(robust_tail_lp(rows, 0.25, np.arange(1.0, 7.0)), abs=1e-9)
+        d6 = {"format": 1, "spaces": {"U": ["a", "b"]},
+              "sets": {"S": {"space": "U", "vertices": [[0.5, 0.5], [0.1, 0.9]]}},
+              "variables": {"X": {"space": "U", "values": [1.0, 0.0]}},
+              "command": {"op": "avar-dual", "set": "S", "variable": "X"}}
+        cases = [(level, [1.0, 0.0], 1.0) for level in (1e-8, 1e-9, 1e-10, 1e-170, 1e-300)]
+        for level, values, want in cases + [(1e-9, [1e300, 0.0], 1e300)]:
+            doc = edited(edited(d6, ("command", "level"), level),
+                         ("variables", "X", "values"), values)
+            path.write_text(json.dumps(doc))
+            assert main(["run", str(path), "--out", str(out)]) == 0, level
+            assert json.loads(out.read_text())["outputs"]["value"] == want, level
 
 
 AVAR_DUAL = edited(MINIMAL, ("command",),
