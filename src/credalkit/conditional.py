@@ -12,6 +12,7 @@ property, with explicit witnesses when it fails.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -26,8 +27,8 @@ from .credal import (
     sublinear_expectation,
 )
 from .errors import SizeGuardError, ValidationError
-from .lp import DEFAULT_TOL
-from .penalty import PenaltyAtoms, convex_expectation, minimal_penalty
+from .lp import DEFAULT_TOL, SimplexStalledError
+from .penalty import PenaltyAtoms, _penalties, convex_expectation
 from .spaces import (
     Kernel,
     OutcomeTable,
@@ -256,7 +257,9 @@ def check_penalty_additivity(
     this holds: a relation other than ``equal`` is a real difference of the
     two penalties at that probe.  A classification covers only the probes
     tried, so ``additive`` (even with ``consistent`` true) can be wrong off
-    them; a direct value comparison on sampled payoffs complements it.
+    them; a direct value comparison on sampled payoffs complements it.  The
+    distinct programs of each family are solved as one lockstep simplex stack,
+    so every penalty is bit for bit ``minimal_penalty``'s.
     """
     space = _product_space(A.space, "check_penalty_additivity needs a joint penalty family")
     _check_same_space(AU.space, space.u_space, "penalty additivity")
@@ -274,19 +277,28 @@ def check_penalty_additivity(
     if probes is None:
         probes = _default_probes(AU, K, n_random, seed)
 
-    results, memo = [], {}  # memo: the atom grid repeats programs; the simplex is deterministic
+    # per probe: the joint program, the outer one, then one per outcome the marginal charges
+    programs = [[(A, product(Q, R), 1.0), (AU, Q, 1.0)]
+                + [(K[iu], R[iu], w) for iu, w in enumerate(Q.weights.tolist()) if not w <= 0.0]
+                for Q, R in probes]
+    families: dict = {}  # family -> {point bytes: point}: each distinct program, first seen first
+    for F, P, _ in itertools.chain.from_iterable(programs):
+        _check_same_space(F.space, P.space, "minimal penalty")
+        families.setdefault(F, {}).setdefault(P.weights.tobytes(), P.weights)
+    memo = {}  # the atom grid repeats programs; each family's are solved in one lockstep run
+    for F, points in families.items():
+        values = _penalties(F, np.array([*points.values()]), tol)
+        memo.update(zip(((F, key) for key in points), values))
 
-    def penalty(F: PenaltyAtoms, P: ProbVector) -> float:  # each distinct program solved once
-        key = (F, P.space, P.weights.tobytes())
-        return memo[key] if key in memo else memo.setdefault(key, minimal_penalty(F, P, tol))
-    for Q, R in probes:
-        joint = penalty(A, product(Q, R))
-        split = penalty(AU, Q)
-        for iu in range(K.u_space.size):
-            w = float(Q.weights[iu])
-            if w <= 0.0:
-                continue
-            split = split + w * penalty(K[iu], R[iu])  # inf propagates
+    results = []
+    for (Q, R), terms in zip(probes, programs):
+        values = [memo[F, P.weights.tobytes()] for F, P, _ in terms]
+        for v in values:  # a stalled program fails the check, the first one met as the probes go
+            if isinstance(v, SimplexStalledError):
+                raise v
+        joint, split = values[:2]
+        for (_, _, w), v in zip(terms[2:], values[2:]):
+            split = split + w * v  # inf propagates
         if joint == split or abs(joint - split) <= tol:
             relation = "equal"
         elif joint > split:

@@ -4,7 +4,8 @@ A credal set induces the sublinear upper expectation
 ``X -> max over vertices of E_P[X]``; hull membership and its dual
 separation certificate realize the conjugate side, which takes only the
 values zero (member) and infinity (separated).  A point matching a vertex
-is a member, and a generator certified extreme is a vertex, with no LP.
+is a member, and a generator certified extreme is a vertex, with no LP; a
+generator proven near the certified ones by weights drops with no decision.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotSeparableError, ValidationError
-from .lp import DEFAULT_TOL, OPTIMAL, SimplexStalledError, solve_lp
+from .lp import DEFAULT_TOL, OPTIMAL, SimplexStalledError, _solve_stack, solve_lp
 from .spaces import (
     Frozen,
     ProbVector,
@@ -47,9 +48,10 @@ class CredalSet(Frozen):
 
     Construction drops every row within ``DEDUP_TOL`` (sup norm) of an earlier
     kept one, so the first listing survives, then, unless ``canonical``, every
-    generator in the hull of the others: one certified extreme runs no LP, any
-    other one membership decision, from the back so earlier generators survive ties.
-    Surviving vertices keep their order.
+    generator in the hull of the others: one certified extreme runs no LP, one
+    that a lockstep nearest-point pass proves near the certified ones drops with
+    no decision, any other takes one membership decision, from the back so earlier
+    generators survive ties.  Surviving vertices keep their order.
     """
 
     __slots__ = ("space", "matrix")
@@ -144,14 +146,19 @@ class CredalSet(Frozen):
         return f"CredalSet({self.space!r}, {self.n_vertices} vertices)"
 
 
-def _hull_lp(points: np.ndarray, p: np.ndarray, tol: float, costs=None):
-    """Minimize ``costs @ lam`` (zero by default) over ``points.T @ lam = p``, ``sum lam = 1``,
-    ``lam >= 0``: optimal exactly when ``p`` is in the hull of the rows, else infeasible
-    with a separating direction in its dual."""
+def _hull_lp(points: np.ndarray, P: np.ndarray, tol: float, costs=None) -> list:
+    """For each row ``p`` of ``P``, minimize ``costs @ lam`` (zero by default) over
+    ``points.T @ lam = p``, ``sum lam = 1``, ``lam >= 0``: optimal exactly when ``p`` is in the
+    hull of the rows, else infeasible with a separating direction in its dual.  The programs
+    are solved in lockstep stacks of at most ``_CELL_BUDGET`` tableau cells; a program that
+    stalls gives its :class:`SimplexStalledError` in its place."""
     k = points.shape[0]
     A = np.vstack([points.T, np.ones((1, k))])
-    b = np.concatenate([p, [1.0]])
-    return solve_lp(np.zeros(k) if costs is None else costs, A, b, tol)
+    c = np.zeros(k) if costs is None else costs
+    b = np.hstack([P, np.ones((len(P), 1))])
+    step = max(1, _CELL_BUDGET // (A.shape[0] * (A.shape[0] + k + 1)))
+    return [res for lo in range(0, len(b), step)
+            for res in _solve_stack(c, A, b[lo : lo + step], tol)[0]]
 
 
 def _key_windows(rows: np.ndarray, queries: np.ndarray, radius: float):
@@ -296,13 +303,104 @@ def _directions(A: np.ndarray) -> np.ndarray:
 
 def _canonicalize(points: np.ndarray, tol: float) -> list[int]:
     keep = _distinct(points)
+    certified = _certified_extreme(points[keep], tol)
+    todo = np.flatnonzero(~certified)
+    near = np.zeros(len(keep), dtype=bool)  # proven near the certified rows: dropped undecided
+    if todo.size and certified.any():
+        rows = points[keep]
+        near[todo] = _near_weights(rows[certified], rows[todo], tol).any(axis=1)
     # scan from the back so that earlier generators survive ties; certified ones are kept
-    for pos in np.flatnonzero(~_certified_extreme(points[keep], tol))[::-1]:
+    for pos in todo[::-1]:
         if len(keep) == 1:
             break
-        if next(_decide(np.delete(points[keep], pos, 0), points[keep[pos]][None], tol))[0]:
+        if near[pos] or next(_decide(np.delete(points[keep], pos, 0),
+                                     points[keep[pos]][None], tol))[0]:
             del keep[pos]
     return keep
+
+
+def _near_weights(rows: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
+    """Convex weights over ``rows`` whose point lies within ``(tol - 64 n eps) / (2 sqrt n)``
+    (L1) of each of ``points``, the residual taken from the weights themselves; a zero row
+    where none is found.
+
+    Wolfe's minimum-norm-point iteration runs for every point in lockstep, one step of all of
+    them per numpy call, each with its own corral of at most ``n + 1`` rows, for at most 500
+    steps.  A point stops when its weights prove it, or when its residual shows it farther than
+    the bound (every row of ``rows - p`` scores over the bound along it), when the iteration
+    converges, repeats a row or fills its corral, or when a corral turns affinely dependent.
+    A proven point is as near (Euclidean) the hull of any set holding ``rows``, so the nearest
+    point of that hull is within ``(tol - 64 n eps) / 2`` of it in L1: a member by the
+    nearest-point decision's test.  Points go in stacks of at most ``_CELL_BUDGET`` cells."""
+    (k, n), m = rows.shape, len(points)
+    bound = (tol - 64 * n * np.finfo(float).eps) / (2 * np.sqrt(n))
+    step = max(1, _CELL_BUDGET // (k * n))
+    if m > step:
+        return np.concatenate([_near_weights(rows, points[lo : lo + step], tol)
+                               for lo in range(0, m, step)])
+    out = np.zeros((m, k))
+    if bound <= 0:
+        return out
+    w = n + 1
+    Q = rows - points[:, None]
+    norms = np.einsum("mkn,mkn->mk", Q, Q)
+    stop = 1e-14 * norms.max(axis=1)
+    corral = np.zeros((m, w), dtype=int)
+    corral[:, 0] = norms.argmin(axis=1)
+    used = np.zeros((m, w), dtype=bool)
+    used[:, 0] = True
+    lam = used.astype(float)
+    added = np.zeros(m, dtype=int)  # the slot of the row the last major step added
+    live, major = np.ones(m, dtype=bool), np.ones(m, dtype=bool)
+    diag, e = np.arange(w), np.eye(w + 1)[-1][None, :, None]
+    for _ in range(500):
+        # major steps: prove the weights, else add the row scoring lowest along the residual
+        g = np.flatnonzero(major & live)
+        x = np.einsum("gs,gsn->gn", lam[g], rows[corral[g]]) - points[g]
+        won = np.abs(x).sum(axis=1) <= bound
+        at, s = np.nonzero(used[g[won]])
+        out[g[won][at], corral[g[won]][at, s]] = lam[g[won]][at, s]
+        score = np.einsum("gkn,gn->gk", Q[g], x)
+        j = score.argmin(axis=1)
+        low = score[np.arange(g.size), j]
+        xx = np.einsum("gn,gn->g", x, x)
+        free = ~used[g]
+        grow = (~won & (low <= bound * np.sqrt(xx)) & (xx - low > stop[g]) & free.any(axis=1)
+                & ~(used[g] & (corral[g] == j[:, None])).any(axis=1))
+        live[g[~grow]] = False
+        g, j, slot = g[grow], j[grow], free[grow].argmax(axis=1)
+        corral[g, slot], used[g, slot], lam[g, slot], added[g], major[g] = j, True, 0.0, slot, False
+        # minor steps: towards the affine minimizer of each corral
+        g = np.flatnonzero(live)
+        if not g.size:
+            break
+        u = used[g]
+        Qs = np.where(u[..., None], Q[g[:, None], corral[g]], 0.0)
+        B = np.zeros((g.size, w + 1, w + 1))
+        B[:, :w, :w] = Qs @ Qs.swapaxes(1, 2)
+        B[:, :w, w] = B[:, w, :w] = u
+        B[:, diag, diag] += ~u
+        try:
+            mu = np.linalg.solve(B, e)[..., 0]  # a stack of matrices under numpy 1 and 2
+        except np.linalg.LinAlgError:  # an affinely dependent corral: rounding
+            mu = np.full((g.size, w + 1), np.nan)
+            ok = np.linalg.slogdet(B)[0] != 0
+            mu[ok] = np.linalg.solve(B[ok], e)[..., 0]
+        ok = np.isfinite(mu).all(axis=1)
+        live[g[~ok]] = False
+        g, u, mu = g[ok], u[ok], np.where(u[ok], mu[ok, :w], 0.0)
+        inner = ((mu > 0) | ~u).all(axis=1)
+        a = g[inner]  # inside its corral's hull: the next iterate
+        lam[a], major[a] = mu[inner] / mu[inner].sum(axis=1, keepdims=True), True
+        live[a[~used[a, added[a]]]] = False  # the new row left at once: rounding, not progress
+        b, mu, u = g[~inner], mu[~inner], u[~inner]  # else step until a weight reaches zero
+        ratio = np.where(u & (mu <= 0), lam[b] / np.maximum(lam[b] - mu, np.finfo(float).tiny),
+                         np.inf)
+        mu = lam[b] + ratio.min(axis=1)[:, None] * (mu - lam[b])
+        mu[np.arange(b.size), ratio.argmin(axis=1)] = 0.0
+        used[b] = u & (mu > 0)
+        lam[b] = np.where(used[b], mu, 0.0)
+    return out
 
 
 def sublinear_expectation(S: CredalSet, X: RandomVariable) -> float:
@@ -329,7 +427,8 @@ def _unmatched(rows: np.ndarray, p: np.ndarray, tol: float):
     when that proves neither, decided by its hull program."""
     found = _nearest(rows, p, tol)
     if found is None:  # the band; the hull program's member weights must reach p
-        res = _hull_lp(rows, p, tol)
+        res = solve_lp(np.zeros(len(rows)), np.vstack([rows.T, np.ones(len(rows))]),
+                       np.append(p, 1.0), tol)
         found = (True, res.x / res.x.sum()) if res.status == OPTIMAL else (False, res.dual[:-1])
         if found[0] and np.abs(found[1] @ rows - p).sum() > tol:
             raise SimplexStalledError("the hull program's member weights miss the point")

@@ -4,6 +4,10 @@ Solves ``min c.x  s.t.  A x = b, x >= 0`` with Bland's anti-cycling rule.
 Sized for desk-scale problems (tens of rows, a few hundred columns): the
 minimal-penalty program, and the hull program of a membership decision in
 the tolerance band, the only way pruning reaches this solver.
+Programs of one shape are solved as a stack in lockstep: each step pivots
+every program still running once, on its own entering column and leaving
+row, with the elementwise arithmetic it would do alone, so every result is
+bit for bit the one of a run by itself (``solve_lp`` is the stack of one).
 When the program is infeasible the returned dual vector is a certificate:
 ``y . A <= tol`` columnwise while ``y . b >= deficiency > 0``, which is
 exactly the separating functional the credal module turns into a witness.
@@ -41,7 +45,8 @@ def solve_lp(c, A, b, tol: float = DEFAULT_TOL) -> LPResult:
 
     Returns an :class:`LPResult`; ``value`` holds the optimum, or the
     phase-one deficiency when the program is infeasible.  ``dual`` holds the
-    optimal dual vector, or an infeasibility certificate.
+    optimal dual vector, or an infeasibility certificate.  This is the stack
+    of one of :func:`_solve_stack`.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -51,112 +56,237 @@ def solve_lp(c, A, b, tol: float = DEFAULT_TOL) -> LPResult:
     c = np.asarray(c, dtype=float).reshape(-1)
     if b.shape[0] != m or c.shape[0] != n:
         raise ValueError("incompatible LP dimensions")
+    [res], _ = _solve_stack(c, A, b[None], tol)
+    if isinstance(res, SimplexStalledError):
+        raise res
+    return res
 
+
+def _solve_stack(c, A, b, tol):
+    """``solve_lp`` of each program ``(c, A, b[i])`` of a stack, in lockstep.
+
+    ``b`` is ``(programs, m)``; ``c`` and ``A`` are one program's, or stacks of them.  Every
+    program does exactly the arithmetic it would do alone, with Bland's rule of its own, so
+    its result is the same to the bit.  Returns ``(results, pivots)``: per program its
+    :class:`LPResult`, or the :class:`SimplexStalledError` it would raise, and its pivot count.
+    """
+    B, m = b.shape
+    n = A.shape[-1]
     sign = np.where(b < 0.0, -1.0, 1.0)
 
-    # Working tableau: columns [x (n) | artificial (m) | rhs].  The artificial
+    # Working tableaux: columns [x (n) | artificial (m) | rhs].  The artificial
     # block starts as the identity, so at any later pivot state it holds the
     # inverse basis, which is what the dual extraction below relies on.
-    T = np.zeros((m, n + m + 1))
-    T[:, :n] = A * sign[:, None]
-    T[:, n : n + m] = np.eye(m)
-    T[:, -1] = b * sign
-    basis = list(range(n, n + m))
+    T = np.empty((B, m, n + m + 1))
+    T[:, :, :n] = A * sign[:, :, None]
+    T[:, :, n : n + m] = np.eye(m)
+    T[:, :, -1] = b * sign
+    basis = np.arange(n, n + m)[None].repeat(B, axis=0)
+    live = np.ones((B, m), dtype=bool)  # rows kept; a redundant row is dead, not deleted
+    pivots = np.zeros(B, dtype=int)
 
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    value1, status = _run_simplex(T, basis, cost1, n_enter=n + m, tol=tol)
-    if status != OPTIMAL:  # phase one is bounded in exact arithmetic
-        raise SimplexStalledError("phase one of the simplex came back unbounded")
-    if value1 > tol:
-        y = cost1[np.asarray(basis, dtype=int)] @ T[:, n : n + m]
-        return LPResult(INFEASIBLE, None, float(value1), y * sign)
+    cost1 = np.zeros(n + m)
+    cost1[n:] = 1.0
+    value1, status = _run_simplex(T, basis, live, cost1, n + m, tol, pivots)
+    feasible = (status == OPTIMAL) & ~(value1 > tol)
+    go = feasible.nonzero()[0]
+    cost2 = np.zeros((B, n + m))
+    cost2[:, :n] = c
+    if go.size:
+        part = go.size < B  # phase two runs on the feasible programs' own stack
+        T2, basis2, live2 = (T[go], basis[go], live[go]) if part else (T, basis, live)
+        _evict_artificials(T2, basis2, live2, n, tol, pivots, go)
+        _, status[go] = _run_simplex(T2, basis2, live2, cost2[go] if part else cost2, n, tol,
+                                     pivots, go)
+        if part:
+            T[go], basis[go], live[go] = T2, basis2, live2
 
-    T, basis = _evict_artificials(T, basis, n, tol)
+    results = []
+    for i, (st, ok, whole) in enumerate(zip(status.tolist(), feasible.tolist(),
+                                            live.all(axis=1).tolist())):
+        Ti, at = (T[i], basis[i]) if whole else (T[i][live[i]], basis[i][live[i]])
+        if st == _STALLED:
+            res = SimplexStalledError(f"simplex did not terminate within {_budget(T)} pivots")
+        elif not ok:
+            if st != OPTIMAL:  # phase one is bounded in exact arithmetic
+                res = SimplexStalledError("phase one of the simplex came back unbounded")
+            else:
+                y = cost1[at] @ Ti[:, n : n + m]
+                res = LPResult(INFEASIBLE, None, float(value1[i]), y * sign[i])
+        elif st == UNBOUNDED:
+            res = LPResult(UNBOUNDED, None, float("-inf"), np.zeros(m))
+        else:
+            x = np.zeros(n)
+            for row, j in enumerate(at.tolist()):
+                if j < n:
+                    x[j] = max(Ti[row, -1], 0.0)
+            y = cost2[i, at] @ Ti[:, n : n + m]
+            res = LPResult(OPTIMAL, x, float(np.dot(cost2[i, :n], x)), y * sign[i])
+        results.append(res)
+    return results, pivots
 
-    cost2 = np.concatenate([c, np.zeros(m)])
-    _, status = _run_simplex(T, basis, cost2, n_enter=n, tol=tol)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED, None, float("-inf"), np.zeros(m))
 
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = max(T[i, -1], 0.0)
-    y = cost2[np.asarray(basis, dtype=int)] @ T[:, n : n + m]
-    return LPResult(OPTIMAL, x, float(np.dot(c, x)), y * sign)
+_STALLED = "stalled"
 
 
-def _run_simplex(T, basis, cost, n_enter, tol):
-    """Pivot ``T`` in place until no reduced cost below ``-tol`` remains.
+def _budget(T) -> int:
+    return 1000 + 50 * T.shape[-1]
+
+
+def _run_simplex(T, basis, live, cost, n_enter, tol, pivots, ids=None):
+    """Pivot each tableau of the stack ``T`` in place until no reduced cost below ``-tol``
+    remains, all of them in lockstep, one pivot per program and step.
 
     Bland's rule throughout: the entering column is the smallest eligible
-    index (the first ``argmax`` of the eligibility mask), the leaving row breaks
-    ratio ties by smallest basic index.
-    Returns ``(objective value, status)``.
+    index (the first ``argmax`` of the eligibility mask), the leaving row, among the
+    ``live`` ones, breaks ratio ties by smallest basic index.  A program leaves the step
+    when its own loop would end and the rest are compacted; the last one left runs alone
+    (``_run_alone``), and a stack of one does so from the start, on the 2-D views of its
+    tableau, without the stack's gathers.  ``pivots[ids]`` counts each one's pivots.
+    Returns ``(objective values, statuses)``, ``_STALLED`` for a program whose budget ran out.
     """
-    m = T.shape[0]
-    r = cost.astype(float).copy()
-    z = 0.0
-    for i in range(m):
-        cb = cost[basis[i]]
-        if cb != 0.0:
-            r -= cb * T[i, :-1]
-            z += cb * T[i, -1]
+    B, m = basis.shape
+    if B == 1:  # a stack of one runs alone, on its 2-D views
+        T, basis, cost = T[0], basis[0], cost.reshape(-1)
+        cb = cost[basis]
+        rz = np.zeros(len(cost) + 1)  # [reduced costs | -objective]
+        rz[:-1] = cost
+        for i in cb.nonzero()[0].tolist():  # row by row, skipping zero costs
+            rz -= cb[i] * T[i]
+        z, status, spent = (-rz[-1], OPTIMAL, 0) if n_enter == 0 else _run_alone(
+            T, rz[:-1], -rz[-1], basis, live[0], n_enter, tol, _budget(T))
+        pivots[0 if ids is None else ids] += spent
+        return np.array([z]), np.array([status], dtype=object)
+    ids = np.arange(B) if ids is None else ids
+    cost = np.broadcast_to(cost, (B, cost.shape[-1]))
+    cb = np.take_along_axis(cost, basis, axis=1)
+    terms = cb[:, :, None] * T
+    on = cb != 0.0
+    rz = np.zeros((B, cost.shape[1] + 1))  # [reduced costs | -objective]
+    rz[:, :-1] = cost
+    for i, (every, some) in enumerate(zip(on.all(axis=0).tolist(), on.any(axis=0).tolist())):
+        # row by row, skipping zero costs, as one program alone adds them up
+        if every:
+            rz -= terms[:, i]
+        elif some:
+            rz[on[:, i]] -= terms[on[:, i], i]
+    r, z = rz[:, :-1], -rz[:, -1]
 
+    status = np.full(B, OPTIMAL, dtype=object)
     if n_enter == 0:  # no column can enter
-        return z, OPTIMAL
-    budget = 1000 + 50 * T.shape[1]
-    for _ in range(budget):
+        return z, status
+    budget, spent = _budget(T), 0
+    at, k = np.arange(B), np.arange(B)  # the programs still pivoting, and their rows in Ta
+    Ta, ra, za, ba, la = T, r, z, basis, live
+    while len(at) > 1 and spent < budget:
+        eligible = ra[:, :n_enter] < -tol
+        j = eligible.argmax(axis=1)
+        col = Ta[k, :, j]
+        up = (col > tol) & la
+        enter = eligible[k, j]
+        done = ~(enter & up.any(axis=1))
+        if done.any():
+            status[at[done]] = np.where(enter[done], UNBOUNDED, OPTIMAL)
+            T[at[done]], z[at[done]], basis[at[done]] = Ta[done], za[done], ba[done]
+            pivots[ids[at[done]]] += spent
+            keep = ~done
+            at, Ta, ra, za, ba, la = at[keep], Ta[keep], ra[keep], za[keep], ba[keep], la[keep]
+            j, col, up, k = j[keep], col[keep], up[keep], k[: len(at)]
+            if len(at) < 2:
+                break
+        ratios = np.where(up, Ta[:, :, -1] / np.where(up, col, 1.0), np.inf)
+        best = ratios.min(axis=1)
+        mag = np.abs(best)
+        ties = up & (ratios <= (best + tol * np.where(mag > 1.0, mag, 1.0))[:, None])
+        leave = np.where(ties, ba, np.iinfo(ba.dtype).max).argmin(axis=1)
+        za = za + ra[k, j] * (Ta[k, leave, -1] / Ta[k, leave, j])
+        _pivot(Ta, ra, leave, j)
+        ba[k, leave] = j
+        spent += 1
+    if len(at):  # the last one runs alone; past the budget every one left stalls (D1, ROADMAP)
+        alone = len(at) == 1 and spent < budget
+        z1, status[at], more = (_run_alone(Ta[0], ra[0], za[0], ba[0], la[0], n_enter, tol,
+                                           budget - spent) if alone else (za, _STALLED, 0))
+        z[at] = z1
+        if Ta is not T:  # compacted: write the rest back
+            T[at], basis[at] = Ta, ba
+        pivots[ids[at]] += spent + more
+    return z, status
+
+
+def _run_alone(T, r, z, basis, live, n_enter, tol, steps):
+    """At most ``steps`` more pivots of one program, the last of its stack or a stack of one,
+    on views of its tableau ``T``, reduced costs ``r`` and basis: the lockstep loop's choices
+    and arithmetic without the stack's gathers.  Returns ``(z, status, pivots)``."""
+    live = None if live.all() else live  # a dead row is read by no ratio test
+    for done in range(steps):
         eligible = r[:n_enter] < -tol
         j = int(eligible.argmax())
         if not eligible[j]:
-            return z, OPTIMAL
+            return z, OPTIMAL, done
         col = T[:, j]
-        rows = (col > tol).nonzero()[0]
+        up = col > tol
+        rows = (up if live is None else up & live).nonzero()[0]
         if rows.size == 0:
-            return z, UNBOUNDED
+            return z, UNBOUNDED, done
         ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
+        best = np.minimum.reduce(ratios)
         ties = rows[ratios <= best + tol * max(1.0, abs(best))]
-        leave = min(ties.tolist(), key=basis.__getitem__)
+        leave = int(ties[0]) if ties.size == 1 else min(ties.tolist(), key=basis.__getitem__)
         z += r[j] * (T[leave, -1] / T[leave, j])
         _pivot(T, r, leave, j)
         basis[leave] = j
-    raise SimplexStalledError(
-        f"simplex did not terminate within {budget} pivots"
-    )  # D1 (ROADMAP): degenerate programs stalled here; no pruning path runs one now
+    return z, _STALLED, steps
 
 
-def _pivot(T, r, row, col):
-    T[row] /= T[row, col]
-    piv = T[row]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= factors[:, None] * piv
-    r -= r[col] * piv[:-1]
+def _pivot(T, r, rows, cols):
+    """One pivot in each tableau of the stack ``T``: on ``(rows[i], cols[i])`` of ``T[i]``,
+    with its reduced costs ``r[i]``.  A single tableau pivots on ``(rows, cols)`` by basic
+    indexing, with the same arithmetic."""
+    if T.ndim == 2:
+        T[rows] /= T[rows, cols]
+        factors = T[:, cols].copy()
+        factors[rows] = 0.0
+        T -= factors[:, None] * T[rows]
+        r -= r[cols] * T[rows, :-1]
+        return
+    k = np.arange(len(T))
+    T[k, rows] /= T[k, rows, cols][:, None]
+    piv = T[k, rows]
+    factors = T[k, :, cols]
+    factors[k, rows] = 0.0
+    T -= factors[:, :, None] * piv[:, None, :]
+    r -= r[k, cols][:, None] * T[k, rows, :-1]  # the row as the subtraction left it
 
 
-def _evict_artificials(T, basis, n, tol):
-    """Pivot basic artificials onto real columns; drop redundant rows.
+def _evict_artificials(T, basis, live, n, tol, pivots, ids):
+    """Pivot basic artificials onto real columns; mark redundant rows dead.
 
-    A redundant row has no usable pivot among the real columns, so deleting
+    A redundant row has no usable pivot among the real columns, so dropping
     it changes nothing about the feasible set.  The artificial block keeps
     one column per *original* row, so dual vectors read off it stay valid
-    for the original system.
+    for the original system.  Rows are taken in order, each one for every
+    tableau of the stack at once.
     """
-    drop = []
-    dummy = np.zeros(T.shape[1] - 1)
-    for i in range(len(basis)):
-        if basis[i] < n:
-            continue
-        pivots = np.flatnonzero(np.abs(T[i, :n]) > tol)
-        if pivots.size:
-            j = int(pivots[0])
-            _pivot(T, dummy, i, j)
-            basis[i] = j
-        else:
-            drop.append(i)
-    if not drop:
-        return T, basis
-    keep = [i for i in range(len(basis)) if i not in drop]
-    return T[keep].copy(), [basis[i] for i in keep]
+    if len(T) == 1:  # a stack of one, on its 2-D views
+        T, basis, live = T[0], basis[0], live[0]
+        for i in (basis >= n).nonzero()[0].tolist():
+            found = (np.abs(T[i, :n]) > tol).nonzero()[0]
+            if found.size:
+                _pivot(T, np.zeros(T.shape[1] - 1), i, found[0])
+                basis[i] = found[0]
+                pivots[ids] += 1
+            else:
+                live[i] = False
+        return
+    for i in np.flatnonzero((basis >= n).any(axis=0)).tolist():  # a pivot moves its row only
+        art = np.flatnonzero(basis[:, i] >= n)
+        usable = np.abs(T[art, i, :n]) > tol
+        found = usable.any(axis=1)
+        live[art[~found], i] = False
+        go = art[found]
+        if go.size:
+            j, S = usable[found].argmax(axis=1), T[go]
+            _pivot(S, np.zeros((go.size, S.shape[2] - 1)), np.full(go.size, i), j)
+            T[go], basis[go, i] = S, j
+            pivots[ids[go]] += 1

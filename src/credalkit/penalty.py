@@ -5,7 +5,9 @@ a convex increasing functional preserving constants once the smallest cost
 is zero.  The minimal (convex, lower semicontinuous) penalty representing
 the same functional is the convex envelope of the atoms, evaluated here by
 a small linear program; points outside the atom hull carry infinite
-penalty.  The atoms it needs are pruned as a credal set is, in its perspective lift.
+penalty.  The programs of one family at many points are one lockstep simplex
+stack, bit for bit the programs solved one at a time.  The atoms it needs are
+pruned as a credal set is, in its perspective lift.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lp import DEFAULT_TOL, OPTIMAL
+from .lp import DEFAULT_TOL, OPTIMAL, SimplexStalledError
 from .spaces import Frozen, ProbVector, RandomVariable, Space, _check_same_space, _prob_stack
 from .credal import _canonicalize, _hull_lp
 
@@ -79,11 +81,19 @@ def minimal_penalty(A: PenaltyAtoms, P: ProbVector, tol: float = DEFAULT_TOL) ->
     ``2**900`` are scaled down by a power of two, exactly, so the simplex cannot overflow.
     """
     _check_same_space(A.space, P.space, "minimal penalty")
+    [value] = _penalties(A, P.weights[None], tol)
+    if isinstance(value, SimplexStalledError):
+        raise value
+    return value
+
+
+def _penalties(A: PenaltyAtoms, W: np.ndarray, tol: float) -> list:
+    """``minimal_penalty`` at each row of ``W``, the programs solved in lockstep; a program
+    that stalls gives its :class:`SimplexStalledError` in place of its value."""
     k = max(math.frexp(A.costs.max())[1] - 900, 0)
-    res = _hull_lp(A.points, P.weights, tol, np.ldexp(A.costs, -k))
-    if res.status != OPTIMAL:
-        return float("inf")
-    return math.ldexp(max(res.value, 0.0), k)
+    return [res if isinstance(res, SimplexStalledError)
+            else math.ldexp(max(res.value, 0.0), k) if res.status == OPTIMAL else float("inf")
+            for res in _hull_lp(A.points, W, tol, np.ldexp(A.costs, -k))]
 
 
 def envelope_atoms(A: PenaltyAtoms, tol: float = DEFAULT_TOL) -> PenaltyAtoms:

@@ -262,9 +262,13 @@ def avar_dual_evaluate(S: CredalSet, level: float, X: RandomVariable) -> float:
     ``Q <= (mix of vertices) / level`` componentwise.  By linear-programming
     duality (Rockafellar and Uryasev; Ben-Tal and Teboulle) that supremum is
     the robust AVaR ``inf over s of (s + max over S of E[max(X - s, 0)] / level)``,
-    so it is read off the one-step scan, ``oce`` with the AVaR loss.
+    so it is read off the one-step scan, ``oce`` with the AVaR loss.  Where ``1/level``
+    overflows, the value is ``max X`` over the face ``avar_dual_set`` answers there.
     """
     _check_same_space(S.space, X.space, "avar dual")
+    _avar_level(level)
+    if 1.0 / float(level) == np.inf:
+        return float(np.max(X.values[_overflow_face(S.matrix, level)]))
     return oce(S, X, LossSpec.avar(level)).value
 
 
@@ -298,15 +302,21 @@ def avar_dual_set(S: CredalSet, level: float, tol: float = DEFAULT_TOL) -> Creda
             pts = (_capped_box_vertices(V[0] / level, tol) if len(V) == 1
                    else _projected_lifted_vertices(V, level, tol))
     except FloatingPointError:
-        support = V.max(axis=0) > 0.0
-        if not np.all(V.mean(axis=0)[support] >= level * (1.0 + 4 * len(V) * np.finfo(float).eps)):
-            raise CredalkitError(f"dual-set enumeration overflows at level {level!r}") from None
-        pts = np.eye(n)[support]
+        pts = np.eye(n)[_overflow_face(V, level)]
     # the sorted order is the dual set's vertex order; construction drops
     # duplicates, keeping the first listing.  The feasibility screen admits
     # coordinates down to -tol: they are clamped to 0, as construction does
     pts = pts[np.lexsort(pts.T[::-1])]
     return CredalSet.from_rows(S.space, np.where(pts < 0.0, 0.0, pts), tol)
+
+
+def _overflow_face(V: np.ndarray, level: float) -> np.ndarray:
+    """The outcomes some vertex charges, when the vertex mean caps each of them at 1 or more:
+    the dual set is then the face of the simplex on them.  Else the level is refused."""
+    support = V.max(axis=0) > 0.0
+    if not np.all(V.mean(axis=0)[support] >= level * (1.0 + 4 * len(V) * np.finfo(float).eps)):
+        raise CredalkitError(f"dual-set enumeration overflows at level {level!r}")
+    return support
 
 
 def _capped_box_vertices(caps: np.ndarray, tol: float) -> np.ndarray:

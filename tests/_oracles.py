@@ -16,7 +16,7 @@ node-by-node tree build, the entry-by-entry kernel build, the
 one-``ProbVector``-per-row family builds, the full-width crossing scan with
 the rows-first objective and ``searchsorted`` loss it ran on, the direct
 loss anchors, the one-solve-per-active-set dual-set enumeration, the
-``flatnonzero`` simplex loop); the package's versions must reproduce them
+one-program-at-a-time simplex); the package's versions must reproduce them
 bit for bit.  The path-by-path walk expectation is the one exception: the
 package computes it by backward induction, which rounds differently, so it
 must agree to 1e-12.  The hull-program membership decision (``decide_lp``)
@@ -456,12 +456,23 @@ def decide_lp(rows: np.ndarray, points: np.ndarray, tol: float):
     """``credal._decide`` before its nearest-point decision: ``(member, j, res)`` for each
     point, lazily and in order; a point matching row ``j`` is a member with no LP (``res``
     None), any other is decided by its hull program ``res``."""
-    from credalkit.credal import _hull_lp, _vertex_matches
+    from credalkit.credal import _vertex_matches
     from credalkit.lp import OPTIMAL
 
     for p, j in zip(points, _vertex_matches(rows, points, tol)):
-        res = None if j >= 0 else _hull_lp(rows, p, tol)
+        res = None if j >= 0 else hull_program(rows, p, tol)
         yield res is None or res.status == OPTIMAL, j, res
+
+
+def hull_program(rows: np.ndarray, p: np.ndarray, tol: float, costs=None):
+    """``credal._hull_lp``'s program for the one point ``p``; a stall raises."""
+    from credalkit.credal import _hull_lp
+    from credalkit.lp import SimplexStalledError
+
+    [res] = _hull_lp(rows, p[None], tol, costs)
+    if isinstance(res, SimplexStalledError):
+        raise res
+    return res
 
 
 def envelope_atoms_lp(A, tol: float = 1e-9):
@@ -469,7 +480,7 @@ def envelope_atoms_lp(A, tol: float = 1e-9):
     each atom, in listing order, drops when the current family without it reproduces its point
     at a cost more than ``tol`` cheaper (one costed hull program per atom).  The atoms kept
     keep their rows, bit for bit, as ``envelope_atoms`` keeps them."""
-    from credalkit.credal import _distinct, _hull_lp
+    from credalkit.credal import _distinct
     from credalkit.lp import OPTIMAL
     from credalkit.penalty import PenaltyAtoms
 
@@ -478,7 +489,7 @@ def envelope_atoms_lp(A, tol: float = 1e-9):
     while pos < len(keep) and len(keep) > 1:
         i = keep[pos]
         others = [j for j in keep if j != i]
-        res = _hull_lp(A.points[others], A.points[i], 1e-9, A.costs[others])
+        res = hull_program(A.points[others], A.points[i], 1e-9, A.costs[others])
         if res.status == OPTIMAL and A.costs[i] > res.value + tol:
             keep.pop(pos)
         else:
@@ -486,9 +497,16 @@ def envelope_atoms_lp(A, tol: float = 1e-9):
     return PenaltyAtoms.__new__(PenaltyAtoms)._set(A.space, A.points[keep], A.costs[keep])
 
 
+def prove_nothing(rows: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
+    """``credal._near_weights`` proving no point: with it in place, canonicalization decides
+    every uncertified generator, as its scan did before the nearest-point pass."""
+    return np.zeros((len(points), len(rows)))
+
+
 def d1_hull_program():
     """``(rows, p)`` of the hull program that stalls (ROADMAP D1) when the six-outcome dual
-    set of ``test_risk``'s D1 test is canonicalized by ``decide_lp``."""
+    set of ``test_risk``'s D1 test is canonicalized by ``decide_lp``, every generator decided
+    (no nearest-point pass drops one first)."""
     from credalkit import credal, lp
     from credalkit.risk import avar_dual_set
     from credalkit.spaces import OutcomeSpace
@@ -496,15 +514,16 @@ def d1_hull_program():
     S = credal.CredalSet.from_rows(OutcomeSpace([f"o{i}" for i in range(6)]), D1_SET)
     programs = []
     real = credal._hull_lp
-    saved = credal._decide, credal._hull_lp
+    saved = credal._decide, credal._hull_lp, credal._near_weights
     credal._decide = decide_lp
-    credal._hull_lp = lambda rows, p, tol: programs.append((rows, p)) or real(rows, p, tol)
+    credal._hull_lp = lambda rows, P, *rest: programs.append((rows, P[0])) or real(rows, P, *rest)
+    credal._near_weights = prove_nothing
     try:
         avar_dual_set(S, 1 / 3)
     except lp.SimplexStalledError:
         return programs[-1]
     finally:
-        credal._decide, credal._hull_lp = saved
+        credal._decide, credal._hull_lp, credal._near_weights = saved
     raise AssertionError("the D1 dual set canonicalized under decide_lp")
 
 
@@ -637,41 +656,105 @@ def projected_lifted_vertices_loop(V: np.ndarray, level: float, tol: float) -> n
     return np.vstack(out)
 
 
-def run_simplex_loop(T, basis, cost, n_enter, tol):
-    """``lp._run_simplex`` choosing its columns with ``flatnonzero`` and every leaving
-    row with a ``min`` over the ratio ties.  It pivots through ``lp._pivot``, looked up
-    on each pivot, so a wrapper installed there sees these pivots too."""
-    from credalkit import lp
+def serial_solve_lp(c, A, b, tol: float = 1e-9):
+    """``lp.solve_lp`` as it solved one program at a time, before the lockstep stack:
+    ``(result, pivots)``, the result an ``LPResult``, or the message of the
+    ``SimplexStalledError`` it raised, and ``pivots`` its pivots, evictions included."""
+    from credalkit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, SimplexStalledError
 
-    m = T.shape[0]
-    r = cost.astype(float).copy()
-    z = 0.0
-    for i in range(m):
-        cb = cost[basis[i]]
-        if cb != 0.0:
-            r -= cb * T[i, :-1]
-            z += cb * T[i, -1]
+    pivots = []
 
-    budget = 1000 + 50 * T.shape[1]
-    for _ in range(budget):
-        eligible = np.flatnonzero(r[:n_enter] < -tol)
-        if eligible.size == 0:
-            return z, lp.OPTIMAL
-        j = int(eligible[0])
-        col = T[:, j]
-        rows = np.flatnonzero(col > tol)
-        if rows.size == 0:
-            return z, lp.UNBOUNDED
-        ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + tol * max(1.0, abs(best))]
-        leave = int(min(ties, key=lambda i: basis[i]))
-        z += r[j] * (T[leave, -1] / T[leave, j])
-        lp._pivot(T, r, leave, j)
-        basis[leave] = j
-    raise lp.SimplexStalledError(
-        f"simplex did not terminate within {budget} pivots"
-    )
+    def pivot(T, r, row, col):
+        pivots.append(1)
+        T[row] /= T[row, col]
+        piv = T[row]
+        factors = T[:, col].copy()
+        factors[row] = 0.0
+        T -= factors[:, None] * piv
+        r -= r[col] * piv[:-1]
+
+    def run_simplex(T, basis, cost, n_enter):
+        m = T.shape[0]
+        r = cost.astype(float).copy()
+        z = 0.0
+        for i in range(m):
+            cb = cost[basis[i]]
+            if cb != 0.0:
+                r -= cb * T[i, :-1]
+                z += cb * T[i, -1]
+        if n_enter == 0:
+            return z, OPTIMAL
+        budget = 1000 + 50 * T.shape[1]
+        for _ in range(budget):
+            eligible = r[:n_enter] < -tol
+            j = int(eligible.argmax())
+            if not eligible[j]:
+                return z, OPTIMAL
+            col = T[:, j]
+            rows = (col > tol).nonzero()[0]
+            if rows.size == 0:
+                return z, UNBOUNDED
+            ratios = T[rows, -1] / col[rows]
+            best = ratios.min()
+            ties = rows[ratios <= best + tol * max(1.0, abs(best))]
+            leave = min(ties.tolist(), key=basis.__getitem__)
+            z += r[j] * (T[leave, -1] / T[leave, j])
+            pivot(T, r, leave, j)
+            basis[leave] = j
+        raise SimplexStalledError(f"simplex did not terminate within {budget} pivots")
+
+    def evict_artificials(T, basis, n):
+        drop = []
+        dummy = np.zeros(T.shape[1] - 1)
+        for i in range(len(basis)):
+            if basis[i] < n:
+                continue
+            found = np.flatnonzero(np.abs(T[i, :n]) > tol)
+            if found.size:
+                j = int(found[0])
+                pivot(T, dummy, i, j)
+                basis[i] = j
+            else:
+                drop.append(i)
+        if not drop:
+            return T, basis
+        keep = [i for i in range(len(basis)) if i not in drop]
+        return T[keep].copy(), [basis[i] for i in keep]
+
+    def solve():
+        A_ = np.asarray(A, dtype=float)
+        m, n = A_.shape
+        b_ = np.asarray(b, dtype=float).reshape(-1)
+        c_ = np.asarray(c, dtype=float).reshape(-1)
+        sign = np.where(b_ < 0.0, -1.0, 1.0)
+        T = np.zeros((m, n + m + 1))
+        T[:, :n] = A_ * sign[:, None]
+        T[:, n : n + m] = np.eye(m)
+        T[:, -1] = b_ * sign
+        basis = list(range(n, n + m))
+        cost1 = np.concatenate([np.zeros(n), np.ones(m)])
+        value1, status = run_simplex(T, basis, cost1, n + m)
+        if status != OPTIMAL:
+            raise SimplexStalledError("phase one of the simplex came back unbounded")
+        if value1 > tol:
+            y = cost1[np.asarray(basis, dtype=int)] @ T[:, n : n + m]
+            return LPResult(INFEASIBLE, None, float(value1), y * sign)
+        T, basis = evict_artificials(T, basis, n)
+        cost2 = np.concatenate([c_, np.zeros(m)])
+        _, status = run_simplex(T, basis, cost2, n)
+        if status == UNBOUNDED:
+            return LPResult(UNBOUNDED, None, float("-inf"), np.zeros(m))
+        x = np.zeros(n)
+        for i, bi in enumerate(basis):
+            if bi < n:
+                x[bi] = max(T[i, -1], 0.0)
+        y = cost2[np.asarray(basis, dtype=int)] @ T[:, n : n + m]
+        return LPResult(OPTIMAL, x, float(np.dot(c_, x)), y * sign)
+
+    try:
+        return solve(), len(pivots)
+    except SimplexStalledError as exc:
+        return str(exc), len(pivots)
 
 
 def walk_expectations(step_values, laws, horizon: int, payoffs) -> np.ndarray:

@@ -510,13 +510,40 @@ class TestExitCodes:
     def test_level_whose_reciprocal_overflows_is_2(self, tmp_path, capsys):
         # 1e-310 lies in (0, 1], but 1/level, the AVaR loss's slope, is past the float range
         message = "level 1e-310 is too small: 1/level overflows the float range"
-        for doc, prefix in ((edited(OCE, ("command", "loss", "level"), 1e-310), "command.loss: "),
-                            (edited(TREE, ("command", "loss", "level"), 1e-310), "command.loss: "),
-                            (edited(AVAR_DUAL, ("command", "level"), 1e-310), "")):
+        for doc in (edited(OCE, ("command", "loss", "level"), 1e-310),
+                    edited(TREE, ("command", "loss", "level"), 1e-310)):
             path = tmp_path / "doc.json"
             path.write_text(json.dumps(doc))
             assert self.run_cli(["run", str(path)]) == 2, doc["command"]["op"]
-            assert capsys.readouterr().err == f"validation error: {prefix}{message}\n"
+            assert capsys.readouterr().err == f"validation error: command.loss: {message}\n"
+
+    @pytest.mark.parametrize("level", [1e-310, 5e-324])
+    @pytest.mark.parametrize("vertices", [False, True])
+    def test_avar_dual_where_the_reciprocal_overflows(self, tmp_path, capsys, level, vertices):
+        # past 1/level's float range the dual set is the face of the simplex on the charged
+        # outcomes, as avar_dual_set answers it, and the value is max X over that face
+        doc = edited(AVAR_DUAL, ("command",), {**AVAR_DUAL["command"], "level": level,
+                                                "vertices": vertices})
+        doc = edited(edited(doc, ("spaces", "U"), ["a", "b", "c"]),
+                     ("variables", "X", "values"), [2.0, 4.0, 9.0])
+        path, out = tmp_path / "doc.json", tmp_path / "report.json"
+        for rows, value in (([[0.5, 0.5, 0.0], [0.1, 0.9, 0.0]], 4.0),
+                            ([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-320]], 9.0)):
+            path.write_text(json.dumps(edited(doc, ("sets", "S", "vertices"), rows)))
+            code = self.run_cli(["run", str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            if value == 9.0 and level == 1e-310:  # "c" is charged with 1e-320: capped below 1
+                assert code == 3
+                assert err == "operation error: dual-set enumeration overflows at level 1e-310\n"
+                continue
+            assert code == 0, err
+            outputs = json.loads(out.read_text())["outputs"]
+            assert outputs["value"] == value
+            if vertices:
+                face = [[0.0, 0.0, 1.0]] * (value == 9.0) + [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+                assert outputs["dual_vertices"] == face
+            else:
+                assert "dual_vertices" not in outputs
 
     def test_parse_error_is_2(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,10 +1,12 @@
 import itertools
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from _oracles import composed_atoms_loop, pasting_generator_support, pasting_loop
+from _oracles import (composed_atoms_loop, d1_hull_program, pasting_generator_support,
+                      pasting_loop, serial_solve_lp)
 from credalkit import conditional, credal, penalty
 from credalkit.conditional import (
     CredalKernel,
@@ -19,6 +21,7 @@ from credalkit.conditional import (
 )
 from credalkit.credal import CredalSet, equal_sets, marginal_set, membership, sublinear_expectation
 from credalkit.errors import SizeGuardError, ValidationError
+from credalkit.lp import SimplexStalledError
 from credalkit.penalty import PenaltyAtoms, convex_expectation, envelope_atoms, minimal_penalty
 from credalkit.spaces import (
     Kernel,
@@ -533,7 +536,60 @@ class TestPastedInclusions:
         assert np.abs(lam @ S.matrix - P.weights).sum() <= 1e-9
 
 
+def additivity_loop(A, AU, K, probes):
+    """``(joint, split)`` penalties of each probe, one program at a time: each minimal penalty
+    solved alone by the serial simplex (``_oracles.serial_solve_lp``), costs past ``2**900``
+    scaled by a power of two as ``minimal_penalty`` scales them."""
+    def penalty(F, P):
+        k = max(math.frexp(F.costs.max())[1] - 900, 0)
+        res, _ = serial_solve_lp(np.ldexp(F.costs, -k),
+                                 np.vstack([F.points.T, np.ones((1, F.n_atoms))]),
+                                 np.r_[P.weights, 1.0])
+        return math.ldexp(max(res.value, 0.0), k) if res.status == "optimal" else float("inf")
+
+    out = []
+    for Q, R in probes:
+        split = penalty(AU, Q)
+        for iu in range(K.u_space.size):
+            if Q.weights[iu] > 0.0:
+                split = split + float(Q.weights[iu]) * penalty(K[iu], R[iu])
+        out.append((penalty(A, product(Q, R)), split))
+    return out
+
+
 class TestPenaltyAdditivity:
+    def test_lockstep_families_equal_the_one_program_loop(self):
+        # given probes with zero-mass outcomes and points outside the hulls (inf), and the
+        # atom grid, on families with costs past 2**900 too: every probe bit for bit
+        rng = np.random.default_rng(43)
+        values = []
+        for case in range(12):
+            us = OutcomeSpace([f"u{i}" for i in range(int(rng.integers(2, 4)))])
+            AU, KP = random_penalty(rng, us, 4), random_penalty_kernel(rng, us, max_atoms=4)
+            if case % 3 == 2:
+                AU = PenaltyAtoms.from_rows(us, [(p, c * 2.0**950) for p, c in
+                                                 zip(AU.points.tolist(), AU.costs.tolist())])
+            C, vs = composed_atoms(AU, KP), KP.v_space
+            probes = []
+            for _ in range(8):
+                q = rng.dirichlet(np.ones(AU.n_atoms)) @ AU.points
+                if rng.random() < 0.5:  # a zero-mass outcome, off the outer hull as a rule
+                    q[int(rng.integers(0, us.size))] = 0.0
+                table = [rng.dirichlet(np.ones(A.n_atoms)) @ A.points for A in KP.table]
+                if rng.random() < 0.3:  # a kernel point off its family's hull
+                    table[int(rng.integers(0, us.size))] = rng.dirichlet(np.ones(vs.size))
+                probes.append((ProbVector(us, q / q.sum()),
+                               Kernel(us, [ProbVector(vs, r) for r in table])))
+            report = check_penalty_additivity(C, AU, KP, probes=probes)
+            grid = check_penalty_additivity(C, AU, KP, n_random=2, seed=case)
+            for rep, given in ((report, probes), (grid, [(p.Q, p.R) for p in grid.probes])):
+                for probe, (joint, split) in zip(rep.probes, additivity_loop(C, AU, KP, given),
+                                                 strict=True):
+                    assert (probe.joint_penalty, probe.split_penalty) == (joint, split)
+                    values += [joint, split]
+        assert float("inf") in values and max(v for v in values if v < float("inf")) > 2.0**900
+        assert any(v == 0.0 for v in values)
+
     def test_composed_instances_subadditive_probes(self):
         rng = np.random.default_rng(40)
         for _ in range(15):
@@ -550,9 +606,30 @@ class TestPenaltyAdditivity:
             assert report.classification in ("additive", "subadditive")
             assert report.consistent
 
+    def test_a_stall_inside_a_family_stack_fails_with_its_message(self):
+        # the D1 hull program as a zero-cost penalty program on six outcomes (with a
+        # one-outcome second factor), amid programs that end: the check stops with the
+        # serial solver's message, raised at the first probe that needs it
+        rows, p = d1_hull_program()
+        us, vs = OutcomeSpace([f"u{i}" for i in range(6)]), OutcomeSpace(["v"])
+
+        def zero(space):  # the rows as they are: validating them would round their last bits
+            return PenaltyAtoms.__new__(PenaltyAtoms)._set(space, rows, np.zeros(len(rows)))
+
+        A = zero(ProductSpace(us, vs))
+        K = PenaltyKernel(us, [PenaltyAtoms.from_rows(vs, [([1.0], 0.0)])] * 6)
+        R = Kernel(us, [ProbVector(vs, [1.0])] * 6)
+        probes = [(ProbVector(us, q), R) for q in (rows[0], rows.mean(axis=0), p, rows[1])]
+        old, _ = serial_solve_lp(np.zeros(len(rows)), np.vstack([rows.T, np.ones(len(rows))]),
+                                 np.r_[p, 1.0])
+        assert "did not terminate" in old
+        with pytest.raises(SimplexStalledError) as stall:
+            check_penalty_additivity(A, zero(us), K, probes=probes)
+        assert str(stall.value) == old
+
     def test_each_distinct_program_is_solved_once(self, monkeypatch):
         # the atom grid repeats outer and kernel programs: each distinct one is solved once,
-        # and every probe is bitwise what the uncached loop computes
+        # each family's in one stack, and every probe is bitwise what the uncached loop computes
         rng = np.random.default_rng(42)
         real, calls = penalty._hull_lp, []
         monkeypatch.setattr(penalty, "_hull_lp", lambda *a: calls.append(a) or real(*a))
@@ -563,8 +640,10 @@ class TestPenaltyAdditivity:
             C = composed_atoms(AU, KP)
             calls.clear()
             report = check_penalty_additivity(C, AU, KP, n_random=3, seed=2)
-            assert len(calls) == len({(id(a[0]), a[1].tobytes()) for a in calls})
-            solved += len(calls)
+            programs = [(id(a[0]), w.tobytes()) for a in calls for w in a[1]]
+            assert len(programs) == len(set(programs))
+            assert len(calls) == len({id(a[0]) for a in calls})  # one lockstep run per family
+            solved += len(programs)
             for probe in report.probes:
                 Q, R = probe.Q, probe.R
                 split = minimal_penalty(AU, Q)

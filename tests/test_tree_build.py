@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from _oracles import build_kernel_per_entry, build_tree_per_node
+from _oracles import build_kernel_per_entry, build_tree_per_node, prove_nothing
 from credalkit import cli, credal, risk
 from credalkit.cli import main
 from credalkit.credal import DEDUP_TOL, CredalSet
@@ -210,6 +210,8 @@ class TestLevelBuild:
         levels = random_levels(rng, 3, 3, ks=[2])
         levels[2][2] = node(rng, 3, 4, "interior")
         monkeypatch.setattr(credal, "_nearest", stall)
+        # the pass would drop the interior row before its membership decision could stall
+        monkeypatch.setattr(credal, "_near_weights", prove_nothing)
         doc = tree_doc(levels, 3)
         for bad in (5, 1):  # after the node needing a membership decision, then before it
             doc["trees"]["T"]["ambiguity"][2][bad] = malformed(rng, 3, "mass-1.1")
@@ -368,6 +370,8 @@ class TestKernelBuild:
         entries = [node(rng, 3, 2, "plain") for _ in range(9)]
         entries[2] = node(rng, 3, 4, "interior")
         monkeypatch.setattr(credal, "_nearest", stall)
+        # the pass would drop the interior row before its membership decision could stall
+        monkeypatch.setattr(credal, "_near_weights", prove_nothing)
         doc = kernel_doc(entries, 3)
         for bad in (5, 1):  # after the entry needing a membership decision, then before it
             doc["kernels"]["K"]["credal"][bad] = malformed(rng, 3, "mass-1.1")

@@ -12,16 +12,20 @@ the workload's pool by default) through
 documents whose ``command.op`` is ``NAME`` run, so that one document class
 can be timed alone.  Each report goes to a new file, as in
 ``perfbench/run.py`` (rewriting one file costs several times as much), and a
-pass's reports are removed after its timing ends.  A pass is timed with
-``time.process_time``, so the figures are the CPU time of the documents
-alone.  Passes alternate between the checkouts, each pass starting with the
-other one, and every process uses one BLAS thread.
+pass's reports are removed after its timing ends.  A pass and each document in
+it are timed with ``time.process_time``, so the figures are the CPU time of the
+documents alone.  Passes alternate between the checkouts, each pass starting
+with the other one, and every process uses one BLAS thread.
 
-For each checkout the table gives the median and the quartiles of the CPU
-seconds per pass; with two checkouts it then gives the quartiles of the
-per-pass ratios A/B (pass ``i`` of A over pass ``i`` of B), the ratios
-themselves, and the number of passes in which B took less time.  The exit
-codes of one pass must agree between the checkouts, or the comparison stops.
+Two tables follow: the CPU seconds per pass, and each pass's tail, the
+11th-largest per-document CPU time in milliseconds, as ``perfbench/run.py``
+takes ``op_tail_ms`` (the percentile that keeps ten samples above it; the
+largest when a pass has at most ten documents).  For each checkout a table
+gives the median and the quartiles; with two checkouts it then gives the
+quartiles of the per-pass ratios A/B (pass ``i`` of A over pass ``i`` of B),
+the ratios themselves, and the number of passes in which B took less time.
+The exit codes of one pass must agree between the checkouts, or the
+comparison stops.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 WORKLOADS = ("rectangularity", "desk_cli")
+TAIL_BEYOND = 10  # as in perfbench/run.py: the tail percentile keeps this many samples above it
 
 
 def quartiles(values) -> list:
@@ -54,9 +59,23 @@ def quartiles(values) -> list:
     return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
 
+def table(title: str, runs: list, digits: int) -> None:
+    """Quartiles of each checkout's per-pass ``runs``; with two, those of the ratios A/B too."""
+    print(f"# {title}")
+    print(f"{'':<6} {'q1':>8} {'median':>8} {'q3':>8}")
+    for label, values in zip("AB", runs):
+        print(f"{label:<6} " + " ".join(f"{v:8.{digits}f}" for v in quartiles(values)))
+    if len(runs) == 2:
+        ratios = [a / b for a, b in zip(*runs)]
+        print(f"{'A/B':<6} " + " ".join(f"{v:8.3f}" for v in quartiles(ratios)))
+        print("# A/B by pass: " + " ".join(f"{r:.3f}" for r in ratios))
+        print(f"# B took less in {sum(r > 1.0 for r in ratios)} of {len(ratios)} passes")
+
+
 def worker(root: Path, workload: str, cycles: int | None, op_name: str | None,
            seed: int = 1) -> int:
-    """Answer each line on stdin with one pass's ``{"cpu": seconds, "codes": [exit codes]}``."""
+    """Answer each line on stdin with one pass's
+    ``{"cpu": seconds, "tail": seconds, "codes": [exit codes]}``."""
     sys.path.insert(0, str(root.resolve() / "perfbench"))
     from workloads import WORKLOADS as ALL
 
@@ -71,18 +90,22 @@ def worker(root: Path, workload: str, cycles: int | None, op_name: str | None,
         reports = work / "reports"
         protocol = sys.stdout
         for _ in sys.stdin:
-            codes = []
+            codes, times = [], []
             reports.mkdir()
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 t0 = time.process_time()
                 for n, path in enumerate(paths):
+                    t = time.process_time()
                     try:
                         codes.append(cli.main(["run", path, "--out", str(reports / f"{n}.json")]))
                     except Exception:  # an escaping exception is exit 1, as in the benchmark
                         codes.append(1)
+                    times.append(time.process_time() - t)
                 cpu = time.process_time() - t0
             shutil.rmtree(reports)
-            print(json.dumps({"cpu": cpu, "codes": codes}), file=protocol, flush=True)
+            times.sort()
+            tail = times[len(times) - TAIL_BEYOND - 1 if len(times) > TAIL_BEYOND else -1]
+            print(json.dumps({"cpu": cpu, "tail": tail, "codes": codes}), file=protocol, flush=True)
     return 0
 
 
@@ -111,6 +134,7 @@ def main(argv=None) -> int:
                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
                for root in roots]
     cpu: list[list[float]] = [[] for _ in roots]
+    tail: list[list[float]] = [[] for _ in roots]
     try:
         for i in range(args.passes):
             codes = []
@@ -122,6 +146,7 @@ def main(argv=None) -> int:
                     raise SystemExit(f"the worker for {roots[w]} stopped")
                 answer = json.loads(line)
                 cpu[w].append(answer["cpu"])
+                tail[w].append(answer["tail"] * 1e3)
                 codes.append(answer["codes"])
             if any(c != codes[0] for c in codes):
                 raise SystemExit(f"pass {i}: the checkouts' exit codes differ")
@@ -130,18 +155,11 @@ def main(argv=None) -> int:
             w.stdin.close()
             w.wait()
     only = f", command.op {args.op}" if args.op else ""
-    print(f"# {args.workload}{only}, seed 1, {args.passes} alternated passes, one BLAS thread; "
-          "CPU seconds per pass")
+    print(f"# {args.workload}{only}, seed 1, {args.passes} alternated passes, one BLAS thread")
     for label, root in zip("AB", roots):
         print(f"# {label} = {root}")
-    print(f"{'':<6} {'q1':>8} {'median':>8} {'q3':>8}")
-    for label, runs in zip("AB", cpu):
-        print(f"{label:<6} " + " ".join(f"{v:8.4f}" for v in quartiles(runs)))
-    if len(roots) == 2:
-        ratios = [a / b for a, b in zip(*cpu)]
-        print(f"{'A/B':<6} " + " ".join(f"{v:8.3f}" for v in quartiles(ratios)))
-        print("# A/B by pass: " + " ".join(f"{r:.3f}" for r in ratios))
-        print(f"# B took less CPU in {sum(r > 1.0 for r in ratios)} of {len(ratios)} passes")
+    table("CPU seconds per pass", cpu, 4)
+    table("tail: 11th-largest document CPU ms per pass", tail, 2)
     return 0
 
 
