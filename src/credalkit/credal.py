@@ -51,7 +51,8 @@ class CredalSet(Frozen):
     generator in the hull of the others: one certified extreme runs no LP, one
     that a lockstep nearest-point pass proves near the certified ones drops with
     no decision, any other takes one membership decision, from the back so earlier
-    generators survive ties.  Surviving vertices keep their order.
+    generators survive ties.  Surviving vertices keep their order.  A set of at most
+    ``n + 1`` rows pairwise apart and all certified skips the search, pass and scan.
     """
 
     __slots__ = ("space", "matrix")
@@ -64,11 +65,16 @@ class CredalSet(Frozen):
         self._set(space, np.array([v.weights for v in vertices]), tol, canonical)
 
     def _set(self, space: Space, matrix: np.ndarray, tol=DEFAULT_TOL, canonical=None):
-        """Every constructor ends here: freeze the validated rows that construction keeps."""
+        """Every constructor ends here: freeze the validated rows that construction keeps (all
+        for ``canonical=None``).  A set of at most ``n + 1`` rows that ``_plain`` passes is kept
+        whole; a wider set's screen (pairs, bank) costs more than it saves: most repeat rows."""
         if not len(matrix):
             raise ValidationError("a credal set needs at least one vertex")
-        if canonical is not None:  # None keeps them all
-            matrix = matrix[_distinct(matrix) if canonical else _canonicalize(matrix, tol)]
+        if canonical:
+            matrix = matrix[_distinct(matrix)]
+        elif canonical is not None and not (len(matrix) <= matrix.shape[1] + 1
+                                            and _plain(matrix[None], tol)[0]):
+            matrix = matrix[_canonicalize(matrix, tol)]
         return self._freeze(space=space, matrix=matrix)
 
     @classmethod
@@ -80,23 +86,17 @@ class CredalSet(Frozen):
     def _stack(cls, space: Space, sets, tol: float) -> list:
         """``from_rows`` of each row list, kept as level stacks: ``(nodes, matrices)`` per vertex
         count, the nodes in input order, and ``slice(None)`` when one stack holds every set.  The
-        lists of each length are read and validated as one stack, and blocks of 2**16 cells find
-        the sets with a near-duplicate or uncertified row; only those are canonicalized, one by
-        one.  A refusal need not be the first set's."""
+        lists of each length are read and validated as one stack, and ``_plain``, the screen a
+        set of at most ``n + 1`` rows built alone takes too, finds the sets with a near-duplicate
+        or uncertified row in blocks of 2**16 cells; only those are canonicalized, one by one.
+        A refusal need not be the first set's."""
         lens = np.fromiter(map(len, sets), int, len(sets))
         found: dict[int, list] = {}  # vertex count -> (nodes, matrices) parts
         for k in sorted(set(lens.tolist())):
             idx = np.flatnonzero(lens == k)
             P = _prob_rows(space.size, np.array(
                 sets if len(idx) == len(sets) else [sets[s] for s in idx], dtype=float))
-            m, n = len(idx), space.size
-            step = _CELL_BUDGET // (k * k * (n + 1))  # sets per block; 0: one set's pairs exceed it
-            i, j = _pairs(k)
-            plain = np.zeros(m, dtype=bool)
-            for lo in range(0, m if step else 0, max(step, 1)):
-                B = P[lo : lo + step]
-                apart = np.all(np.max(np.abs(B[:, i] - B[:, j]), axis=-1) > DEDUP_TOL, axis=1)
-                plain[lo : lo + step] = apart & np.all(_certified_extreme(B, tol), axis=1)
+            plain = _plain(P, tol)
             if plain.any():
                 found.setdefault(k, []).append((idx, P) if plain.all() else (idx[plain], P[plain]))
             for s in np.flatnonzero(~plain):
@@ -229,6 +229,28 @@ def _vertex_matches(rows: np.ndarray, queries: np.ndarray, tol: float) -> np.nda
     return np.where(match < len(rows), match, -1)
 
 
+def _plain(P: np.ndarray, tol: float) -> np.ndarray:
+    """For each set of the stack ``P`` (sets, rows, outcomes), whether its rows are pairwise
+    over ``DEDUP_TOL`` apart (sup norm) and all certified extreme, so that canonicalization
+    keeps every row: ``_distinct`` drops none and the scan decides none.  Blocks of at most
+    ``_CELL_BUDGET`` cells; every set is False when one set's pairs exceed it.  A certified
+    ``p_i`` beats every other ``q`` by over ``tol max|d|`` along its ``d`` once the margin's
+    rounding allowance is spent, and ``d.(p_i - q) <= max|d| n |p_i - q|_inf``: so the pairs
+    are tested only when ``tol < 2 n DEDUP_TOL``; above, certified rows are apart."""
+    m, k, n = P.shape
+    step = _CELL_BUDGET // (k * k * (n + 1))  # sets per block; 0: one set's pairs exceed it
+    plain = np.zeros(m, dtype=bool)
+    for lo in range(0, m if step else 0, max(step, 1)):
+        B, at = P[lo : lo + step], slice(lo, lo + step)
+        if tol < 2 * n * DEDUP_TOL:  # certify only the sets with no near-duplicate
+            i, j = _pairs(k)
+            at = lo + np.flatnonzero((np.abs(B[:, i] - B[:, j]).max(axis=-1) > DEDUP_TOL).all(1))
+            B = P[at]
+        if len(B):
+            plain[at] = _certified_extreme(B, tol).all(axis=1)
+    return plain
+
+
 @functools.lru_cache(maxsize=16)
 def _pairs(k: int) -> tuple:
     """``np.triu_indices(k, 1)``, the vertex pairs of a ``k``-vertex set, built once per vertex
@@ -254,14 +276,16 @@ def _certified_extreme(points: np.ndarray, tol: float) -> np.ndarray:
     more than ``n + 1`` rows left uncertified then tries ``_bank(n)``, where a direction
     certifies its argmax row."""
     *m, k, n = points.shape
-    D = _directions(np.concatenate([points, np.ones((*m, k, 1))], -1))[..., :n]
+    A = np.ones((*m, k, n + 1))
+    A[..., :n] = points
+    D = _directions(A)[..., :n]
     slack = tol + 64 * n * np.finfo(float).eps
-    limit = slack * np.max(np.abs(D), axis=-1)
+    limit = slack * np.abs(D).max(axis=-1)
     step = max(1, _CELL_BUDGET // points[..., 0].size)
-    certified = np.zeros(points.shape[:-1], dtype=bool)
+    certified = np.empty(points.shape[:-1], dtype=bool)
     for lo in range(0, k, step):
-        G = D[..., lo : lo + step, :] @ np.swapaxes(points, -1, -2)
-        near = G >= (np.diagonal(G[..., lo:], 0, -2, -1) - limit[..., lo : lo + step])[..., None]
+        G = D[..., lo : lo + step, :] @ points.swapaxes(-1, -2)
+        near = G >= (G[..., lo:].diagonal(0, -2, -1) - limit[..., lo : lo + step])[..., None]
         certified[..., lo : lo + step] = near.sum(axis=-1) == 1
     flat = certified.reshape(-1, k)
     sets = np.flatnonzero(~flat.all(axis=1)) if k > n + 1 else []
@@ -295,8 +319,8 @@ def _directions(A: np.ndarray) -> np.ndarray:
         D = np.full(A.shape, np.nan)
         ok = np.linalg.slogdet(G)[0] != 0
         D[ok] = np.linalg.solve(G[ok], A[ok])
-    bad = ~np.isfinite(D).all(axis=(-1, -2))
-    if bad.any():
+    if not np.isfinite(D).all():
+        bad = ~np.isfinite(D).all(axis=(-1, -2))
         D[bad] = np.linalg.pinv(A[bad]).swapaxes(-1, -2)
     return D
 

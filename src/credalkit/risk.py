@@ -190,9 +190,10 @@ def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
     Row ``r`` has vertex matrix ``V[r]`` and payoff ``x[r]``.  Candidates lie along the leading
     axis, sorted with their duplicates: equal points have equal objectives, so ``argmin`` picks
     the first copy and its neighbours bracket it.  The objective is scored once at each
-    candidate and at each vertex crossing, (pair-bracket, row) entry by entry; minima and tie
-    tests run in the order of candidates, then crossings.  A scan whose losses could overflow
-    runs on ``x / 2^k``.
+    candidate and at each vertex crossing, (pair-bracket, row) entry by entry, the crossings
+    found and scored a block of vertex pairs (at most ``_CELL_BUDGET`` cells) at a time; minima
+    and tie tests run in the order of candidates, then crossings.  A scan whose losses could
+    overflow runs on ``x / 2^k``.
     """
     k = frexp(L.slopes[-1])[1] + frexp(max(x.max(), -x.min(), *abs(L.breakpoints)))[1] - 1019
     if k > 0:  # every loss is below 32 m max|x, bp| (m the last slope); 2^-k scales exactly
@@ -209,28 +210,34 @@ def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
     # minimum, and the first larger candidate (the first one, an empty bracket, when none is)
     ends = np.concatenate([np.maximum(j - 1, 0), j, np.argmax(cand > cand[j, rows], axis=0)])
     ends = ends.reshape(3, -1) * r + rows
-    cross = _vertex_crossings(V, x, L, cand.take(ends[:2]), cand.take(ends[1:]), at).reshape(-1)
-    hit, g = _crossing_objective(V, x, L, cross)
-    row = hit % r
+    a, b = cand.take(ends[:2]), cand.take(ends[1:])
+    # on an open bracket every loss(x_i - s) is linear in s, so each vertex objective is the
+    # line alphas * s + betas, with the slopes' expectation taken at the bracket's midpoint
+    alphas = 1.0 - _expect(V, L.slopes.take(L._segment(x - (0.5 * (a + b))[..., None])))
+    betas = a + at - alphas * a
+    i, j = _pairs(V.shape[1])
+    step = max(1, _CELL_BUDGET // a.size)  # vertex pairs per block of (pair, bracket, row) cells
+    found = []  # (rows, crossings, objectives) of each block's live entries, in flat order
+    for lo in range(0, max(i.size, 1), step):  # one block, empty, for one-vertex sets
+        cross = _vertex_crossings(alphas, betas, a, b, i[lo : lo + step], j[lo : lo + step])
+        hit, g = _crossing_objective(V, x, L, cross.reshape(-1))
+        found.append((hit % r, cross.take(hit), g))
+    row, cross, g = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
     value = np.fmin.reduce(f, axis=0)
     np.fmin.at(value, row, g)
     tied = value + _TIE_TOL
     minimizer = np.where(f <= tied, cand, np.inf).min(axis=0)
-    np.minimum.at(minimizer, row, np.where(g <= tied.take(row), cross.take(hit), np.inf))
+    np.minimum.at(minimizer, row, np.where(g <= tied.take(row), cross, np.inf))
     return value, minimizer
 
 
-def _vertex_crossings(V, x, L, a, b, at):
-    """Interior points of each ``(a[c, r], b[c, r])`` where two vertex objectives meet, given
-    the per-vertex expectations ``at`` of ``loss(x - a)``.
+def _vertex_crossings(alphas, betas, a, b, i, j):
+    """Interior points of each ``(a[c, r], b[c, r])`` where the vertex objectives ``i`` and
+    ``j`` meet, given each vertex's line ``alphas * s + betas`` there.
 
-    On an open interval every ``loss(x_i - s)`` is linear in ``s``, so each vertex objective
-    is a line; pairwise intersections are the only extra kink candidates the breakpoint grid
-    misses.  Shape ``(pairs * brackets, r)``, NaN where a pair does not cross inside.
+    Pairwise intersections are the only extra kink candidates the breakpoint grid misses.
+    Shape ``(pairs * brackets, r)``, NaN where a pair does not cross inside.
     """
-    alphas = 1.0 - _expect(V, L.slopes.take(L._segment(x - (0.5 * (a + b))[..., None])))
-    betas = a + at - alphas * a
-    i, j = _pairs(V.shape[1])
     da = alphas[i] - alphas[j]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf lies outside
         s = (betas[j] - betas[i]) / da

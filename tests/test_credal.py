@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import re
 import sys
 import tracemalloc
 import warnings
@@ -43,7 +44,7 @@ from credalkit.credal import (
     _near_weights,
     _vertex_matches,
 )
-from credalkit.errors import NotSeparableError, SpaceMismatchError
+from credalkit.errors import NotSeparableError, SpaceMismatchError, ValidationError
 from credalkit.fubini import check_fubini
 from credalkit.lp import SimplexStalledError
 from credalkit.risk import _capped_box_vertices, _projected_lifted_vertices
@@ -1163,3 +1164,130 @@ class TestNearestPointDecision:
                         continue  # D4: the hull program's member weights miss the point
                     assert member == next(decide_lp(B.matrix, P.weights[None], tol))[0]
         assert decided >= 50
+
+
+def near_pair_rows(n, d):
+    """Two rows exactly ``d`` apart in sup norm after validation, with the other Diracs: the
+    coordinates ``0, d, 1 - d`` sum to exactly 1, so renormalizing moves no bit."""
+    a, b = np.zeros((2, n))
+    a[:3], b[:3] = [0.0, d, 1.0 - d], [d, 0.0, 1.0 - d]
+    return np.vstack([a, b, np.eye(n)[3:]])
+
+
+@functools.lru_cache(maxsize=None)
+def small_set_families(tol):
+    """Seeded sets for the small-set screen, besides ``screen_families(tol)``: tree-shaped 3 x 3
+    Dirichlet sets, 1 to n + 1 rows on 2 to 6 outcomes, two rows ``DEDUP_TOL`` and one ulp either
+    side of it apart, exact duplicates, exactly collinear triples, Dirac rows and the
+    ill-conditioned rows of ``screen_families``."""
+    rng = np.random.default_rng(310 + int(-np.log10(tol)))
+    families = [rng.dirichlet(np.ones(3), size=3) for _ in range(60)]
+    families += [rng.dirichlet(np.ones(n), size=k) for n in range(2, 7) for k in range(1, n + 2)]
+    tol_ulps = np.nextafter(credal.DEDUP_TOL, [0.0, 1.0])
+    for d in (tol_ulps[0], credal.DEDUP_TOL, tol_ulps[1]):
+        families += [near_pair_rows(n, d) for n in (3, 5)]
+    for n in range(3, 7):
+        rows = rng.dirichlet(np.ones(n), size=int(rng.integers(2, n)))
+        families.append(rows[rng.integers(len(rows), size=len(rows) + 1)])  # a row repeated
+        e = np.eye(n)
+        families.append(np.stack([e[0], e[1], 0.5 * (e[0] + e[1])])[rng.permutation(3)])
+        families.append(np.vstack([e[rng.permutation(n)[: int(rng.integers(1, n))]],
+                                   rng.dirichlet(np.ones(n), size=int(rng.integers(0, 2)))]))
+    families += [ill_conditioned_rows(rng, cond) for cond in 10.0 ** np.arange(4, 13)]
+    return families
+
+
+class TestSmallSetScreen:
+    """A set of at most ``n + 1`` rows that ``credal._plain`` passes keeps every row with no
+    ``_distinct``, pass or scan; that is exactly what the scan keeps, and ``CredalSet._stack``
+    keeps the same rows set by set."""
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_same_rows_as_the_scan(self, tol):
+        stacked, screened = {}, 0
+        for rows in [*small_set_families(tol), *screen_families(tol)]:
+            try:
+                P = spaces._prob_stack(rows.shape[1], rows)
+            except ValidationError:
+                continue  # an exact-zero row: refused before any screen
+            k, n = P.shape
+            plain = credal._plain(P[None], tol)[0]
+            if k > n + 1:  # no screen: only check that a set it would pass keeps every row
+                assert not plain or _canonicalize(P, tol) == list(range(k))
+                continue
+            space = OutcomeSpace([f"o{i}" for i in range(n)])
+            try:
+                got = CredalSet.from_rows(space, rows, tol).matrix
+            except SimplexStalledError:
+                assert not plain  # refused by the scan (ROADMAP D4, D7), never by the screen
+                continue
+            if plain:  # kept whole; a set the screen fails is canonicalized as before
+                screened += 1
+                assert got.tobytes() == P[_canonicalize(P, tol)].tobytes()
+                assert CredalSet(space, [ProbVector(space, p) for p in rows],
+                                 tol).matrix.tobytes() == got.tobytes()
+            stacked.setdefault(n, []).append((rows, got))
+        for n, cases in stacked.items():
+            space = OutcomeSpace([f"o{i}" for i in range(n)])
+            groups = CredalSet._stack(space, [rows.tolist() for rows, _ in cases], tol)
+            sets = CredalSet._unstack(space, groups, len(cases))
+            for S, (_, want) in zip(sets, cases, strict=True):
+                assert S.matrix.tobytes() == want.tobytes()
+        assert screened >= 100
+
+    def test_near_pairs_straddle_the_duplicate_tolerance(self):
+        # validated, the two rows lie DEDUP_TOL - 1 ulp, DEDUP_TOL and DEDUP_TOL + 1 ulp apart
+        for d in (np.nextafter(credal.DEDUP_TOL, 0), credal.DEDUP_TOL,
+                  np.nextafter(credal.DEDUP_TOL, 1)):
+            P = spaces._prob_stack(3, near_pair_rows(3, d))
+            assert np.abs(P[0] - P[1]).max() == d
+            assert _distinct(P) == ([0, 1] if d > credal.DEDUP_TOL else [0])
+            assert not any(credal._plain(P[None], tol)[0] for tol in TOLS if d <= credal.DEDUP_TOL)
+
+    def test_screen_passes_no_near_duplicate(self):
+        # a set with a row within DEDUP_TOL of another never passes, whether the screen tests
+        # the pairs (tol < 2 n DEDUP_TOL) or leaves them to the certificates (from the bound on)
+        rng = np.random.default_rng(321)
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            rows = rng.dirichlet(np.ones(n), size=int(rng.integers(1, n)))
+            shift = rng.uniform(-1, 1, n) * credal.DEDUP_TOL * rng.choice([0.0, 0.5, 1.0])
+            P = spaces._prob_stack(n, np.vstack([rows, rows[-1] + shift - shift.mean()]))
+            if len(_distinct(P)) == len(P):
+                continue
+            assert not any(credal._plain(P[None], tol)[0]
+                           for tol in [*TOLS, 2 * n * credal.DEDUP_TOL])
+
+    def test_plain_small_sets_skip_the_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plain small set needs no duplicate search, pass or scan")
+
+        rng = np.random.default_rng(320)
+        sets = [rng.dirichlet(np.ones(n), size=k) for n in range(2, 7) for k in range(1, n + 1)]
+        sets += [rng.dirichlet(np.ones(3), size=3) for _ in range(20)]
+        with monkeypatch.context() as m:
+            for name in ("_distinct", "_key_windows", "_near_weights", "_decide"):
+                m.setattr(credal, name, refuse)
+            for rows in sets:
+                space = OutcomeSpace([f"o{i}" for i in range(rows.shape[1])])
+                assert CredalSet.from_rows(space, rows).n_vertices == len(rows)
+                vertices = [ProbVector(space, p) for p in rows]
+                assert CredalSet(space, vertices).n_vertices == len(rows)
+            tree = [rows.tolist() for rows in sets[-20:]]
+            space = OutcomeSpace("abc")
+            sets = CredalSet._unstack(space, CredalSet._stack(space, tree, 1e-9), 20)
+            assert [S.n_vertices for S in sets] == [3] * 20
+        # a near-duplicate still takes the duplicate search, an uncertified row a decision
+        calls = {name: 0 for name in ("_distinct", "_key_windows", "_near_weights", "_decide")}
+        for name in calls:
+            def counting(*args, _name=name, _f=getattr(credal, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(credal, name, counting)
+        space = OutcomeSpace("abc")
+        near = np.array([[0.6, 0.3, 0.1], [0.6, 0.3 + 1e-13, 0.1 - 1e-13], [0.1, 0.2, 0.7]])
+        assert CredalSet.from_rows(space, near).n_vertices == 2
+        assert calls["_distinct"] == calls["_key_windows"] == 1
+        inner = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
+        assert CredalSet.from_rows(space, inner).n_vertices == 3
+        assert calls["_distinct"] == 2 and calls["_near_weights"] + calls["_decide"] >= 1

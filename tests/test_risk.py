@@ -1182,9 +1182,72 @@ class TestNothingEvaluatedTwice:
             V, x = rng.dirichlet(np.ones(4), size=(30, 5)), rng.uniform(-3, 3, (30, 4))
             risk._oce_batch(V, x, LossSpec.avar(0.3))
         space = OutcomeSpace([f"o{i}" for i in range(4)])
-        CredalSet._stack(space, [np.eye(4).tolist() + [[0.25] * 4]] * 3, 1e-9)
+        # a tolerance below 2 n DEDUP_TOL, at which the screen tests the row pairs
+        CredalSet._stack(space, [np.eye(4).tolist() + [[0.25] * 4]] * 3, 1e-15)
         assert calls == [(5, 1)]
         assert not any(a.flags.writeable for a in credal._pairs(5))
+
+
+class TestCrossingBlocks:
+    """The vertex crossings are built and scored a block of vertex pairs at a time, at most
+    ``_CELL_BUDGET`` cells, in the flat (pair, bracket, row) order: values and minimizers keep
+    their bits whatever the block, and a wide set's scan holds one block, not every pair."""
+
+    @staticmethod
+    def cases(rng):
+        return [(rng.dirichlet(np.ones(6), size=(1, 40)), rng.uniform(-3, 3, (1, 6))),
+                (rng.dirichlet(np.ones(3), size=(60, 4)), np.round(rng.uniform(-3, 3, (60, 3)), 1)),
+                (rng.dirichlet(np.ones(3), size=(1, 3)), rng.uniform(-3, 3, (50, 3)))]
+
+    @pytest.mark.parametrize("budget", [1, 2**40])
+    def test_any_block_keeps_the_bits(self, monkeypatch, budget):
+        blocks = []
+        crossings = risk._vertex_crossings
+
+        def counting(*args):
+            out = crossings(*args)
+            blocks.append(np.count_nonzero(~np.isnan(out)))
+            return out
+
+        monkeypatch.setattr(risk, "_vertex_crossings", counting)
+        for V, x in self.cases(np.random.default_rng(230)):
+            for L in LOSSES:
+                want = risk._oce_batch(V, x, L)
+                blocks.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(risk, "_CELL_BUDGET", budget)
+                    got = risk._oce_batch(V, x, L)
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+                pairs = V.shape[1] * (V.shape[1] - 1) // 2
+                assert len(blocks) == (pairs if budget == 1 else 1)
+                assert sum(blocks) > 0
+                assert np.array_equal(got, oce_batch_full_scan(V, x, L))
+
+    def test_a_level_that_fits_runs_one_block(self, monkeypatch):
+        # the largest seed-1 tree_eval level: 2,187 nodes of 3 vertices, 13,122 crossing cells
+        calls = []
+        crossings = risk._vertex_crossings
+        monkeypatch.setattr(risk, "_vertex_crossings", lambda *a: calls.append(a) or crossings(*a))
+        rng = np.random.default_rng(231)
+        V, x = rng.dirichlet(np.ones(3), size=(2187, 3)), rng.uniform(-3, 3, (2187, 3))
+        for L in LOSSES:
+            calls.clear()
+            risk._oce_batch(V, x, L)
+            assert len(calls) == 1 and calls[0][-1].size == 3
+
+    def test_thousand_vertex_scan_holds_one_block(self):
+        # every pair-bracket at once took 25 MB here; the vertex-pair index (8 MB) is built once
+        # per vertex count and cached, outside the trace
+        rng = np.random.default_rng(232)
+        V, x = rng.dirichlet(np.ones(10), size=(1, 1000)), rng.uniform(-3, 3, (1, 10))
+        credal._pairs(1000)
+        tracemalloc.start()
+        try:
+            risk._oce_batch(V, x, LossSpec.avar(0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
 
 class TestTreeSizeGuard:
