@@ -4,8 +4,10 @@ A credal set induces the sublinear upper expectation
 ``X -> max over vertices of E_P[X]``; hull membership and its dual
 separation certificate realize the conjugate side, which takes only the
 values zero (member) and infinity (separated).  A point matching a vertex
-is a member, and a generator certified extreme is a vertex, with no LP; a
-generator proven near the certified ones by weights drops with no decision.
+is a member, and a generator certified extreme is a vertex, with no LP.  Every
+other question, whether a point lies in the hull of some rows, goes to one
+nearest-point engine (``_wolfe``), which settles a stack of points in lockstep:
+canonicalization's two passes, and each one-point decision.
 """
 
 from __future__ import annotations
@@ -48,11 +50,12 @@ class CredalSet(Frozen):
 
     Construction drops every row within ``DEDUP_TOL`` (sup norm) of an earlier
     kept one, so the first listing survives, then, unless ``canonical``, every
-    generator in the hull of the others: one certified extreme runs no LP, one
-    that a lockstep nearest-point pass proves near the certified ones drops with
-    no decision, any other takes one membership decision, from the back so earlier
-    generators survive ties.  Surviving vertices keep their order.  A set of at most
-    ``n + 1`` rows pairwise apart and all certified skips the search, pass and scan.
+    generator in the hull of the others: one certified extreme runs no LP, a
+    lockstep nearest-point pass drops with no decision the ones it proves near the
+    certified ones, a second keeps with no decision the ones it proves outside every
+    other row's hull, and any other takes one membership decision, from the back so
+    earlier generators survive ties.  Surviving vertices keep their order.  A set of at
+    most ``n + 1`` rows pairwise apart and all certified skips the search, passes and scan.
     """
 
     __slots__ = ("space", "matrix")
@@ -328,13 +331,9 @@ def _directions(A: np.ndarray) -> np.ndarray:
 def _canonicalize(points: np.ndarray, tol: float) -> list[int]:
     keep = _distinct(points)
     certified = _certified_extreme(points[keep], tol)
-    todo = np.flatnonzero(~certified)
-    near = np.zeros(len(keep), dtype=bool)  # proven near the certified rows: dropped undecided
-    if todo.size and certified.any():
-        rows = points[keep]
-        near[todo] = _near_weights(rows[certified], rows[todo], tol).any(axis=1)
+    near, outside = _passes(points[keep], certified, tol)
     # scan from the back so that earlier generators survive ties; certified ones are kept
-    for pos in todo[::-1]:
+    for pos in np.flatnonzero(~(certified | outside))[::-1]:
         if len(keep) == 1:
             break
         if near[pos] or next(_decide(np.delete(points[keep], pos, 0),
@@ -343,57 +342,86 @@ def _canonicalize(points: np.ndarray, tol: float) -> list[int]:
     return keep
 
 
-def _near_weights(rows: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
-    """Convex weights over ``rows`` whose point lies within ``(tol - 64 n eps) / (2 sqrt n)``
-    (L1) of each of ``points``, the residual taken from the weights themselves; a zero row
-    where none is found.
+def _passes(rows: np.ndarray, certified: np.ndarray, tol: float):
+    """Masks ``(near, outside)`` of the uncertified distinct ``rows`` that the scan drops and
+    keeps with no decision.  Pass 1 proves a generator within ``(tol - 64 n eps) / (2 sqrt n)``
+    (L1) of the certified rows, which the scan never drops: the nearest point of the others' hull
+    is then within ``(tol - 64 n eps) / 2`` (L1), a member.  Pass 2 proves one that pass 1 leaves
+    more than ``tol`` beyond the hull of every other row, so beyond every hull inside it, which
+    is all the scan decides against."""
+    n = rows.shape[1]
+    near, outside = np.zeros((2, len(rows)), dtype=bool)
+    todo = np.flatnonzero(~certified)
+    slack = 64 * n * np.finfo(float).eps
+    if todo.size and certified.any() and tol > slack:
+        bound = (tol - slack) / (2 * np.sqrt(n))
+        near[todo] = _wolfe(rows[certified], rows[todo], bound + slack)[0] > 0
+        todo = todo[~near[todo]]
+    if todo.size:
+        outside[todo] = _wolfe(rows, rows[todo], tol, todo)[0] < 0
+    return near, outside
 
-    Wolfe's minimum-norm-point iteration runs for every point in lockstep, one step of all of
-    them per numpy call, each with its own corral of at most ``n + 1`` rows, for at most 500
-    steps.  A point stops when its weights prove it, or when its residual shows it farther than
-    the bound (every row of ``rows - p`` scores over the bound along it), when the iteration
-    converges, repeats a row or fills its corral, or when a corral turns affinely dependent.
-    A proven point is as near (Euclidean) the hull of any set holding ``rows``, so the nearest
-    point of that hull is within ``(tol - 64 n eps) / 2`` of it in L1: a member by the
-    nearest-point decision's test.  Points go in stacks of at most ``_CELL_BUDGET`` cells."""
+
+def _wolfe(rows: np.ndarray, points: np.ndarray, limit: float, exclude=None):
+    """Wolfe's minimum-norm point of the hull of ``rows - p`` for each ``p`` of ``points``, until
+    its iterate ``x = lam @ (rows - p)`` proves a verdict, with ``64 n eps`` for rounding.
+    Returns ``(verdict, lam, x)``: per point 1 with its convex weights ``lam`` when
+    ``|x|_1 <= limit``; -1 with its ``x`` when ``p`` beats every row by over ``limit`` along
+    ``-x``, centered and sup-normalized (``_witness``'s margin, read off the step's scores),
+    which bounds the L1 distance and the hull program's phase one from below; 0 when Wolfe's
+    rule (convergence, a repeated row, a full corral of ``n + 1``), an affinely dependent corral
+    or 500 steps stop it first.  Point ``i`` never uses row ``exclude[i]``.  The points step in
+    lockstep, each with its own corral and arithmetic, in stacks of at most ``_CELL_BUDGET``
+    cells, so a point's result does not depend on its stack."""
     (k, n), m = rows.shape, len(points)
-    bound = (tol - 64 * n * np.finfo(float).eps) / (2 * np.sqrt(n))
     step = max(1, _CELL_BUDGET // (k * n))
     if m > step:
-        return np.concatenate([_near_weights(rows, points[lo : lo + step], tol)
-                               for lo in range(0, m, step)])
-    out = np.zeros((m, k))
-    if bound <= 0:
-        return out
-    w = n + 1
+        return tuple(map(np.concatenate, zip(*(
+            _wolfe(rows, points[lo : lo + step], limit,
+                   None if exclude is None else exclude[lo : lo + step])
+            for lo in range(0, m, step)))))
+    slack, w = 64 * n * np.finfo(float).eps, n + 1
+    verdict, weights, residual = np.zeros(m, dtype=int), np.zeros((m, k)), np.zeros((m, n))
     Q = rows - points[:, None]
-    norms = np.einsum("mkn,mkn->mk", Q, Q)
+    norms, sums = np.einsum("mkn,mkn->mk", Q, Q), Q.sum(axis=2)
     stop = 1e-14 * norms.max(axis=1)
+    if exclude is not None:
+        norms[np.arange(m), exclude] = np.inf
     corral = np.zeros((m, w), dtype=int)
     corral[:, 0] = norms.argmin(axis=1)
     used = np.zeros((m, w), dtype=bool)
     used[:, 0] = True
     lam = used.astype(float)
     added = np.zeros(m, dtype=int)  # the slot of the row the last major step added
-    live, major = np.ones(m, dtype=bool), np.ones(m, dtype=bool)
+    live, major = np.ones((2, m), dtype=bool)
     diag, e = np.arange(w), np.eye(w + 1)[-1][None, :, None]
     for _ in range(500):
-        # major steps: prove the weights, else add the row scoring lowest along the residual
+        # major steps: prove a verdict, else add the row scoring lowest along the residual
         g = np.flatnonzero(major & live)
-        x = np.einsum("gs,gsn->gn", lam[g], rows[corral[g]]) - points[g]
-        won = np.abs(x).sum(axis=1) <= bound
-        at, s = np.nonzero(used[g[won]])
-        out[g[won][at], corral[g[won]][at, s]] = lam[g[won]][at, s]
+        x = np.einsum("gs,gsn->gn", lam[g], Q[g[:, None], corral[g]])
         score = np.einsum("gkn,gn->gk", Q[g], x)
-        j = score.argmin(axis=1)
-        low = score[np.arange(g.size), j]
-        xx = np.einsum("gn,gn->g", x, x)
-        free = ~used[g]
-        grow = (~won & (low <= bound * np.sqrt(xx)) & (xx - low > stop[g]) & free.any(axis=1)
-                & ~(used[g] & (corral[g] == j[:, None])).any(axis=1))
-        live[g[~grow]] = False
-        g, j, slot = g[grow], j[grow], free[grow].argmax(axis=1)
-        corral[g, slot], used[g, slot], lam[g, slot], added[g], major[g] = j, True, 0.0, slot, False
+        if exclude is not None:
+            score[np.arange(g.size), exclude[g]] = np.inf
+        hi, lo = x.max(axis=1), x.min(axis=1)
+        margin = (score - 0.5 * (hi + lo)[:, None] * sums[g]).min(axis=1)  # times ptp / 2
+        won = np.abs(x).sum(axis=1) + slack <= limit
+        lost = ~won & (hi > lo) & (2 * margin > (limit + slack) * (hi - lo))
+        if won.any():
+            at, s = np.nonzero(used[g[won]])
+            weights[g[won][at], corral[g[won]][at, s]] = lam[g[won]][at, s]
+        verdict[g], residual[g[lost]] = won.astype(int) - lost, x[lost]
+        on = ~(won | lost)
+        live[g[~on]] = False
+        if on.any():
+            g, x, score = g[on], x[on], score[on]
+            j = score.argmin(axis=1)
+            u = used[g]
+            grow = ((np.einsum("gn,gn->g", x, x) - score[np.arange(g.size), j] > stop[g])
+                    & ~u.all(axis=1) & ~(u & (corral[g] == j[:, None])).any(axis=1))
+            live[g[~grow]] = False
+            g, slot = g[grow], (~u[grow]).argmax(axis=1)
+            corral[g, slot], used[g, slot], lam[g, slot] = j[grow], True, 0.0
+            added[g], major[g] = slot, False
         # minor steps: towards the affine minimizer of each corral
         g = np.flatnonzero(live)
         if not g.size:
@@ -411,20 +439,23 @@ def _near_weights(rows: np.ndarray, points: np.ndarray, tol: float) -> np.ndarra
             ok = np.linalg.slogdet(B)[0] != 0
             mu[ok] = np.linalg.solve(B[ok], e)[..., 0]
         ok = np.isfinite(mu).all(axis=1)
-        live[g[~ok]] = False
-        g, u, mu = g[ok], u[ok], np.where(u[ok], mu[ok, :w], 0.0)
+        if not ok.all():
+            live[g[~ok]] = False
+            g, u, mu = g[ok], u[ok], mu[ok]
+        mu = np.where(u, mu[:, :w], 0.0)
         inner = ((mu > 0) | ~u).all(axis=1)
         a = g[inner]  # inside its corral's hull: the next iterate
         lam[a], major[a] = mu[inner] / mu[inner].sum(axis=1, keepdims=True), True
         live[a[~used[a, added[a]]]] = False  # the new row left at once: rounding, not progress
-        b, mu, u = g[~inner], mu[~inner], u[~inner]  # else step until a weight reaches zero
-        ratio = np.where(u & (mu <= 0), lam[b] / np.maximum(lam[b] - mu, np.finfo(float).tiny),
-                         np.inf)
-        mu = lam[b] + ratio.min(axis=1)[:, None] * (mu - lam[b])
-        mu[np.arange(b.size), ratio.argmin(axis=1)] = 0.0
-        used[b] = u & (mu > 0)
-        lam[b] = np.where(used[b], mu, 0.0)
-    return out
+        if not inner.all():  # else step until a weight reaches zero
+            b, mu, u = g[~inner], mu[~inner], u[~inner]
+            ratio = np.where(u & (mu <= 0),
+                             lam[b] / np.maximum(lam[b] - mu, np.finfo(float).tiny), np.inf)
+            mu = lam[b] + ratio.min(axis=1)[:, None] * (mu - lam[b])
+            mu[np.arange(b.size), ratio.argmin(axis=1)] = 0.0
+            used[b] = u & (mu > 0)
+            lam[b] = np.where(used[b], mu, 0.0)
+    return verdict, weights, residual
 
 
 def sublinear_expectation(S: CredalSet, X: RandomVariable) -> float:
@@ -447,57 +478,18 @@ def _decide(rows: np.ndarray, points: np.ndarray, tol: float):
 
 
 def _unmatched(rows: np.ndarray, p: np.ndarray, tol: float):
-    """``_decide``'s verdict on a point that matches no row: proven by its nearest point, or,
-    when that proves neither, decided by its hull program."""
-    found = _nearest(rows, p, tol)
-    if found is None:  # the band; the hull program's member weights must reach p
-        res = solve_lp(np.zeros(len(rows)), np.vstack([rows.T, np.ones(len(rows))]),
-                       np.append(p, 1.0), tol)
-        found = (True, res.x / res.x.sum()) if res.status == OPTIMAL else (False, res.dual[:-1])
-        if found[0] and np.abs(found[1] @ rows - p).sum() > tol:
-            raise SimplexStalledError("the hull program's member weights miss the point")
+    """``_decide``'s verdict on a point that matches no row: proven by ``_wolfe`` on a stack of
+    one, or, when that proves neither (the band), decided by its hull program, whose member
+    weights must reach ``p``."""
+    [verdict], [lam], [x] = _wolfe(rows, p[None], tol)
+    if verdict:
+        return (True, lam) if verdict > 0 else (False, -x)
+    res = solve_lp(np.zeros(len(rows)), np.vstack([rows.T, np.ones(len(rows))]),
+                   np.append(p, 1.0), tol)
+    found = (True, res.x / res.x.sum()) if res.status == OPTIMAL else (False, res.dual[:-1])
+    if found[0] and np.abs(found[1] @ rows - p).sum() > tol:
+        raise SimplexStalledError("the hull program's member weights miss the point")
     return found
-
-
-def _nearest(rows: np.ndarray, p: np.ndarray, tol: float):
-    """Wolfe's minimum-norm point of the hull of ``Q = rows - p``, run until ``x = lam @ Q``
-    proves a verdict, with ``64 n eps`` for rounding: a member when ``|x|_1 <= tol``, which
-    bounds the least ``|lam @ rows - p|_1 + |1 - sum lam|``; a nonmember when ``-x`` has a
-    margin over ``tol`` as ``_certificate`` scores it, which bounds that deficiency and the
-    hull program's phase one from below.  None when Wolfe's rule or a stall stops it first."""
-    Q = rows - p
-    norms = (Q * Q).sum(axis=1)
-    slack, stop = 64 * Q.shape[1] * np.finfo(float).eps, 1e-14 * norms.max()
-    corral, lam = [int(np.argmin(norms))], np.ones(1)
-    for _ in range(500):  # major iterations; each adds a point to the corral
-        x = lam @ Q[corral]
-        if np.abs(x).sum() + slack <= tol:
-            return True, np.bincount(corral, lam, len(Q))
-        g = Q @ x
-        j = int(np.argmin(g))
-        if g[j] > 0 and np.ptp(x) > 0 and _witness(rows, p, -x)[1] > tol + slack:
-            return False, -x
-        if x @ x - g[j] <= stop or j in corral:
-            return None
-        corral, lam = corral + [j], np.append(lam, 0.0)
-        while True:  # minor cycle: step towards the corral's affine minimizer
-            B = np.ones((len(corral) + 1,) * 2)
-            B[:-1, :-1], B[-1, -1] = Q[corral] @ Q[corral].T, 0.0
-            try:
-                mu = np.linalg.solve(B, np.eye(len(B))[-1])[:-1]
-            except np.linalg.LinAlgError:  # an affinely dependent corral: rounding
-                return None
-            if np.all(mu > 0):
-                break
-            out = np.flatnonzero(mu <= 0)
-            ratio = lam[out] / np.maximum(lam[out] - mu[out], np.finfo(float).tiny)
-            mu = lam + ratio.min() * (mu - lam)
-            mu[out[np.argmin(ratio)]] = 0.0
-            corral, lam = [c for c, m in zip(corral, mu) if m > 0], mu[mu > 0]
-        if j not in corral:  # the new point left at once: rounding, not progress
-            return None
-        lam = mu / mu.sum()
-    return None
 
 
 def membership(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL):

@@ -140,23 +140,12 @@ def _run_simplex(T, basis, live, cost, n_enter, tol, pivots, ids=None):
     Bland's rule throughout: the entering column is the smallest eligible
     index (the first ``argmax`` of the eligibility mask), the leaving row, among the
     ``live`` ones, breaks ratio ties by smallest basic index.  A program leaves the step
-    when its own loop would end and the rest are compacted; the last one left runs alone
-    (``_run_alone``), and a stack of one does so from the start, on the 2-D views of its
-    tableau, without the stack's gathers.  ``pivots[ids]`` counts each one's pivots.
+    when its own loop would end and the rest are compacted; the last one left, or a stack of
+    one from its first pivot, runs alone (``_run_alone``) on the 2-D views of its tableau,
+    without the stack's gathers.  ``pivots[ids]`` counts each one's pivots.
     Returns ``(objective values, statuses)``, ``_STALLED`` for a program whose budget ran out.
     """
     B, m = basis.shape
-    if B == 1:  # a stack of one runs alone, on its 2-D views
-        T, basis, cost = T[0], basis[0], cost.reshape(-1)
-        cb = cost[basis]
-        rz = np.zeros(len(cost) + 1)  # [reduced costs | -objective]
-        rz[:-1] = cost
-        for i in cb.nonzero()[0].tolist():  # row by row, skipping zero costs
-            rz -= cb[i] * T[i]
-        z, status, spent = (-rz[-1], OPTIMAL, 0) if n_enter == 0 else _run_alone(
-            T, rz[:-1], -rz[-1], basis, live[0], n_enter, tol, _budget(T))
-        pivots[0 if ids is None else ids] += spent
-        return np.array([z]), np.array([status], dtype=object)
     ids = np.arange(B) if ids is None else ids
     cost = np.broadcast_to(cost, (B, cost.shape[-1]))
     cb = np.take_along_axis(cost, basis, axis=1)
@@ -268,17 +257,6 @@ def _evict_artificials(T, basis, live, n, tol, pivots, ids):
     for the original system.  Rows are taken in order, each one for every
     tableau of the stack at once.
     """
-    if len(T) == 1:  # a stack of one, on its 2-D views
-        T, basis, live = T[0], basis[0], live[0]
-        for i in (basis >= n).nonzero()[0].tolist():
-            found = (np.abs(T[i, :n]) > tol).nonzero()[0]
-            if found.size:
-                _pivot(T, np.zeros(T.shape[1] - 1), i, found[0])
-                basis[i] = found[0]
-                pivots[ids] += 1
-            else:
-                live[i] = False
-        return
     for i in np.flatnonzero((basis >= n).any(axis=0)).tolist():  # a pivot moves its row only
         art = np.flatnonzero(basis[:, i] >= n)
         usable = np.abs(T[art, i, :n]) > tol

@@ -497,16 +497,17 @@ def envelope_atoms_lp(A, tol: float = 1e-9):
     return PenaltyAtoms.__new__(PenaltyAtoms)._set(A.space, A.points[keep], A.costs[keep])
 
 
-def prove_nothing(rows: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
-    """``credal._near_weights`` proving no point: with it in place, canonicalization decides
-    every uncertified generator, as its scan did before the nearest-point pass."""
-    return np.zeros((len(points), len(rows)))
+def prove_nothing(rows: np.ndarray, certified: np.ndarray, tol: float):
+    """``credal._passes`` proving no generator near or outside: with it in place,
+    canonicalization decides every uncertified generator, as its scan did before the
+    nearest-point passes."""
+    return np.zeros((2, len(rows)), dtype=bool)
 
 
 def d1_hull_program():
     """``(rows, p)`` of the hull program that stalls (ROADMAP D1) when the six-outcome dual
     set of ``test_risk``'s D1 test is canonicalized by ``decide_lp``, every generator decided
-    (no nearest-point pass drops one first)."""
+    (no nearest-point pass settles one first)."""
     from credalkit import credal, lp
     from credalkit.risk import avar_dual_set
     from credalkit.spaces import OutcomeSpace
@@ -514,16 +515,16 @@ def d1_hull_program():
     S = credal.CredalSet.from_rows(OutcomeSpace([f"o{i}" for i in range(6)]), D1_SET)
     programs = []
     real = credal._hull_lp
-    saved = credal._decide, credal._hull_lp, credal._near_weights
+    saved = credal._decide, credal._hull_lp, credal._passes
     credal._decide = decide_lp
     credal._hull_lp = lambda rows, P, *rest: programs.append((rows, P[0])) or real(rows, P, *rest)
-    credal._near_weights = prove_nothing
+    credal._passes = prove_nothing
     try:
         avar_dual_set(S, 1 / 3)
     except lp.SimplexStalledError:
         return programs[-1]
     finally:
-        credal._decide, credal._hull_lp, credal._near_weights = saved
+        credal._decide, credal._hull_lp, credal._passes = saved
     raise AssertionError("the D1 dual set canonicalized under decide_lp")
 
 

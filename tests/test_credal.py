@@ -41,8 +41,9 @@ from credalkit.credal import (
     _distinct,
     _first_nonmember,
     _key_windows,
-    _near_weights,
     _vertex_matches,
+    _witness,
+    _wolfe,
 )
 from credalkit.errors import NotSeparableError, SpaceMismatchError, ValidationError
 from credalkit.fubini import check_fubini
@@ -513,7 +514,7 @@ def decision(rows, p, tol):
         return None
     if member:
         assert cert.min() >= 0 and np.abs(cert @ rows - p).sum() <= tol
-    elif credal._nearest(rows, p, tol) is not None:
+    elif _wolfe(rows, p[None], tol)[0][0]:
         assert margin(rows, p, cert) > tol
     try:
         [(lp_member, _, _)] = decide_lp(rows, p[None], tol)
@@ -661,9 +662,9 @@ class TestVertexMatch:
         # only the others run Wolfe's nearest point, in order, up to the first nonmember
         rng = np.random.default_rng(104)
         calls = []
-        real = credal._nearest
-        monkeypatch.setattr(credal, "_nearest",
-                            lambda rows, p, tol: calls.append(p.tobytes()) or real(rows, p, tol))
+        real = credal._wolfe
+        monkeypatch.setattr(credal, "_wolfe", lambda rows, points, *rest:
+                            calls.append(points.tobytes()) or real(rows, points, *rest))
         for _ in range(20):
             B = random_credal(rng, k=int(rng.integers(2, 6)))
             vertices = [B.vertices[i] for i in rng.permutation(B.n_vertices)]
@@ -908,33 +909,53 @@ def canonicalize_refereed(points: np.ndarray, tol: float):
 BAND_DROPS = {(1e-12, 134): 19}
 
 
+@functools.lru_cache(maxsize=None)
+def pass_families(tol):
+    """``screen_families(tol)`` and every corpus dual set's candidates."""
+    return [*screen_families(tol), *(dual_set_candidates(V, level)
+                                     for V, level in corpus_dual_sets())]
+
+
+@functools.lru_cache(maxsize=None)
+def scan_every_generator(tol, f):
+    """The rows ``_canonicalize`` keeps of ``pass_families(tol)[f]`` with both of its passes off
+    (``prove_nothing``), deciding every uncertified generator; None when a decision refuses.
+    Both passes' tests referee against it, so it runs once per family."""
+    saved, credal._passes = credal._passes, prove_nothing
+    try:
+        return _canonicalize(pass_families(tol)[f], tol)
+    except SimplexStalledError:
+        return None  # the scan refuses (ROADMAP D4, D7): no reference
+    finally:
+        credal._passes = saved
+
+
 class TestNearestPointPass:
-    """Canonicalization's lockstep nearest-point pass (``_near_weights``) over
-    ``screen_families`` and every corpus dual set, at every tolerance: each proof's weights put
-    its generator within the pass's bound ``(tol - 64 n eps) / (2 sqrt n)`` (L1), a seeded
-    sample of them within ``tol / (2 sqrt n)`` in exact arithmetic, and the pass proves no
-    generator that the scan deciding every generator keeps, but ``BAND_DROPS``'s one, which
-    the exact referee puts within ``tol`` of the rows that scan keeps."""
+    """Canonicalization's two ``_wolfe`` passes (``_passes``) over ``pass_families``, at every
+    tolerance.  Pass 1's proofs put each generator within its bound
+    ``(tol - 64 n eps) / (2 sqrt n)`` (L1) of the certified rows, a seeded sample of them within
+    ``tol / (2 sqrt n)`` in exact arithmetic, and it proves no generator that the scan deciding
+    every generator keeps, but ``BAND_DROPS``'s one, which the exact referee puts within ``tol``
+    of the rows that scan keeps.  Pass 2's directions put each generator it proves more than
+    ``tol`` beyond every other distinct row, and that scan keeps each one."""
 
     @pytest.mark.parametrize("tol", TOLS)
-    def test_proofs_drop_no_row_the_scan_keeps(self, monkeypatch, tol):
-        families = [*screen_families(tol), *(dual_set_candidates(V, level)
-                                             for V, level in corpus_dual_sets())]
+    def test_proofs_drop_no_row_the_scan_keeps(self, tol):
         rng = np.random.default_rng(107)
         proven, dropped_kept = 0, set()
-        for f, rows in enumerate(families):
+        for f, rows in enumerate(pass_families(tol)):
             distinct = np.array(_distinct(rows))
             certified = _certified_extreme(rows[distinct], tol)
             if certified.all() or not certified.any():
                 continue
-            C, todo = rows[distinct[certified]], distinct[~certified]
-            W = _near_weights(C, rows[todo], tol)
-            near = W.any(axis=1)
+            near = credal._passes(rows[distinct], certified, tol)[0][~certified]
             if not near.any():
                 continue
-            assert W.min() >= 0
+            C, todo = rows[distinct[certified]], distinct[~certified]
             n = rows.shape[1]
             bound = (tol - 64 * n * np.finfo(float).eps) / (2 * np.sqrt(n))
+            W = _wolfe(C, rows[todo], bound + 64 * n * np.finfo(float).eps)[1]
+            assert np.array_equal(W.any(axis=1), near) and W.min() >= 0
             assert np.all(np.abs(W[near] @ C - rows[todo[near]]).sum(axis=1) <= bound)
             for i in rng.permutation(np.flatnonzero(near))[:2]:  # exact: a seeded sample
                 lam, p = W[i], rows[todo[i]]
@@ -944,30 +965,54 @@ class TestNearestPointPass:
                                    / total - Fraction(q)) for col, q in zip(C[on].T, p))
                 assert 4 * n * residual**2 <= Fraction(tol) ** 2
             proven += near.sum()
-            with monkeypatch.context() as m:
-                m.setattr(credal, "_near_weights", prove_nothing)
-                try:
-                    kept = _canonicalize(rows, tol)
-                except SimplexStalledError:
-                    continue  # the scan refuses (ROADMAP D4, D7): no reference
+            kept = scan_every_generator(tol, f)
+            if kept is None:
+                continue
             for i in sorted(set(todo[near].tolist()) & set(kept)):
                 dropped_kept.add((tol, f, i))
                 assert not deficiency_exceeds(rows[[j for j in kept if j != i]], rows[i], tol)
         assert dropped_kept == {(t, f, i) for (t, f), i in BAND_DROPS.items() if t == tol}
         assert (proven > 0) == (tol > 64 * np.finfo(float).eps)  # below, no bound is positive
 
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_outside_proofs_keep_rows_the_scan_keeps(self, tol):
+        proven = 0
+        for f, rows in enumerate(pass_families(tol)):
+            distinct = np.array(_distinct(rows))
+            R = rows[distinct]
+            certified = _certified_extreme(R, tol)
+            near, outside = credal._passes(R, certified, tol)
+            if not outside.any():
+                continue
+            todo = np.flatnonzero(~(certified | near))
+            verdict, _, X = _wolfe(R, R[todo], tol, todo)
+            assert np.array_equal(verdict < 0, outside[todo])
+            for i, x in zip(todo[verdict < 0], X[verdict < 0]):
+                assert _witness(np.delete(R, i, 0), R[i], -x)[1] > tol
+            proven += outside.sum()
+            kept = scan_every_generator(tol, f)
+            if kept is not None:
+                assert set(distinct[outside].tolist()) <= set(kept)
+        assert proven > 0
+
     def test_stacks_split_by_the_cell_budget(self, monkeypatch):
-        # the corpus's dual-set candidates, proven in one stack or one point per stack
+        # the corpus's dual-set candidates, each pass's points in one stack, one point per
+        # stack, and each alone, with exclude set for pass 2
         for V, level in corpus_dual_sets()[:12]:
             rows = dual_set_candidates(V, level)
             rows = rows[_distinct(rows)]
             certified = _certified_extreme(rows, 1e-9)
-            C, P = rows[certified], rows[~certified]
-            whole = _near_weights(C, P, 1e-9)
-            with monkeypatch.context() as m:
-                m.setattr(credal, "_CELL_BUDGET", 1)
-                alone = _near_weights(C, P, 1e-9)
-            assert np.array_equal(whole, alone)
+            todo = np.flatnonzero(~certified)
+            for C, exclude in ((rows[certified], None), (rows, todo)):
+                whole = _wolfe(C, rows[todo], 1e-9, exclude)
+                with monkeypatch.context() as m:
+                    m.setattr(credal, "_CELL_BUDGET", 1)
+                    split = _wolfe(C, rows[todo], 1e-9, exclude)
+                alone = [_wolfe(C, rows[[i]], 1e-9, None if exclude is None else exclude[[at]])
+                         for at, i in enumerate(todo)]
+                for got in (split, tuple(map(np.concatenate, zip(*alone)))):
+                    for a, b in zip(whole, got):
+                        assert a.tobytes() == b.tobytes()
 
 
 class TestCertificateScreen:
@@ -1134,7 +1179,7 @@ class TestNearestPointDecision:
         P = ProbVector(space, D4_POINT)
         p = P.weights
         assert exact_hull_deficiency(rows, p) > 1e-9
-        assert credal._nearest(rows, p, 1e-9) is None
+        assert _wolfe(rows, p[None], 1e-9)[0][0] == 0
         [(member, _, res)] = decide_lp(rows, p[None], 1e-9)
         assert member and np.abs(res.x @ rows - p).sum() > 1e-9
         with pytest.raises(SimplexStalledError, match="member weights miss the point"):
@@ -1156,7 +1201,7 @@ class TestNearestPointDecision:
                     P = shifted(rng, B, j, factor * tol)
                     if P is None or credal._vertex_matches(B.matrix, P.weights[None], tol)[0] >= 0:
                         continue
-                    assert credal._nearest(B.matrix, P.weights, tol) is None
+                    assert _wolfe(B.matrix, P.weights[None], tol)[0][0] == 0
                     decided += 1
                     try:
                         [(member, _)] = _decide(B.matrix, P.weights[None], tol)
@@ -1266,7 +1311,7 @@ class TestSmallSetScreen:
         sets = [rng.dirichlet(np.ones(n), size=k) for n in range(2, 7) for k in range(1, n + 1)]
         sets += [rng.dirichlet(np.ones(3), size=3) for _ in range(20)]
         with monkeypatch.context() as m:
-            for name in ("_distinct", "_key_windows", "_near_weights", "_decide"):
+            for name in ("_distinct", "_key_windows", "_wolfe", "_decide"):
                 m.setattr(credal, name, refuse)
             for rows in sets:
                 space = OutcomeSpace([f"o{i}" for i in range(rows.shape[1])])
@@ -1278,7 +1323,7 @@ class TestSmallSetScreen:
             sets = CredalSet._unstack(space, CredalSet._stack(space, tree, 1e-9), 20)
             assert [S.n_vertices for S in sets] == [3] * 20
         # a near-duplicate still takes the duplicate search, an uncertified row a decision
-        calls = {name: 0 for name in ("_distinct", "_key_windows", "_near_weights", "_decide")}
+        calls = {name: 0 for name in ("_distinct", "_key_windows", "_wolfe", "_decide")}
         for name in calls:
             def counting(*args, _name=name, _f=getattr(credal, name)):
                 calls[_name] += 1
@@ -1290,4 +1335,4 @@ class TestSmallSetScreen:
         assert calls["_distinct"] == calls["_key_windows"] == 1
         inner = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
         assert CredalSet.from_rows(space, inner).n_vertices == 3
-        assert calls["_distinct"] == 2 and calls["_near_weights"] + calls["_decide"] >= 1
+        assert calls["_distinct"] == 2 and calls["_wolfe"] + calls["_decide"] >= 1

@@ -209,9 +209,9 @@ class TestLevelBuild:
         rng = np.random.default_rng(1406)
         levels = random_levels(rng, 3, 3, ks=[2])
         levels[2][2] = node(rng, 3, 4, "interior")
-        monkeypatch.setattr(credal, "_nearest", stall)
-        # the pass would drop the interior row before its membership decision could stall
-        monkeypatch.setattr(credal, "_near_weights", prove_nothing)
+        monkeypatch.setattr(credal, "_wolfe", stall)
+        # the passes would settle the interior row before its membership decision could stall
+        monkeypatch.setattr(credal, "_passes", prove_nothing)
         doc = tree_doc(levels, 3)
         for bad in (5, 1):  # after the node needing a membership decision, then before it
             doc["trees"]["T"]["ambiguity"][2][bad] = malformed(rng, 3, "mass-1.1")
@@ -369,9 +369,9 @@ class TestKernelBuild:
         rng = np.random.default_rng(1413)
         entries = [node(rng, 3, 2, "plain") for _ in range(9)]
         entries[2] = node(rng, 3, 4, "interior")
-        monkeypatch.setattr(credal, "_nearest", stall)
-        # the pass would drop the interior row before its membership decision could stall
-        monkeypatch.setattr(credal, "_near_weights", prove_nothing)
+        monkeypatch.setattr(credal, "_wolfe", stall)
+        # the passes would settle the interior row before its membership decision could stall
+        monkeypatch.setattr(credal, "_passes", prove_nothing)
         doc = kernel_doc(entries, 3)
         for bad in (5, 1):  # after the entry needing a membership decision, then before it
             doc["kernels"]["K"]["credal"][bad] = malformed(rng, 3, "mass-1.1")

@@ -1,7 +1,7 @@
 """Print the CPU time of whole passes over a CLI corpus, in one checkout or two.
 
     python3 tools/corpus_passes.py --root <checkout> [--root <other>]
-        [--workload rectangularity|desk_cli] [--passes 20] [--cycles N] [--op NAME]
+        [--workload rectangularity|desk_cli] [--passes 20] [--cycles N] [--op NAME ...]
 
 Each checkout runs in its own worker process, which writes the seed-1
 documents of the workload through ``<root>/perfbench/workloads.py``
@@ -10,7 +10,8 @@ in each pass, runs every document of the first ``--cycles`` cycles (all of
 the workload's pool by default) through
 ``cli.main(["run", doc, "--out", report])``; with ``--op NAME`` only the
 documents whose ``command.op`` is ``NAME`` run, so that one document class
-can be timed alone.  Each report goes to a new file, as in
+can be timed alone.  ``--op`` repeats: ``--op separate --op conjugate`` times
+both classes together, as one pass.  Each report goes to a new file, as in
 ``perfbench/run.py`` (rewriting one file costs several times as much), and a
 pass's reports are removed after its timing ends.  A pass and each document in
 it are timed with ``time.process_time``, so the figures are the CPU time of the
@@ -72,7 +73,7 @@ def table(title: str, runs: list, digits: int) -> None:
         print(f"# B took less in {sum(r > 1.0 for r in ratios)} of {len(ratios)} passes")
 
 
-def worker(root: Path, workload: str, cycles: int | None, op_name: str | None,
+def worker(root: Path, workload: str, cycles: int | None, op_names: list | None,
            seed: int = 1) -> int:
     """Answer each line on stdin with one pass's
     ``{"cpu": seconds, "tail": seconds, "codes": [exit codes]}``."""
@@ -84,9 +85,9 @@ def worker(root: Path, workload: str, cycles: int | None, op_name: str | None,
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         paths = [op.meta["path"] for cycle in wl.inputs(seed, work)[:cycles] for op in cycle
-                 if op_name in (None, op.meta["op"])]
+                 if op_names is None or op.meta["op"] in op_names]
         if not paths:
-            raise SystemExit(f"no {workload} document has command.op {op_name!r}")
+            raise SystemExit(f"no {workload} document has a command.op in {op_names}")
         reports = work / "reports"
         protocol = sys.stdout
         for _ in sys.stdin:
@@ -115,7 +116,8 @@ def main(argv=None) -> int:
     p.add_argument("--workload", choices=WORKLOADS, default="rectangularity")
     p.add_argument("--passes", type=int, default=20)
     p.add_argument("--cycles", type=int, default=None, help="cycles per pass (default: all)")
-    p.add_argument("--op", default=None, help="run only the documents with this command.op")
+    p.add_argument("--op", action="append", help="run only the documents with this "
+                   "command.op (repeatable)")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.passes < 1 or (args.cycles is not None and args.cycles < 1):
@@ -129,7 +131,7 @@ def main(argv=None) -> int:
         if not (root / "perfbench" / "workloads.py").is_file():
             p.error(f"no perfbench/workloads.py under {root}")
     extra = ["--workload", args.workload] + (["--cycles", str(args.cycles)] if args.cycles else [])
-    extra += ["--op", args.op] if args.op else []
+    extra += [arg for op in args.op or [] for arg in ("--op", op)]
     workers = [subprocess.Popen([sys.executable, __file__, "--worker", str(root), *extra],
                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
                for root in roots]
@@ -154,7 +156,7 @@ def main(argv=None) -> int:
         for w in workers:
             w.stdin.close()
             w.wait()
-    only = f", command.op {args.op}" if args.op else ""
+    only = f", command.op {', '.join(args.op)}" if args.op else ""
     print(f"# {args.workload}{only}, seed 1, {args.passes} alternated passes, one BLAS thread")
     for label, root in zip("AB", roots):
         print(f"# {label} = {root}")
