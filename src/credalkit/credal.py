@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotSeparableError, ValidationError
-from .lp import DEFAULT_TOL, OPTIMAL, SimplexStalledError, _solve_stack, solve_lp
+from .lp import DEFAULT_TOL, OPTIMAL, SimplexStalledError, _solve_stack
 from .spaces import (
     Frozen,
     ProbVector,
@@ -336,8 +336,7 @@ def _canonicalize(points: np.ndarray, tol: float) -> list[int]:
     for pos in np.flatnonzero(~(certified | outside))[::-1]:
         if len(keep) == 1:
             break
-        if near[pos] or next(_decide(np.delete(points[keep], pos, 0),
-                                     points[keep[pos]][None], tol))[0]:
+        if near[pos] or _decide(np.delete(points[keep], pos, 0), points[keep[pos]], tol)[0]:
             del keep[pos]
     return keep
 
@@ -468,24 +467,24 @@ def sublinear_expectation(S: CredalSet, X: RandomVariable) -> float:
     return float(np.max(S.matrix @ X.values))
 
 
-def _decide(rows: np.ndarray, points: np.ndarray, tol: float):
-    """``(member, cert)`` for each row of ``points`` against the hull of ``rows``, lazily and in
-    order: ``cert`` is a member's convex weights over ``rows``, or a direction along which a
-    nonmember beats every row.  A point matching row ``j`` gets ``e_j``; any other is
-    ``_unmatched``'s."""
-    for p, j in zip(points, _vertex_matches(rows, points, tol)):
-        yield (True, np.eye(1, len(rows), j)[0]) if j >= 0 else _unmatched(rows, p, tol)
+def _decide(rows: np.ndarray, p: np.ndarray, tol: float):
+    """``(member, cert)`` for the point ``p`` against the hull of ``rows``: ``cert`` is a
+    member's convex weights over ``rows``, or a direction along which a nonmember beats every
+    row.  A point matching row ``j`` gets ``e_j``; any other is ``_unmatched``'s."""
+    [j] = _vertex_matches(rows, p[None], tol)
+    return (True, np.eye(1, len(rows), j)[0]) if j >= 0 else _unmatched(rows, p, tol)
 
 
 def _unmatched(rows: np.ndarray, p: np.ndarray, tol: float):
     """``_decide``'s verdict on a point that matches no row: proven by ``_wolfe`` on a stack of
-    one, or, when that proves neither (the band), decided by its hull program, whose member
-    weights must reach ``p``."""
+    one, or, when that proves neither (the band), decided by its ``_hull_lp`` program, whose
+    member weights must reach ``p``."""
     [verdict], [lam], [x] = _wolfe(rows, p[None], tol)
     if verdict:
         return (True, lam) if verdict > 0 else (False, -x)
-    res = solve_lp(np.zeros(len(rows)), np.vstack([rows.T, np.ones(len(rows))]),
-                   np.append(p, 1.0), tol)
+    [res] = _hull_lp(rows, p[None], tol)
+    if isinstance(res, SimplexStalledError):
+        raise res
     found = (True, res.x / res.x.sum()) if res.status == OPTIMAL else (False, res.dual[:-1])
     if found[0] and np.abs(found[1] @ rows - p).sum() > tol:
         raise SimplexStalledError("the hull program's member weights miss the point")
@@ -500,7 +499,7 @@ def membership(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL):
     point matching vertex ``j`` gets ``lam = e_j`` with no LP.
     """
     _check_same_space(S.space, P.space, "membership")
-    [(member, lam)] = _decide(S.matrix, P.weights[None], tol)
+    member, lam = _decide(S.matrix, P.weights, tol)
     return (True, lam) if member else (False, None)
 
 
@@ -516,7 +515,7 @@ def separate(S: CredalSet, P: ProbVector, tol: float = DEFAULT_TOL) -> Separatio
     matching a vertex is one, with no LP.
     """
     _check_same_space(S.space, P.space, "separate")
-    [(member, cert)] = _decide(S.matrix, P.weights[None], tol)
+    member, cert = _decide(S.matrix, P.weights, tol)
     return _certificate(S, P, None if member else cert, tol)
 
 

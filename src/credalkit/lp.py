@@ -2,12 +2,14 @@
 
 Solves ``min c.x  s.t.  A x = b, x >= 0`` with Bland's anti-cycling rule.
 Sized for desk-scale problems (tens of rows, a few hundred columns): the
-minimal-penalty program, and the hull program of a membership decision in
-the tolerance band, the only way pruning reaches this solver.
+hull programs that ``credal._hull_lp`` builds, costed for a minimal penalty,
+uncosted for a membership decision in the tolerance band, the only way
+pruning reaches this solver.
 Programs of one shape are solved as a stack in lockstep: each step pivots
 every program still running once, on its own entering column and leaving
 row, with the elementwise arithmetic it would do alone, so every result is
-bit for bit the one of a run by itself (``solve_lp`` is the stack of one).
+bit for bit the one of a run by itself.  Every program pivots in this one
+loop to its end, the last of its stack too (``solve_lp`` is the stack of one).
 When the program is infeasible the returned dual vector is a certificate:
 ``y . A <= tol`` columnwise while ``y . b >= deficiency > 0``, which is
 exactly the separating functional the credal module turns into a witness.
@@ -92,14 +94,11 @@ def _solve_stack(c, A, b, tol):
     go = feasible.nonzero()[0]
     cost2 = np.zeros((B, n + m))
     cost2[:, :n] = c
-    if go.size:
-        part = go.size < B  # phase two runs on the feasible programs' own stack
-        T2, basis2, live2 = (T[go], basis[go], live[go]) if part else (T, basis, live)
+    if go.size:  # phase two runs on the feasible programs' own stack
+        T2, basis2, live2 = T[go], basis[go], live[go]
         _evict_artificials(T2, basis2, live2, n, tol, pivots, go)
-        _, status[go] = _run_simplex(T2, basis2, live2, cost2[go] if part else cost2, n, tol,
-                                     pivots, go)
-        if part:
-            T[go], basis[go], live[go] = T2, basis2, live2
+        _, status[go] = _run_simplex(T2, basis2, live2, cost2[go], n, tol, pivots, go)
+        T[go], basis[go], live[go] = T2, basis2, live2
 
     results = []
     for i, (st, ok, whole) in enumerate(zip(status.tolist(), feasible.tolist(),
@@ -140,9 +139,8 @@ def _run_simplex(T, basis, live, cost, n_enter, tol, pivots, ids=None):
     Bland's rule throughout: the entering column is the smallest eligible
     index (the first ``argmax`` of the eligibility mask), the leaving row, among the
     ``live`` ones, breaks ratio ties by smallest basic index.  A program leaves the step
-    when its own loop would end and the rest are compacted; the last one left, or a stack of
-    one from its first pivot, runs alone (``_run_alone``) on the 2-D views of its tableau,
-    without the stack's gathers.  ``pivots[ids]`` counts each one's pivots.
+    when its own loop would end and the rest are compacted, down to the last one, and a stack
+    of one pivots the same way.  ``pivots[ids]`` counts each one's pivots.
     Returns ``(objective values, statuses)``, ``_STALLED`` for a program whose budget ran out.
     """
     B, m = basis.shape
@@ -167,7 +165,7 @@ def _run_simplex(T, basis, live, cost, n_enter, tol, pivots, ids=None):
     budget, spent = _budget(T), 0
     at, k = np.arange(B), np.arange(B)  # the programs still pivoting, and their rows in Ta
     Ta, ra, za, ba, la = T, r, z, basis, live
-    while len(at) > 1 and spent < budget:
+    while len(at) and spent < budget:
         eligible = ra[:, :n_enter] < -tol
         j = eligible.argmax(axis=1)
         col = Ta[k, :, j]
@@ -181,7 +179,7 @@ def _run_simplex(T, basis, live, cost, n_enter, tol, pivots, ids=None):
             keep = ~done
             at, Ta, ra, za, ba, la = at[keep], Ta[keep], ra[keep], za[keep], ba[keep], la[keep]
             j, col, up, k = j[keep], col[keep], up[keep], k[: len(at)]
-            if len(at) < 2:
+            if not len(at):
                 break
         ratios = np.where(up, Ta[:, :, -1] / np.where(up, col, 1.0), np.inf)
         best = ratios.min(axis=1)
@@ -192,53 +190,17 @@ def _run_simplex(T, basis, live, cost, n_enter, tol, pivots, ids=None):
         _pivot(Ta, ra, leave, j)
         ba[k, leave] = j
         spent += 1
-    if len(at):  # the last one runs alone; past the budget every one left stalls (D1, ROADMAP)
-        alone = len(at) == 1 and spent < budget
-        z1, status[at], more = (_run_alone(Ta[0], ra[0], za[0], ba[0], la[0], n_enter, tol,
-                                           budget - spent) if alone else (za, _STALLED, 0))
-        z[at] = z1
+    if len(at):  # past the budget every one left stalls (D1, ROADMAP)
+        status[at], z[at] = _STALLED, za
         if Ta is not T:  # compacted: write the rest back
             T[at], basis[at] = Ta, ba
-        pivots[ids[at]] += spent + more
+        pivots[ids[at]] += spent
     return z, status
-
-
-def _run_alone(T, r, z, basis, live, n_enter, tol, steps):
-    """At most ``steps`` more pivots of one program, the last of its stack or a stack of one,
-    on views of its tableau ``T``, reduced costs ``r`` and basis: the lockstep loop's choices
-    and arithmetic without the stack's gathers.  Returns ``(z, status, pivots)``."""
-    live = None if live.all() else live  # a dead row is read by no ratio test
-    for done in range(steps):
-        eligible = r[:n_enter] < -tol
-        j = int(eligible.argmax())
-        if not eligible[j]:
-            return z, OPTIMAL, done
-        col = T[:, j]
-        up = col > tol
-        rows = (up if live is None else up & live).nonzero()[0]
-        if rows.size == 0:
-            return z, UNBOUNDED, done
-        ratios = T[rows, -1] / col[rows]
-        best = np.minimum.reduce(ratios)
-        ties = rows[ratios <= best + tol * max(1.0, abs(best))]
-        leave = int(ties[0]) if ties.size == 1 else min(ties.tolist(), key=basis.__getitem__)
-        z += r[j] * (T[leave, -1] / T[leave, j])
-        _pivot(T, r, leave, j)
-        basis[leave] = j
-    return z, _STALLED, steps
 
 
 def _pivot(T, r, rows, cols):
     """One pivot in each tableau of the stack ``T``: on ``(rows[i], cols[i])`` of ``T[i]``,
-    with its reduced costs ``r[i]``.  A single tableau pivots on ``(rows, cols)`` by basic
-    indexing, with the same arithmetic."""
-    if T.ndim == 2:
-        T[rows] /= T[rows, cols]
-        factors = T[:, cols].copy()
-        factors[rows] = 0.0
-        T -= factors[:, None] * T[rows]
-        r -= r[cols] * T[rows, :-1]
-        return
+    with its reduced costs ``r[i]``."""
     k = np.arange(len(T))
     T[k, rows] /= T[k, rows, cols][:, None]
     piv = T[k, rows]

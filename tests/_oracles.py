@@ -452,26 +452,29 @@ def match_scan(rows: np.ndarray, queries: np.ndarray, tol: float) -> np.ndarray:
     return match
 
 
-def decide_lp(rows: np.ndarray, points: np.ndarray, tol: float):
-    """``credal._decide`` before its nearest-point decision: ``(member, j, res)`` for each
-    point, lazily and in order; a point matching row ``j`` is a member with no LP (``res``
-    None), any other is decided by its hull program ``res``."""
+def decide_lp(rows: np.ndarray, p: np.ndarray, tol: float):
+    """``credal._decide`` before its nearest-point decision: ``(member, j, res)`` for the point
+    ``p``; a point matching row ``j`` is a member with no LP (``res`` None), any other is
+    decided by its hull program ``res``."""
     from credalkit.credal import _vertex_matches
     from credalkit.lp import OPTIMAL
 
-    for p, j in zip(points, _vertex_matches(rows, points, tol)):
-        res = None if j >= 0 else hull_program(rows, p, tol)
-        yield res is None or res.status == OPTIMAL, j, res
+    [j] = _vertex_matches(rows, p[None], tol)
+    res = None if j >= 0 else hull_program(rows, p, tol)
+    return res is None or res.status == OPTIMAL, j, res
 
 
 def hull_program(rows: np.ndarray, p: np.ndarray, tol: float, costs=None):
-    """``credal._hull_lp``'s program for the one point ``p``; a stall raises."""
-    from credalkit.credal import _hull_lp
+    """``credal._hull_lp``'s program for the one point ``p``, solved by the serial reference
+    solver (``serial_solve_lp``), which ``TestSimplexLoop`` holds bit for bit to the library's
+    lockstep stacks; a stall raises."""
     from credalkit.lp import SimplexStalledError
 
-    [res] = _hull_lp(rows, p[None], tol, costs)
-    if isinstance(res, SimplexStalledError):
-        raise res
+    k = len(rows)
+    res, _ = serial_solve_lp(np.zeros(k) if costs is None else costs,
+                             np.vstack([rows.T, np.ones((1, k))]), np.append(p, 1.0), tol)
+    if isinstance(res, str):
+        raise SimplexStalledError(res)
     return res
 
 
@@ -513,18 +516,16 @@ def d1_hull_program():
     from credalkit.spaces import OutcomeSpace
 
     S = credal.CredalSet.from_rows(OutcomeSpace([f"o{i}" for i in range(6)]), D1_SET)
-    programs = []
-    real = credal._hull_lp
-    saved = credal._decide, credal._hull_lp, credal._passes
-    credal._decide = decide_lp
-    credal._hull_lp = lambda rows, P, *rest: programs.append((rows, P[0])) or real(rows, P, *rest)
+    programs = []  # the stall raises out of the last decision's hull program
+    saved = credal._decide, credal._passes
+    credal._decide = lambda rows, p, tol: programs.append((rows, p)) or decide_lp(rows, p, tol)
     credal._passes = prove_nothing
     try:
         avar_dual_set(S, 1 / 3)
     except lp.SimplexStalledError:
         return programs[-1]
     finally:
-        credal._decide, credal._hull_lp, credal._passes = saved
+        credal._decide, credal._passes = saved
     raise AssertionError("the D1 dual set canonicalized under decide_lp")
 
 

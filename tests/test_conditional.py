@@ -308,10 +308,10 @@ class TestPasting:
         K = random_kernel(rng, us, nv=3)
         calls = []
         for name, mod in list(sys.modules.items()):
-            if name.startswith("credalkit") and hasattr(mod, "solve_lp"):
-                real = mod.solve_lp
-                monkeypatch.setattr(mod, "solve_lp",
-                                    lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+            if name.startswith("credalkit") and hasattr(mod, "_solve_stack"):
+                real = mod._solve_stack
+                monkeypatch.setattr(mod, "_solve_stack", lambda c, A, b, tol, _real=real:
+                                    calls.extend([1] * len(b)) or _real(c, A, b, tol))
         S = pasting(SU, K)
         assert calls == []
         assert S.n_vertices == 3 * np.prod([R.n_vertices for R in K.table])
@@ -509,7 +509,7 @@ class TestPastedInclusions:
         # neither inclusion scan reaches the simplex that used to stall
         S, K = stalled_family(nu, seed)
         lps, scans = [], []
-        real_lp, real_scan = credal.solve_lp, conditional.first_outside
+        real_lp, real_scan = credal._solve_stack, conditional.first_outside
 
         def scan(A, B, tol):
             before = len(lps)
@@ -517,7 +517,8 @@ class TestPastedInclusions:
             scans.append(len(lps) - before)
             return found
 
-        monkeypatch.setattr(credal, "solve_lp", lambda *a, **k: lps.append(1) or real_lp(*a, **k))
+        monkeypatch.setattr(credal, "_solve_stack",
+                            lambda c, A, b, tol: lps.extend([1] * len(b)) or real_lp(c, A, b, tol))
         monkeypatch.setattr(conditional, "first_outside", scan)
         assert check_tower(S, K).rectangular
         assert scans == [0, 0]

@@ -473,10 +473,11 @@ class TestVertexMatches:
 
 
 def count_lps(monkeypatch):
-    """Count the membership programs the credal module solves from now on."""
+    """Count the simplex programs the credal module solves from now on, by stack height."""
     calls = []
-    real = credal.solve_lp
-    monkeypatch.setattr(credal, "solve_lp", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = credal._solve_stack
+    monkeypatch.setattr(credal, "_solve_stack",
+                        lambda c, A, b, tol: calls.extend([1] * len(b)) or real(c, A, b, tol))
     return calls
 
 
@@ -508,7 +509,7 @@ def decision(rows, p, tol):
     the exact referee's.  ``None`` when the decision refuses: the hull program's member
     weights miss ``p`` (D4)."""
     try:
-        [(member, cert)] = _decide(rows, p[None], tol)
+        member, cert = _decide(rows, p, tol)
     except SimplexStalledError as exc:
         assert "member weights miss the point" in str(exc)
         return None
@@ -517,7 +518,7 @@ def decision(rows, p, tol):
     elif _wolfe(rows, p[None], tol)[0][0]:
         assert margin(rows, p, cert) > tol
     try:
-        [(lp_member, _, _)] = decide_lp(rows, p[None], tol)
+        lp_member, _, _ = decide_lp(rows, p, tol)
     except SimplexStalledError:
         return member  # ROADMAP D1: the hull program gives no reference
     if member != lp_member:
@@ -719,7 +720,7 @@ def outside_ref(A, B, tol):
     if i is None:
         return None
     v = A.vertices[i]
-    [(_, direction)] = _decide(B.matrix, v.weights[None], tol)
+    _, direction = _decide(B.matrix, v.weights, tol)
     return outside_bytes((v, _certificate(B, v, direction, tol)))
 
 
@@ -1180,10 +1181,10 @@ class TestNearestPointDecision:
         p = P.weights
         assert exact_hull_deficiency(rows, p) > 1e-9
         assert _wolfe(rows, p[None], 1e-9)[0][0] == 0
-        [(member, _, res)] = decide_lp(rows, p[None], 1e-9)
+        member, _, res = decide_lp(rows, p, 1e-9)
         assert member and np.abs(res.x @ rows - p).sum() > 1e-9
         with pytest.raises(SimplexStalledError, match="member weights miss the point"):
-            next(_decide(rows, p[None], 1e-9))
+            _decide(rows, p, 1e-9)
         assert np.array_equal(S.matrix, rows)
         for query in (membership, separate):
             with pytest.raises(SimplexStalledError, match="member weights miss the point"):
@@ -1204,10 +1205,10 @@ class TestNearestPointDecision:
                     assert _wolfe(B.matrix, P.weights[None], tol)[0][0] == 0
                     decided += 1
                     try:
-                        [(member, _)] = _decide(B.matrix, P.weights[None], tol)
+                        member, _ = _decide(B.matrix, P.weights, tol)
                     except SimplexStalledError:
                         continue  # D4: the hull program's member weights miss the point
-                    assert member == next(decide_lp(B.matrix, P.weights[None], tol))[0]
+                    assert member == decide_lp(B.matrix, P.weights, tol)[0]
         assert decided >= 50
 
 

@@ -288,7 +288,7 @@ def without_simplex(monkeypatch, A):
         raise AssertionError("a simplex program ran")
 
     with monkeypatch.context() as m:
-        m.setattr(credal, "solve_lp", refuse_lp)
+        m.setattr(credal, "_solve_stack", refuse_lp)
         return envelope_atoms(A)
 
 

@@ -476,7 +476,7 @@ class TestDualSet:
         def refuse(*args, **kwargs):
             raise AssertionError("a dual-set decision fell back to the hull program")
 
-        monkeypatch.setattr(credal, "solve_lp", refuse)
+        monkeypatch.setattr(credal, "_solve_stack", refuse)
         rng = np.random.default_rng(202)
         space = OutcomeSpace([f"o{i}" for i in range(6)])
         sets = [D1_SET] + [rng.dirichlet(np.ones(6), size=int(rng.integers(2, 4))) for _ in range(30)]
