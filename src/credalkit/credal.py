@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NotSeparableError, ValidationError
 from .lp import DEFAULT_TOL, OPTIMAL, SimplexStalledError, _solve_stack
@@ -305,23 +306,26 @@ def _certified_extreme(points: np.ndarray, tol: float) -> np.ndarray:
     return certified
 
 
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A^-1 B`` for a stack of systems ``A`` and a matrix or stack ``B``: numpy's LU gufunc,
+    the call its public ``solve`` makes, so bit for bit the same, minus the wrapper that refuses
+    the whole stack for one singular system.  A singular system (an exact zero pivot) solves
+    to NaN."""
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve(A, B, signature="dd->d")
+
+
 def _directions(A: np.ndarray) -> np.ndarray:
     """``pinv(A)`` transposed, for ``A`` a set's (or a stack's) ``[P | 1]``, or ``(A A^T)^-1 A``,
     the pseudo-inverse of a full-row-rank ``A``, solved in one batch when ``A`` has fewer rows
     than columns (``k <= n``: ``n + 1`` rows that sum to one are affinely dependent).  A set whose
-    Gram matrix ``solve`` refuses (an exact zero pivot, which ``slogdet``'s sign finds in the same
-    LU) or whose solution is not finite takes ``pinv``, as a wider set does.  Either way, any
-    direction is sound for ``_certified_extreme``, and a set's never depend on its stack."""
+    Gram solution is not finite (a singular Gram matrix solves to NaN) takes ``pinv``, as a wider
+    set does.  Either way, any direction is sound for ``_certified_extreme``, and a set's never
+    depend on its stack."""
     k, c = A.shape[-2:]
     if k >= c:
         return np.linalg.pinv(A).swapaxes(-1, -2)
-    G = A @ A.swapaxes(-1, -2)
-    try:
-        D = np.linalg.solve(G, A)
-    except np.linalg.LinAlgError:
-        D = np.full(A.shape, np.nan)
-        ok = np.linalg.slogdet(G)[0] != 0
-        D[ok] = np.linalg.solve(G[ok], A[ok])
+    D = _solve(A @ A.swapaxes(-1, -2), A)
     if not np.isfinite(D).all():
         bad = ~np.isfinite(D).all(axis=(-1, -2))
         D[bad] = np.linalg.pinv(A[bad]).swapaxes(-1, -2)
@@ -431,13 +435,8 @@ def _wolfe(rows: np.ndarray, points: np.ndarray, limit: float, exclude=None):
         B[:, :w, :w] = Qs @ Qs.swapaxes(1, 2)
         B[:, :w, w] = B[:, w, :w] = u
         B[:, diag, diag] += ~u
-        try:
-            mu = np.linalg.solve(B, e)[..., 0]  # a stack of matrices under numpy 1 and 2
-        except np.linalg.LinAlgError:  # an affinely dependent corral: rounding
-            mu = np.full((g.size, w + 1), np.nan)
-            ok = np.linalg.slogdet(B)[0] != 0
-            mu[ok] = np.linalg.solve(B[ok], e)[..., 0]
-        ok = np.isfinite(mu).all(axis=1)
+        mu = _solve(B, e)[..., 0]
+        ok = np.isfinite(mu).all(axis=1)  # else an affinely dependent corral: rounding
         if not ok.all():
             live[g[~ok]] = False
             g, u, mu = g[ok], u[ok], mu[ok]

@@ -16,7 +16,6 @@ backward induction level by level.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass
 from math import comb, frexp
@@ -24,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .credal import _CELL_BUDGET, CredalSet, _pairs
+from .credal import _CELL_BUDGET, CredalSet, _pairs, _solve
 from .errors import CredalkitError, SizeGuardError, ValidationError
 from .lp import DEFAULT_TOL
 from .spaces import Frozen, OutcomeSpace, RandomVariable, _check_same_space
@@ -353,12 +352,10 @@ def _projected_lifted_vertices(V: np.ndarray, level: float, tol: float) -> np.nd
     """Project lifted-polytope vertices onto the probability coordinates.
 
     The active sets are solved in lexicographic blocks of at most ``_CELL_BUDGET``
-    cells, one stacked ``np.linalg.solve`` per block.  Systems with a zero
-    ``slogdet`` sign are dropped first: that is the exact zero pivot that makes
-    ``solve`` refuse a system, as the LU is the same.  A block that ``solve`` still
-    refuses is solved one system at a time.  The candidates are checked in one stacked
-    ``np.matmul`` per block, the same matrix-vector product ``G @ z`` for each, so the
-    candidates and their order are the per-system loop's.
+    cells, one stacked ``_solve`` per block; a singular system solves to NaN and
+    drops out with every other non-finite solution.  The candidates are checked in one
+    stacked ``np.matmul`` per block, the same matrix-vector product ``G @ z`` for each, so
+    the candidates and their order are the per-system loop's.
     """
     k, n = V.shape
     d = n + k
@@ -388,16 +385,8 @@ def _projected_lifted_vertices(V: np.ndarray, level: float, tol: float) -> np.nd
         flat = itertools.chain.from_iterable(itertools.islice(active_sets, block))
         active = np.fromiter(flat, np.intp).reshape(-1, d - 2)
         systems = np.concatenate([np.broadcast_to(simplex_rows, (len(active), 2, d)), G[active]], 1)
-        systems = systems[np.linalg.slogdet(systems)[0] != 0]
-        try:
-            Z = np.linalg.solve(systems, rhs[None, :, None])[..., 0]  # a stack of matrices under numpy 1 and 2
-        except np.linalg.LinAlgError:  # a zero pivot the screen passed: one system at a time
-            Z = []
-            for system in systems:
-                with contextlib.suppress(np.linalg.LinAlgError):
-                    Z.append(np.linalg.solve(system, rhs))
-            Z = np.reshape(Z, (-1, d))
-        Z = Z[np.isfinite(Z).all(axis=1)]
+        Z = _solve(systems, rhs[None, :, None])[..., 0]
+        Z = Z[np.isfinite(Z).all(axis=1)]  # a singular system solves to NaN
         out.extend(Z[(np.matmul(G, Z[..., None])[..., 0] <= tol).all(axis=1), :n])
     if not out:  # pragma: no cover - the lifted polytope is never empty
         raise CredalkitError(f"dual-set enumeration found no feasible vertex at level {level!r}")

@@ -1016,6 +1016,32 @@ class TestNearestPointPass:
                         assert a.tobytes() == b.tobytes()
 
 
+class TestSolve:
+    """``credal._solve`` is numpy's stacked LU solve, with NaN for each singular system.  It calls
+    a private numpy gufunc: a numpy release that renames or changes it fails here first."""
+
+    def test_nan_falls_exactly_on_the_singular_systems(self):
+        rng = np.random.default_rng(199)
+        A = rng.normal(size=(6, 4, 4))
+        A[1, 3] = A[1, 0]  # a repeated row
+        A[4, :, 2] = 0.0  # a zero column
+        singular = np.isin(np.arange(6), (1, 4))
+        for a in A[singular]:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(a, np.eye(4))
+        for B in (rng.normal(size=(1, 4, 1)), rng.normal(size=(6, 4, 3))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                X = credal._solve(A, B)
+                with np.errstate(over="raise", invalid="raise"):  # as avar_dual_set calls it
+                    Y = credal._solve(A, B)
+            assert X.shape == (6, 4, B.shape[-1])
+            assert np.array_equal(X, Y, equal_nan=True)
+            assert np.isnan(X[singular]).all() and np.isfinite(X[~singular]).all()
+            for i in np.flatnonzero(~singular):
+                assert X[i].tobytes() == np.linalg.solve(A[i], B[i % len(B)]).tobytes()
+
+
 class TestCertificateScreen:
     """Canonicalization certifies extreme generators with no decision and keeps exactly
     the rows the refereed scan keeps, which decides every generator."""
@@ -1089,8 +1115,8 @@ class TestCertificateScreen:
             assert S.matrix.tobytes() == CredalSet.from_rows(S.space, rows, 1e-9).matrix.tobytes()
         assert sets[3].matrix.tolist() == sets[4].matrix.tolist() == [[1, 0, 0], [0, 1, 0]]
         # a set whose solution is not finite takes pinv too, alone
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda G, B: np.where(
+        solve = credal._solve
+        monkeypatch.setattr(credal, "_solve", lambda G, B: np.where(
             np.arange(len(G))[:, None, None] == 1, np.nan, solve(G, B)))
         D = credal._directions(A[:3])
         assert D[1].tobytes() == np.linalg.pinv(A[1]).T.tobytes()

@@ -1,18 +1,21 @@
 """Print the CPU time of whole passes over a CLI corpus, in one checkout or two.
 
     python3 tools/corpus_passes.py --root <checkout> [--root <other>]
-        [--workload rectangularity|desk_cli] [--passes 20] [--cycles N] [--op NAME ...]
+        [--workload rectangularity|desk_cli] [--passes 20] [--cycles N] [--op OP[:FIELD] ...]
 
 Each checkout runs in its own worker process, which writes the seed-1
 documents of the workload through ``<root>/perfbench/workloads.py``
 (importing credalkit from ``<root>/src``) into a temporary directory, then,
 in each pass, runs every document of the first ``--cycles`` cycles (all of
 the workload's pool by default) through
-``cli.main(["run", doc, "--out", report])``; with ``--op NAME`` only the
-documents whose ``command.op`` is ``NAME`` run, so that one document class
-can be timed alone.  ``--op`` repeats: ``--op separate --op conjugate`` times
-both classes together, as one pass.  Each report goes to a new file, as in
-``perfbench/run.py`` (rewriting one file costs several times as much), and a
+``cli.main(["run", doc, "--out", report])``; with ``--op OP`` only the
+documents whose ``command.op`` is ``OP`` run, so that one document class
+can be timed alone, and with ``--op OP:FIELD`` only those whose
+``command[FIELD]`` is also ``true``: ``--op avar-dual:vertices`` times the
+dual-set enumeration documents alone.  ``--op`` repeats: ``--op separate
+--op conjugate`` times both classes together, as one pass.  Each report
+goes to a new file, as in ``perfbench/run.py`` (rewriting one file costs
+several times as much), and a
 pass's reports are removed after its timing ends.  A pass and each document in
 it are timed with ``time.process_time``, so the figures are the CPU time of the
 documents alone.  Passes alternate between the checkouts, each pass starting
@@ -73,7 +76,23 @@ def table(title: str, runs: list, digits: int) -> None:
         print(f"# B took less in {sum(r > 1.0 for r in ratios)} of {len(ratios)} passes")
 
 
-def worker(root: Path, workload: str, cycles: int | None, op_names: list | None,
+def selected(meta: dict, ops: list | None) -> bool:
+    """Whether the document of a workload op's ``meta`` matches an ``--op`` filter ``OP[:FIELD]``."""
+    if ops is None:
+        return True
+    for op in ops:
+        name, _, field = op.partition(":")
+        if meta["op"] != name:
+            continue
+        if not field:
+            return True
+        with open(meta["path"]) as fh:
+            if json.load(fh)["command"].get(field) is True:
+                return True
+    return False
+
+
+def worker(root: Path, workload: str, cycles: int | None, ops: list | None,
            seed: int = 1) -> int:
     """Answer each line on stdin with one pass's
     ``{"cpu": seconds, "tail": seconds, "codes": [exit codes]}``."""
@@ -85,9 +104,9 @@ def worker(root: Path, workload: str, cycles: int | None, op_names: list | None,
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         paths = [op.meta["path"] for cycle in wl.inputs(seed, work)[:cycles] for op in cycle
-                 if op_names is None or op.meta["op"] in op_names]
+                 if selected(op.meta, ops)]
         if not paths:
-            raise SystemExit(f"no {workload} document has a command.op in {op_names}")
+            raise SystemExit(f"no {workload} document matches --op {' or '.join(ops)}")
         reports = work / "reports"
         protocol = sys.stdout
         for _ in sys.stdin:
@@ -117,7 +136,7 @@ def main(argv=None) -> int:
     p.add_argument("--passes", type=int, default=20)
     p.add_argument("--cycles", type=int, default=None, help="cycles per pass (default: all)")
     p.add_argument("--op", action="append", help="run only the documents with this "
-                   "command.op (repeatable)")
+                   "command.op, and with command[FIELD] true for OP:FIELD (repeatable)")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.passes < 1 or (args.cycles is not None and args.cycles < 1):
