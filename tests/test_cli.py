@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -407,6 +408,30 @@ class TestExitCodes:
         assert self.run_cli(["run", str(path)]) == 0
         out = capsys.readouterr().out
         assert '"value": 3.0' in out
+
+    def test_a_tty_gets_colour_unless_no_color(self, tmp_path, capsys, monkeypatch):
+        class Tty(io.StringIO):
+            def isatty(self):
+                return True
+
+        ok, bad = tmp_path / "ok.json", tmp_path / "bad.json"
+        ok.write_text(scenario_text(MINIMAL))
+        bad.write_text(scenario_text(edited(MINIMAL, ("sets", "S", "vertices"), [[-0.1, 1.1]])))
+
+        def echoed(path, code):
+            monkeypatch.setattr(sys, "stderr", Tty())
+            assert self.run_cli(["run", str(path)]) == code
+            return sys.stderr.getvalue()
+
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        assert echoed(ok, 0) == "\x1b[32mok: eval\x1b[0m\n"
+        err = echoed(bad, 2)
+        assert err.startswith("\x1b[31mvalidation error: ") and err.endswith("\x1b[0m\n")
+        monkeypatch.setenv("NO_COLOR", "1")
+        assert echoed(ok, 0) == "ok: eval\n"
+        err = echoed(bad, 2)
+        assert err.startswith("validation error: ") and "\x1b" not in err
+        capsys.readouterr()
 
     def test_validation_error_is_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(MINIMAL))

@@ -1041,6 +1041,32 @@ class TestSolve:
             for i in np.flatnonzero(~singular):
                 assert X[i].tobytes() == np.linalg.solve(A[i], B[i % len(B)]).tobytes()
 
+    def test_wolfe_leaves_a_point_with_a_singular_corral_undecided(self, monkeypatch):
+        # three interior points, none decided by the first major step; the first minor step's
+        # corral system of the second one comes back singular (NaN), as _solve reports it
+        rng = np.random.default_rng(211)
+        rows = rng.dirichlet(np.ones(4), size=6)
+        points = rng.dirichlet(np.ones(6), size=3) @ rows
+        alone = [_wolfe(rows, points[[i]], 1e-9) for i in range(3)]
+        solve, calls = credal._solve, []
+
+        def singular_second(A, B):
+            X = solve(A, B)
+            if not calls:
+                assert len(A) == 3
+                X[1] = np.nan
+            calls.append(len(A))
+            return X
+
+        monkeypatch.setattr(credal, "_solve", singular_second)
+        verdict, weights, residual = _wolfe(rows, points, 1e-9)
+        assert calls and verdict[1] == 0
+        assert not weights[1].any() and not residual[1].any()
+        for i in (0, 2):
+            for got, want in zip((verdict, weights, residual), alone[i]):
+                assert got[[i]].tobytes() == want.tobytes()
+        assert [a[0][0] for a in alone] == [1, 1, 1]
+
 
 class TestCertificateScreen:
     """Canonicalization certifies extreme generators with no decision and keeps exactly

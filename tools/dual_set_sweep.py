@@ -25,29 +25,24 @@ Two checkouts answer the same inputs with the same vertices, bit for bit, and re
 the same inputs with the same messages exactly when they print the same lines; with
 two, the tool prints the first checkout's lines and then either that the second
 printed the same or a diff, and exits 1 on a diff.  Each worker's CPU seconds go
-to stderr.  Every process uses one BLAS thread.
+to stderr.  ``_ab`` pins one BLAS thread, so that floating-point reductions do
+not depend on a thread count.
 """
 
 from __future__ import annotations
 
-import os
+import _ab  # first: it pins one BLAS thread
 
-# One BLAS thread before numpy loads, as in perfbench/run.py, so that
-# floating-point reductions do not depend on a thread count.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
+import argparse
+import collections
+import difflib
+import hashlib
+import subprocess
+import sys
+import time
+from pathlib import Path
 
-import argparse  # noqa: E402
-import collections  # noqa: E402
-import difflib  # noqa: E402
-import hashlib  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
+import numpy as np
 
 KINDS = ("plain", "tiny", "dirac", "collinear", "small-level", "overflow")
 
@@ -116,12 +111,7 @@ def main(argv=None) -> int:
         p.error("--count must be positive")
     if args.worker:
         return worker(args.worker, args.count, args.seed)
-    roots = args.root or []
-    if len(roots) not in (1, 2):
-        p.error("give --root once or twice")
-    for root in roots:
-        if not (root / "src" / "credalkit").is_dir():
-            p.error(f"no src/credalkit under {root}")
+    roots = _ab.roots(p, args.root, "src/credalkit")
     outputs = []
     for label, root in zip("AB", roots):
         sys.stderr.write(f"# {label} = {root}\n")

@@ -16,25 +16,22 @@ runs once at its default parameters through
 and its put payoff at strike 0.5 (``demo gwalk payoff=call strike=0.5 exit
 sha256``).  Two checkouts give byte-identical reports, level arrays, demo
 reports and refusal messages exactly when their outputs ``diff`` clean.
+``_ab`` pins one BLAS thread, so that floating-point reductions do not depend
+on a thread count.
 """
 
 from __future__ import annotations
 
+import _ab  # noqa: F401  (first: it pins one BLAS thread)
+
+import argparse
+import hashlib
+import io
 import os
-
-# One BLAS thread before numpy loads, as in perfbench/run.py, so that
-# floating-point reductions do not depend on a thread count.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from contextlib import redirect_stderr  # noqa: E402
-from pathlib import Path  # noqa: E402
+import sys
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 
 def cli_digest(cli, argv, report: Path):

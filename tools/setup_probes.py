@@ -3,56 +3,46 @@
     python3 tools/setup_probes.py --root <checkout> [--root <other>]
                                   [--workload tree_eval] [--seed 1] [--runs 12]
 
-Each run starts ``<root>/perfbench/probe.py <workload> <seed>`` in a fresh
-process with one BLAS thread.  The probe prints the raw set-up seconds and the
-seconds of the reference task measured right after it; ``perfbench/run.py``
-reports ``setup_s`` as raw set-up times ``speed.NOMINAL_S`` over the reference
-(the rescaled figure).  The reference task takes under a millisecond, so the
-rescaling alone can move ``setup_s`` by tens of percent; this tool prints the
-raw figures beside it.  With two checkouts, run ``i`` of each forms a pair,
-started A first on even ``i`` and B first on odd ``i``.
+Each checkout's worker process (see ``_ab``) starts, for each run,
+``<root>/perfbench/probe.py <workload> <seed>`` in a fresh process.  The
+probe prints the raw set-up seconds and the seconds of the reference task
+measured right after it; ``perfbench/run.py`` reports ``setup_s`` as raw
+set-up times ``speed.NOMINAL_S`` over the reference (the rescaled figure).
+The reference task takes under a millisecond, so the rescaling alone can
+move ``setup_s`` by tens of percent; this tool prints the raw figures beside
+it.  ``_ab`` pins one BLAS thread and alternates the runs.
 
-Per checkout it prints the quartiles of the raw set-up seconds, the reference
-milliseconds and the rescaled seconds; with two checkouts also each pair's
-ratios B/A and the number of pairs B wins (a lower time).  Nothing under
-``perfbench/`` is changed.
+``_ab.table`` prints three figures: the raw set-up seconds, the reference
+milliseconds and the rescaled seconds.  Nothing under ``perfbench/`` is
+changed.
 """
 
 from __future__ import annotations
 
+import _ab  # first: it pins one BLAS thread
+
 import argparse
-import os
-import statistics
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-
-def probe(root: Path, workload: str, seed: int) -> tuple[float, float]:
-    """(raw set-up seconds, reference seconds) of one fresh probe process."""
-    env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
-    proc = subprocess.run([sys.executable, str(root / "perfbench" / "probe.py"), workload,
-                           str(seed)], capture_output=True, text=True, timeout=300, env=env,
-                          cwd=root, check=True)
-    setup, ref = proc.stdout.split()
-    return float(setup), float(ref)
-
-
-def nominal_seconds(root: Path) -> float:
-    """``speed.NOMINAL_S`` as the checkout's ``perfbench/speed.py`` sets it."""
+def worker(root: Path, workload: str, seed: int) -> int:
+    """Answer each line on stdin with one fresh probe's
+    ``{"raw": set-up seconds, "ref": reference ms, "rescaled": seconds}``."""
+    root = root.resolve()
     sys.path.insert(0, str(root / "perfbench"))
-    try:
-        import speed
-    finally:
-        sys.path.pop(0)
-    return speed.NOMINAL_S
+    from speed import NOMINAL_S
 
-
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+    for _ in sys.stdin:
+        proc = subprocess.run([sys.executable, str(root / "perfbench" / "probe.py"), workload,
+                               str(seed)], capture_output=True, text=True, timeout=300,
+                              cwd=root, check=True)
+        setup, ref = map(float, proc.stdout.split())
+        print(json.dumps({"raw": setup, "ref": ref * 1e3, "rescaled": setup * NOMINAL_S / ref}),
+              flush=True)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -61,39 +51,20 @@ def main(argv=None) -> int:
     p.add_argument("--workload", default="tree_eval")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--runs", type=int, default=12)
+    p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    roots = [root.resolve() for root in args.root or []]
-    if len(roots) not in (1, 2):
-        p.error("give --root once or twice")
     if args.runs < 2:
         p.error("--runs must be at least 2")
-    for root in roots:
-        if not (root / "perfbench" / "probe.py").is_file():
-            p.error(f"no perfbench/probe.py under {root}")
-    nominal = nominal_seconds(roots[0])
-    runs: list[list[tuple[float, float]]] = [[] for _ in roots]
-    for i in range(args.runs):
-        for r in (range(len(roots)) if i % 2 == 0 else reversed(range(len(roots)))):
-            runs[r].append(probe(roots[r], args.workload, args.seed))
-    figures = [{"raw set-up s": [s for s, _ in rs],
-                "reference ms": [ref * 1e3 for _, ref in rs],
-                "rescaled s": [s * nominal / ref for s, ref in rs]} for rs in runs]
-    print(f"# {args.workload} seed {args.seed}, {args.runs} fresh probe processes per checkout"
-          + (", alternated" if len(roots) == 2 else "") + ", one BLAS thread")
-    for label, root in zip("AB", roots):
-        print(f"# {label} = {root}")
-    print(f"{'figure':<14} {'checkout':<8} {'q1':>9} {'median':>9} {'q3':>9}")
-    for name in figures[0]:
-        for label, fig in zip("AB", figures):
-            q1, med, q3 = quartiles(fig[name])
-            print(f"{name:<14} {label:<8} {q1:9.4f} {med:9.4f} {q3:9.4f}")
-    if len(roots) == 2:
-        for name in ("raw set-up s", "rescaled s"):
-            ratios = [b / a for a, b in zip(figures[0][name], figures[1][name])]
-            won = sum(r < 1.0 for r in ratios)
-            q1, med, q3 = quartiles(ratios)
-            print(f"# {name}: B/A per pair " + " ".join(f"{r:.3f}" for r in ratios))
-            print(f"#   quartiles {q1:.3f} {med:.3f} {q3:.3f}; B won {won} of {len(ratios)} pairs")
+    if args.worker:
+        return worker(args.worker, args.workload, args.seed)
+    roots = _ab.roots(p, args.root, "perfbench/probe.py")
+    extra = ["--workload", args.workload, "--seed", str(args.seed)]
+    runs = list(_ab.alternate(__file__, roots, args.runs, extra))
+    _ab.header(f"{args.workload} seed {args.seed}, {args.runs} fresh probe processes per "
+               "checkout" + (", alternated" if len(roots) == 2 else "") + ", one BLAS thread",
+               roots)
+    for name, key in (("raw set-up s", "raw"), ("reference ms", "ref"), ("rescaled s", "rescaled")):
+        _ab.table(name, _ab.figure(runs, key), 4)
     return 0
 
 

@@ -2,42 +2,32 @@
 
     python3 tools/tree_levels.py --root <checkout> [--root <other>]
 
-Each checkout runs in its own worker process, which builds the ``tree_eval``
-trees, payoffs and measures of seed 1 through
-``<root>/perfbench/workloads.py`` (importing credalkit from ``<root>/src``)
-and then, in each of 10 passes, runs every op of the workload's cycles:
-``compose_risk`` for the AVaR and four-segment losses, ``compose_sublinear``
-for the worst-case expectation.  The step of each level is timed with
-``time.process_time`` by wrapping the step function that ``risk._backward``
-is given, so the figures are CPU time inside the level steps only.  Passes
-alternate between the checkouts, each pass starting with the other one, and
-every process uses one BLAS thread.
+Each checkout's worker process (see ``_ab``) builds the ``tree_eval`` trees,
+payoffs and measures of seed 1 through ``<root>/perfbench/workloads.py``
+(importing credalkit from ``<root>/src``) and then, in each of 10 passes,
+runs every op of the workload's cycles: ``compose_risk`` for the AVaR and
+four-segment losses, ``compose_sublinear`` for the worst-case expectation.
+The step of each level is timed with ``time.process_time`` by wrapping the
+step function that ``risk._backward`` is given, so the figures are CPU time
+inside the level steps only.  ``_ab`` pins one BLAS thread and alternates
+the passes.
 
-Per tree, measure and level the table gives the median over passes of the
-mean CPU time of one level step, in ms, then the median over passes of the
-mean time of a whole op (``all``), and with two checkouts the ratio of the
-first median to the second, then the quartiles of the per-pass ratios (pass
-``i`` of A over pass ``i`` of B), whose spread shows how far one invocation
-can be trusted.
+Per tree, measure and level, ``_ab.table`` prints the mean CPU time of one
+level step in each pass, in ms, and then per tree and measure the mean time
+of a whole op (``all``); with two checkouts the spread of the per-pass
+ratios shows how far one invocation can be trusted.
 """
 
 from __future__ import annotations
 
-import os
+import _ab  # first: it pins one BLAS thread
 
-# One BLAS thread before numpy loads, as in perfbench/run.py; the workers inherit it.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import json  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from collections import defaultdict  # noqa: E402
-from pathlib import Path  # noqa: E402
+import argparse
+import json
+import sys
+import time
+from collections import defaultdict
+from pathlib import Path
 
 PASSES = 10
 
@@ -105,49 +95,16 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.worker:
         return worker(args.worker)
-    roots = args.root or []
-    if len(roots) not in (1, 2):
-        p.error("give --root once or twice")
-    for root in roots:
-        if not (root / "perfbench" / "workloads.py").is_file():
-            p.error(f"no perfbench/workloads.py under {root}")
-    workers = [subprocess.Popen([sys.executable, __file__, "--worker", str(root)],
-                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-               for root in roots]
-    passes: list[list[dict]] = [[] for _ in roots]
-    try:
-        for i in range(PASSES):
-            for w in (range(len(roots)) if i % 2 == 0 else reversed(range(len(roots)))):
-                workers[w].stdin.write("pass\n")
-                workers[w].stdin.flush()
-                line = workers[w].stdout.readline()
-                if not line:
-                    raise SystemExit(f"the worker for {roots[w]} stopped")
-                passes[w].append(json.loads(line))
-    finally:
-        for w in workers:
-            w.stdin.close()
-            w.wait()
-    medians = [{k: statistics.median(run[k] for run in runs) * 1e3 for k in runs[0]}
-               for runs in passes]
-    print(f"# seed 1, {PASSES} alternated passes, one BLAS thread; "
-          "median over passes of the mean CPU ms per level step (all: per op)"
-          + ("; quartiles of the per-pass A/B ratios" if len(roots) == 2 else ""))
-    for label, root in zip("AB", roots):
-        print(f"# {label} = {root}")
-    print(f"{'tree':<9} {'measure':<22} {'level':>5} {'nodes':>6} "
-          + " ".join(f"{label + ' ms':>9}" for label in "AB"[:len(roots)])
-          + ("    A/B  A/B q1  A/B q3" if len(roots) == 2 else ""))
-    order = sorted(medians[0], key=lambda k: (k.rsplit("/", 2)[0], k.endswith("/all/"),
-                                              int(k.split("/")[2]) if k[-1] != "/" else 0))
+    roots = _ab.roots(p, args.root, "perfbench/workloads.py")
+    passes = list(_ab.alternate(__file__, roots, PASSES))
+    _ab.header(f"seed 1, {PASSES} alternated passes, one BLAS thread; "
+               "mean CPU ms per level step (all: per op)", roots)
+    order = sorted(passes[0][0], key=lambda k: (k.rsplit("/", 2)[0], k.endswith("/all/"),
+                                                int(k.split("/")[2]) if k[-1] != "/" else 0))
     for key in order:
         tree, measure, level, nodes = key.split("/")
-        row = [m[key] for m in medians]
-        ratios = [a[key] / b[key] for a, b in zip(*passes)] if len(row) == 2 else []
-        q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if ratios else (0, 0, 0)
-        print(f"{tree:<9} {measure:<22} {level:>5} {nodes:>6} "
-              + " ".join(f"{v:9.3f}" for v in row)
-              + (f" {row[0] / row[1]:6.2f} {q1:7.2f} {q3:7.2f}" if ratios else ""))
+        where = f"level {level}, {nodes} nodes" if nodes else "all"
+        _ab.table(f"{tree} {measure} {where}", _ab.figure(passes, key, 1e3), 3)
     return 0
 
 
