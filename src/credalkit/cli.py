@@ -55,7 +55,6 @@ from .risk import (
     LossSpec,
     ScenarioTree,
     _check_shape,
-    _level_groups,
     avar_dual_evaluate,
     avar_dual_set,
     compose_risk,
@@ -213,15 +212,17 @@ def _credal_tables(sc: Scenario, paths: list, space, tables: list) -> list:
     """Tables of credal sets (a kernel's outcomes, a tree's levels of nodes), each as the level
     stacks of ``CredalSet._stack``: all their entries are read as one array per vertex count and
     screened as one stack when ``_typed_table`` holds.  On any other type or a refusal, entry by
-    entry, so the first refusal in entry order is raised."""
+    entry until one raises, the first refusal in entry order: each stacked refusal is an entry's."""
     entries = list(chain.from_iterable(tables))
     try:
         groups = CredalSet._stack(space, entries, sc.tol) if _typed_table(entries) else None
     except (CredalkitError, ValueError, OverflowError):  # overflow: an int past the float range
         groups = None
     if groups is None:
-        return [_level_groups([_credal(sc, f"{path}[{j}]", space, _rows(f"{path}[{j}]", e))
-                               for j, e in enumerate(table)]) for path, table in zip(paths, tables)]
+        for path, table in zip(paths, tables):
+            for j, e in enumerate(table):
+                _credal(sc, f"{path}[{j}]", space, _rows(f"{path}[{j}]", e))
+        raise AssertionError(f"{paths[0]}: the stacked read refused entries that each read")
     kept = np.empty(len(entries), dtype=int)
     for nodes, V in groups:
         kept[nodes] = V.shape[1]

@@ -265,6 +265,21 @@ def _pairs(k: int) -> tuple:
     return pairs
 
 
+def _pair_blocks(k: int, step: int):
+    """``_pairs(k)`` in blocks of ``step`` pairs (one empty block when ``k < 2``).  Past
+    ``_CELL_BUDGET`` pairs, none are cached: each block comes from the triangle's row ranges."""
+    total = k * (k - 1) // 2
+    if total <= _CELL_BUDGET:
+        i, j = _pairs(k)
+        yield from ((i[lo : lo + step], j[lo : lo + step]) for lo in range(0, max(total, 1), step))
+        return
+    start = np.arange(k) * (2 * k - 1 - np.arange(k)) // 2  # row a's first pair (a, a + 1)
+    for lo in range(0, total, step):
+        e = np.arange(lo, min(lo + step, total))
+        row = np.searchsorted(start, e, side="right") - 1
+        yield row, e - start[row] + row + 1
+
+
 @functools.lru_cache(maxsize=None)
 def _bank(n: int) -> np.ndarray:
     """The fixed exposing directions on ``n`` outcomes: 1,024 standard-normal draws."""

@@ -27,8 +27,9 @@ from .spaces import OutcomeSpace, ProbVector, ProductSpace, RandomVariable
 
 DEMO_TOL = 1e-9
 
-# U = V = {0, 1}: the two-point space of the tower and Fubini demos
+# U = V = {0, 1}: the two-point space of the tower and Fubini demos, and their product
 _BIT = OutcomeSpace(["0", "1"])
+_BIT2 = ProductSpace(_BIT, _BIT)
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,17 @@ def _target(value, provenance: str) -> dict:
     return {"value": value, "provenance": provenance}
 
 
-def _close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol
+def _met(value, target) -> bool:
+    """A flag or label equal to its target, a number within ``DEMO_TOL``, a list entry by entry."""
+    if isinstance(target, list):
+        return type(value) is list and len(value) == len(target) and all(map(_met, value, target))
+    return value == target if isinstance(target, (bool, str)) else abs(value - target) <= DEMO_TOL
+
+
+def _report(name: str, inputs: dict, computed: dict, targets: dict, *checks: bool) -> DemoReport:
+    """The demo's report, ``passed`` exactly when every target is met and every check holds."""
+    passed = all(_met(computed[key], t["value"]) for key, t in targets.items()) and all(checks)
+    return DemoReport(name, inputs, computed, targets, DEMO_TOL, passed)
 
 
 def nonrectangular_demo() -> DemoReport:
@@ -61,11 +71,10 @@ def nonrectangular_demo() -> DemoReport:
     equal-coordinates indicator the joint evaluation gives one half while
     the composed evaluation reaches one.
     """
-    uv = ProductSpace(_BIT, _BIT)
-    S = CredalSet.from_rows(uv, [[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5]])
+    S = CredalSet.from_rows(_BIT2, [[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5]])
     K = CredalKernel.constant(_BIT, CredalSet.simplex(_BIT))
     report = check_tower(S, K)
-    match = RandomVariable(uv, [1.0, 0.0, 0.0, 1.0])
+    match = RandomVariable(_BIT2, [1.0, 0.0, 0.0, 1.0])
     lhs = sublinear_expectation(S, match)
     rhs = compose(report.marginal, K, match)
     computed = {
@@ -81,19 +90,13 @@ def nonrectangular_demo() -> DemoReport:
         "rhs_on_match_payoff": _target(1.0, "analytic"),
         "gap_on_match_payoff": _target(0.5, "analytic"),
     }
-    passed = (
-        report.rectangular is False
-        and _close(lhs, 0.5, DEMO_TOL)
-        and _close(rhs, 1.0, DEMO_TOL)
-        and report.witness is not None
-        and abs(report.witness.gap) > DEMO_TOL
-    )
     inputs = {
         "set_vertices": S.matrix.tolist(),
         "kernel": "full simplex at every conditioning outcome",
         "payoff": match.values.tolist(),
     }
-    return DemoReport("nonrectangular", inputs, computed, targets, DEMO_TOL, passed)
+    return _report("nonrectangular", inputs, computed, targets,
+                   abs(computed["checker_gap"]) > DEMO_TOL)
 
 
 def diagonal_demo(n_payoffs: int = 100, seed: int = 0) -> DemoReport:
@@ -107,19 +110,18 @@ def diagonal_demo(n_payoffs: int = 100, seed: int = 0) -> DemoReport:
     """
     if 4 * n_payoffs > MAX_GENERATORS:
         raise SizeGuardError(f"diagonal demo payoff cells exceed {MAX_GENERATORS}")
-    uv = ProductSpace(_BIT, _BIT)
-    S = CredalSet.from_rows(uv, [[1.0, 0, 0, 0], [0, 0, 0, 1.0]])
+    S = CredalSet.from_rows(_BIT2, [[1.0, 0, 0, 0], [0, 0, 0, 1.0]])
     K = CredalKernel(_BIT, [CredalSet.singleton(ProbVector.dirac(_BIT, label))
                             for label in _BIT.labels])
     report = check_tower(S, K)
     rng = np.random.default_rng(seed)
     max_gap = 0.0
     for _ in range(n_payoffs):
-        x = RandomVariable(uv, rng.uniform(-3.0, 3.0, 4))
+        x = RandomVariable(_BIT2, rng.uniform(-3.0, 3.0, 4))
         gap = abs(sublinear_expectation(S, x) - compose(report.marginal, K, x))
         max_gap = max(max_gap, gap)
-    indicator_00 = RandomVariable(uv, [1.0, 0, 0, 0])
-    indicator_01 = RandomVariable(uv, [0, 1.0, 0, 0])
+    indicator_00 = RandomVariable(_BIT2, [1.0, 0, 0, 0])
+    indicator_01 = RandomVariable(_BIT2, [0, 1.0, 0, 0])
     computed = {
         "rectangular": report.rectangular,
         "max_gap_on_sampled_payoffs": max_gap,
@@ -132,19 +134,13 @@ def diagonal_demo(n_payoffs: int = 100, seed: int = 0) -> DemoReport:
         "value_on_corner_indicator": _target(1.0, "analytic"),
         "value_on_off_diagonal_indicator": _target(0.0, "analytic"),
     }
-    passed = (
-        report.rectangular
-        and max_gap <= DEMO_TOL
-        and computed["value_on_corner_indicator"] == 1.0
-        and computed["value_on_off_diagonal_indicator"] == 0.0
-    )
     inputs = {
         "set_vertices": S.matrix.tolist(),
         "kernel": "Dirac at the conditioning outcome",
         "n_payoffs": n_payoffs,
         "seed": seed,
     }
-    return DemoReport("diagonal", inputs, computed, targets, DEMO_TOL, passed)
+    return _report("diagonal", inputs, computed, targets)
 
 
 def fubini_counterexample() -> DemoReport:
@@ -154,10 +150,9 @@ def fubini_counterexample() -> DemoReport:
     on the second, the equal-coordinates indicator integrates to one in
     the U-then-V order but only one half the other way around.
     """
-    uv = ProductSpace(_BIT, _BIT)
     SU = CredalSet.from_rows(_BIT, [[0.5, 0.5]])
     SV = CredalSet.simplex(_BIT)
-    match = RandomVariable(uv, [1.0, 0, 0, 1.0])
+    match = RandomVariable(_BIT2, [1.0, 0, 0, 1.0])
     lhs, rhs = interchange_gap(SU, SV, match)
     swapped = interchange_gap(SV, SU, match)
     report = check_fubini(SU, SV)
@@ -173,19 +168,12 @@ def fubini_counterexample() -> DemoReport:
         "interchangeable": _target(False, "enumeration"),
         "swapped_roles": _target([0.5, 1.0], "analytic"),
     }
-    passed = (
-        lhs == 1.0
-        and rhs == 0.5
-        and not report.interchangeable
-        and swapped == (0.5, 1.0)
-        and report.witness is not None
-    )
     inputs = {
         "outer_set": "uniform singleton on two points",
         "inner_set": "all probabilities on two points",
         "payoff": match.values.tolist(),
     }
-    return DemoReport("fubini-counterexample", inputs, computed, targets, DEMO_TOL, passed)
+    return _report("fubini-counterexample", inputs, computed, targets)
 
 
 def continuity_failure_witness(n: int = 8) -> DemoReport:
@@ -237,12 +225,8 @@ def continuity_failure_witness(n: int = 8) -> DemoReport:
         "composed_value": _target(1.0, "definition"),
         "payoff_at_fixed_cell": _target(1.0 if n == 2 else 0.0, "definition"),
     }
-    passed = (
-        composed_value == 1.0
-        and pointwise == targets["payoff_at_fixed_cell"]["value"]
-    )
     inputs = {"n": n, "grid": f"{{0, 1/{n}, ..., 1}} x {{0, 1, ..., {n}}}"}
-    return DemoReport("continuity-failure", inputs, computed, targets, DEMO_TOL, passed)
+    return _report("continuity-failure", inputs, computed, targets)
 
 
 PAYOFFS: dict[str, tuple[Callable[[float], float], str]] = {
@@ -329,7 +313,6 @@ def gwalk(
         "payoff_kind": kind,
     }
     targets = {"root_value": envelope}
-    passed = _close(value, envelope["value"], DEMO_TOL)
     inputs = {
         "horizon": horizon,
         "sig_lo": sig_lo,
@@ -339,7 +322,7 @@ def gwalk(
         "step_size": h,
         "step_weights": S.matrix.tolist(),
     }
-    return DemoReport("gwalk", inputs, computed, targets, DEMO_TOL, passed)
+    return _report("gwalk", inputs, computed, targets)
 
 
 DEMOS: dict[str, Callable[..., DemoReport]] = {

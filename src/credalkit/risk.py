@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .credal import _CELL_BUDGET, CredalSet, _pairs, _solve
+from .credal import _CELL_BUDGET, CredalSet, _pair_blocks, _solve
 from .errors import CredalkitError, SizeGuardError, ValidationError
 from .lp import DEFAULT_TOL
 from .spaces import Frozen, OutcomeSpace, RandomVariable, _check_same_space
@@ -214,11 +214,10 @@ def _oce_batch(V: np.ndarray, x: np.ndarray, L: LossSpec):
     # line alphas * s + betas, with the slopes' expectation taken at the bracket's midpoint
     alphas = 1.0 - _expect(V, L.slopes.take(L._segment(x - (0.5 * (a + b))[..., None])))
     betas = a + at - alphas * a
-    i, j = _pairs(V.shape[1])
     step = max(1, _CELL_BUDGET // a.size)  # vertex pairs per block of (pair, bracket, row) cells
     found = []  # (rows, crossings, objectives) of each block's live entries, in flat order
-    for lo in range(0, max(i.size, 1), step):  # one block, empty, for one-vertex sets
-        cross = _vertex_crossings(alphas, betas, a, b, i[lo : lo + step], j[lo : lo + step])
+    for i, j in _pair_blocks(V.shape[1], step):
+        cross = _vertex_crossings(alphas, betas, a, b, i, j)
         hit, g = _crossing_objective(V, x, L, cross.reshape(-1))
         found.append((hit % r, cross.take(hit), g))
     row, cross, g = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from _oracles import walk_expectations
+from credalkit import demos
 from credalkit.demos import (
+    DEMO_TOL,
     DEMOS,
     PAYOFFS,
     continuity_failure_witness,
@@ -177,3 +179,67 @@ class TestRegistry:
     def test_reports_are_deterministic(self):
         for fn in DEMOS.values():
             assert fn().to_doc() == fn().to_doc()
+
+
+def pass_rule(report) -> bool:
+    """``passed`` recomputed from the report alone: a flag or label equals its target, a
+    number lies within the report's tolerance of it, a list meets it entry by entry; and
+    ``nonrectangular``'s checker witness has a nonzero gap."""
+
+    def met(value, target):
+        if isinstance(target, list):
+            return type(value) is list and len(value) == len(target) and all(map(met, value, target))
+        if type(target) in (bool, str):
+            return value == target
+        return abs(value - target) <= report.tolerance
+
+    ok = all(met(report.computed[key], t["value"]) for key, t in report.targets.items())
+    return ok and (report.name != "nonrectangular" or abs(report.computed["checker_gap"]) > DEMO_TOL)
+
+
+def suite_reports():
+    """The demo calls of this suite: every demo at its defaults and the parameter grids above."""
+    yield from (fn() for fn in DEMOS.values())
+    yield from (diagonal_demo(n_payoffs, seed) for n_payoffs in (1, 100) for seed in (0, 1, 2))
+    yield from map(continuity_failure_witness, range(2, 33))
+    for payoff in ("square", "abs", "neg-square", "neg-abs", "identity"):
+        for horizon in (1, 2, 3):
+            for sig_lo, sig_hi in ((0.0, 1.0), (0.5, 1.5), (0.3, 0.9)):
+                for dt in (1.0, 0.25):
+                    yield gwalk(horizon, sig_lo, sig_hi, dt, payoff)
+    for payoff in ("call", "put"):
+        yield gwalk(horizon=2, payoff=payoff, strike=0.5)
+    yield from (gwalk(sig_hi=1e-160), gwalk(sig_hi=1e200, payoff="identity"))
+
+
+class TestPassRule:
+    """Every report passes exactly when its declared targets are met and its extra checks hold."""
+
+    def test_passed_is_the_rule_on_every_suite_report(self):
+        for report in suite_reports():
+            assert type(report.passed) is bool
+            assert report.passed is pass_rule(report), (report.name, report.inputs)
+            assert report.passed, (report.name, report.inputs)
+
+    TARGETS = {"n": demos._target(0.5, "analytic"), "flag": demos._target(False, "enumeration"),
+               "pair": demos._target([0.5, 1.0], "analytic")}
+    COMPUTED = {"n": 0.5, "flag": False, "pair": [0.5, 1.0], "untargeted": "x"}
+
+    @pytest.mark.parametrize("edit,checks,want", [
+        ({}, (), True),
+        ({}, (True, True), True),
+        ({"n": 0.5 + DEMO_TOL / 2}, (), True),
+        ({"n": 0.5 - 2 * DEMO_TOL}, (), False),
+        ({"n": 0.5 + 2 * DEMO_TOL}, (), False),
+        ({"n": math.nan}, (), False),
+        ({"flag": True}, (), False),
+        ({"pair": [0.5]}, (), False),
+        ({"pair": [0.5, 1.0, 1.0]}, (), False),
+        ({"pair": [0.5, 1.0 + 2 * DEMO_TOL]}, (), False),
+        ({}, (True, False), False),
+    ])
+    def test_report_checks_every_target(self, edit, checks, want):
+        computed = {**self.COMPUTED, **edit}
+        report = demos._report("probe", {}, computed, self.TARGETS, *checks)
+        assert report.passed is want
+        assert report.tolerance == DEMO_TOL and report.computed == computed

@@ -1239,11 +1239,9 @@ class TestCrossingBlocks:
             assert len(calls) == 1 and calls[0][-1].size == 3
 
     def test_thousand_vertex_scan_holds_one_block(self):
-        # every pair-bracket at once took 25 MB here; the vertex-pair index (8 MB) is built once
-        # per vertex count and cached, outside the trace
+        # every pair-bracket at once took 25 MB here, and the whole vertex-pair index 8 MB more
         rng = np.random.default_rng(232)
         V, x = rng.dirichlet(np.ones(10), size=(1, 1000)), rng.uniform(-3, 3, (1, 10))
-        credal._pairs(1000)
         tracemalloc.start()
         try:
             risk._oce_batch(V, x, LossSpec.avar(0.1))
@@ -1251,6 +1249,49 @@ class TestCrossingBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6
+
+
+class TestPairBlocks:
+    """``credal._pair_blocks`` cuts ``np.triu_indices(k, 1)`` into blocks of ``step`` pairs.
+    Counts whose pairs fit one ``_CELL_BUDGET`` block slice ``_pairs``' cached index; wider ones
+    build each block from the triangle's row ranges, and cache and hold no whole index."""
+
+    @staticmethod
+    def triu_blocks(k, step):
+        i, j = np.triu_indices(k, 1)
+        return [(i[lo : lo + step], j[lo : lo + step]) for lo in range(0, max(i.size, 1), step)]
+
+    @pytest.mark.parametrize("budget", [None, 0])  # 0: every count's blocks come from its rows
+    def test_blocks_are_the_triangle_cut_in_order(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(credal, "_CELL_BUDGET", budget)
+        for k in [*range(0, 40), *range(40, 601, 17), 362, 363, 600]:
+            for step in (1, 5, 977, 2**15):
+                if step * 1000 < k * k:  # at most about a thousand blocks per count
+                    continue
+                got = list(credal._pair_blocks(k, step))
+                want = self.triu_blocks(k, step)
+                assert [len(i) for i, _ in got] == [len(i) for i, _ in want], (k, step)
+                for g, w in zip(map(np.concatenate, zip(*got)), map(np.concatenate, zip(*want))):
+                    assert g.dtype == w.dtype and np.array_equal(g, w), (k, step)
+
+    def test_cold_wide_scan_caches_no_pairs(self, monkeypatch):
+        # the whole 1,000-vertex index through np.triu_indices' k^2 mask peaked at 11.3 MB
+        # and left 8 MB cached
+        rng = np.random.default_rng(233)
+        V, x = rng.dirichlet(np.ones(6), size=(1, 1000)), rng.uniform(-3, 3, (1, 6))
+        credal._pairs.cache_clear()
+        tracemalloc.start()
+        try:
+            got = risk._oce_batch(V, x, LossSpec.avar(0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert credal._pairs.cache_info().currsize == 0
+        monkeypatch.setattr(risk, "_pair_blocks", self.triu_blocks)
+        want = risk._oce_batch(V, x, LossSpec.avar(0.1))
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
 
 
 class TestTreeSizeGuard:

@@ -279,7 +279,6 @@ class TestLevelBuild:
         doc = tree_doc([[node(rng, n, 3, "plain") for _ in range(n**t)] for t in range(5)], n)
         with monkeypatch.context() as m:
             m.setattr(CredalSet, "_set", refuse)
-            m.setattr(cli, "_level_groups", refuse)
             m.setattr(risk, "_level_groups", refuse)
             tree = cli.parse_scenario(json.dumps(doc)).trees["T"]
         for t, groups in enumerate(tree._groups):
