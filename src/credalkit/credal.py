@@ -266,15 +266,11 @@ def _pairs(k: int) -> tuple:
 
 
 def _pair_blocks(k: int, step: int):
-    """``_pairs(k)`` in blocks of ``step`` pairs (one empty block when ``k < 2``).  Past
-    ``_CELL_BUDGET`` pairs, none are cached: each block comes from the triangle's row ranges."""
+    """``np.triu_indices(k, 1)`` in blocks of ``step`` pairs (one empty block when ``k < 2``),
+    each built from the triangle's row ranges: no whole index is built or cached."""
     total = k * (k - 1) // 2
-    if total <= _CELL_BUDGET:
-        i, j = _pairs(k)
-        yield from ((i[lo : lo + step], j[lo : lo + step]) for lo in range(0, max(total, 1), step))
-        return
     start = np.arange(k) * (2 * k - 1 - np.arange(k)) // 2  # row a's first pair (a, a + 1)
-    for lo in range(0, total, step):
+    for lo in range(0, max(total, 1), step):
         e = np.arange(lo, min(lo + step, total))
         row = np.searchsorted(start, e, side="right") - 1
         yield row, e - start[row] + row + 1

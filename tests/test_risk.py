@@ -1252,20 +1252,16 @@ class TestCrossingBlocks:
 
 
 class TestPairBlocks:
-    """``credal._pair_blocks`` cuts ``np.triu_indices(k, 1)`` into blocks of ``step`` pairs.
-    Counts whose pairs fit one ``_CELL_BUDGET`` block slice ``_pairs``' cached index; wider ones
-    build each block from the triangle's row ranges, and cache and hold no whole index."""
+    """``credal._pair_blocks`` cuts ``np.triu_indices(k, 1)`` into blocks of ``step`` pairs,
+    each built from the triangle's row ranges: no whole index is held or cached."""
 
     @staticmethod
     def triu_blocks(k, step):
         i, j = np.triu_indices(k, 1)
         return [(i[lo : lo + step], j[lo : lo + step]) for lo in range(0, max(i.size, 1), step)]
 
-    @pytest.mark.parametrize("budget", [None, 0])  # 0: every count's blocks come from its rows
-    def test_blocks_are_the_triangle_cut_in_order(self, monkeypatch, budget):
-        if budget is not None:
-            monkeypatch.setattr(credal, "_CELL_BUDGET", budget)
-        for k in [*range(0, 40), *range(40, 601, 17), 362, 363, 600]:
+    def test_blocks_are_the_triangle_cut_in_order(self):
+        for k in [*range(0, 40), *range(40, 601, 17), 600]:
             for step in (1, 5, 977, 2**15):
                 if step * 1000 < k * k:  # at most about a thousand blocks per count
                     continue

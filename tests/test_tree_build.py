@@ -393,3 +393,27 @@ class TestKernelBuild:
                 if field[:1] == ("kernels",):
                     for value in RETYPES:
                         same_as_per_node(monkeypatch, edited(doc, field, value))
+
+
+class TestStackedRefusal:
+    """Every refusal of the stacked read is an entry's, which the entry-by-entry re-read
+    raises; a refusal that no entry repeats stops the parse with an AssertionError naming
+    the table's first path, instead of building the table some other way."""
+
+    @pytest.mark.parametrize("kind", ["kernel", "tree"])
+    def test_refusal_no_entry_repeats(self, monkeypatch, kind):
+        rng = np.random.default_rng(1430)
+        if kind == "kernel":
+            doc = kernel_doc([node(rng, 3, 3, "plain") for _ in range(4)], 3)
+            path = "kernels.K.credal"
+        else:
+            doc, path = tree_doc(random_levels(rng, 3, 2), 3), "trees.T.ambiguity[0]"
+        cli.parse_scenario(json.dumps(doc))  # the document reads
+
+        def refuse(*args, **kwargs):
+            raise ValidationError("a refusal no entry repeats")
+
+        monkeypatch.setattr(CredalSet, "_stack", refuse)
+        with pytest.raises(AssertionError) as exc:
+            cli.parse_scenario(json.dumps(doc))
+        assert str(exc.value) == f"{path}: the stacked read refused entries that each read"
