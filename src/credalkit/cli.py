@@ -202,9 +202,10 @@ def _resolve_space(sc: Scenario, ref, path: str):
 
 
 def _credal(sc: Scenario, path: str, space, rows: list) -> CredalSet:
-    """A credal set from vertex rows, noting generators canonicalization drops."""
+    """A credal set from vertex rows, noting generators canonicalization drops.  A small set is
+    screened on its first read, so a refusal of its screen carries the path too."""
     built = _wrap(path, lambda: CredalSet.from_rows(space, rows, sc.tol))
-    _noted(sc, path, len(rows) - built.n_vertices)
+    _noted(sc, path, len(rows) - _wrap(path, lambda: built.n_vertices))
     return built
 
 

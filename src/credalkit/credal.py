@@ -57,9 +57,11 @@ class CredalSet(Frozen):
     other row's hull, and any other takes one membership decision, from the back so
     earlier generators survive ties.  Surviving vertices keep their order.  A set of at
     most ``n + 1`` rows pairwise apart and all certified skips the search, passes and scan.
+    Such a small set, validated at construction, is screened on the first read of
+    ``matrix``; a ``ScenarioTree`` screens all its node sets as one stack.
     """
 
-    __slots__ = ("space", "matrix")
+    __slots__ = ("space", "_matrix", "_pending")  # _pending: (rows, tol) until screened
 
     def __init__(self, space: Space, vertices: Sequence[ProbVector],
                  tol: float = DEFAULT_TOL, *, canonical: bool = False):
@@ -70,16 +72,45 @@ class CredalSet(Frozen):
 
     def _set(self, space: Space, matrix: np.ndarray, tol=DEFAULT_TOL, canonical=None):
         """Every constructor ends here: freeze the validated rows that construction keeps (all
-        for ``canonical=None``).  A set of at most ``n + 1`` rows that ``_plain`` passes is kept
-        whole; a wider set's screen (pairs, bank) costs more than it saves: most repeat rows."""
+        for ``canonical=None``).  A set of at most ``n + 1`` rows keeps them and ``tol`` pending
+        until ``matrix`` is read (``_settle``); a wider set's screen (pairs, bank) costs more
+        than it saves: most repeat rows."""
         if not len(matrix):
             raise ValidationError("a credal set needs at least one vertex")
+        if canonical is False and len(matrix) <= matrix.shape[1] + 1:
+            return self._freeze(space=space, _pending=(matrix, tol))
         if canonical:
             matrix = matrix[_distinct(matrix)]
-        elif canonical is not None and not (len(matrix) <= matrix.shape[1] + 1
-                                            and _plain(matrix[None], tol)[0]):
+        elif canonical is not None:
             matrix = matrix[_canonicalize(matrix, tol)]
-        return self._freeze(space=space, matrix=matrix)
+        return self._freeze(space=space, _matrix=matrix, _pending=None)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._pending is not None:  # screened once; a race screens the same rows twice
+            CredalSet._settle([self])
+        return self._matrix
+
+    @staticmethod
+    def _settle(sets) -> None:
+        """Screen every pending set of ``sets``: one ``_plain`` per (vertex count, outcome count,
+        ``tol``) group over the stacked rows, then ``_canonicalize`` for each set it fails, in
+        order; each set keeps the rows it keeps screened alone.  A refusal leaves the sets not
+        yet settled pending."""
+        groups: dict[tuple, list] = {}
+        for S in dict.fromkeys(sets):
+            pending = S._pending  # read once: a race may settle S meanwhile
+            if pending is not None:
+                rows, tol = pending
+                groups.setdefault((*rows.shape, tol), []).append((S, rows))
+        for (*_, tol), group in groups.items():
+            sets, rows = zip(*group)
+            plain, fixed = _screened(np.stack(rows) if len(rows) > 1 else rows[0][None], tol)
+            for S, M, kept in zip(sets, rows, plain.tolist()):
+                if kept:
+                    S._freeze(_matrix=M, _pending=None)
+            for s, V in fixed:
+                sets[s]._freeze(_matrix=V, _pending=None)
 
     @classmethod
     def from_rows(cls, space: Space, rows: Sequence[Sequence[float]],
@@ -90,9 +121,9 @@ class CredalSet(Frozen):
     def _stack(cls, space: Space, sets, tol: float) -> list:
         """``from_rows`` of each row list, kept as level stacks: ``(nodes, matrices)`` per vertex
         count, the nodes in input order, and ``slice(None)`` when one stack holds every set.  The
-        lists of each length are read and validated as one stack, and ``_plain``, the screen a
-        set of at most ``n + 1`` rows built alone takes too, finds the sets with a near-duplicate
-        or uncertified row in blocks of 2**16 cells; only those are canonicalized, one by one.
+        lists of each length are read and validated as one stack, and ``_screened``, the screen a
+        small set takes on its first read too, finds the sets with a near-duplicate or
+        uncertified row in blocks of 2**16 cells; only those are canonicalized, one by one.
         A refusal need not be the first set's."""
         lens = np.fromiter(map(len, sets), int, len(sets))
         found: dict[int, list] = {}  # vertex count -> (nodes, matrices) parts
@@ -100,11 +131,10 @@ class CredalSet(Frozen):
             idx = np.flatnonzero(lens == k)
             P = _prob_rows(space.size, np.array(
                 sets if len(idx) == len(sets) else [sets[s] for s in idx], dtype=float))
-            plain = _plain(P, tol)
+            plain, fixed = _screened(P, tol)
             if plain.any():
                 found.setdefault(k, []).append((idx, P) if plain.all() else (idx[plain], P[plain]))
-            for s in np.flatnonzero(~plain):
-                V = P[s][_canonicalize(P[s], tol)]
+            for s, V in fixed:
                 found.setdefault(len(V), []).append((idx[s : s + 1], V[None]))
         groups = []
         for parts in found.values():
@@ -123,7 +153,7 @@ class CredalSet(Frozen):
         sets = [None] * width
         for nodes, V in groups:
             for node, M in zip(np.arange(width)[nodes], V):
-                sets[node] = cls.__new__(cls)._freeze(space=space, matrix=M)
+                sets[node] = cls.__new__(cls)._freeze(space=space, _matrix=M, _pending=None)
         return sets
 
     @classmethod
@@ -172,7 +202,8 @@ def _key_windows(rows: np.ndarray, queries: np.ndarray, radius: float):
     n = rows.shape[1]
     w = 1.0 + np.arange(n) / n
     scale = 1.0 + radius + np.max(np.abs(rows), initial=0.0)
-    reach = w.sum() * (radius + 8 * n * np.finfo(float).eps * scale)
+    with np.errstate(over="ignore"):  # a reach past the float range is inf: every row is near
+        reach = w.sum() * (radius + 8 * n * np.finfo(float).eps * scale)
     keys = rows @ w
     order = np.argsort(keys)
     qkeys = keys if queries is rows else queries @ w
@@ -231,6 +262,14 @@ def _vertex_matches(rows: np.ndarray, queries: np.ndarray, tol: float) -> np.nda
             ok = np.all(queries[q] >= scaled[r], axis=1)
             match[q[ok]] = np.minimum(match[q[ok]], r[ok])
     return np.where(match < len(rows), match, -1)
+
+
+def _screened(P: np.ndarray, tol: float):
+    """``(plain, fixed)`` for a stack ``P`` of sets of one shape: ``_plain(P, tol)``, and
+    ``(s, kept rows)`` for each set ``s`` it fails, canonicalized one by one as iterated."""
+    plain = _plain(P, tol)
+    return plain, ((s, P[s][_canonicalize(P[s], tol)])
+                   for s, kept in enumerate(plain.tolist()) if not kept)
 
 
 def _plain(P: np.ndarray, tol: float) -> np.ndarray:
@@ -295,7 +334,8 @@ def _certified_extreme(points: np.ndarray, tol: float) -> np.ndarray:
     A[..., :n] = points
     D = _directions(A)[..., :n]
     slack = tol + 64 * n * np.finfo(float).eps
-    limit = slack * np.abs(D).max(axis=-1)
+    with np.errstate(over="ignore"):  # past the float range: inf, which certifies only a lone row
+        limit = slack * np.abs(D).max(axis=-1)
     step = max(1, _CELL_BUDGET // points[..., 0].size)
     certified = np.empty(points.shape[:-1], dtype=bool)
     for lo in range(0, k, step):
@@ -306,7 +346,8 @@ def _certified_extreme(points: np.ndarray, tol: float) -> np.ndarray:
     sets = np.flatnonzero(~flat.all(axis=1)) if k > n + 1 else []
     if len(sets):
         P, bank = points.reshape(-1, k, n)[sets], _bank(n)
-        limit = slack * np.max(np.abs(bank), axis=1)
+        with np.errstate(over="ignore"):
+            limit = slack * np.max(np.abs(bank), axis=1)
         step = max(1, _CELL_BUDGET // (len(sets) * k))
         for lo in range(0, len(bank), step):
             G = P @ bank[lo : lo + step].T
@@ -376,6 +417,7 @@ def _passes(rows: np.ndarray, certified: np.ndarray, tol: float):
     return near, outside
 
 
+@np.errstate(over="ignore")  # a limit near the float range times a residual's spread is inf
 def _wolfe(rows: np.ndarray, points: np.ndarray, limit: float, exclude=None):
     """Wolfe's minimum-norm point of the hull of ``rows - p`` for each ``p`` of ``points``, until
     its iterate ``x = lam @ (rows - p)`` proves a verdict, with ``64 n eps`` for rounding.

@@ -400,7 +400,9 @@ class ScenarioTree(Frozen):
     that node (nodes in row-major path order).  Terminal payoffs live on
     level ``horizon``.  The tree keeps each level as stacks of vertex
     matrices, one per vertex count; a tree read from its level stacks builds
-    ``ambiguity`` from them on first use.
+    ``ambiguity`` from them on first use.  Construction screens the node sets
+    still pending their small-set screen as one stack per vertex count, so a
+    scan refusal of such a set surfaces here.
     """
 
     __slots__ = ("step_space", "horizon", "_ambiguity", "_groups")
@@ -413,6 +415,7 @@ class ScenarioTree(Frozen):
         for level in ambiguity:
             for S in level:
                 _check_same_space(S.space, step_space, "tree ambiguity")
+        CredalSet._settle(itertools.chain.from_iterable(ambiguity))
         self._freeze(step_space=step_space, horizon=horizon, _ambiguity=ambiguity,
                      _groups=tuple(map(_level_groups, ambiguity)))
 

@@ -367,7 +367,7 @@ def build_tree_per_node(sc, path: str, body):
     def credal(where, rows):
         built = _wrap(where, lambda: CredalSet(step, [ProbVector.__new__(ProbVector)._freeze(
             space=step, weights=prob_weights(step.size, row)) for row in rows], sc.tol))
-        if built.n_vertices < len(rows):
+        if _wrap(where, lambda: built.n_vertices) < len(rows):  # a small set screens on read
             sc.canonicalization.append(
                 f"{where}: {len(rows) - built.n_vertices} redundant generator(s) dropped")
         return built
@@ -401,7 +401,7 @@ def build_kernel_per_entry(sc, path: str, body):
 
     def credal(where, rows):
         built = _wrap(where, lambda: CredalSet.from_rows(v_space, rows, sc.tol))
-        if built.n_vertices < len(rows):
+        if _wrap(where, lambda: built.n_vertices) < len(rows):  # a small set screens on read
             sc.canonicalization.append(
                 f"{where}: {len(rows) - built.n_vertices} redundant generator(s) dropped")
         return built

@@ -1112,6 +1112,16 @@ class TestMutationFuzz:
             assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 2, field
         capsys.readouterr()
 
+    @pytest.mark.parametrize("op", sorted(valid_scenarios()))
+    def test_a_huge_tol_exits_with_a_documented_code(self, op, tmp_path, capsys):
+        # key-window reaches, certificate limits and nearest-point bounds past the float range
+        # are inf, silently: an overflow warning is an exception under the suite's filter
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(valid_scenarios()[op]))
+        code = main(["run", str(path), "--tol", "1e308", "--out", str(tmp_path / "r.json")])
+        assert code in (0, 2, 3, 4)
+        capsys.readouterr()
+
     EXTREMES = (0, -0.0, 1e-170, -1e-170, 8.9e307, 1.7e308, -1.7e308, 2**63, -(2**63))
 
     @pytest.mark.parametrize("op", sorted(valid_scenarios()))

@@ -1,10 +1,14 @@
 import functools
 import importlib.util
+import json
 import re
 import sys
+import threading
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +28,7 @@ from _oracles import (
     support_value,
 )
 from credalkit import credal, spaces
+from credalkit.cli import main
 from credalkit.conditional import CredalKernel, check_tower, pasting
 from credalkit.credal import (
     CredalSet,
@@ -48,7 +53,7 @@ from credalkit.credal import (
 from credalkit.errors import NotSeparableError, SpaceMismatchError, ValidationError
 from credalkit.fubini import check_fubini
 from credalkit.lp import SimplexStalledError
-from credalkit.risk import _capped_box_vertices, _projected_lifted_vertices
+from credalkit.risk import ScenarioTree, _capped_box_vertices, _projected_lifted_vertices
 from credalkit.spaces import OutcomeSpace, ProbVector, ProductSpace, RandomVariable
 
 AB = OutcomeSpace(["a", "b"])
@@ -1295,6 +1300,28 @@ def small_set_families(tol):
     return families
 
 
+@functools.lru_cache(maxsize=None)
+def small_sets_read_alone(tol):
+    """``(space, rows, kept)`` for every set of at most ``n + 1`` valid rows of
+    ``small_set_families(tol)`` and ``screen_families(tol)``: ``kept`` is the bytes of its matrix
+    built and read alone, None when that read refuses."""
+    found = []
+    for rows in [*small_set_families(tol), *screen_families(tol)]:
+        n = rows.shape[1]
+        if len(rows) > n + 1:
+            continue
+        space = OutcomeSpace([f"o{i}" for i in range(n)])
+        try:
+            S = CredalSet.from_rows(space, rows, tol)
+        except ValidationError:
+            continue  # an exact-zero row: refused at construction
+        try:
+            found.append((space, rows, S.matrix.tobytes()))
+        except SimplexStalledError:
+            found.append((space, rows, None))
+    return found
+
+
 class TestSmallSetScreen:
     """A set of at most ``n + 1`` rows that ``credal._plain`` passes keeps every row with no
     ``_distinct``, pass or scan; that is exactly what the scan keeps, and ``CredalSet._stack``
@@ -1389,3 +1416,115 @@ class TestSmallSetScreen:
         inner = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
         assert CredalSet.from_rows(space, inner).n_vertices == 3
         assert calls["_distinct"] == 2 and calls["_wolfe"] + calls["_decide"] >= 1
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_settled_together_as_read_alone(self, tol):
+        cases = [(space, rows, kept) for space, rows, kept in small_sets_read_alone(tol) if kept]
+        sets = [CredalSet.from_rows(space, rows, tol) for space, rows, _ in cases]
+        failed = sum(not credal._plain(S._pending[0][None], tol)[0] for S in sets)
+        CredalSet._settle(sets + sets[::7])  # a set listed twice is screened once
+        assert all(S._pending is None for S in sets)
+        assert [S.matrix.tobytes() for S in sets] == [kept for *_, kept in cases]
+        assert len(sets) >= 190 and failed >= 30
+
+    def test_screen_waits_for_the_first_read(self, monkeypatch):
+        calls = {"_plain": 0, "_canonicalize": 0}
+        for name in calls:
+            def counting(*args, _name=name, _f=getattr(credal, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(credal, name, counting)
+        rng = np.random.default_rng(322)
+        space = OutcomeSpace("abc")
+        plain = [CredalSet.from_rows(space, rng.dirichlet(np.ones(3), size=k))
+                 for k in (1, 2, 3, 4)]
+        near = CredalSet.from_rows(space, [[0.6, 0.3, 0.1], [0.6, 0.3 + 1e-13, 0.1 - 1e-13]])
+        alone = CredalSet(space, [ProbVector(space, p) for p in rng.dirichlet(np.ones(3), size=3)])
+        assert calls == {"_plain": 0, "_canonicalize": 0}
+        assert plain[0].n_vertices == 1 and calls == {"_plain": 1, "_canonicalize": 0}
+        assert near.n_vertices == 1 and calls == {"_plain": 2, "_canonicalize": 1}
+        assert plain[0].matrix is plain[0].matrix and near.vertices
+        assert calls == {"_plain": 2, "_canonicalize": 1}
+        # the sets never read are never screened
+        assert [S._pending[1] for S in (*plain[1:], alone)] == [credal.DEFAULT_TOL] * 4
+
+    def test_a_tree_screens_each_group_once(self, monkeypatch):
+        stacks = []
+        plain = credal._plain
+        monkeypatch.setattr(credal, "_plain",
+                            lambda P, tol: stacks.append((*P.shape, tol)) or plain(P, tol))
+        rng = np.random.default_rng(323)
+        step = OutcomeSpace("abc")
+        near = [[0.6, 0.3, 0.1], [0.6, 0.3 + 1e-13, 0.1 - 1e-13], [0.1, 0.2, 0.7]]
+
+        def level(width):
+            return [(near if j == 4 else rng.dirichlet(np.ones(3), size=1 + j % 3),
+                     1e-9 if j % 2 else 1e-12) for j in range(width)]
+
+        shared = (rng.dirichlet(np.ones(3), size=2), credal.DEFAULT_TOL)
+        specs = [[shared], [shared, shared, *level(1)], level(9)]
+        read = [[CredalSet.from_rows(step, *spec).matrix.tobytes() for spec in lv] for lv in specs]
+        built = {id(spec): CredalSet.from_rows(step, *spec) for spec in chain.from_iterable(specs)}
+        levels = [[built[id(spec)] for spec in lv] for lv in specs]
+        groups = Counter((*S._pending[0].shape, S._pending[1]) for S in built.values())
+        stacks.clear()
+        tree = ScenarioTree(step, 3, levels)
+        # the near-duplicate set is stacked with its count's others, then canonicalized alone
+        assert sorted(stacks) == sorted((n, *key) for key, n in groups.items())
+        assert [[S.matrix.tobytes() for S in level] for level in tree.ambiguity] == read
+        assert levels[2][4].n_vertices == 2
+
+    def test_concurrent_first_reads_agree(self):
+        # threads reading pending sets, one settling them all as a tree does: each read gives
+        # the rows read alone, whichever thread screens a set first
+        rng = np.random.default_rng(324)
+        space = OutcomeSpace("abc")
+        near = [[0.6, 0.3, 0.1], [0.6, 0.3 + 1e-13, 0.1 - 1e-13], [0.1, 0.2, 0.7]]
+        rows = [near if i % 5 == 0 else rng.dirichlet(np.ones(3), size=1 + i % 3)
+                for i in range(300)]
+        want = [CredalSet.from_rows(space, r).matrix.tobytes() for r in rows]
+        sets = [CredalSet.from_rows(space, r) for r in rows]
+        got, errors = {}, []
+
+        def read(t, order):
+            try:
+                if t == 0:
+                    CredalSet._settle(sets)
+                got[t] = {i: sets[i].matrix.tobytes() for i in order}
+            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read, args=(t, rng.permutation(len(sets))))
+                   for t in range(6)]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert all([v[i] for i in range(len(sets))] == want for v in got.values())
+        assert len(got) == len(threads)
+
+    def test_a_refusal_waits_for_the_first_read(self, tmp_path, capsys):
+        refused = [(tol, space, rows) for tol in TOLS
+                   for space, rows, kept in small_sets_read_alone(tol) if kept is None]
+        assert len(refused) >= 5  # refused by the scan (ROADMAP D4, D7)
+        path, out = tmp_path / "doc.json", str(tmp_path / "r.json")
+        for tol, space, rows in refused:
+            S = CredalSet.from_rows(space, rows, tol)
+            with pytest.raises(SimplexStalledError):
+                S.matrix
+            assert S._pending[1] == tol  # still pending: the next read refuses again
+            with pytest.raises(SimplexStalledError):
+                ScenarioTree.uniform(space, 1, CredalSet.from_rows(space, rows, tol))
+            path.write_text(json.dumps({
+                "format": 1, "spaces": {"U": list(space.labels)},
+                "sets": {"S": {"space": "U", "vertices": rows.tolist()}},
+                "variables": {"X": {"space": "U", "values": [0.0] * space.size}},
+                "command": {"op": "eval", "set": "S", "variable": "X"}}))
+            assert main(["run", str(path), "--tol", repr(tol), "--out", out]) == 3
+            assert capsys.readouterr().err.startswith("operation error: sets.S: ")

@@ -7,7 +7,10 @@ through ``<root>/perfbench/workloads.py`` and run in-process with
 ``cli.main(["run", doc, "--out", report])`` from ``<root>/src``; each
 prints one ``workload seed key exit sha256`` line, the digest of the report,
 or of the message a refused document writes to stderr when the exit code is
-not 0.  For ``tree_eval`` every level array that ``compose_risk`` /
+not 0.  For ``tree_eval`` each prebuilt tree first prints one ``tree_eval seed
+sets/tree sha256`` line, the digest of the shape and bytes of every node matrix
+(``tree.ambiguity``) and of every level stack the scans read (``tree._groups``), so
+that a change to tree set-up shows; then every level array that ``compose_risk`` /
 ``compose_sublinear`` returns prints one line, keyed
 ``tree/measure/payoff/level`` (``-`` for a failed op).  Last, every demo
 runs once at its default parameters through
@@ -59,10 +62,37 @@ def cli_lines(wl, seed: int, work: Path):
             yield f"{wl.name} {seed} {c}-{i} {code} {digest}"
 
 
+def tree_sets_digest(tree) -> str:
+    """sha256 over the shape and bytes of every node matrix of ``tree.ambiguity``, then of every
+    level stack in ``tree._groups`` with its nodes (``:`` for every node of the level)."""
+    import numpy as np
+
+    h = hashlib.sha256()
+
+    def add(a):
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+
+    for level in tree.ambiguity:
+        for S in level:
+            add(S.matrix)
+    for groups in tree._groups:
+        for nodes, V in groups:
+            if isinstance(nodes, slice):
+                h.update(b":")
+            else:
+                add(nodes)
+            add(V)
+    return h.hexdigest()
+
+
 def tree_lines(wl, seed: int, work: Path):
     import numpy as np
 
     state = wl.setup(wl.setup_inputs(seed))
+    for name, tree in state["trees"].items():
+        yield f"{wl.name} {seed} sets/{name} {tree_sets_digest(tree)}"
     seen = set()
     for cycle in wl.inputs(seed, work):
         for op in cycle:
