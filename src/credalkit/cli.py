@@ -240,12 +240,8 @@ def _credal_tables(sc: Scenario, paths: list, space, tables: list) -> list:
 
 def _entry_range(groups: list, lo: int, hi: int) -> list:
     """The level stacks of entries ``lo`` to ``hi - 1`` of ``groups``, numbered from ``lo``."""
-    part = []
-    for nodes, V in groups:  # the nodes are sorted; a slice is every entry
-        a, b = (lo, hi) if isinstance(nodes, slice) else np.searchsorted(nodes, (lo, hi))
-        if a < b:
-            part.append((nodes if isinstance(nodes, slice) else nodes[a:b] - lo, V[a:b]))
-    return [(slice(None), part[0][1])] if len(part) == 1 else part
+    cut = [(nodes, V, *np.searchsorted(nodes, (lo, hi))) for nodes, V in groups]  # nodes sorted
+    return [(nodes[a:b] - lo, V[a:b]) for nodes, V, a, b in cut if a < b]
 
 
 def _typed_table(entries: list) -> bool:

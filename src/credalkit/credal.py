@@ -120,11 +120,11 @@ class CredalSet(Frozen):
     @classmethod
     def _stack(cls, space: Space, sets, tol: float) -> list:
         """``from_rows`` of each row list, kept as level stacks: ``(nodes, matrices)`` per vertex
-        count, the nodes in input order, and ``slice(None)`` when one stack holds every set.  The
-        lists of each length are read and validated as one stack, and ``_screened``, the screen a
-        small set takes on its first read too, finds the sets with a near-duplicate or
-        uncertified row in blocks of 2**16 cells; only those are canonicalized, one by one.
-        A refusal need not be the first set's."""
+        count, the nodes a sorted index array and the matrices read-only.  The lists of each
+        length are read and validated as one stack, and ``_screened``, the screen a small set
+        takes on its first read too, finds the sets with a near-duplicate or uncertified row in
+        blocks of 2**16 cells; only those are canonicalized, one by one.  A refusal need not be
+        the first set's."""
         lens = np.fromiter(map(len, sets), int, len(sets))
         found: dict[int, list] = {}  # vertex count -> (nodes, matrices) parts
         for k in sorted(set(lens.tolist())):
@@ -144,7 +144,7 @@ class CredalSet(Frozen):
                 parts = [(nodes[order], V[order])]
             [(nodes, V)] = parts
             V.setflags(write=False)
-            groups.append((slice(None) if len(found) == 1 else nodes, V))
+            groups.append((nodes, V))
         return groups
 
     @classmethod
@@ -152,7 +152,7 @@ class CredalSet(Frozen):
         """The ``width`` sets of level stacks ``[(nodes, matrices), ...]``, in node order."""
         sets = [None] * width
         for nodes, V in groups:
-            for node, M in zip(np.arange(width)[nodes], V):
+            for node, M in zip(nodes.tolist(), V):
                 sets[node] = cls.__new__(cls)._freeze(space=space, _matrix=M, _pending=None)
         return sets
 
@@ -286,7 +286,7 @@ def _plain(P: np.ndarray, tol: float) -> np.ndarray:
     for lo in range(0, m if step else 0, max(step, 1)):
         B, at = P[lo : lo + step], slice(lo, lo + step)
         if tol < 2 * n * DEDUP_TOL:  # certify only the sets with no near-duplicate
-            i, j = _pairs(k)
+            [(i, j)] = _pair_blocks(k, k * k)
             at = lo + np.flatnonzero((np.abs(B[:, i] - B[:, j]).max(axis=-1) > DEDUP_TOL).all(1))
             B = P[at]
         if len(B):
@@ -294,19 +294,9 @@ def _plain(P: np.ndarray, tol: float) -> np.ndarray:
     return plain
 
 
-@functools.lru_cache(maxsize=16)
-def _pairs(k: int) -> tuple:
-    """``np.triu_indices(k, 1)``, the vertex pairs of a ``k``-vertex set, built once per vertex
-    count (the last 16 counts used are kept) and read-only."""
-    pairs = np.triu_indices(k, 1)
-    for a in pairs:
-        a.setflags(write=False)
-    return pairs
-
-
 def _pair_blocks(k: int, step: int):
-    """``np.triu_indices(k, 1)`` in blocks of ``step`` pairs (one empty block when ``k < 2``),
-    each built from the triangle's row ranges: no whole index is built or cached."""
+    """The vertex pairs ``i < j`` of ``k`` vertices, row by row, in blocks of ``step`` pairs (one
+    empty block when ``k < 2``), each built from the triangle's row ranges: none is cached."""
     total = k * (k - 1) // 2
     start = np.arange(k) * (2 * k - 1 - np.arange(k)) // 2  # row a's first pair (a, a + 1)
     for lo in range(0, max(total, 1), step):

@@ -245,19 +245,16 @@ def _vertex_crossings(alphas, betas, a, b, i, j):
 
 def _crossing_objective(V, x, L, cross):
     """``(entries, values)``: the objective at each crossing of the flat ``(pair-bracket, row)``
-    block ``cross``, at its non-NaN entries only, in order.  Entries are found a block of
-    ``_CELL_BUDGET`` cells at a time and scored in chunks whose gathered payoffs, vertex
-    matrices, losses and expectations hold at most ``_CELL_BUDGET`` cells each."""
+    block ``cross``, which ``_pair_blocks``' step has sized, at its non-NaN entries only, in
+    order.  They are scored in chunks whose gathered payoffs, vertex matrices, losses and
+    expectations hold at most ``_CELL_BUDGET`` cells each."""
     r, (k, n) = x.shape[0], V.shape[1:]
     per = max(1, _CELL_BUDGET // (k * n if V.shape[0] > 1 else max(k, n)))
-    hit, g = [np.empty(0, np.intp)], [np.empty(0)]
-    for lo in range(0, cross.size, _CELL_BUDGET):
-        live = lo + np.flatnonzero(~np.isnan(cross[lo : lo + _CELL_BUDGET]))
-        for e in (live[c : c + per] for c in range(0, live.size, per)):
-            row = e % r
-            g.append(_objective(V if V.shape[0] == 1 else V[row], x[row], L, cross[e][None])[0][0])
-            hit.append(e)
-    return np.concatenate(hit), np.concatenate(g)
+    live, g = np.flatnonzero(~np.isnan(cross)), [np.empty(0)]
+    for e in (live[c : c + per] for c in range(0, live.size, per)):
+        row = e % r
+        g.append(_objective(V if V.shape[0] == 1 else V[row], x[row], L, cross[e][None])[0][0])
+    return live, np.concatenate(g)
 
 
 def avar_dual_evaluate(S: CredalSet, level: float, X: RandomVariable) -> float:
@@ -398,8 +395,9 @@ class ScenarioTree(Frozen):
     Level ``t`` has one node per length-``t`` path over the step space;
     ``ambiguity[t][node]`` is the credal set governing the next step from
     that node (nodes in row-major path order).  Terminal payoffs live on
-    level ``horizon``.  The tree keeps each level as stacks of vertex
-    matrices, one per vertex count; a tree read from its level stacks builds
+    level ``horizon``.  The tree keeps each level as read-only stacks of vertex
+    matrices, one per vertex count with its sorted node indices, or one matrix
+    for a level that shares one set; a tree read from its level stacks builds
     ``ambiguity`` from them on first use.  Construction screens the node sets
     still pending their small-set screen as one stack per vertex count, so a
     scan refusal of such a set surfaces here.
@@ -422,8 +420,8 @@ class ScenarioTree(Frozen):
     @classmethod
     def _from_stacks(cls, step_space: OutcomeSpace, horizon: int, levels) -> "ScenarioTree":
         """The tree of level stacks ``levels[t] = [(nodes, matrices), ...]`` on ``step_space``
-        (one stack per vertex count, the nodes sorted, ``slice(None)`` for every node of the
-        level), validated and canonicalized, in a shape ``_check_shape`` has passed."""
+        (one stack per vertex count, the nodes a sorted index array, the matrices read-only),
+        validated and canonicalized, in a shape ``_check_shape`` has passed."""
         return cls.__new__(cls)._freeze(step_space=step_space, horizon=horizon, _ambiguity=None,
                                         _groups=tuple(levels))
 
@@ -473,19 +471,22 @@ def _check_tree_size(b: int, horizon: int) -> None:
 
 
 def _level_groups(sets: Sequence[CredalSet]):
-    """``(nodes, stacked vertex matrices)`` per vertex count of one tree level.
+    """``(nodes, stacked vertex matrices)`` per vertex count of one tree level, read-only.
 
-    A level that shares one set stores that set's matrix once, as a batch
-    of one that broadcasts over the nodes.  Sets are never padded to a common
-    vertex count: padding changes the products' rounding.
+    A level that shares one set stores its matrix once, as ``(slice(None), matrix[None])``: a
+    batch of one that broadcasts over the nodes.  Any other level's nodes are sorted index
+    arrays.  Sets are never padded to a common vertex count: padding changes the rounding.
     """
     if all(S is sets[0] for S in sets):
         return [(slice(None), sets[0].matrix[None])]
     by_count: dict[int, list[int]] = {}
     for node, S in enumerate(sets):
         by_count.setdefault(S.n_vertices, []).append(node)
-    return [(np.array(nodes), np.stack([sets[i].matrix for i in nodes]))
-            for nodes in by_count.values()]
+    groups = [(np.array(nodes), np.stack([sets[i].matrix for i in nodes]))
+              for nodes in by_count.values()]
+    for _, V in groups:
+        V.setflags(write=False)
+    return groups
 
 
 def _backward(tree: ScenarioTree, X: RandomVariable,

@@ -863,15 +863,21 @@ def tiny_dual_set_rows(rng):
 
 
 @functools.lru_cache(maxsize=None)
-def corpus_dual_sets():
-    """``(vertices, level)`` of the ``avar-dual`` vertex documents of the seed 0-2 ``desk_cli``
-    corpora, as ``perfbench/gen.py`` draws them."""
+def perfbench_gen():
+    """The benchmark's document generator, ``perfbench/gen.py``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
     spec = importlib.util.spec_from_file_location("perfbench_gen", path)
     gen = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(gen)
+    return gen
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_dual_sets():
+    """``(vertices, level)`` of the ``avar-dual`` vertex documents of the seed 0-2 ``desk_cli``
+    corpora, as ``perfbench/gen.py`` draws them."""
     return [(op.doc["sets"]["S"]["vertices"], op.doc["command"]["level"])
-            for seed in (0, 1, 2) for cycle in gen.desk_cli(seed, 24) for op in cycle
+            for seed in (0, 1, 2) for cycle in perfbench_gen().desk_cli(seed, 24) for op in cycle
             if op.kind == "avar-dual" and op.doc["command"].get("vertices")]
 
 

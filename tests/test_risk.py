@@ -23,7 +23,7 @@ from _oracles import (
 )
 from credalkit import credal, risk, spaces
 from credalkit.conditional import CredalKernel, pasting
-from credalkit.credal import CredalSet, equal_sets, sublinear_expectation
+from credalkit.credal import DEDUP_TOL, CredalSet, equal_sets, sublinear_expectation
 from credalkit.errors import CredalkitError, SizeGuardError, ValidationError
 from credalkit.lp import SimplexStalledError
 from credalkit.risk import (
@@ -1170,25 +1170,33 @@ class TestNothingEvaluatedTwice:
             if budget is None:  # one candidate chunk and one crossing chunk
                 assert counts["loss"] == 2
 
-    def test_vertex_pairs_are_built_once_per_count(self, monkeypatch):
-        calls = []
+    def test_vertex_pairs_come_from_one_builder(self, monkeypatch):
         triu = np.triu_indices
 
-        def counting_triu(*args, **kwargs):
-            calls.append(args)
-            return triu(*args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a whole vertex-pair index is built")
 
-        monkeypatch.setattr(np, "triu_indices", counting_triu)
-        credal._pairs.cache_clear()
         rng = np.random.default_rng(212)
-        for _ in range(2):
-            V, x = rng.dirichlet(np.ones(4), size=(30, 5)), rng.uniform(-3, 3, (30, 4))
-            risk._oce_batch(V, x, LossSpec.avar(0.3))
         space = OutcomeSpace([f"o{i}" for i in range(4)])
-        # a tolerance below 2 n DEDUP_TOL, at which the screen tests the row pairs
-        CredalSet._stack(space, [np.eye(4).tolist() + [[0.25] * 4]] * 3, 1e-15)
-        assert calls == [(5, 1)]
-        assert not any(a.flags.writeable for a in credal._pairs(5))
+        with monkeypatch.context() as m:
+            m.setattr(np, "triu_indices", refuse)
+            for _ in range(2):
+                V, x = rng.dirichlet(np.ones(4), size=(30, 5)), rng.uniform(-3, 3, (30, 4))
+                risk._oce_batch(V, x, LossSpec.avar(0.3))
+            # a tolerance below 2 n DEDUP_TOL, at which the screen tests the row pairs
+            CredalSet._stack(space, [np.eye(4).tolist() + [[0.25] * 4]] * 3, 1e-15)
+        # the screen's one block of pairs flags the sets a whole triu_indices index flags, over
+        # seeded sets with and without a near-duplicate pair
+        for k in range(1, 7):
+            P = rng.dirichlet(np.ones(4), size=(40, k))
+            if k > 1:
+                P[::2, -1] = P[::2, 0]
+                P[::2, -1, 0] += 0.5 * DEDUP_TOL
+            got = credal._plain(P, 1e-15)
+            with monkeypatch.context() as m:
+                m.setattr(credal, "_pair_blocks", lambda k, step: iter([triu(k, 1)]))
+                assert np.array_equal(got, credal._plain(P, 1e-15))
+            assert got[1::2].any() and not (k > 1 and got[::2].any())
 
 
 class TestCrossingBlocks:
@@ -1276,7 +1284,6 @@ class TestPairBlocks:
         # and left 8 MB cached
         rng = np.random.default_rng(233)
         V, x = rng.dirichlet(np.ones(6), size=(1, 1000)), rng.uniform(-3, 3, (1, 6))
-        credal._pairs.cache_clear()
         tracemalloc.start()
         try:
             got = risk._oce_batch(V, x, LossSpec.avar(0.1))
@@ -1284,7 +1291,6 @@ class TestPairBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 5e6
-        assert credal._pairs.cache_info().currsize == 0
         monkeypatch.setattr(risk, "_pair_blocks", self.triu_blocks)
         want = risk._oce_batch(V, x, LossSpec.avar(0.1))
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))

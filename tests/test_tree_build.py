@@ -22,8 +22,11 @@ from credalkit.cli import main
 from credalkit.credal import DEDUP_TOL, CredalSet
 from credalkit.errors import CredalkitError, SizeGuardError, ValidationError
 from credalkit.lp import SimplexStalledError
+from credalkit.risk import ScenarioTree
 from credalkit.spaces import OutcomeSpace
 from test_cli import RETYPES, TREE, edited, field_paths, valid_scenarios
+from test_credal import perfbench_gen
+from test_risk import mixed_tree
 
 NODE_KINDS = ("plain", "duplicate", "near-duplicate", "interior", "dirac", "tiny-negative")
 MALFORMED = ("ragged", "mass-1.1", "weight-0.2", "abc", "empty")
@@ -283,7 +286,7 @@ class TestLevelBuild:
             tree = cli.parse_scenario(json.dumps(doc)).trees["T"]
         for t, groups in enumerate(tree._groups):
             [(nodes, V)] = groups
-            assert nodes == slice(None) and V.shape == (n**t, 3, n)
+            assert np.array_equal(nodes, np.arange(n**t)) and V.shape == (n**t, 3, n)
         with monkeypatch.context() as m:
             m.setattr(cli, "_build_tree", build_tree_per_node)
             want = cli.parse_scenario(json.dumps(doc)).trees["T"]
@@ -417,3 +420,60 @@ class TestStackedRefusal:
         with pytest.raises(AssertionError) as exc:
             cli.parse_scenario(json.dumps(doc))
         assert str(exc.value) == f"{path}: the stacked read refused entries that each read"
+
+
+def check_level_stacks(tree):
+    """Each level's stacks partition its nodes.  Every stack's nodes are a sorted integer index
+    array, except ``(slice(None), V)`` with one matrix on a level that shares one set; every
+    matrix is read-only and is its node's set matrix."""
+    for groups, level in zip(tree._groups, tree.ambiguity, strict=True):
+        width, covered = len(level), []
+        for nodes, V in groups:
+            assert not V.flags.writeable
+            if isinstance(nodes, slice):
+                assert nodes == slice(None) and len(groups) == 1 and V.shape[0] == 1
+                assert all(S is level[0] for S in level)
+                nodes, V = np.arange(width), np.broadcast_to(V, (width, *V.shape[1:]))
+            else:
+                assert nodes.dtype.kind == "i" and nodes.ndim == 1 and np.all(np.diff(nodes) > 0)
+            assert [M.tobytes() for M in V] == [level[i].matrix.tobytes() for i in nodes.tolist()]
+            covered.append(nodes)
+        assert np.array_equal(np.sort(np.concatenate(covered)), np.arange(width))
+
+
+class TestOneStackForm:
+    """Both tree constructors emit level stacks of one form: sorted node index arrays, and
+    ``slice(None)`` only for the one-row stack of a level that shares one set."""
+
+    def test_desk_cli_tree_documents(self):
+        trees = 0
+        for doc in (op.doc for cycle in perfbench_gen().desk_cli(1, 24) for op in cycle
+                    if "trees" in op.doc):
+            try:
+                sc = cli.parse_scenario(json.dumps(doc))
+            except CredalkitError:
+                continue
+            for tree in sc.trees.values():
+                check_level_stacks(tree)
+                trees += 1
+        assert trees >= 100
+
+    def test_mixed_count_and_generator_dropping_documents(self):
+        rng = np.random.default_rng(1401)
+        for n, horizon in ((2, 7), (3, 5), (6, 3), (9, 3)):
+            every = [node(rng, n, k, kind) for kind in NODE_KINDS for k in range(1, 7)]
+            levels = random_levels(rng, n, horizon - 1)
+            levels.append([every[i % len(every)] for i in range(n ** (horizon - 1))])
+            for tol in (1e-15, 1e-9):
+                sc = cli.parse_scenario(json.dumps(tree_doc(levels, n)), tol)
+                assert sc.canonicalization  # generators were dropped
+                check_level_stacks(sc.trees["T"])
+
+    def test_constructed_trees(self):
+        rng = np.random.default_rng(1431)
+        step = OutcomeSpace(["a", "b", "c"])
+        shared = CredalSet.from_rows(step, rng.dirichlet(np.ones(3), size=3))
+        other = CredalSet.from_rows(step, rng.dirichlet(np.ones(3), size=2))
+        for tree in (mixed_tree(rng, step, 4), ScenarioTree.uniform(step, 4, shared),
+                     ScenarioTree(step, 2, [[shared], [shared, other, shared]])):
+            check_level_stacks(tree)

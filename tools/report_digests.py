@@ -4,21 +4,27 @@
 
 The ``rectangularity`` and ``desk_cli`` scenario documents are generated
 through ``<root>/perfbench/workloads.py`` and run in-process with
-``cli.main(["run", doc, "--out", report])`` from ``<root>/src``; each
-prints one ``workload seed key exit sha256`` line, the digest of the report,
-or of the message a refused document writes to stderr when the exit code is
-not 0.  For ``tree_eval`` each prebuilt tree first prints one ``tree_eval seed
-sets/tree sha256`` line, the digest of the shape and bytes of every node matrix
-(``tree.ambiguity``) and of every level stack the scans read (``tree._groups``), so
-that a change to tree set-up shows; then every level array that ``compose_risk`` /
-``compose_sublinear`` returns prints one line, keyed
-``tree/measure/payoff/level`` (``-`` for a failed op).  Last, every demo
-runs once at its default parameters through
-``cli.main(["demo", name, "--out", report])`` and prints one
-``demo name exit sha256`` line; ``gwalk`` then runs twice more, with its call
-and its put payoff at strike 0.5 (``demo gwalk payoff=call strike=0.5 exit
-sha256``).  Two checkouts give byte-identical reports, level arrays, demo
-reports and refusal messages exactly when their outputs ``diff`` clean.
+``cli.main(["run", doc, "--out", report])`` from ``<root>/src``; each prints
+one ``workload seed key exit sha256`` line, the digest of the report, or of the
+message a refused document writes to stderr when the exit code is not 0.  An
+exit-0 document that holds a credal kernel or a tree then prints one ``workload
+seed sets/key sha256`` line, the digest of the dtype, shape and bytes of every
+credal kernel outcome's matrix (``K.table``), then of every tree node's
+(``tree.ambiguity``), each in document order, as ``cli.parse_scenario`` reads
+them at the default tolerance: it pins row order and dropped generators, which
+reports need not show, and reads no level stack, so their form does not count.
+For ``tree_eval`` each prebuilt tree first prints one
+``tree_eval seed sets/tree sha256`` line, the digest of every node matrix and
+of every level stack the scans read (``tree._groups``, ``:`` for the nodes of a
+level that shares one set), so that a change to tree set-up shows; then every
+level array that ``compose_risk`` / ``compose_sublinear`` returns prints one
+line, keyed ``tree/measure/payoff/level`` (``-`` for a failed op).  Last, every
+demo runs once at its default parameters through ``cli.main(["demo", name,
+"--out", report])`` and prints one ``demo name exit sha256`` line; ``gwalk``
+then runs twice more, with its call and its put payoff at strike 0.5 (``demo
+gwalk payoff=call strike=0.5 exit sha256``).  Two checkouts give byte-identical
+reports, set matrices, level arrays, demo reports and refusal messages exactly
+when their outputs ``diff`` clean.
 ``_ab`` pins one BLAS thread, so that floating-point reductions do not depend
 on a thread count.
 """
@@ -60,31 +66,37 @@ def cli_lines(wl, seed: int, work: Path):
             code, digest = cli_digest(cli, ["run", op.meta["path"]], report)
             c, i = op.meta["key"]
             yield f"{wl.name} {seed} {c}-{i} {code} {digest}"
+            if code == 0:
+                with open(op.meta["path"], encoding="utf-8") as fh:
+                    sc = cli.parse_scenario(fh.read())
+                tables = [K.table for K in sc.kernels.values() if isinstance(K, cli.CredalKernel)]
+                tables += [level for tree in sc.trees.values() for level in tree.ambiguity]
+                if tables:
+                    sets = digest_of(S.matrix for table in tables for S in table)
+                    yield f"{wl.name} {seed} sets/{c}-{i} {sets}"
 
 
-def tree_sets_digest(tree) -> str:
-    """sha256 over the shape and bytes of every node matrix of ``tree.ambiguity``, then of every
-    level stack in ``tree._groups`` with its nodes (``:`` for every node of the level)."""
+def digest_of(arrays) -> str:
+    """sha256 over the dtype, shape and bytes of each array of ``arrays``; ``None`` adds ``:``."""
     import numpy as np
 
     h = hashlib.sha256()
-
-    def add(a):
+    for a in arrays:
+        if a is None:
+            h.update(b":")
+            continue
         a = np.ascontiguousarray(a)
         h.update(f"{a.dtype}{a.shape}".encode())
         h.update(a.tobytes())
-
-    for level in tree.ambiguity:
-        for S in level:
-            add(S.matrix)
-    for groups in tree._groups:
-        for nodes, V in groups:
-            if isinstance(nodes, slice):
-                h.update(b":")
-            else:
-                add(nodes)
-            add(V)
     return h.hexdigest()
+
+
+def tree_sets_digest(tree) -> str:
+    """The digest of every node matrix of ``tree.ambiguity``, then of every level stack in
+    ``tree._groups`` with its nodes (``:`` for the nodes of a level that shares one set)."""
+    return digest_of([*(S.matrix for level in tree.ambiguity for S in level),
+                      *(a for groups in tree._groups for nodes, V in groups
+                        for a in (None if isinstance(nodes, slice) else nodes, V))])
 
 
 def tree_lines(wl, seed: int, work: Path):
